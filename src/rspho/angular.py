@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 from .model import BranchSign, PotentialParams, Symmetry
+from .numerics import guarded, simpson, sqrt
 
 __all__ = [
     "AngularSolution",
@@ -66,7 +66,7 @@ class ShapeInvarianceChain:
     remainders: list[float]
 
 
-def _coupling(E: float, M: float, params: PotentialParams, symmetry: Symmetry) -> float:
+def _coupling(E, M: float, params: PotentialParams, symmetry: Symmetry):
     """The signed ring coupling w = s*2(E+M)(B+C), s = +1 spin / -1 pseudo-spin."""
     return symmetry.coupling_sign * 2.0 * (E + M) * (params.B + params.C)
 
@@ -108,30 +108,30 @@ def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
     return ShapeInvarianceChain(a=a, remainders=remainders)
 
 
-def lambda_from_coupling(w: float, m: int, n_theta: int, branch: BranchSign) -> float:
+def lambda_from_coupling(w, m: int, n_theta: int, branch: BranchSign):
     """Separation constant as a function of the signed ring coupling w.
 
     lambda = [n_theta + 1/2 +/- sqrt(1/2 - w - m^2)]^2 + w + m^2 - 1/2
 
     This single core serves the spin, pseudo-spin, and non-relativistic
-    variants, which differ only in what w is.
+    variants, which differ only in what w is.  w may be a float (a negative
+    radicand raises DomainError) or an array (NaN where it is negative).
     """
     radicand = 0.5 - w - m * m
-    if radicand < 0.0:
-        raise DomainError(
-            f"separation-constant radicand negative: 1/2 - w - m^2 = {radicand}")
-    bracket = n_theta + 0.5 + branch.sign * math.sqrt(radicand)
+    root = sqrt(guarded(radicand, radicand >= 0.0,
+                        "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
+    bracket = n_theta + 0.5 + branch.sign * root
     return bracket * bracket + w + m * m - 0.5
 
 
-def lambda_separation(E: float, M: float, params: PotentialParams, m: int,
-                      n_theta: int, branch: BranchSign,
-                      symmetry: Symmetry) -> float:
+def lambda_separation(E, M: float, params: PotentialParams, m: int,
+                      n_theta: int, branch: BranchSign, symmetry: Symmetry):
     """Separation constant linking the angular and radial equations.
 
     Energy-dependent because the ring coupling scales with (E + M); the
     radial solver therefore treats lambda as part of its self-consistency
-    loop rather than a fixed input.
+    loop rather than a fixed input.  E may be a float or an array, as in
+    lambda_from_coupling.
     """
     return lambda_from_coupling(_coupling(E, M, params, symmetry), m, n_theta, branch)
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
@@ -74,6 +73,12 @@ class OracleReport:
     grid: GridSpec
     converged: bool
     predicted_printed: list[float] | None = None
+
+
+def eigh_tridiagonal(diag, off, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on first use."""
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+    return scipy_eigh_tridiagonal(diag, off, **kwargs)
 
 
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:

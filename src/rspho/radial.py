@@ -20,14 +20,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
 from .model import Convention, SolveRequest
+from .numerics import guarded, simpson
 
 __all__ = [
     "RadialSolution",
     "WavefunctionSamples",
+    "radial_terms",
     "radial_ansatz",
     "radial_spectrum",
     "partner_potentials_radial",
@@ -80,21 +81,33 @@ class WavefunctionSamples:
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def radial_ansatz(E: float, M: float, K: float, A: float, lam: float,
-                  symmetry, n_r: int = 0) -> RadialSolution:
-    """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
+def radial_terms(E, M: float, K: float, A: float, lam, symmetry):
+    """The inverse-square strength and the squared oscillator scale at E.
 
-    Requires s*K*(E + M) > 0 (s = +1 spin, -1 pseudo-spin) so the
-    oscillator stiffness is real, and a nonnegative discriminant
-    1 + 4*delta_prime so delta is real.
+        delta'      = s*2*A*(E + M) + lambda
+        big_delta^2 = s*K*(E + M)             (s = +1 spin, -1 pseudo-spin)
+
+    Returns (delta', big_delta^2).  E and lam may be floats or arrays.  The
+    stiffness must be positive for big_delta to be real: a float that is
+    not raises DomainError, an array gets NaN there.
     """
     s = symmetry.coupling_sign
     fac = E + M
     stiff = s * K * fac
-    if stiff <= 0.0:
-        raise DomainError(
-            f"oscillator stiffness imaginary: s*K*(E+M) = {stiff} must be positive")
-    delta_prime = s * 2.0 * A * fac + lam
+    stiff = guarded(stiff, stiff > 0.0,
+                    "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
+    return s * 2.0 * A * fac + lam, stiff
+
+
+def radial_ansatz(E: float, M: float, K: float, A: float, lam: float,
+                  symmetry, n_r: int = 0) -> RadialSolution:
+    """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
+
+    Requires s*K*(E + M) > 0 (see radial_terms) so the oscillator
+    stiffness is real, and a nonnegative discriminant 1 + 4*delta_prime so
+    delta is real.
+    """
+    delta_prime, stiff = radial_terms(E, M, K, A, lam, symmetry)
     disc = 1.0 + 4.0 * delta_prime
     if disc < 0.0:
         raise DomainError(f"ansatz discriminant negative: 1 + 4*delta' = {disc}")
@@ -226,20 +239,18 @@ def wavefunction_scales(request: SolveRequest, E: float, lam: float,
     """
     p = request.params
     if mass_factor == "eplus":
-        fac = E + request.M
-        s = request.symmetry.coupling_sign
-        stiff = s * p.K * fac
-        delta_prime = s * 2.0 * p.A * fac + lam
+        delta_prime, stiff = radial_terms(E, request.M, p.K, p.A, lam,
+                                          request.symmetry)
     elif mass_factor == "eminus":
         fac = E - request.M
         stiff = p.K * fac
+        if stiff <= 0.0:
+            raise DomainError(
+                f"oscillator stiffness imaginary under mass_factor='eminus': "
+                f"K*factor = {stiff} must be positive")
         delta_prime = 2.0 * p.A * fac + lam
     else:
         raise ValueError(f"mass_factor must be 'eplus' or 'eminus' (got {mass_factor!r})")
-    if stiff <= 0.0:
-        raise DomainError(
-            f"oscillator stiffness imaginary under mass_factor={mass_factor!r}: "
-            f"K*factor = {stiff} must be positive")
     disc = 0.25 + delta_prime
     if disc < 0.0:
         raise DomainError(f"L is complex: 1/4 + delta' = {disc} < 0")

@@ -1,16 +1,25 @@
 """Tests for the energy solver and the non-relativistic closed form."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rspho.spectrum
 from rspho.errors import DomainError, NoRootError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.spectrum import (SolverOptions, energy_residual,
                             nonrelativistic_energy, solve_energy)
 
-from table_data import PSEUDOSPIN_SET, SPIN_SET
+from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
+                        spin_cases)
+
+# Property tests draw the same examples on every run.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 def spin_request(n=1, m=0, A=6.0, convention=Convention.TABLE_CONSISTENT):
@@ -47,6 +56,72 @@ class TestEnergyResidual:
         req = spin_request(A=-40.0)
         with pytest.raises(DomainError, match="radial radicand"):
             energy_residual(5.5, req)
+
+
+@st.composite
+def valid_requests(draw):
+    """Requests that pass validate(): K of the symmetry's sign, M > 0, and
+    couplings around the two reference parameter sets."""
+    spin = draw(st.booleans())
+    real = st.floats
+    if spin:
+        params = PotentialParams(K=draw(real(0.5, 10.0)), A=draw(real(0.0, 10.0)),
+                                 B=draw(real(-0.3, 0.1)), C=draw(real(-0.05, 0.05)))
+    else:
+        params = PotentialParams(K=draw(real(-10.0, -0.5)), A=draw(real(-8.0, 0.0)),
+                                 B=draw(real(0.0, 1.0)), C=draw(real(-0.05, 0.05)))
+    return SolveRequest(
+        params=params, M=draw(real(0.5, 10.0)),
+        qn=QuantumNumbers(n_r=draw(st.integers(0, 6)), n_theta=draw(st.integers(0, 6)),
+                          m=draw(st.integers(-2, 2))),
+        symmetry=Symmetry.SPIN if spin else Symmetry.PSEUDOSPIN,
+        branch=draw(st.sampled_from(BranchSign)),
+        convention=draw(st.sampled_from(Convention)))
+
+
+def reference_requests():
+    """(request, E_ref) for the 24 spin and 54 pseudo-spin reference energies."""
+    for param_set, cases in ((SPIN_SET, spin_cases()),
+                             (PSEUDOSPIN_SET, pseudospin_cases())):
+        for n, m, a, e_ref in cases:
+            params = PotentialParams(K=param_set["K"], A=a, B=param_set["B"],
+                                     C=param_set["C"])
+            yield SolveRequest(params=params, M=param_set["M"],
+                               qn=QuantumNumbers(n_r=n, m=m),
+                               symmetry=Symmetry(param_set["symmetry"])), e_ref
+
+
+class TestResidualKernel:
+    @PROPERTY
+    @given(req=valid_requests(),
+           offsets=st.lists(st.floats(-30.0, 300.0), min_size=1, max_size=40))
+    def test_array_matches_scalar(self, req, offsets):
+        # E = -M + offset puts energies on both sides of E + M = 0 and across
+        # the separation-constant and radial radicand boundaries.
+        energies = [-req.M + x for x in offsets] + [-req.M]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = energy_residual(np.array(energies), req)
+        assert values.shape == (len(energies),)
+        for e, f in zip(energies, values):
+            try:
+                scalar = energy_residual(e, req)
+            except DomainError:
+                assert math.isnan(f), f"array gave {f} where the scalar raised at E = {e}"
+            else:
+                assert np.float64(scalar).tobytes() == f.tobytes(), (e, scalar, f)
+
+    def test_scan_is_one_array_call_then_scalar_steps(self, monkeypatch):
+        calls = []
+
+        def recording(E, request):
+            calls.append(np.size(E) if isinstance(E, np.ndarray) else None)
+            return energy_residual(E, request)
+
+        monkeypatch.setattr(rspho.spectrum, "energy_residual", recording)
+        res = solve_energy(spin_request())
+        assert calls[0] == SolverOptions().scan_points
+        assert calls[1:] == [None] * res.iterations
 
 
 class TestSolveEnergy:
@@ -111,6 +186,20 @@ class TestSolveEnergy:
         with pytest.raises(NoRootError, match="root index"):
             solve_energy(spin_request(), SolverOptions(root_index=5))
 
+    @pytest.mark.parametrize("options", [SolverOptions(e_max_offset=0.1),
+                                         SolverOptions(root_index=5)])
+    def test_no_root_error_holds_no_scan_arrays(self, options):
+        with pytest.raises(NoRootError) as info:
+            solve_energy(spin_request(), options)
+        tb = info.value.__traceback__
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                assert not (isinstance(value, np.ndarray)
+                            and value.size >= options.scan_points), (
+                    f"{tb.tb_frame.f_code.co_name} keeps {name} "
+                    f"({value.size} elements) alive through the traceback")
+            tb = tb.tb_next
+
     def test_large_mass_converges(self):
         # exercises the relative tolerance floor far above the absolute one
         req = SolveRequest(params=PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005),
@@ -118,6 +207,36 @@ class TestSolveEnergy:
         res = solve_energy(req)
         assert res.E > 1e4
         assert abs(res.residual) <= 1e-12 * res.E
+
+
+class TestPolish:
+    def test_reference_requests(self):
+        # The references are printed to 8 decimals, so even the exact root of
+        # one of them lies 4.906e-9 from its printed value.
+        for req, e_ref in reference_requests():
+            res = solve_energy(req)
+            assert abs(res.E - e_ref) <= 4.906e-9, (req, res.E, e_ref)
+            assert abs(res.residual) <= 1e-12 * max(1.0, abs(res.E))
+            assert res.bracket[0] <= res.E <= res.bracket[1]
+            assert res.iterations <= 12
+
+    @PROPERTY
+    @given(req=valid_requests())
+    def test_root_within_tolerance(self, req):
+        # A sign change of the residual within the stop width of E certifies
+        # that a root lies that close, whatever method found E.
+        opts = SolverOptions()
+        try:
+            res = solve_energy(req, opts)
+        except NoRootError:
+            return
+        lo, hi = res.bracket
+        assert lo <= res.E <= hi
+        assert res.residual == energy_residual(res.E, req)
+        width = opts.abs_tol_E + 4.0 * np.finfo(float).eps * abs(res.E)
+        left = energy_residual(max(lo, res.E - width), req)
+        right = energy_residual(min(hi, res.E + width), req)
+        assert left * right <= 0.0, (res, left, right)
 
 
 class TestSolverOptions:
