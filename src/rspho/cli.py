@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,13 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NoRootError
+from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, evaluate_potential)
 from .oracle import default_angular_grid, default_radial_grid, verify_angular, verify_radial
 from .radial import (default_r_grid, effective_scale, radial_wavefunction,
                      wavefunction_scales)
-from .spectrum import SolverOptions, solve_energy
+from .spectrum import SolverOptions, solve_energies, solve_energy
 from .thermo import nonrelativistic_levels, thermo_point
 
 __all__ = ["main", "main_entry"]
@@ -223,20 +224,20 @@ def cmd_table(args: argparse.Namespace) -> int:
     if v["which"] == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
     lines.append(TABLE_HEADER)
-    for n in spec["n_values"]:
-        for a in spec["A_values"]:
-            for m in spec["m_values"]:
-                params = PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"])
-                req = SolveRequest(params=params, M=spec["M"],
-                                   qn=QuantumNumbers(n_r=n, m=m),
-                                   symmetry=Symmetry(spec["symmetry"]))
-                res = solve_energy(req)
-                lines.append(",".join([
-                    str(n), str(m), str(req.qn.n_theta),
-                    _param(a), _param(spec["B"]), _param(spec["C"]),
-                    _param(spec["K"]), _param(spec["M"]),
-                    _fixed(res.E, prec),
-                ]))
+    requests = [
+        SolveRequest(params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
+                     M=spec["M"], qn=QuantumNumbers(n_r=n, m=m),
+                     symmetry=Symmetry(spec["symmetry"]))
+        for n in spec["n_values"] for a in spec["A_values"] for m in spec["m_values"]]
+    for req, res in zip(requests, solve_energies(requests)):
+        if isinstance(res, RsphoError):
+            raise res
+        p = req.params
+        lines.append(",".join([
+            str(req.qn.n_r), str(req.qn.m), str(req.qn.n_theta),
+            _param(p.A), _param(p.B), _param(p.C), _param(p.K), _param(req.M),
+            _fixed(res.E, prec),
+        ]))
     _emit(lines, v["output"])
     return EXIT_OK
 
@@ -262,10 +263,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     prec = v["precision"]
     xs = np.linspace(v["from"], v["to"], v["steps"])
     header = "x," + ",".join(f"{v['series']}={sv}" for sv in series_values)
-    lines = [header]
-    opts = _solver_options(v)
+    requests = []
     for x in xs:
-        cells = [_compact(float(x), prec)]
         for sv in series_values:
             coeffs = {name: v[name] for name in ("A", "B", "C", "K")}
             coeffs[vary] = float(x)
@@ -273,15 +272,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 qn = QuantumNumbers(n_r=sv, n_theta=v["ntheta"], m=v["m"])
             else:
                 qn = QuantumNumbers(n_r=v["n"], n_theta=v["ntheta"], m=sv)
-            req = SolveRequest(params=PotentialParams(**coeffs), M=v["M"], qn=qn,
-                               symmetry=Symmetry(v["symmetry"]),
-                               branch=BranchSign(v["branch"]),
-                               convention=Convention(v["convention"]))
-            try:
-                cells.append(_fixed(solve_energy(req, opts).E, prec))
-            except (DomainError, NoRootError, ConvergenceError):
-                cells.append("")
-        lines.append(",".join(cells))
+            requests.append(SolveRequest(params=PotentialParams(**coeffs), M=v["M"],
+                                         qn=qn, symmetry=Symmetry(v["symmetry"]),
+                                         branch=BranchSign(v["branch"]),
+                                         convention=Convention(v["convention"])))
+    results = solve_energies(requests, _solver_options(v))
+    lines = [header]
+    for i, x in enumerate(xs):
+        row = results[i * len(series_values):(i + 1) * len(series_values)]
+        lines.append(",".join([_compact(float(x), prec)] + [
+            "" if isinstance(res, RsphoError) else _fixed(res.E, prec) for res in row]))
     _emit(lines, v["output"])
     return EXIT_OK
 
@@ -342,38 +342,40 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _oracle_reports(suite: str, points: int):
+    """(suite, case label, OracleReport) for every oracle case of ``suite``."""
+    if suite in ("radial", "all"):
+        for delta_prime, big_delta in _VERIFY_RADIAL_CASES:
+            grid = default_radial_grid(delta_prime, big_delta, 3, points=points)
+            yield ("radial", f"dp={_param(delta_prime)} bd={_param(big_delta)}",
+                   verify_radial(delta_prime, big_delta, count=3, grid=grid))
+    if suite in ("angular", "all"):
+        for v0 in _VERIFY_ANGULAR_CASES:
+            grid = default_angular_grid(points=points)
+            yield "angular", f"v0={_param(v0)}", verify_angular(v0, count=3, grid=grid)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     prec = v["precision"]
-    reports = []
+    converged = True
     lines = ["suite,case,level,computed,predicted,rel_error,converged"]
-    if v["suite"] in ("radial", "all"):
-        for delta_prime, big_delta in _VERIFY_RADIAL_CASES:
-            grid = default_radial_grid(delta_prime, big_delta, 3, points=v["points"])
-            rep = verify_radial(delta_prime, big_delta, count=3, grid=grid)
-            reports.append(rep)
-            case = f"dp={_param(delta_prime)} bd={_param(big_delta)}"
-            for level, (comp, pred) in enumerate(zip(rep.computed, rep.predicted)):
-                rel = abs(comp - pred) / abs(pred)
-                lines.append(",".join(["radial", case, str(level),
-                                       _compact(comp, prec), _compact(pred, prec),
-                                       _sci(rel, 3), str(rep.converged).lower()]))
-    if v["suite"] in ("angular", "all"):
-        for v0 in _VERIFY_ANGULAR_CASES:
-            grid = default_angular_grid(points=v["points"])
-            rep = verify_angular(v0, count=3, grid=grid)
-            reports.append(rep)
-            case = f"v0={_param(v0)}"
-            for level, (comp, pred) in enumerate(zip(rep.computed, rep.predicted)):
-                rel = abs(comp - pred) / abs(pred)
-                lines.append(",".join(["angular", case, str(level),
-                                       _compact(comp, prec), _compact(pred, prec),
-                                       _sci(rel, 3), str(rep.converged).lower()]))
+    for suite, case, rep in _oracle_reports(v["suite"], v["points"]):
+        converged = converged and rep.converged
+        for level, (comp, pred) in enumerate(zip(rep.computed, rep.predicted)):
+            rel = abs(comp - pred) / abs(pred)
+            lines.append(",".join([suite, case, str(level),
+                                   _compact(comp, prec), _compact(pred, prec),
+                                   _sci(rel, 3), str(rep.converged).lower()]))
     _emit(lines, v["output"])
-    return EXIT_OK if all(rep.converged for rep in reports) else EXIT_VERIFY
+    return EXIT_OK if converged else EXIT_VERIFY
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: argparse makes a help
+    formatter, which asks for the terminal size, for every argument it
+    adds, and parsing leaves the parser unchanged."""
     parser = _Parser(
         prog="rspho",
         description="Bound-state energies, wavefunctions, and thermodynamics of a "

@@ -14,6 +14,7 @@ type or a pure function, safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -165,9 +166,9 @@ def validate(request: SolveRequest) -> list[Violation]:
     p = request.params
     for name in ("K", "A", "B", "C"):
         val = getattr(p, name)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             out.append(Violation("params-finite", f"{name} must be a finite real (got {val!r})"))
-    if not (np.isfinite(request.M) and request.M > 0):
+    if not (math.isfinite(request.M) and request.M > 0):
         out.append(Violation("mass-positive", f"M must be positive (got {request.M!r})"))
     if request.symmetry is Symmetry.SPIN and not p.K > 0:
         out.append(Violation("k-sign-spin", f"K must be positive under spin symmetry (got {p.K!r})"))

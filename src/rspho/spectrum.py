@@ -19,17 +19,25 @@ polished by the Illinois variant of regula falsi (Dowell & Jarratt, BIT 11
 superlinearly; every step lands at least half the tolerance inside the
 bracket, so the bracket shrinks even where the chord points at one of
 its ends.
+
+solve_energy does this for one request.  solve_energies does it for many:
+their grids are stacked into (requests x scan points) arrays, each
+request's parameters a column, and every such array is evaluated by the
+same residual in one call; each bracket is then polished on its own.  Its
+results equal solve_energy's, bit for bit, request by request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterable
 
 import numpy as np
 
 from .angular import lambda_from_coupling, lambda_separation
-from .errors import ConvergenceError, DomainError, NoRootError
+from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, validate)
 from .numerics import guarded, sqrt
@@ -40,11 +48,16 @@ __all__ = [
     "SolverOptions",
     "energy_residual",
     "solve_energy",
+    "solve_energies",
     "nonrelativistic_energy",
 ]
 
 _EPS = float(np.finfo(float).eps)
 _MAX_POLISH_STEPS = 200
+# Grid points per batched residual call: rows of requests are scanned in
+# chunks this large, so the kernel's temporaries stay in cache and the
+# memory of a batch does not grow with its length.
+_SCAN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,9 @@ class SolverOptions:
             raise ValueError(f"scan_points must be >= 2 (got {self.scan_points})")
         if self.root_index < 0:
             raise ValueError(f"root_index must be >= 0 (got {self.root_index})")
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 def energy_residual(E, request: SolveRequest):
@@ -145,15 +161,16 @@ def _validity_interval(request: SolveRequest, e_max: float) -> tuple[float, floa
     return lo, hi
 
 
-def _scan(request: SolveRequest, opts: SolverOptions):
-    """Every sign change of the residual on the scan grid, in ascending order.
+def _scan_ends(request: SolveRequest, opts: SolverOptions) -> tuple[float, float]:
+    """Validate a request and return the first and last point of its scan.
 
-    Returns (brackets, first, last).  A bracket is (a, b, f(a), f(b)) for a
-    sign change between neighbouring grid points, or (a, a, 0.0, 0.0) for
-    an exact zero; first and last are the grid ends.  Grid points outside
-    the domain (NaN) bound no bracket.  Only floats leave this frame, so an
-    exception raised about the scan does not keep its arrays alive.
+    The scan covers the validity interval up to M + e_max_offset, pulled
+    in at both ends by a relative margin of 1e-9.
     """
+    violations = validate(request)
+    if violations:
+        raise DomainError("invalid request: "
+                          + "; ".join(v.message for v in violations))
     offset = (opts.e_max_offset if opts.e_max_offset is not None
               else 100.0 * math.sqrt(abs(request.params.K)))
     lo, hi = _validity_interval(request, request.M + offset)
@@ -161,19 +178,60 @@ def _scan(request: SolveRequest, opts: SolverOptions):
         raise NoRootError(
             f"empty scan interval: validity bounds give [{lo}, {hi}]")
     margin = 1e-9 * max(1.0, abs(lo), abs(hi))
-    grid = np.linspace(lo + margin, hi - margin, opts.scan_points)
+    return lo + margin, hi - margin
+
+
+def _stack(requests: list[SolveRequest]) -> SolveRequest:
+    """One request whose numbers are (R, 1) columns, row r from requests[r].
+
+    energy_residual evaluates it on an (R, n) grid element by element as
+    it would each request alone.  The symmetry, branch and convention
+    fields hold the columns of their enums' numeric properties.
+    """
+    K, A, B, C, M, n_r, n_theta, m, s, sign, c = np.array(
+        [(r.params.K, r.params.A, r.params.B, r.params.C, r.M,
+          r.qn.n_r, r.qn.n_theta, r.qn.m, r.symmetry.coupling_sign,
+          r.branch.sign, r.convention.coefficient) for r in requests],
+        dtype=float).T[:, :, None]
+    enums = SimpleNamespace(coupling_sign=s, sign=sign, coefficient=c)
+    return SolveRequest(params=PotentialParams(K=K, A=A, B=B, C=C), M=M,
+                        qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
+                        symmetry=enums, branch=enums, convention=enums)
+
+
+def _scan(request: SolveRequest, first, last, opts: SolverOptions) -> list[list]:
+    """Every sign change of the residual on the scan grid, row by row.
+
+    ``first`` and ``last`` are floats for one request, or arrays of R
+    values for a request stacked by _stack; the grid is evaluated in one
+    residual call either way.  Returns the brackets of each row in
+    ascending order.  A bracket is (a, b, f(a), f(b)) for a sign change
+    between neighbouring grid points, or (a, a, 0.0, 0.0) for an exact
+    zero.  Grid points outside the domain (NaN) bound no bracket.  Only
+    floats leave this frame, so an exception raised about the scan does
+    not keep its arrays alive.
+    """
+    n = opts.scan_points
+    # linspace stacks the grids along axis 0; .T puts one request per row.
+    grid = np.linspace(first, last, n).T
     values = energy_residual(grid, request)
-    brackets = []
+    g, v = grid.ravel(), values.ravel()         # row r is [r*n, (r+1)*n)
+    brackets = [[] for _ in range(v.size // n)]
     # A product <= 0 marks a zero or a sign change; one with NaN never does.
-    for i in np.flatnonzero(values[:-1] * values[1:] <= 0.0).tolist():
-        fa, fb = float(values[i]), float(values[i + 1])
+    for k in np.flatnonzero(v[:-1] * v[1:] <= 0.0).tolist():
+        r, i = divmod(k, n)
+        if i == n - 1:              # a row's last point and the next row's first
+            continue
+        fa, fb = float(v[k]), float(v[k + 1])
         if fa == 0.0:
-            brackets.append((float(grid[i]), float(grid[i]), 0.0, 0.0))
+            brackets[r].append((float(g[k]), float(g[k]), 0.0, 0.0))
         elif fa * fb < 0.0:
-            brackets.append((float(grid[i]), float(grid[i + 1]), fa, fb))
-    if values[-1] == 0.0:
-        brackets.append((float(grid[-1]), float(grid[-1]), 0.0, 0.0))
-    return brackets, float(grid[0]), float(grid[-1])
+            brackets[r].append((float(g[k]), float(g[k + 1]), fa, fb))
+    for r, f in enumerate(v[n - 1::n].tolist()):
+        if f == 0.0:
+            e = float(g[(r + 1) * n - 1])
+            brackets[r].append((e, e, 0.0, 0.0))
+    return brackets
 
 
 def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
@@ -222,21 +280,10 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
     return b, fb, steps
 
 
-def solve_energy(request: SolveRequest,
-                 options: SolverOptions | None = None) -> SolveResult:
-    """Find a bound-state energy: scan for sign changes, then polish one.
-
-    Scans ``scan_points`` abscissae over the validity interval in one
-    array evaluation of the residual, records every sign change, and
-    polishes the bracket selected by ``options.root_index`` with Illinois
-    steps until it is narrower than ``abs_tol_E`` plus a few ulps of E.
-    """
-    opts = options if options is not None else SolverOptions()
-    violations = validate(request)
-    if violations:
-        raise DomainError("invalid request: "
-                          + "; ".join(v.message for v in violations))
-    brackets, first, last = _scan(request, opts)
+def _finish(request: SolveRequest, brackets: list, first: float, last: float,
+            opts: SolverOptions) -> SolveResult:
+    """Polish bracket ``opts.root_index`` of a scan from first to last and
+    assemble the SolveResult."""
     if not brackets:
         raise NoRootError(
             f"no sign change of the energy residual on [{first}, {last}] "
@@ -245,7 +292,6 @@ def solve_energy(request: SolveRequest,
         raise NoRootError(
             f"root index {opts.root_index} requested but the scan found only "
             f"{len(brackets)} bracket(s)")
-
     a, b, fa, fb = brackets[opts.root_index]
     energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
     lam = lambda_separation(energy, request.M, request.params, request.qn.m,
@@ -258,6 +304,54 @@ def solve_energy(request: SolveRequest,
                        big_delta=ansatz.big_delta, residual=residual,
                        iterations=iterations, bracket=(a, b),
                        root_count_in_scan=len(brackets))
+
+
+def solve_energy(request: SolveRequest,
+                 options: SolverOptions | None = None) -> SolveResult:
+    """Find a bound-state energy: scan for sign changes, then polish one.
+
+    Scans ``scan_points`` abscissae over the validity interval in one
+    array evaluation of the residual, records every sign change, and
+    polishes the bracket selected by ``options.root_index`` with Illinois
+    steps until it is narrower than ``abs_tol_E`` plus a few ulps of E.
+    """
+    opts = options if options is not None else _DEFAULT_OPTIONS
+    first, last = _scan_ends(request, opts)
+    return _finish(request, _scan(request, first, last, opts)[0], first, last, opts)
+
+
+def solve_energies(requests: Iterable[SolveRequest],
+                   options: SolverOptions | None = None
+                   ) -> list[SolveResult | RsphoError]:
+    """solve_energy for many requests, their scans batched into array calls.
+
+    The scan grids of the requests that pass validation are stacked into
+    (requests x scan_points) arrays of up to _SCAN_CHUNK points, each
+    evaluated in one residual call; each selected bracket is then polished
+    on its own.  Returns, in request order, the SolveResult or the error
+    solve_energy would raise for that request, with the same values and
+    messages.
+    """
+    opts = options if options is not None else _DEFAULT_OPTIONS
+    requests = list(requests)
+    out: list[SolveResult | RsphoError | None] = [None] * len(requests)
+    todo = []                   # (index, first, last) of every request to scan
+    for i, req in enumerate(requests):
+        try:
+            todo.append((i, *_scan_ends(req, opts)))
+        except RsphoError as exc:
+            out[i] = exc
+    rows = max(1, _SCAN_CHUNK // opts.scan_points)
+    for start in range(0, len(todo), rows):
+        index, firsts, lasts = zip(*todo[start:start + rows])
+        scanned = _scan(_stack([requests[i] for i in index]),
+                        np.array(firsts), np.array(lasts), opts)
+        for i, first, last, brackets in zip(index, firsts, lasts, scanned):
+            try:
+                out[i] = _finish(requests[i], brackets, first, last, opts)
+            except RsphoError as exc:
+                out[i] = exc
+    return out
 
 
 def nonrelativistic_energy(params: PotentialParams, mu: float,

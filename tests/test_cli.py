@@ -9,9 +9,14 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
+import rspho.cli
 from rspho.cli import SOLVE_HEADER, TABLE_HEADER, main
+from rspho.errors import RsphoError
+from rspho.model import PotentialParams, QuantumNumbers, SolveRequest, Symmetry
+from rspho.spectrum import solve_energy
 
 SPIN_ARGS = ["--symmetry", "spin", "--n", "1", "--m", "0", "--A", "6",
              "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
@@ -143,6 +148,29 @@ class TestTable:
         code, _, _ = run_cli(["table", "--which", "nonsense"])
         assert code == 1
 
+    def test_first_failure_in_row_order_is_reported(self, monkeypatch):
+        # A = -40 has no bound state, with a message that depends on m, and
+        # n = -1 fails validation: row order (n, A, m) makes the m = 1 miss
+        # at n = 1 the first failure.
+        spec = dict(symmetry="spin", B=-0.05, K=5.0, C=0.005, M=5.0,
+                    A_values=(6.0, -40.0), n_values=(1, -1), m_values=(1, 0))
+        monkeypatch.setitem(rspho.cli._REFERENCE_SETS, "spin1", spec)
+        failures = []
+        for n in spec["n_values"]:
+            for a in spec["A_values"]:
+                for m in spec["m_values"]:
+                    req = SolveRequest(
+                        params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
+                        M=spec["M"], qn=QuantumNumbers(n_r=n, m=m),
+                        symmetry=Symmetry.SPIN)
+                    try:
+                        solve_energy(req)
+                    except RsphoError as exc:
+                        failures.append(f"error: {exc}\n")
+        assert len(set(failures)) >= 3
+        code, out, err = run_cli(["table", "--which", "spin1"])
+        assert (code, out, err) == (2, "", failures[0])
+
 
 class TestSweep:
     def test_columns_track_reference_energies(self):
@@ -172,6 +200,36 @@ class TestSweep:
         rows = lines_of(out)
         assert rows[1].split(",")[1] != ""
         assert rows[-1].endswith(",")
+
+    # Varying B crosses into the region with no bound state (NoRootError);
+    # K of the wrong sign fails validation (DomainError).
+    @pytest.mark.parametrize("vary,start,stop", [("B", -0.1, 0.3), ("K", -2.0, 6.0)])
+    def test_empty_cells_are_exactly_the_failed_solves(self, vary, start, stop):
+        fixed = dict(A=6.0, B=-0.05, C=0.005, K=5.0)
+        argv = ["sweep", "--vary", vary, "--from", str(start), "--to", str(stop),
+                "--steps", "12", "--series", "m", "--series-values", "0,1,2",
+                "--n", "1", "--symmetry", "spin", "--M", "5"]
+        for name, value in fixed.items():
+            if name != vary:
+                argv += ["--" + name, str(value)]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        rows = [row.split(",") for row in lines_of(out)[1:]]
+        xs = np.linspace(start, stop, 12)
+        assert len(rows) == len(xs)
+        empty = 0
+        for x, row in zip(xs, rows):
+            for m, cell in zip((0, 1, 2), row[1:]):
+                req = SolveRequest(params=PotentialParams(**{**fixed, vary: float(x)}),
+                                   M=5.0, qn=QuantumNumbers(n_r=1, m=m),
+                                   symmetry=Symmetry.SPIN)
+                try:
+                    expected = f"{solve_energy(req).E:.8f}"
+                except RsphoError:
+                    expected = ""
+                    empty += 1
+                assert cell == expected, (x, m)
+        assert 0 < empty < 3 * len(xs)
 
     def test_degenerate_range(self):
         code, _, err = run_cli([
@@ -283,6 +341,31 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--suite", "radial", "--points", "16"])
         assert code == 3
         assert any(row.endswith(",false") for row in lines_of(out)[1:])
+
+
+class TestParserReuse:
+    def test_calls_in_sequence_match_each_call_alone(self, tmp_path):
+        path = tmp_path / "case.conf"
+        path.write_text(TestConfigFile.CONFIG)
+        no_mass = ["solve"] + SPIN_ARGS[:SPIN_ARGS.index("--M")]
+        calls = [
+            ["solve", "--config", str(path), "--n", "2"],
+            no_mass,                                  # the config's M must not linger
+            ["solve"] + SPIN_ARGS + ["--A", "7"],
+            ["table", "--which", "nonsense"],
+            ["sweep", "--vary", "A", "--from", "6", "--to", "7", "--steps", "3",
+             "--symmetry", "spin", "--B", "-0.05", "--C", "0.005", "--K", "5",
+             "--M", "5"],
+        ]
+        alone = []
+        for argv in calls:
+            rspho.cli._build_parser.cache_clear()
+            alone.append(run_cli(argv))
+        rspho.cli._build_parser.cache_clear()
+        in_sequence = [run_cli(argv) for argv in calls]
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [0, 1, 0, 1, 0]
+        assert rspho.cli._build_parser() is rspho.cli._build_parser()
 
 
 class TestConfigFile:

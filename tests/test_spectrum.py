@@ -1,5 +1,6 @@
 """Tests for the energy solver and the non-relativistic closed form."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rspho.spectrum
-from rspho.errors import DomainError, NoRootError
+from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.spectrum import (SolverOptions, energy_residual,
-                            nonrelativistic_energy, solve_energy)
+                            nonrelativistic_energy, solve_energies,
+                            solve_energy)
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)
@@ -77,6 +79,47 @@ def valid_requests(draw):
         symmetry=Symmetry.SPIN if spin else Symmetry.PSEUDOSPIN,
         branch=draw(st.sampled_from(BranchSign)),
         convention=draw(st.sampled_from(Convention)))
+
+
+@st.composite
+def mixed_requests(draw):
+    """Valid requests, requests validate() rejects, requests outside the
+    domain (no separation constant at any energy) and high-n_r requests."""
+    req = draw(valid_requests())
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "rejected", "outside",
+                                 "high_nr"]))
+    if kind == "rejected":
+        flaw = draw(st.sampled_from(["K", "M", "n_r", "A"]))
+        if flaw == "K":
+            return dataclasses.replace(
+                req, params=dataclasses.replace(req.params, K=-req.params.K))
+        if flaw == "M":
+            return dataclasses.replace(req, M=draw(st.sampled_from([0.0, -1.0, math.inf])))
+        if flaw == "n_r":
+            return dataclasses.replace(req, qn=QuantumNumbers(n_r=-1, m=req.qn.m))
+        return dataclasses.replace(
+            req, params=dataclasses.replace(req.params, A=math.nan))
+    if kind == "outside":
+        # B + C = 0 leaves 1/2 - m^2 as the separation radicand for every E
+        params = dataclasses.replace(req.params, B=-req.params.C)
+        return dataclasses.replace(req, params=params,
+                                   qn=QuantumNumbers(n_r=req.qn.n_r,
+                                                     m=draw(st.integers(1, 3))))
+    if kind == "high_nr":
+        return dataclasses.replace(req, qn=QuantumNumbers(
+            n_r=draw(st.integers(1000, 2500)), m=req.qn.m))
+    return req
+
+
+def assert_no_scan_arrays(exc, scan_points):
+    """No frame of the traceback keeps an array of a scan's size alive."""
+    tb = exc.__traceback__
+    while tb is not None:
+        for name, value in tb.tb_frame.f_locals.items():
+            assert not (isinstance(value, np.ndarray) and value.size >= scan_points), (
+                f"{tb.tb_frame.f_code.co_name} keeps {name} "
+                f"({value.size} elements) alive through the traceback")
+        tb = tb.tb_next
 
 
 def reference_requests():
@@ -191,14 +234,7 @@ class TestSolveEnergy:
     def test_no_root_error_holds_no_scan_arrays(self, options):
         with pytest.raises(NoRootError) as info:
             solve_energy(spin_request(), options)
-        tb = info.value.__traceback__
-        while tb is not None:
-            for name, value in tb.tb_frame.f_locals.items():
-                assert not (isinstance(value, np.ndarray)
-                            and value.size >= options.scan_points), (
-                    f"{tb.tb_frame.f_code.co_name} keeps {name} "
-                    f"({value.size} elements) alive through the traceback")
-            tb = tb.tb_next
+        assert_no_scan_arrays(info.value, options.scan_points)
 
     def test_large_mass_converges(self):
         # exercises the relative tolerance floor far above the absolute one
@@ -237,6 +273,66 @@ class TestPolish:
         left = energy_residual(max(lo, res.E - width), req)
         right = energy_residual(min(hi, res.E + width), req)
         assert left * right <= 0.0, (res, left, right)
+
+
+class TestSolveEnergies:
+    @PROPERTY
+    @given(requests=st.lists(mixed_requests(), max_size=24),
+           points=st.sampled_from([512, 16, 1500]), root_index=st.sampled_from([0, 0, 1]),
+           e_max_offset=st.sampled_from([None, None, 1e3, 0.5]))
+    def test_matches_solve_energy(self, requests, points, root_index, e_max_offset):
+        opts = SolverOptions(scan_points=points, root_index=root_index,
+                             e_max_offset=e_max_offset)
+        batch = solve_energies(requests, opts)
+        assert len(batch) == len(requests)
+        for req, got in zip(requests, batch):
+            try:
+                want = solve_energy(req, opts)
+            except RsphoError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc)), req
+            else:
+                # repr prints every float exactly, so equal reprs are equal bits
+                assert repr(got) == repr(want), req
+
+    @pytest.fixture
+    def scan_shapes(self, monkeypatch):
+        """Shapes of the array residual calls made while the test runs."""
+        shapes = []
+
+        def recording(E, request):
+            if isinstance(E, np.ndarray):
+                shapes.append(E.shape)
+            return energy_residual(E, request)
+
+        monkeypatch.setattr(rspho.spectrum, "energy_residual", recording)
+        return shapes
+
+    def test_one_residual_call_scans_the_batch(self, scan_shapes):
+        requests = [spin_request(n=n, A=a) for n in (1, 2, 3) for a in (6.0, 7.0, 8.0)]
+        invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
+        results = solve_energies(requests + [invalid])
+        assert scan_shapes == [(9, SolverOptions().scan_points)]
+        assert all(not isinstance(r, RsphoError) for r in results[:9])
+        assert isinstance(results[9], DomainError)
+
+    def test_long_batches_are_scanned_in_chunks(self, scan_shapes):
+        requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
+        solve_energies(requests, SolverOptions(scan_points=1024))
+        assert sum(rows for rows, _ in scan_shapes) == len(requests)
+        assert all(points == 1024 for _, points in scan_shapes)
+        assert 1 < len(scan_shapes) < len(requests)
+
+    def test_empty_batch(self):
+        assert solve_energies([]) == []
+
+    @pytest.mark.parametrize("options", [SolverOptions(e_max_offset=0.1),
+                                         SolverOptions(root_index=5)])
+    def test_returned_errors_hold_no_scan_arrays(self, options):
+        requests = [spin_request(n=n) for n in range(6)] + [pseudospin_request(n=1)]
+        results = solve_energies(requests, options)
+        assert all(isinstance(r, NoRootError) for r in results)
+        for exc in results:
+            assert_no_scan_arrays(exc, options.scan_points)
 
 
 class TestSolverOptions:
