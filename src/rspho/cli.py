@@ -27,7 +27,7 @@ from .oracle import default_angular_grid, default_radial_grid, verify_angular, v
 from .radial import (default_r_grid, effective_scale, radial_wavefunction,
                      wavefunction_scales)
 from .spectrum import SolverOptions, solve_energies, solve_energy
-from .thermo import nonrelativistic_levels, thermo_point
+from .thermo import nonrelativistic_ladder, thermo_point
 
 __all__ = ["main", "main_entry"]
 
@@ -331,9 +331,9 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     branch = BranchSign(v["branch"])
     convention = Convention(v["convention"])
     prec = v["precision"]
+    levels = nonrelativistic_ladder(params, v["mu"], v["m"], branch, convention)
     lines = ["T,Z,F,U,S,C"]
     for t in np.linspace(v["T-min"], v["T-max"], v["steps"]):
-        levels = nonrelativistic_levels(params, v["mu"], v["m"], branch, convention)
         pt = thermo_point(levels, float(t), N=v["N"], k_B=v["kB"],
                           rel_tail_tol=v["tail-tol"])
         lines.append(",".join(_compact(val, prec)
@@ -357,6 +357,8 @@ def _oracle_reports(suite: str, points: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
+    if v["points"] < 16:
+        raise UsageError(f"--points must be >= 16 (got {v['points']})")
     prec = v["precision"]
     converged = True
     lines = ["suite,case,level,computed,predicted,rel_error,converged"]

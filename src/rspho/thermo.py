@@ -24,9 +24,11 @@ from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
 from .spectrum import nonrelativistic_energy
 
 __all__ = [
+    "CachedLevels",
     "ThermoPoint",
     "partition_function",
     "thermo_point",
+    "nonrelativistic_ladder",
     "nonrelativistic_levels",
 ]
 
@@ -46,6 +48,26 @@ class ThermoPoint:
     S: float
     C: float
     levels_used: int
+
+
+class CachedLevels:
+    """A level sequence that every iteration replays from its first level.
+
+    ``level(n)`` computes level n.  It is called once for each n, when an
+    iteration first reaches it, so sums at many temperatures compute each
+    level once.  A level that raises is not kept and raises again when an
+    iteration next reaches it.
+    """
+
+    def __init__(self, level):
+        self._level = level
+        self._levels: list = []
+
+    def __iter__(self):
+        for n in _count():
+            if n == len(self._levels):
+                self._levels.append(self._level(n))
+            yield self._levels[n]
 
 
 def _moments(levels, beta: float, rel_tail_tol: float,
@@ -120,14 +142,21 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
                        C=max(c, 0.0), levels_used=used)
 
 
+def nonrelativistic_ladder(params: PotentialParams, mu: float, m: int = 0,
+                           branch: BranchSign = BranchSign.PLUS,
+                           convention: Convention = Convention.TABLE_CONSISTENT
+                           ) -> CachedLevels:
+    """The oscillator-limit ladder at fixed m, replayable and computed once.
+
+    Every iteration yields E_NR(n) for n = 0, 1, 2, ... with n_theta locked
+    to n, the same pairing used by the reference energy tables.
+    """
+    return CachedLevels(lambda n: nonrelativistic_energy(
+        params, mu, QuantumNumbers(n_r=n, m=m), branch, convention))
+
+
 def nonrelativistic_levels(params: PotentialParams, mu: float, m: int = 0,
                            branch: BranchSign = BranchSign.PLUS,
                            convention: Convention = Convention.TABLE_CONSISTENT):
-    """Unbounded generator of the oscillator-limit ladder at fixed m.
-
-    Yields E_NR(n) for n = 0, 1, 2, ... with n_theta locked to n, the same
-    pairing used by the reference energy tables.
-    """
-    for n in _count():
-        yield nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n, m=m),
-                                     branch, convention)
+    """Unbounded iterator over the oscillator-limit ladder at fixed m."""
+    return iter(nonrelativistic_ladder(params, mu, m, branch, convention))

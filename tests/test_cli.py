@@ -6,17 +6,24 @@ stderr, and the documented exit codes.
 """
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rspho.cli
+import rspho.thermo
 from rspho.cli import SOLVE_HEADER, TABLE_HEADER, main
 from rspho.errors import RsphoError
 from rspho.model import PotentialParams, QuantumNumbers, SolveRequest, Symmetry
 from rspho.spectrum import solve_energy
+from rspho.thermo import nonrelativistic_levels, thermo_point
 
 SPIN_ARGS = ["--symmetry", "spin", "--n", "1", "--m", "0", "--A", "6",
              "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
@@ -314,6 +321,24 @@ class TestThermo:
         assert parsed[0][0] == pytest.approx(0.2)
         assert parsed[-1][0] == pytest.approx(2.0)
 
+    def test_ladder_is_computed_once_per_command(self, monkeypatch):
+        argv = ["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
+                "--mu", "5", "--T-min", "0.1", "--T-max", "5"]
+        params = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
+        expected = ["T,Z,F,U,S,C"]
+        for t in np.linspace(0.1, 5.0, 50):       # a fresh ladder per temperature
+            pt = thermo_point(nonrelativistic_levels(params, 5.0), float(t))
+            expected.append(",".join(rspho.cli._compact(val, 8)
+                                     for val in (pt.T, pt.Z, pt.F, pt.U, pt.S, pt.C)))
+        calls = []
+        level = rspho.thermo.nonrelativistic_energy
+        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
+                            lambda *args: calls.append(args[2].n_r) or level(*args))
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out == "\n".join(expected) + "\n"
+        assert calls == list(range(77))       # the T = 5 sum needs 77 levels
+
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
             "thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"])
@@ -337,10 +362,43 @@ class TestVerify:
         assert len(rows) == 10
         assert all(row.startswith("angular,") for row in rows[1:])
 
+    @pytest.mark.parametrize("points", ["2", "15"])
+    def test_too_few_points_is_usage_error(self, points):
+        code, out, err = run_cli(["verify", "--suite", "radial", "--points", points])
+        assert (code, out) == (1, "")
+        assert err == f"error: --points must be >= 16 (got {points})\n"
+
     def test_coarse_grid_fails_verification(self):
         code, out, _ = run_cli(["verify", "--suite", "radial", "--points", "16"])
         assert code == 3
         assert any(row.endswith(",false") for row in lines_of(out)[1:])
+
+
+class TestImports:
+    def test_scipy_is_loaded_only_by_the_oracle(self):
+        """The wavefunction and angular quadratures run without SciPy; the
+        finite-difference oracle imports it on first use."""
+        script = """
+import contextlib, io, json, sys
+import rspho.cli
+from rspho import angular_ground_state
+from rspho.angular import default_theta_grid
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [rspho.cli.main(sys.argv[1:])]
+    angular_ground_state(2.0, default_theta_grid())
+    loaded = ["scipy" in sys.modules]
+    codes.append(rspho.cli.main(["verify", "--suite", "angular"]))
+    loaded.append("scipy" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["wavefunction", "--symmetry", "spin", "--n", "2", "--m", "0", "--A", "6",
+                "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
+        done = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [[0, 0], [False, True]]
 
 
 class TestParserReuse:

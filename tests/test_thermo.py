@@ -146,3 +146,29 @@ class TestNonrelativisticLevels:
         shifted = list(islice(nonrelativistic_levels(REFERENCE_PARAMS,
                                                      REFERENCE_MU, m=1), 4))
         assert all(s != b for s, b in zip(shifted, base))
+
+
+class TestCachedLevels:
+    def test_replays_and_computes_each_level_once(self):
+        calls = []
+        ladder = thermo.CachedLevels(lambda n: calls.append(n) or 0.5 * n)
+        assert list(islice(ladder, 3)) == [0.0, 0.5, 1.0]
+        assert list(islice(ladder, 5)) == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert list(islice(ladder, 2)) == [0.0, 0.5]
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_failing_level_raises_on_every_pass(self):
+        def level(n):
+            if n == 2:
+                raise DomainError("level 2 is undefined")
+            return float(n)
+        ladder = thermo.CachedLevels(level)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="level 2"):
+                list(islice(ladder, 3))
+        assert list(islice(ladder, 2)) == [0.0, 1.0]
+
+    def test_sums_over_a_shared_ladder_match_fresh_ladders(self):
+        ladder = thermo.nonrelativistic_ladder(REFERENCE_PARAMS, REFERENCE_MU)
+        for T in (5.0, 0.1, 2.0, 30.0):
+            assert thermo_point(ladder, T) == thermo_point(reference_levels(), T)
