@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import BranchSign, PotentialParams, Symmetry
-from .numerics import guarded, simpson, sqrt
+from .numerics import nonnegative, simpson, sqrt
 
 __all__ = [
     "AngularSolution",
@@ -117,9 +117,8 @@ def lambda_from_coupling(w, m: int, n_theta: int, branch: BranchSign):
     variants, which differ only in what w is.  w may be a float (a negative
     radicand raises DomainError) or an array (NaN where it is negative).
     """
-    radicand = 0.5 - w - m * m
-    root = sqrt(guarded(radicand, radicand >= 0.0,
-                        "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
+    root = sqrt(nonnegative(0.5 - w - m * m,
+                            "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
     bracket = n_theta + 0.5 + branch.sign * root
     return bracket * bracket + w + m * m - 0.5
 

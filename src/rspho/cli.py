@@ -130,6 +130,13 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
     return values
 
 
+def _precision(v: dict) -> int:
+    """The --precision option, which must be >= 0."""
+    if v["precision"] < 0:
+        raise UsageError(f"--precision must be >= 0 (got {v['precision']})")
+    return v["precision"]
+
+
 def _fixed(x: float, prec: int) -> str:
     return f"{x:.{prec}f}"
 
@@ -210,16 +217,17 @@ def _solve_row(req: SolveRequest, res, prec: int) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
+    prec = _precision(v)
     req = _build_request(v)
     res = solve_energy(req, _solver_options(v))
-    _emit([SOLVE_HEADER, _solve_row(req, res, v["precision"])], v["output"])
+    _emit([SOLVE_HEADER, _solve_row(req, res, prec)], v["output"])
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     spec = _REFERENCE_SETS[v["which"]]
-    prec = v["precision"]
+    prec = _precision(v)
     lines: list[str] = []
     if v["which"] == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
@@ -260,9 +268,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if v["series"] == "m" and v["n"] is None:
         raise UsageError("--n is required when the series runs over m")
 
-    prec = v["precision"]
+    prec = _precision(v)
     xs = np.linspace(v["from"], v["to"], v["steps"])
     header = "x," + ",".join(f"{v['series']}={sv}" for sv in series_values)
+    enums = dict(symmetry=Symmetry(v["symmetry"]), branch=BranchSign(v["branch"]),
+                 convention=Convention(v["convention"]))
     requests = []
     for x in xs:
         for sv in series_values:
@@ -273,9 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 qn = QuantumNumbers(n_r=v["n"], n_theta=v["ntheta"], m=sv)
             requests.append(SolveRequest(params=PotentialParams(**coeffs), M=v["M"],
-                                         qn=qn, symmetry=Symmetry(v["symmetry"]),
-                                         branch=BranchSign(v["branch"]),
-                                         convention=Convention(v["convention"])))
+                                         qn=qn, **enums))
     results = solve_energies(requests, _solver_options(v))
     lines = [header]
     for i, x in enumerate(xs):
@@ -290,6 +298,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     if v["points"] < 3:
         raise UsageError(f"--points must be >= 3 (got {v['points']})")
+    prec = _precision(v)
     req = _build_request(v)
     res = solve_energy(req, _solver_options(v))
     L, big_delta = wavefunction_scales(req, res.E, res.lam, v["mass-factor"])
@@ -297,7 +306,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     grid = default_r_grid(req.qn.n_r, L, delta_eff,
                           points=v["points"], r_max=v["r-max"])
     wf = radial_wavefunction(req.qn.n_r, L, big_delta, grid, req.convention)
-    prec = v["precision"]
     lines = ["r,R"]
     lines.extend(f"{_compact(r, prec)},{_compact(val, prec)}"
                  for r, val in zip(wf.r, wf.values))
@@ -309,10 +317,10 @@ def cmd_potential(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     if v["r-steps"] < 1 or v["theta-steps"] < 1:
         raise UsageError("--r-steps and --theta-steps must be >= 1")
+    prec = _precision(v)
     params = PotentialParams(K=v["K"], A=v["A"], B=v["B"], C=v["C"])
     r_values = np.linspace(v["r-min"], v["r-max"], v["r-steps"])
     theta_values = math.pi * np.arange(1, v["theta-steps"] + 1) / (v["theta-steps"] + 1)
-    prec = v["precision"]
     lines = ["r,theta,V"]
     for r in r_values:
         row_v = evaluate_potential(params, float(r), theta_values)
@@ -327,10 +335,10 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     if v["steps"] < 1:
         raise UsageError(f"--steps must be >= 1 (got {v['steps']})")
+    prec = _precision(v)
     params = PotentialParams(K=v["K"], A=v["A"], B=v["B"], C=v["C"])
     branch = BranchSign(v["branch"])
     convention = Convention(v["convention"])
-    prec = v["precision"]
     levels = nonrelativistic_ladder(params, v["mu"], v["m"], branch, convention)
     lines = ["T,Z,F,U,S,C"]
     for t in np.linspace(v["T-min"], v["T-max"], v["steps"]):
@@ -359,7 +367,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     v = _resolve(args, args.opts)
     if v["points"] < 16:
         raise UsageError(f"--points must be >= 16 (got {v['points']})")
-    prec = v["precision"]
+    prec = _precision(v)
     converged = True
     lines = ["suite,case,level,computed,predicted,rel_error,converged"]
     for suite, case, rep in _oracle_reports(v["suite"], v["points"]):

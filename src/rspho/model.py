@@ -156,6 +156,12 @@ def evaluate_potential(params: PotentialParams, r, theta):
     return v
 
 
+def _is_integer(x) -> bool:
+    """isinstance(x, Integral), with the common case, a plain int, tested
+    first: the ABC check costs several times more."""
+    return type(x) is int or isinstance(x, Integral)
+
+
 def validate(request: SolveRequest) -> list[Violation]:
     """Check every solver precondition; an empty list means the request is ok.
 
@@ -176,10 +182,10 @@ def validate(request: SolveRequest) -> list[Violation]:
         out.append(Violation("k-sign-pseudospin",
                              f"K must be negative under pseudo-spin symmetry (got {p.K!r})"))
     qn = request.qn
-    if not (isinstance(qn.n_r, Integral) and qn.n_r >= 0):
+    if not (_is_integer(qn.n_r) and qn.n_r >= 0):
         out.append(Violation("n-r-range", f"n_r must be an integer >= 0 (got {qn.n_r!r})"))
-    if not (isinstance(qn.n_theta, Integral) and qn.n_theta >= 0):
+    if not (_is_integer(qn.n_theta) and qn.n_theta >= 0):
         out.append(Violation("n-theta-range", f"n_theta must be an integer >= 0 (got {qn.n_theta!r})"))
-    if not isinstance(qn.m, Integral):
+    if not _is_integer(qn.m):
         out.append(Violation("m-integer", f"m must be an integer (got {qn.m!r})"))
     return out

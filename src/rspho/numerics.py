@@ -3,7 +3,11 @@
 The closed forms take either a float or a numpy array of energies.  A
 float outside a square root's domain raises DomainError naming the
 radicand; an array gets NaN in the offending elements instead, so one
-formula serves both a single evaluation and a whole energy scan.
+formula serves both a single evaluation and a whole energy scan.  The
+checks (``positive``, ``nonnegative``) test floats only: an array passes
+unchanged, np.sqrt makes NaN of a negative radicand by itself, and an
+array caller masks what must be strictly positive once, at the end, so a
+scan makes no copy per check.
 
 ``simpson`` is plain numpy: the composite rule for irregular spacing with
 Cartwright's correction of the last interval for an even sample count,
@@ -22,28 +26,40 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["guarded", "sqrt", "simpson"]
+__all__ = ["positive", "nonnegative", "sqrt", "simpson"]
 
 
-def guarded(x, ok, what: str):
-    """``x`` where the domain test ``ok`` (computed from ``x``) holds.
+def positive(x, what: str):
+    """``x``, which must be positive.
 
-    An array comes back with NaN wherever ``ok`` is false, so everything
-    computed from it is NaN there too.  A scalar for which ``ok`` is false
-    raises DomainError with the message ``what.format(x)``.
+    A float that is not (NaN included) raises DomainError with the message
+    ``what.format(x)``.  An array comes back unchecked; the caller masks its
+    elements that are not positive.
     """
-    if isinstance(x, np.ndarray):
-        return np.where(ok, x, np.nan)
-    if not ok:
+    if not isinstance(x, np.ndarray) and not x > 0.0:
+        raise DomainError(what.format(x))
+    return x
+
+
+def nonnegative(x, what: str):
+    """``x``, which must be >= 0: a square root's radicand.
+
+    A float that is not (NaN included) raises DomainError with the message
+    ``what.format(x)``.  An array comes back unchecked; sqrt gives NaN for
+    its negative elements.
+    """
+    if not isinstance(x, np.ndarray) and not x >= 0.0:
         raise DomainError(what.format(x))
     return x
 
 
 def sqrt(x):
-    """Square root of a float or an array; pass values through guarded first.
+    """Square root of a float or an array; pass radicands through nonnegative.
 
     A float goes to math.sqrt, which returns a float and is several times
-    faster than numpy on a single value.
+    faster than numpy on a single value.  An array goes to np.sqrt, NaN
+    where negative; callers that expect such elements silence numpy's
+    invalid-value warning with np.errstate.
     """
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 

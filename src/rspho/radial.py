@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Convention, SolveRequest
-from .numerics import guarded, simpson
+from .numerics import nonnegative, positive, simpson, sqrt
 
 __all__ = [
     "RadialSolution",
@@ -89,30 +89,31 @@ def radial_terms(E, M: float, K: float, A: float, lam, symmetry):
 
     Returns (delta', big_delta^2).  E and lam may be floats or arrays.  The
     stiffness must be positive for big_delta to be real: a float that is
-    not raises DomainError, an array gets NaN there.
+    not raises DomainError; an array is returned unchecked, for the caller
+    to mask (see numerics.positive).
     """
     s = symmetry.coupling_sign
     fac = E + M
-    stiff = s * K * fac
-    stiff = guarded(stiff, stiff > 0.0,
-                    "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
+    stiff = positive(s * K * fac,
+                     "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
     return s * 2.0 * A * fac + lam, stiff
 
 
-def radial_ansatz(E: float, M: float, K: float, A: float, lam: float,
+def radial_ansatz(E, M: float, K: float, A: float, lam,
                   symmetry, n_r: int = 0) -> RadialSolution:
     """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
 
     Requires s*K*(E + M) > 0 (see radial_terms) so the oscillator
     stiffness is real, and a nonnegative discriminant 1 + 4*delta_prime so
-    delta is real.
+    delta is real.  E and lam may be arrays, as in radial_terms; the
+    fields of the result are then arrays too, NaN where the discriminant
+    or the stiffness is negative.
     """
     delta_prime, stiff = radial_terms(E, M, K, A, lam, symmetry)
-    disc = 1.0 + 4.0 * delta_prime
-    if disc < 0.0:
-        raise DomainError(f"ansatz discriminant negative: 1 + 4*delta' = {disc}")
-    delta = -0.5 * (1.0 + math.sqrt(disc))
-    big_delta = math.sqrt(stiff)
+    disc = nonnegative(1.0 + 4.0 * delta_prime,
+                       "ansatz discriminant negative: 1 + 4*delta' = {}")
+    delta = -0.5 * (1.0 + sqrt(disc))
+    big_delta = sqrt(stiff)
     return RadialSolution(delta=delta, delta_prime=delta_prime,
                           big_delta=big_delta,
                           e0_tilde=big_delta * (1.0 - 2.0 * delta), n_r=n_r)

@@ -20,11 +20,17 @@ superlinearly; every step lands at least half the tolerance inside the
 bracket, so the bracket shrinks even where the chord points at one of
 its ends.
 
-solve_energy does this for one request.  solve_energies does it for many:
-their grids are stacked into (requests x scan points) arrays, each
-request's parameters a column, and every such array is evaluated by the
-same residual in one call; each bracket is then polished on its own.  Its
-results equal solve_energy's, bit for bit, request by request.
+solve_energy does this for one request.  solve_energies does it for many,
+column-wise.  The requests' numbers become (requests x 1) columns; a
+number equal in every row stays one float, and requests with equal scan
+ends share one grid, so numpy broadcasting computes what they share once.
+The scan runs in chunks of (requests x scan points), each one residual
+call, and picks every row's bracket with array operations.  One Illinois
+loop then steps every row at once, one residual call per step, and one
+pass computes lambda, delta and big_delta at every root.  A row whose
+polish would end in an error is polished again by the scalar polish,
+which raises it.  The results equal solve_energy's, bit for bit, request
+by request.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .angular import lambda_from_coupling, lambda_separation
 from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, validate)
-from .numerics import guarded, sqrt
+from .numerics import nonnegative, positive, sqrt
 from .radial import radial_ansatz, radial_terms
 
 __all__ = [
@@ -58,6 +64,9 @@ _MAX_POLISH_STEPS = 200
 # chunks this large, so the kernel's temporaries stay in cache and the
 # memory of a batch does not grow with its length.
 _SCAN_CHUNK = 8192
+# A bracket's two ends, as grid offsets from its start (a column, so that it
+# broadcasts against one start per row).
+_PAIR = np.array([[0], [1]])
 
 
 @dataclass(frozen=True)
@@ -118,21 +127,31 @@ def energy_residual(E, request: SolveRequest):
     array.  A float outside the validity region raises DomainError naming
     the radicand that failed; an array gets NaN wherever one fails.
     """
+    if isinstance(E, np.ndarray):
+        # The square roots make NaN of negative radicands; the two strict
+        # guards, E + M > 0 and a positive stiffness, are one mask at the end
+        # (np.minimum passes a NaN on, and NaN > 0 is false).
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f, fac, stiff = _residual(E, request)
+        return np.where(np.minimum(fac, stiff) > 0.0, f, np.nan)
+    return _residual(E, request)[0]
+
+
+def _residual(E, request: SolveRequest):
+    """energy_residual with E + M and the stiffness, which it must mask."""
     p = request.params
     M = request.M
     qn = request.qn
-    fac = E + M
-    fac = guarded(fac, fac > 0.0, "E + M must be positive (got {})")
+    fac = positive(E + M, "E + M must be positive (got {})")
     lam = lambda_separation(E, M, p, qn.m, qn.n_theta, request.branch,
                             request.symmetry)
     delta_prime, stiff = radial_terms(E, M, p.K, p.A, lam, request.symmetry)
-    radicand = 0.25 + delta_prime
-    root = sqrt(guarded(radicand, radicand >= 0.0,
-                        "radial radicand negative: 1/4 + delta' = {}"))
+    root = sqrt(nonnegative(0.25 + delta_prime,
+                            "radial radicand negative: 1/4 + delta' = {}"))
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)
     rhs = (request.convention.coefficient * sqrt(stiff) / fac
            * (2.0 * qn.n_r + 1.0 + root))
-    return (E - M) - rhs
+    return (E - M) - rhs, fac, stiff
 
 
 def _validity_interval(request: SolveRequest, e_max: float) -> tuple[float, float]:
@@ -181,57 +200,115 @@ def _scan_ends(request: SolveRequest, opts: SolverOptions) -> tuple[float, float
     return lo + margin, hi - margin
 
 
-def _stack(requests: list[SolveRequest]) -> SolveRequest:
-    """One request whose numbers are (R, 1) columns, row r from requests[r].
-
-    energy_residual evaluates it on an (R, n) grid element by element as
-    it would each request alone.  The symmetry, branch and convention
-    fields hold the columns of their enums' numeric properties.
-    """
-    K, A, B, C, M, n_r, n_theta, m, s, sign, c = np.array(
+def _columns(requests: list[SolveRequest]) -> np.ndarray:
+    """The numbers of each request as an (11, R) array, one column per
+    request: K, A, B, C, M, n_r, n_theta, m and the enums' numeric
+    properties coupling_sign, sign and coefficient."""
+    return np.array(
         [(r.params.K, r.params.A, r.params.B, r.params.C, r.M,
           r.qn.n_r, r.qn.n_theta, r.qn.m, r.symmetry.coupling_sign,
           r.branch.sign, r.convention.coefficient) for r in requests],
-        dtype=float).T[:, :, None]
+        dtype=float).T
+
+
+def _stack(cols: np.ndarray) -> SolveRequest:
+    """One request whose numbers are (R, 1) columns, row r from cols[:, r].
+
+    energy_residual evaluates it on an (R, n) grid element by element as
+    it would each request alone.  A number with the same bits in every
+    row stays one float, so numpy broadcasting computes what depends only
+    on such numbers and the grid once, not once per row.  The symmetry,
+    branch and convention fields hold their enums' numeric properties.
+    """
+    bits = cols.view(np.int64)
+    shared = (bits == bits[:, :1]).all(axis=1).tolist()
+    K, A, B, C, M, n_r, n_theta, m, s, sign, c = [
+        col[0].item() if same else col[:, None] for col, same in zip(cols, shared)]
     enums = SimpleNamespace(coupling_sign=s, sign=sign, coefficient=c)
     return SolveRequest(params=PotentialParams(K=K, A=A, B=B, C=C), M=M,
                         qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
                         symmetry=enums, branch=enums, convention=enums)
 
 
-def _scan(request: SolveRequest, first, last, opts: SolverOptions) -> list[list]:
-    """Every sign change of the residual on the scan grid, row by row.
+def _bracket_starts(values):
+    """Where a bracket starts along the last axis of a scan's residuals.
 
-    ``first`` and ``last`` are floats for one request, or arrays of R
-    values for a request stacked by _stack; the grid is evaluated in one
-    residual call either way.  Returns the brackets of each row in
-    ascending order.  A bracket is (a, b, f(a), f(b)) for a sign change
-    between neighbouring grid points, or (a, a, 0.0, 0.0) for an exact
-    zero.  Grid points outside the domain (NaN) bound no bracket.  Only
-    floats leave this frame, so an exception raised about the scan does
-    not keep its arrays alive.
+    A bracket starts at a grid point whose residual is exactly zero, or
+    whose residual changes sign at the next point; NaN starts none.
+    """
+    hit = values == 0.0
+    hit[..., :-1] |= values[..., :-1] * values[..., 1:] < 0.0
+    return hit
+
+
+def _scan(request: SolveRequest, rows: int, first, last, opts: SolverOptions):
+    """Scan the residual of ``rows`` requests and pick each one's bracket.
+
+    ``first`` and ``last`` are floats when every row scans the same grid,
+    which is then one 1-D grid that broadcasts against the rows, or arrays
+    of one value per row.  The grid is evaluated in one residual call.
+    Brackets are counted in ascending order (see _bracket_starts); the one
+    starting at a is (a, b, f(a), f(b)), b the next grid point, or
+    (a, a, 0.0, 0.0) for an exact zero.  Returns (count, a, b, fa, fb),
+    arrays of one value per row: the number of brackets and bracket
+    ``opts.root_index``; a row without that bracket gets a closed bracket
+    (a == b) at some grid point.
     """
     n = opts.scan_points
-    # linspace stacks the grids along axis 0; .T puts one request per row.
+    # linspace stacks the grids along axis 0; .T puts one grid per row.
     grid = np.linspace(first, last, n).T
+    values = energy_residual(grid, request).reshape(-1, n)
+    if len(values) < rows:                      # identical requests
+        values = np.repeat(values, rows, axis=0)
+    hit = _bracket_starts(values)
+    count = np.add.reduce(hit, axis=1)
+    nth = hit if opts.root_index == 0 else hit.cumsum(axis=1) > opts.root_index
+    # Columns of the bracket's ends, i and i + 1 (kept on the grid): 0 and 1
+    # where there is no bracket.
+    ij = np.minimum(nth.argmax(axis=1) + _PAIR, n - 1)
+    r = np.arange(rows)
+    a, b = grid[ij] if grid.ndim == 1 else grid[r, ij]
+    fab = values[r, ij]
+    # An exact zero, or no bracket, closes (a, b) on a with f = +0.0.
+    closed = (fab[0] == 0.0) | (count <= opts.root_index)
+    fa, fb = np.where(closed, 0.0, fab)
+    return count, a, np.where(closed, a, b), fa, fb
+
+
+def _scan_one(request: SolveRequest, first: float, last: float,
+              opts: SolverOptions) -> tuple:
+    """_scan for one request, picking the bracket from a list of starts,
+    which costs fewer numpy calls than _scan's row-wise picking.
+
+    Returns (count, a, b, fa, fb) as floats, the bracket NaN if there is
+    no bracket ``opts.root_index``.  Only these floats leave this frame,
+    so an exception raised about the scan does not keep its arrays alive.
+    """
+    grid = np.linspace(first, last, opts.scan_points)
     values = energy_residual(grid, request)
-    g, v = grid.ravel(), values.ravel()         # row r is [r*n, (r+1)*n)
-    brackets = [[] for _ in range(v.size // n)]
-    # A product <= 0 marks a zero or a sign change; one with NaN never does.
-    for k in np.flatnonzero(v[:-1] * v[1:] <= 0.0).tolist():
-        r, i = divmod(k, n)
-        if i == n - 1:              # a row's last point and the next row's first
-            continue
-        fa, fb = float(v[k]), float(v[k + 1])
-        if fa == 0.0:
-            brackets[r].append((float(g[k]), float(g[k]), 0.0, 0.0))
-        elif fa * fb < 0.0:
-            brackets[r].append((float(g[k]), float(g[k + 1]), fa, fb))
-    for r, f in enumerate(v[n - 1::n].tolist()):
-        if f == 0.0:
-            e = float(g[(r + 1) * n - 1])
-            brackets[r].append((e, e, 0.0, 0.0))
-    return brackets
+    starts = np.flatnonzero(_bracket_starts(values)).tolist()
+    if len(starts) <= opts.root_index:
+        return len(starts), math.nan, math.nan, math.nan, math.nan
+    i = starts[opts.root_index]
+    a, fa = grid.item(i), values.item(i)
+    if fa == 0.0:
+        return len(starts), a, a, 0.0, 0.0
+    return len(starts), a, grid.item(i + 1), fa, values.item(i + 1)
+
+
+def _no_root(count: int, first: float, last: float,
+             opts: SolverOptions) -> NoRootError | None:
+    """The error for a scan from first to last with ``count`` brackets, if
+    it has no bracket ``opts.root_index``."""
+    if count == 0:
+        return NoRootError(
+            f"no sign change of the energy residual on [{first}, {last}] "
+            f"with {opts.scan_points} scan points")
+    if opts.root_index >= count:
+        return NoRootError(
+            f"root index {opts.root_index} requested but the scan found only "
+            f"{count} bracket(s)")
+    return None
 
 
 def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
@@ -280,19 +357,56 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
     return b, fb, steps
 
 
-def _finish(request: SolveRequest, brackets: list, first: float, last: float,
-            opts: SolverOptions) -> SolveResult:
-    """Polish bracket ``opts.root_index`` of a scan from first to last and
-    assemble the SolveResult."""
-    if not brackets:
-        raise NoRootError(
-            f"no sign change of the energy residual on [{first}, {last}] "
-            f"with {opts.scan_points} scan points")
-    if opts.root_index >= len(brackets):
-        raise NoRootError(
-            f"root index {opts.root_index} requested but the scan found only "
-            f"{len(brackets)} bracket(s)")
-    a, b, fa, fb = brackets[opts.root_index]
+def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
+    """_polish for every row of a stacked request, element by element.
+
+    a, b, fa and fb hold one bracket per row; a row whose bracket is
+    closed (a == b) takes no step.  Each step evaluates the next point of
+    every row in one residual call, and a row stops where _polish would
+    stop it, with the same arithmetic.  Returns (E, f(E), steps, redo):
+    ``redo`` marks the rows that _polish ends in an error, a point outside
+    the domain (DomainError) or the step cap (ConvergenceError), for the
+    caller to polish again with _polish, which raises it.
+    """
+    sides = np.array([[a, fa, fa], [b, fb, fb]])    # point, f, chord weight
+    (a, fa, ga), (b, fb, gb) = sides
+    new = np.empty((3,) + a.shape)                  # c, f(c), f(c)
+    left = right = np.zeros(a.shape, dtype=bool)    # which end moved last
+    steps = np.zeros(a.shape, dtype=int)
+    for step in range(_MAX_POLISH_STEPS + 1):
+        tol = abs_tol + 4.0 * _EPS * np.abs(0.5 * (a + b))
+        active = b - a > tol
+        if step == _MAX_POLISH_STEPS or not active.any():
+            break
+        steps += active
+        # A finished row's chord may divide 0 by 0; its point is not used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - gb * (b - a) / (gb - ga)
+        half = 0.5 * tol
+        lo, hi = a + half, b - half
+        c = np.where(c > lo, np.where(c < hi, c, hi), lo)
+        fc = energy_residual(c[:, None], request)[:, 0]
+        keep_a = active & ((fc < 0.0) == (fa < 0.0))    # c replaces a
+        keep_b = active ^ keep_a                        # c replaces b
+        np.multiply(gb, 0.5, out=gb, where=keep_a & left)
+        np.multiply(ga, 0.5, out=ga, where=keep_b & right)
+        left, right = keep_a, keep_b
+        # A zero, or a point outside the domain (NaN), closes the bracket
+        # on c: the first ends _polish, the second makes the row a redo.
+        closed = active & ~(np.abs(fc) > 0.0)
+        new[0], new[1:] = c, fc
+        np.copyto(sides[0], new, where=keep_a | closed)
+        np.copyto(sides[1], new, where=keep_b | closed)
+    at_a = np.abs(fa) <= np.abs(fb)
+    f = np.where(at_a, fa, fb)
+    # Rows still active here have reached the step cap.
+    return np.where(at_a, a, b), f, steps, np.isnan(f) | active
+
+
+def _finish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
+            count: int, opts: SolverOptions) -> SolveResult:
+    """Polish the bracket (a, b, fa, fb), one of ``count`` that the scan
+    found, and assemble the SolveResult."""
     energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
     lam = lambda_separation(energy, request.M, request.params, request.qn.m,
                             request.qn.n_theta, request.branch,
@@ -303,7 +417,7 @@ def _finish(request: SolveRequest, brackets: list, first: float, last: float,
     return SolveResult(E=energy, lam=lam, delta=ansatz.delta,
                        big_delta=ansatz.big_delta, residual=residual,
                        iterations=iterations, bracket=(a, b),
-                       root_count_in_scan=len(brackets))
+                       root_count_in_scan=count)
 
 
 def solve_energy(request: SolveRequest,
@@ -311,46 +425,125 @@ def solve_energy(request: SolveRequest,
     """Find a bound-state energy: scan for sign changes, then polish one.
 
     Scans ``scan_points`` abscissae over the validity interval in one
-    array evaluation of the residual, records every sign change, and
+    array evaluation of the residual, counts the sign changes, and
     polishes the bracket selected by ``options.root_index`` with Illinois
     steps until it is narrower than ``abs_tol_E`` plus a few ulps of E.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(request, opts)
-    return _finish(request, _scan(request, first, last, opts)[0], first, last, opts)
+    count, a, b, fa, fb = _scan_one(request, first, last, opts)
+    error = _no_root(count, first, last, opts)
+    if error is not None:
+        raise error
+    return _finish(request, a, b, fa, fb, count, opts)
+
+
+def _chunks(groups: dict, rows: int):
+    """Order the requests for scanning and cut the order into chunks.
+
+    ``groups`` maps scan ends to the indices of the requests with those
+    ends.  Returns (order, ends, chunks): the request indices in scan
+    order, their scan ends, and (start, stop, shared) slices of the order
+    of at most ``rows`` requests each.  A group that fills at least a
+    quarter of a chunk is chunked on its own, shared, so that its rows
+    scan one grid row; the smaller groups are pooled.
+    """
+    order, ends, chunks, pool = [], [], [], []
+    for key, index in groups.items():
+        if 4 * len(index) >= rows:
+            for start in range(0, len(index), rows):
+                part = index[start:start + rows]
+                chunks.append((len(order), len(order) + len(part), True))
+                order += part
+                ends += [key] * len(part)
+        else:
+            pool += [(i, key) for i in index]
+    for start in range(0, len(pool), rows):
+        part = pool[start:start + rows]
+        chunks.append((len(order), len(order) + len(part), False))
+        order += [i for i, _ in part]
+        ends += [key for _, key in part]
+    return order, ends, chunks
+
+
+def _solve_rows(requests: list[SolveRequest], ends: list, chunks: list,
+                opts: SolverOptions) -> list:
+    """solve_energy for many requests, column-wise.
+
+    ``ends`` and ``chunks`` come from _chunks.  The scan runs chunk by
+    chunk; the Illinois polish and the lambda/ansatz finish then take
+    every request at once, one array call per polish step.  Returns per
+    request a SolveResult, a NoRootError, or, for a row that _polish_rows
+    leaves to _polish, its bracket and bracket count.
+    """
+    cols = _columns(requests)
+    scans = []
+    for start, stop, shared in chunks:
+        first, last = ends[start] if shared else np.array(ends[start:stop]).T
+        scans.append(_scan(_stack(cols[:, start:stop]), stop - start,
+                           first, last, opts))
+    count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
+    request = _stack(cols)
+    E, f, steps, redo = _polish_rows(request, a, b, fa, fb, opts.abs_tol_E)
+    # Every polished E has a residual that is not NaN, so every radicand
+    # of lambda, delta and big_delta is in its domain there.
+    E = E[:, None]
+    with np.errstate(invalid="ignore"):
+        lam = lambda_separation(E, request.M, request.params, request.qn.m,
+                                request.qn.n_theta, request.branch,
+                                request.symmetry)
+        ansatz = radial_ansatz(E, request.M, request.params.K, request.params.A,
+                               lam, request.symmetry)
+    out = []
+    for n, (first, last), *row in zip(
+            count.tolist(), ends, a.tolist(), b.tolist(), fa.tolist(),
+            fb.tolist(), redo.tolist(), E.ravel().tolist(), f.tolist(),
+            steps.tolist(), lam.ravel().tolist(), ansatz.delta.ravel().tolist(),
+            ansatz.big_delta.ravel().tolist()):
+        a_r, b_r, fa_r, fb_r, redo_r, e, residual, iterations, lam_r, delta, big = row
+        error = _no_root(n, first, last, opts)
+        if error is not None:
+            out.append(error)
+        elif redo_r:
+            out.append((a_r, b_r, fa_r, fb_r, n))
+        else:
+            out.append(SolveResult(E=e, lam=lam_r, delta=delta, big_delta=big,
+                                   residual=residual, iterations=iterations,
+                                   bracket=(a_r, b_r), root_count_in_scan=n))
+    return out
 
 
 def solve_energies(requests: Iterable[SolveRequest],
                    options: SolverOptions | None = None
                    ) -> list[SolveResult | RsphoError]:
-    """solve_energy for many requests, their scans batched into array calls.
+    """solve_energy for many requests, solved column-wise in array calls.
 
-    The scan grids of the requests that pass validation are stacked into
-    (requests x scan_points) arrays of up to _SCAN_CHUNK points, each
-    evaluated in one residual call; each selected bracket is then polished
-    on its own.  Returns, in request order, the SolveResult or the error
-    solve_energy would raise for that request, with the same values and
-    messages.
+    The requests that pass validation are scanned in chunks of up to
+    _SCAN_CHUNK grid points, requests with the same scan ends together,
+    then polished and finished all at once (see _solve_rows).  Returns, in
+    request order, the SolveResult or the error solve_energy would raise
+    for that request, with the same values and messages.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     requests = list(requests)
     out: list[SolveResult | RsphoError | None] = [None] * len(requests)
-    todo = []                   # (index, first, last) of every request to scan
+    groups: dict[tuple[float, float], list[int]] = {}
     for i, req in enumerate(requests):
         try:
-            todo.append((i, *_scan_ends(req, opts)))
+            groups.setdefault(_scan_ends(req, opts), []).append(i)
         except RsphoError as exc:
             out[i] = exc
-    rows = max(1, _SCAN_CHUNK // opts.scan_points)
-    for start in range(0, len(todo), rows):
-        index, firsts, lasts = zip(*todo[start:start + rows])
-        scanned = _scan(_stack([requests[i] for i in index]),
-                        np.array(firsts), np.array(lasts), opts)
-        for i, first, last, brackets in zip(index, firsts, lasts, scanned):
+    if not groups:
+        return out
+    order, ends, chunks = _chunks(groups, max(1, _SCAN_CHUNK // opts.scan_points))
+    solved = _solve_rows([requests[i] for i in order], ends, chunks, opts)
+    for i, res in zip(order, solved):
+        if isinstance(res, tuple):
             try:
-                out[i] = _finish(requests[i], brackets, first, last, opts)
+                res = _finish(requests[i], *res, opts)
             except RsphoError as exc:
-                out[i] = exc
+                res = exc
+        out[i] = res
     return out
 
 

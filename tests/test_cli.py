@@ -401,6 +401,27 @@ print(json.dumps([codes, loaded]))
         assert json.loads(done.stdout) == [[0, 0], [False, True]]
 
 
+COEFFS = ["--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"] + SPIN_ARGS,
+    ["table", "--which", "spin1"],
+    ["sweep", "--vary", "A", "--from", "6", "--to", "7", "--steps", "3",
+     "--symmetry", "spin", "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"],
+    ["wavefunction"] + SPIN_ARGS + ["--points", "50"],
+    ["potential"] + COEFFS,
+    ["thermo"] + COEFFS + ["--mu", "5"],
+    ["verify", "--suite", "angular"],
+], ids=lambda argv: argv[0])
+def test_negative_precision_is_usage_error(argv):
+    code, out, err = run_cli(argv + ["--precision", "-2"])
+    assert (code, out) == (1, "")
+    assert err == "error: --precision must be >= 0 (got -2)\n"
+    code, _, _ = run_cli(argv + ["--precision", "0"])
+    assert code == 0
+
+
 class TestParserReuse:
     def test_calls_in_sequence_match_each_call_alone(self, tmp_path):
         path = tmp_path / "case.conf"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -109,6 +110,42 @@ def mixed_requests(draw):
         return dataclasses.replace(req, qn=QuantumNumbers(
             n_r=draw(st.integers(1000, 2500)), m=req.qn.m))
     return req
+
+
+@st.composite
+def grouped_requests(draw):
+    """A batch whose rows share scan ends in groups: variations of one
+    valid request in A, n_r, n_theta (same ends) and m (other ends), mixed
+    with unrelated requests of every kind."""
+    base = draw(valid_requests())
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["same", "same", "same", "m", "other"]),
+                              min_size=1, max_size=40)):
+        if kind == "other":
+            rows.append(draw(mixed_requests()))
+            continue
+        qn = QuantumNumbers(n_r=draw(st.integers(0, 6)),
+                            n_theta=draw(st.integers(0, 6)),
+                            m=base.qn.m if kind == "same" else draw(st.integers(-2, 2)))
+        params = dataclasses.replace(base.params, A=base.params.A + draw(st.floats(-1.0, 1.0)))
+        rows.append(dataclasses.replace(base, params=params, qn=qn))
+    return rows
+
+
+def outcomes(results):
+    """Each result's repr, or its error's type and message: equal reprs are
+    equal bits, since repr prints every float exactly."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else repr(r) for r in results]
+
+
+def one_by_one(requests, opts):
+    out = []
+    for req in requests:
+        try:
+            out.append(solve_energy(req, opts))
+        except RsphoError as exc:
+            out.append(exc)
+    return out
 
 
 def assert_no_scan_arrays(exc, scan_points):
@@ -276,51 +313,174 @@ class TestPolish:
 
 
 class TestSolveEnergies:
-    @PROPERTY
-    @given(requests=st.lists(mixed_requests(), max_size=24),
-           points=st.sampled_from([512, 16, 1500]), root_index=st.sampled_from([0, 0, 1]),
-           e_max_offset=st.sampled_from([None, None, 1e3, 0.5]))
-    def test_matches_solve_energy(self, requests, points, root_index, e_max_offset):
+    # Twice the examples, so that each kind of batch gets as many as one alone.
+    @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)
+    @given(requests=st.one_of(st.lists(mixed_requests(), max_size=24), grouped_requests()),
+           points=st.sampled_from([512, 16, 1500]), root_index=st.sampled_from([0, 0, 1, 2]),
+           e_max_offset=st.sampled_from([None, None, 1e3, 0.5]),
+           abs_tol=st.sampled_from([1e-12, 1e-12, 1e-4, 5e-324]))
+    def test_matches_solve_energy(self, requests, points, root_index, e_max_offset, abs_tol):
+        # 5e-324 leaves only the four-ulp floor, so the polish takes the most steps.
         opts = SolverOptions(scan_points=points, root_index=root_index,
-                             e_max_offset=e_max_offset)
+                             e_max_offset=e_max_offset, abs_tol_E=abs_tol)
         batch = solve_energies(requests, opts)
         assert len(batch) == len(requests)
-        for req, got in zip(requests, batch):
-            try:
-                want = solve_energy(req, opts)
-            except RsphoError as exc:
-                assert (type(got), str(got)) == (type(exc), str(exc)), req
-            else:
-                # repr prints every float exactly, so equal reprs are equal bits
-                assert repr(got) == repr(want), req
+        assert outcomes(batch) == outcomes(one_by_one(requests, opts))
+
+    def test_identical_requests(self):
+        # Every number is shared, so the residual comes back as one row.
+        requests = [spin_request(n=2)] * 5
+        assert outcomes(solve_energies(requests)) == outcomes(one_by_one(requests, None))
 
     @pytest.fixture
-    def scan_shapes(self, monkeypatch):
-        """Shapes of the array residual calls made while the test runs."""
+    def residual_shapes(self, monkeypatch):
+        """Shapes of the arrays that the residual calls made while the test
+        runs evaluated (a shared grid row broadcasts against the rows), and
+        None for every scalar call."""
         shapes = []
 
         def recording(E, request):
-            if isinstance(E, np.ndarray):
-                shapes.append(E.shape)
-            return energy_residual(E, request)
+            values = energy_residual(E, request)
+            shapes.append(values.shape if isinstance(E, np.ndarray) else None)
+            return values
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", recording)
         return shapes
 
-    def test_one_residual_call_scans_the_batch(self, scan_shapes):
+    def test_one_residual_call_scans_the_batch(self, residual_shapes):
         requests = [spin_request(n=n, A=a) for n in (1, 2, 3) for a in (6.0, 7.0, 8.0)]
         invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
         results = solve_energies(requests + [invalid])
-        assert scan_shapes == [(9, SolverOptions().scan_points)]
+        points = SolverOptions().scan_points
+        scans = [s for s in residual_shapes if s is not None and s[-1] == points]
+        assert scans == [(9, points)]
         assert all(not isinstance(r, RsphoError) for r in results[:9])
         assert isinstance(results[9], DomainError)
+        # The polish steps every row in one (rows, 1) call per step.
+        polish = [s for s in residual_shapes if s not in scans]
+        assert polish == [(9, 1)] * max(r.iterations for r in results[:9])
+        assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
-    def test_long_batches_are_scanned_in_chunks(self, scan_shapes):
+    def test_long_batches_are_scanned_in_chunks(self, residual_shapes):
         requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
-        solve_energies(requests, SolverOptions(scan_points=1024))
-        assert sum(rows for rows, _ in scan_shapes) == len(requests)
-        assert all(points == 1024 for _, points in scan_shapes)
-        assert 1 < len(scan_shapes) < len(requests)
+        results = solve_energies(requests, SolverOptions(scan_points=1024))
+        scans = [s for s in residual_shapes if s is not None and s[-1] == 1024]
+        assert sum(rows for rows, _ in scans) == len(requests)
+        assert all(points == 1024 for _, points in scans)
+        assert 1 < len(scans) < len(requests)
+        polish = [s for s in residual_shapes if s not in scans]
+        assert polish == [(100, 1)] * max(r.iterations for r in results)
+        assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
+
+    @PROPERTY
+    @given(requests=grouped_requests(), at=st.floats(0.0, 1.0),
+           root_index=st.sampled_from([0, 0, 1]), points=st.sampled_from([512, 64]))
+    def test_exact_zero_on_the_grid(self, requests, at, root_index, points):
+        # The residual is made exactly 0 at one grid point of the first
+        # request's scan, the last point included, wherever it is in the
+        # domain; the rows with the same ends share that grid point.
+        opts = SolverOptions(scan_points=points, root_index=root_index)
+        try:
+            first, last = rspho.spectrum._scan_ends(requests[0], opts)
+        except RsphoError:
+            return
+        zero_at = np.linspace(first, last, opts.scan_points)[round(at * (opts.scan_points - 1))]
+
+        def zeroed(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where((E == zero_at) & ~np.isnan(f), 0.0, f)
+            return 0.0 if E == zero_at else f
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", zeroed)
+            assert outcomes(solve_energies(requests, opts)) == outcomes(
+                one_by_one(requests, opts))
+
+    @pytest.mark.parametrize("where", ["first bracket", "last point"])
+    def test_exact_zero_closes_the_bracket(self, monkeypatch, where):
+        opts = SolverOptions(scan_points=64)
+        requests = [spin_request(A=a) for a in (6.0, 6.5, 7.0, 7.5)]
+        first, last = rspho.spectrum._scan_ends(requests[0], opts)
+        grid = np.linspace(first, last, opts.scan_points)
+        values = energy_residual(grid, requests[0])
+        starts = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        if where == "last point":
+            # A zero at the last point is one more bracket, after the others.
+            zero_at, opts = grid[-1], dataclasses.replace(opts, root_index=len(starts))
+        else:
+            zero_at = grid[starts[0]]
+
+        def zeroed(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where(E == zero_at, 0.0, f)
+            return 0.0 if E == zero_at else f
+
+        monkeypatch.setattr(rspho.spectrum, "energy_residual", zeroed)
+        batch = solve_energies(requests, opts)
+        assert outcomes(batch) == outcomes(one_by_one(requests, opts))
+        res = batch[0]
+        assert (res.E, res.bracket, res.iterations) == (zero_at, (zero_at, zero_at), 0)
+        assert repr(res.residual) == "0.0"
+
+    @PROPERTY
+    @given(requests=grouped_requests(), hole=st.sampled_from([1e-6, 1e-10, 1e-13]),
+           cap=st.sampled_from([200, 3, 1]))
+    def test_failed_polish_rows_fall_back(self, requests, hole, cap):
+        # Residuals smaller than ``hole`` are made a domain error (NaN in an
+        # array), and the step cap is lowered, so polish points fall in the
+        # hole and rows reach the cap: those rows are redone one at a time
+        # and must end in the same DomainError or ConvergenceError.
+        def holed(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where(np.abs(f) < hole, np.nan, f)
+            if abs(f) < hole:
+                raise DomainError(f"residual {f!r} inside the hole at E = {E!r}")
+            return f
+
+        opts = SolverOptions()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", holed)
+            mp.setattr(rspho.spectrum, "_MAX_POLISH_STEPS", cap)
+            assert outcomes(solve_energies(requests, opts)) == outcomes(
+                one_by_one(requests, opts))
+
+    @PROPERTY
+    @given(requests=grouped_requests())
+    def test_shared_grid_gives_the_bits_of_a_full_grid(self, requests):
+        # Rows with equal scan ends scan one 1-D grid and fields equal in
+        # every row stay floats; the same rows with every field a column and
+        # a grid row each must give the same residuals and brackets.
+        opts = SolverOptions()
+        spectrum = rspho.spectrum
+        rows = []
+        for req in requests:
+            try:
+                ends = spectrum._scan_ends(req, opts)
+            except RsphoError:
+                continue
+            if not rows or ends == rows[0][1]:
+                rows.append((req, ends))
+        if not rows:
+            return
+        cols = spectrum._columns([req for req, _ in rows])
+        (first, last), n = rows[0][1], len(rows)
+        shared = spectrum._stack(cols)
+        # What _stack builds with no number shared: every one a column.
+        K, A, B, C, M, n_r, n_theta, m, s, sign, c = (col[:, None] for col in cols)
+        enums = types.SimpleNamespace(coupling_sign=s, sign=sign, coefficient=c)
+        full = SolveRequest(params=PotentialParams(K, A, B, C), M=M,
+                            qn=QuantumNumbers(n_r, n_theta, m),
+                            symmetry=enums, branch=enums, convention=enums)
+        grid = np.linspace(first, last, opts.scan_points)
+        one_row = energy_residual(grid, shared)
+        every_row = energy_residual(np.tile(grid, (n, 1)), full)
+        assert np.broadcast_to(one_row, every_row.shape).tobytes() == every_row.tobytes()
+        for x, y in zip(spectrum._scan(shared, n, first, last, opts),
+                        spectrum._scan(full, n, np.full(n, first), np.full(n, last), opts)):
+            assert x.tobytes() == y.tobytes()
 
     def test_empty_batch(self):
         assert solve_energies([]) == []
