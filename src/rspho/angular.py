@@ -183,6 +183,6 @@ def solve_angular(E: float, M: float, params: PotentialParams, m: int,
     vt = v_tilde(E, M, params, m, symmetry)
     q = q_of_vtilde(vt, branch)
     e_sum, e_printed = angular_spectrum(q, n_theta)
-    lam = lambda_from_coupling(_coupling(E, M, params, symmetry), m, n_theta, branch)
+    lam = lambda_separation(E, M, params, m, n_theta, branch, symmetry)
     return AngularSolution(v_tilde=vt, q=q, e_tilde_sum=e_sum,
                            e_tilde_printed=e_printed, lam=lam, m=m, n_theta=n_theta)

@@ -2,8 +2,10 @@
 
 All commands emit CSV (comma separated, header row, LF line endings) to
 standard output or to --output.  Options may also come from a plain
-``key = value`` config file via --config; explicit flags override file
-values, and unknown keys in the file are an error.
+``key = value`` config file via --config.  A key is the long name of one
+of the subcommand's flags without its dashes, and argparse checks its
+value as it checks that flag's; explicit flags override file values, and
+any other key is an error.
 
 Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 3 verification failure (verify command only).
@@ -15,8 +17,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,28 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class Opt:
-    """One resolvable option: flag, config key, type, default, constraint."""
-
-    name: str
-    conv: Callable
-    default: object = None
-    required: bool = False
-    choices: tuple = ()
-    help: str = ""
-
-
-def _add_options(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
-    for o in opts:
-        kwargs = dict(type=o.conv, default=None, help=o.help)
-        if o.choices:
-            kwargs["choices"] = list(o.choices)
-        parser.add_argument("--" + o.name, **kwargs)
-    parser.add_argument("--config", type=str, default=None,
-                        help="read options from a 'key = value' file; flags take precedence")
-
-
 def _read_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -102,39 +80,11 @@ def _read_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
-    """Layer defaults < config file < explicit flags, validating as we go."""
-    values = {o.name: o.default for o in opts}
-    by_name = {o.name: o for o in opts}
-    if args.config is not None:
-        for key, raw in _read_config(args.config).items():
-            o = by_name.get(key)
-            if o is None:
-                raise UsageError(f"unknown config key {key!r} in {args.config}")
-            try:
-                val = o.conv(raw)
-            except (TypeError, ValueError):
-                raise UsageError(f"config key {key!r}: cannot parse value {raw!r}")
-            if o.choices and val not in o.choices:
-                raise UsageError(
-                    f"config key {key!r}: must be one of {', '.join(map(str, o.choices))}")
-            values[o.name] = val
-    for o in opts:
-        flag_value = getattr(args, o.name.replace("-", "_"))
-        if flag_value is not None:
-            values[o.name] = flag_value
-    missing = [o.name for o in opts if o.required and values[o.name] is None]
-    if missing:
-        raise UsageError("missing required option(s): "
-                         + ", ".join("--" + name for name in missing))
-    return values
-
-
-def _precision(v: dict) -> int:
+def _precision(args: argparse.Namespace) -> int:
     """The --precision option, which must be >= 0."""
-    if v["precision"] < 0:
-        raise UsageError(f"--precision must be >= 0 (got {v['precision']})")
-    return v["precision"]
+    if args.precision < 0:
+        raise UsageError(f"--precision must be >= 0 (got {args.precision})")
+    return args.precision
 
 
 def _fixed(x: float, prec: int) -> str:
@@ -162,46 +112,19 @@ def _emit(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
-def _request_opts() -> list[Opt]:
-    return [
-        Opt("symmetry", str, required=True, choices=("spin", "pseudospin"),
-            help="relativistic symmetry regime"),
-        Opt("n", int, required=True, help="radial quantum number n_r >= 0"),
-        Opt("ntheta", int, help="angular quantum number (default: same as --n)"),
-        Opt("m", int, default=0, help="azimuthal quantum number (default 0)"),
-        Opt("A", float, required=True, help="inverse-square coefficient"),
-        Opt("B", float, required=True, help="ring coefficient"),
-        Opt("C", float, required=True, help="angular-ring coefficient"),
-        Opt("K", float, required=True, help="harmonic coefficient"),
-        Opt("M", float, required=True, help="fermion mass (inverse fm)"),
-        Opt("branch", str, default="plus", choices=("plus", "minus"),
-            help="sign branch of the angular square root (default plus)"),
-        Opt("convention", str, default="table", choices=("table", "equation"),
-            help="leading coefficient: table (c=1) or equation (c=2)"),
-        Opt("tol", float, default=1e-12, help="absolute energy tolerance (default 1e-12)"),
-    ]
+def _build_request(args: argparse.Namespace) -> SolveRequest:
+    params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
+    qn = QuantumNumbers(n_r=args.n, n_theta=args.ntheta, m=args.m)
+    return SolveRequest(params=params, M=args.M, qn=qn,
+                        symmetry=Symmetry(args.symmetry),
+                        branch=BranchSign(args.branch),
+                        convention=Convention(args.convention))
 
 
-def _io_opts() -> list[Opt]:
-    return [
-        Opt("precision", int, default=8, help="decimals in CSV output (default 8)"),
-        Opt("output", str, help="write CSV here instead of standard output"),
-    ]
-
-
-def _build_request(v: dict) -> SolveRequest:
-    params = PotentialParams(K=v["K"], A=v["A"], B=v["B"], C=v["C"])
-    qn = QuantumNumbers(n_r=v["n"], n_theta=v["ntheta"], m=v["m"])
-    return SolveRequest(params=params, M=v["M"], qn=qn,
-                        symmetry=Symmetry(v["symmetry"]),
-                        branch=BranchSign(v["branch"]),
-                        convention=Convention(v["convention"]))
-
-
-def _solver_options(v: dict) -> SolverOptions:
-    if v["tol"] is not None and not v["tol"] > 0.0:
-        raise UsageError(f"--tol must be positive (got {v['tol']})")
-    return SolverOptions(abs_tol_E=v["tol"])
+def _solver_options(args: argparse.Namespace) -> SolverOptions:
+    if not args.tol > 0.0:
+        raise UsageError(f"--tol must be positive (got {args.tol})")
+    return SolverOptions(abs_tol_E=args.tol)
 
 
 def _solve_row(req: SolveRequest, res, prec: int) -> str:
@@ -216,20 +139,18 @@ def _solve_row(req: SolveRequest, res, prec: int) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    prec = _precision(v)
-    req = _build_request(v)
-    res = solve_energy(req, _solver_options(v))
-    _emit([SOLVE_HEADER, _solve_row(req, res, prec)], v["output"])
+    prec = _precision(args)
+    req = _build_request(args)
+    res = solve_energy(req, _solver_options(args))
+    _emit([SOLVE_HEADER, _solve_row(req, res, prec)], args.output)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    spec = _REFERENCE_SETS[v["which"]]
-    prec = _precision(v)
+    spec = _REFERENCE_SETS[args.which]
+    prec = _precision(args)
     lines: list[str] = []
-    if v["which"] == "pseudospin2":
+    if args.which == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
     lines.append(TABLE_HEADER)
     requests = [
@@ -246,107 +167,103 @@ def cmd_table(args: argparse.Namespace) -> int:
             _param(p.A), _param(p.B), _param(p.C), _param(p.K), _param(req.M),
             _fixed(res.E, prec),
         ]))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    vary = v["vary"]
-    if v["steps"] < 2:
-        raise UsageError(f"--steps must be >= 2 (got {v['steps']})")
-    if v["from"] == v["to"]:
+    vary = args.vary
+    if args.steps < 2:
+        raise UsageError(f"--steps must be >= 2 (got {args.steps})")
+    if getattr(args, "from") == args.to:
         raise UsageError("degenerate sweep range: --from equals --to")
     for name in ("A", "B", "K"):
-        if name != vary and v[name] is None:
+        if name != vary and getattr(args, name) is None:
             raise UsageError(f"--{name} is required when sweeping {vary}")
     try:
-        series_values = tuple(int(tok) for tok in v["series-values"].split(","))
+        series_values = tuple(int(tok) for tok in args.series_values.split(","))
     except ValueError:
         raise UsageError(f"--series-values must be comma-separated integers "
-                         f"(got {v['series-values']!r})")
-    if v["series"] == "m" and v["n"] is None:
+                         f"(got {args.series_values!r})")
+    if args.series == "m" and args.n is None:
         raise UsageError("--n is required when the series runs over m")
 
-    prec = _precision(v)
-    xs = np.linspace(v["from"], v["to"], v["steps"])
-    header = "x," + ",".join(f"{v['series']}={sv}" for sv in series_values)
-    enums = dict(symmetry=Symmetry(v["symmetry"]), branch=BranchSign(v["branch"]),
-                 convention=Convention(v["convention"]))
+    prec = _precision(args)
+    xs = np.linspace(getattr(args, "from"), args.to, args.steps)
+    header = "x," + ",".join(f"{args.series}={sv}" for sv in series_values)
+    enums = dict(symmetry=Symmetry(args.symmetry), branch=BranchSign(args.branch),
+                 convention=Convention(args.convention))
     requests = []
     for x in xs:
         for sv in series_values:
-            coeffs = {name: v[name] for name in ("A", "B", "C", "K")}
+            coeffs = {name: getattr(args, name) for name in ("A", "B", "C", "K")}
             coeffs[vary] = float(x)
-            if v["series"] == "n":
-                qn = QuantumNumbers(n_r=sv, n_theta=v["ntheta"], m=v["m"])
+            if args.series == "n":
+                qn = QuantumNumbers(n_r=sv, n_theta=args.ntheta, m=args.m)
             else:
-                qn = QuantumNumbers(n_r=v["n"], n_theta=v["ntheta"], m=sv)
-            requests.append(SolveRequest(params=PotentialParams(**coeffs), M=v["M"],
+                qn = QuantumNumbers(n_r=args.n, n_theta=args.ntheta, m=sv)
+            requests.append(SolveRequest(params=PotentialParams(**coeffs), M=args.M,
                                          qn=qn, **enums))
-    results = solve_energies(requests, _solver_options(v))
+    results = solve_energies(requests, _solver_options(args))
     lines = [header]
     for i, x in enumerate(xs):
         row = results[i * len(series_values):(i + 1) * len(series_values)]
         lines.append(",".join([_compact(float(x), prec)] + [
             "" if isinstance(res, RsphoError) else _fixed(res.E, prec) for res in row]))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    if v["points"] < 3:
-        raise UsageError(f"--points must be >= 3 (got {v['points']})")
-    prec = _precision(v)
-    req = _build_request(v)
-    res = solve_energy(req, _solver_options(v))
-    L, big_delta = wavefunction_scales(req, res.E, res.lam, v["mass-factor"])
+    if args.points < 3:
+        raise UsageError(f"--points must be >= 3 (got {args.points})")
+    prec = _precision(args)
+    req = _build_request(args)
+    res = solve_energy(req, _solver_options(args))
+    L, big_delta = wavefunction_scales(req, res.E, res.lam, args.mass_factor)
     delta_eff = effective_scale(big_delta, req.convention)
     grid = default_r_grid(req.qn.n_r, L, delta_eff,
-                          points=v["points"], r_max=v["r-max"])
+                          points=args.points, r_max=args.r_max)
     wf = radial_wavefunction(req.qn.n_r, L, big_delta, grid, req.convention)
     lines = ["r,R"]
     lines.extend(f"{_compact(r, prec)},{_compact(val, prec)}"
                  for r, val in zip(wf.r, wf.values))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK
 
 
 def cmd_potential(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    if v["r-steps"] < 1 or v["theta-steps"] < 1:
+    if args.r_steps < 1 or args.theta_steps < 1:
         raise UsageError("--r-steps and --theta-steps must be >= 1")
-    prec = _precision(v)
-    params = PotentialParams(K=v["K"], A=v["A"], B=v["B"], C=v["C"])
-    r_values = np.linspace(v["r-min"], v["r-max"], v["r-steps"])
-    theta_values = math.pi * np.arange(1, v["theta-steps"] + 1) / (v["theta-steps"] + 1)
+    prec = _precision(args)
+    params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
+    r_values = np.linspace(args.r_min, args.r_max, args.r_steps)
+    theta_values = math.pi * np.arange(1, args.theta_steps + 1) / (args.theta_steps + 1)
     lines = ["r,theta,V"]
     for r in r_values:
         row_v = evaluate_potential(params, float(r), theta_values)
         lines.extend(
             f"{_compact(float(r), prec)},{_compact(float(t), prec)},{_compact(float(val), prec)}"
             for t, val in zip(theta_values, row_v))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    if v["steps"] < 1:
-        raise UsageError(f"--steps must be >= 1 (got {v['steps']})")
-    prec = _precision(v)
-    params = PotentialParams(K=v["K"], A=v["A"], B=v["B"], C=v["C"])
-    branch = BranchSign(v["branch"])
-    convention = Convention(v["convention"])
-    levels = nonrelativistic_ladder(params, v["mu"], v["m"], branch, convention)
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1 (got {args.steps})")
+    prec = _precision(args)
+    params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
+    branch = BranchSign(args.branch)
+    convention = Convention(args.convention)
+    levels = nonrelativistic_ladder(params, args.mu, args.m, branch, convention)
     lines = ["T,Z,F,U,S,C"]
-    for t in np.linspace(v["T-min"], v["T-max"], v["steps"]):
-        pt = thermo_point(levels, float(t), N=v["N"], k_B=v["kB"],
-                          rel_tail_tol=v["tail-tol"])
+    for t in np.linspace(args.T_min, args.T_max, args.steps):
+        pt = thermo_point(levels, float(t), N=args.N, k_B=args.kB,
+                          rel_tail_tol=args.tail_tol)
         lines.append(",".join(_compact(val, prec)
                               for val in (pt.T, pt.Z, pt.F, pt.U, pt.S, pt.C)))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK
 
 
@@ -364,21 +281,52 @@ def _oracle_reports(suite: str, points: int):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    v = _resolve(args, args.opts)
-    if v["points"] < 16:
-        raise UsageError(f"--points must be >= 16 (got {v['points']})")
-    prec = _precision(v)
+    if args.points < 16:
+        raise UsageError(f"--points must be >= 16 (got {args.points})")
+    prec = _precision(args)
     converged = True
     lines = ["suite,case,level,computed,predicted,rel_error,converged"]
-    for suite, case, rep in _oracle_reports(v["suite"], v["points"]):
+    for suite, case, rep in _oracle_reports(args.suite, args.points):
         converged = converged and rep.converged
         for level, (comp, pred) in enumerate(zip(rep.computed, rep.predicted)):
             rel = abs(comp - pred) / abs(pred)
             lines.append(",".join([suite, case, str(level),
                                    _compact(comp, prec), _compact(pred, prec),
                                    _sci(rel, 3), str(rep.converged).lower()]))
-    _emit(lines, v["output"])
+    _emit(lines, args.output)
     return EXIT_OK if converged else EXIT_VERIFY
+
+
+def _add_request_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--symmetry", required=True, choices=("spin", "pseudospin"),
+                   help="relativistic symmetry regime")
+    p.add_argument("--n", type=int, required=True, help="radial quantum number n_r >= 0")
+    p.add_argument("--ntheta", type=int, help="angular quantum number (default: same as --n)")
+    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
+    p.add_argument("--A", type=float, required=True, help="inverse-square coefficient")
+    p.add_argument("--B", type=float, required=True, help="ring coefficient")
+    p.add_argument("--C", type=float, required=True, help="angular-ring coefficient")
+    p.add_argument("--K", type=float, required=True, help="harmonic coefficient")
+    p.add_argument("--M", type=float, required=True, help="fermion mass (inverse fm)")
+    p.add_argument("--branch", default="plus", choices=("plus", "minus"),
+                   help="sign branch of the angular square root (default plus)")
+    p.add_argument("--convention", default="table", choices=("table", "equation"),
+                   help="leading coefficient: table (c=1) or equation (c=2)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="absolute energy tolerance (default 1e-12)")
+
+
+def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
+    for name in ("A", "B", "C", "K"):
+        p.add_argument("--" + name, type=float, required=True)
+
+
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--precision", type=int, default=8,
+                   help="decimals in CSV output (default 8)")
+    p.add_argument("--output", help="write CSV here instead of standard output")
+    p.add_argument("--config",
+                   help="read options from a 'key = value' file; flags take precedence")
 
 
 @functools.cache
@@ -394,100 +342,125 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("solve", help="solve one bound-state energy")
-    opts = _request_opts() + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_solve, opts=opts)
+    _add_request_flags(p)
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("table", help="reproduce a built-in reference energy set")
-    opts = [Opt("which", str, required=True, choices=tuple(_REFERENCE_SETS),
-                help="which reference set to compute")] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_table, opts=opts)
+    p.add_argument("--which", required=True, choices=tuple(_REFERENCE_SETS),
+                   help="which reference set to compute")
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("sweep", help="sweep one coefficient, one CSV column per series member")
-    opts = [
-        Opt("vary", str, required=True, choices=("A", "B", "K"),
-            help="which coefficient to sweep"),
-        Opt("from", float, required=True, help="sweep start"),
-        Opt("to", float, required=True, help="sweep end"),
-        Opt("steps", int, default=50, help="number of sweep points (default 50)"),
-        Opt("series", str, default="n", choices=("n", "m"),
-            help="quantum number labelling the columns (default n)"),
-        Opt("series-values", str, default="1,2,3",
-            help="comma-separated series values (default 1,2,3)"),
-        Opt("symmetry", str, required=True, choices=("spin", "pseudospin")),
-        Opt("n", int, help="radial quantum number (needed when series runs over m)"),
-        Opt("ntheta", int, help="angular quantum number (default: follows n)"),
-        Opt("m", int, default=0, help="azimuthal quantum number (default 0)"),
-        Opt("A", float, help="fixed A (unless swept)"),
-        Opt("B", float, help="fixed B (unless swept)"),
-        Opt("C", float, required=True, help="angular-ring coefficient"),
-        Opt("K", float, help="fixed K (unless swept)"),
-        Opt("M", float, required=True, help="fermion mass"),
-        Opt("branch", str, default="plus", choices=("plus", "minus")),
-        Opt("convention", str, default="table", choices=("table", "equation")),
-        Opt("tol", float, default=1e-12),
-    ] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_sweep, opts=opts)
+    p.add_argument("--vary", required=True, choices=("A", "B", "K"),
+                   help="which coefficient to sweep")
+    p.add_argument("--from", type=float, required=True, help="sweep start")
+    p.add_argument("--to", type=float, required=True, help="sweep end")
+    p.add_argument("--steps", type=int, default=50, help="number of sweep points (default 50)")
+    p.add_argument("--series", default="n", choices=("n", "m"),
+                   help="quantum number labelling the columns (default n)")
+    p.add_argument("--series-values", default="1,2,3",
+                   help="comma-separated series values (default 1,2,3)")
+    p.add_argument("--symmetry", required=True, choices=("spin", "pseudospin"))
+    p.add_argument("--n", type=int,
+                   help="radial quantum number (needed when series runs over m)")
+    p.add_argument("--ntheta", type=int, help="angular quantum number (default: follows n)")
+    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
+    p.add_argument("--A", type=float, help="fixed A (unless swept)")
+    p.add_argument("--B", type=float, help="fixed B (unless swept)")
+    p.add_argument("--C", type=float, required=True, help="angular-ring coefficient")
+    p.add_argument("--K", type=float, help="fixed K (unless swept)")
+    p.add_argument("--M", type=float, required=True, help="fermion mass")
+    p.add_argument("--branch", default="plus", choices=("plus", "minus"))
+    p.add_argument("--convention", default="table", choices=("table", "equation"))
+    p.add_argument("--tol", type=float, default=1e-12)
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("wavefunction", help="sample the normalized radial eigenfunction")
-    opts = _request_opts() + [
-        Opt("points", int, default=4000, help="number of radial samples (default 4000)"),
-        Opt("r-max", float, help="outer radius (default: turning point + 4 widths)"),
-        Opt("mass-factor", str, default="eplus", choices=("eplus", "eminus"),
-            help="mass combination in the wavefunction scales (default eplus)"),
-    ] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_wavefunction, opts=opts)
+    _add_request_flags(p)
+    p.add_argument("--points", type=int, default=4000,
+                   help="number of radial samples (default 4000)")
+    p.add_argument("--r-max", type=float,
+                   help="outer radius (default: turning point + 4 widths)")
+    p.add_argument("--mass-factor", default="eplus", choices=("eplus", "eminus"),
+                   help="mass combination in the wavefunction scales (default eplus)")
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_wavefunction)
 
     p = sub.add_parser("potential", help="sample V(r, theta) on a grid")
-    opts = [
-        Opt("A", float, required=True), Opt("B", float, required=True),
-        Opt("C", float, required=True), Opt("K", float, required=True),
-        Opt("r-min", float, default=0.1, help="inner radius (default 0.1)"),
-        Opt("r-max", float, default=5.0, help="outer radius (default 5)"),
-        Opt("r-steps", int, default=64, help="radial samples (default 64)"),
-        Opt("theta-steps", int, default=64, help="polar samples (default 64)"),
-    ] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_potential, opts=opts)
+    _add_coefficient_flags(p)
+    p.add_argument("--r-min", type=float, default=0.1, help="inner radius (default 0.1)")
+    p.add_argument("--r-max", type=float, default=5.0, help="outer radius (default 5)")
+    p.add_argument("--r-steps", type=int, default=64, help="radial samples (default 64)")
+    p.add_argument("--theta-steps", type=int, default=64, help="polar samples (default 64)")
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_potential)
 
     p = sub.add_parser("thermo", help="thermodynamic functions over a temperature range")
-    opts = [
-        Opt("A", float, required=True), Opt("B", float, required=True),
-        Opt("C", float, required=True), Opt("K", float, required=True),
-        Opt("mu", float, required=True, help="reduced mass of the oscillator ladder"),
-        Opt("m", int, default=0, help="azimuthal quantum number (default 0)"),
-        Opt("branch", str, default="plus", choices=("plus", "minus")),
-        Opt("convention", str, default="table", choices=("table", "equation")),
-        Opt("T-min", float, default=0.1, help="lowest temperature (default 0.1)"),
-        Opt("T-max", float, default=5.0, help="highest temperature (default 5)"),
-        Opt("steps", int, default=50, help="temperature samples (default 50)"),
-        Opt("N", int, default=1, help="particle count in F and S (default 1)"),
-        Opt("kB", float, default=1.0, help="Boltzmann constant (default 1)"),
-        Opt("tail-tol", float, default=1e-14,
-            help="relative truncation tolerance of the level sum (default 1e-14)"),
-    ] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_thermo, opts=opts)
+    _add_coefficient_flags(p)
+    p.add_argument("--mu", type=float, required=True,
+                   help="reduced mass of the oscillator ladder")
+    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
+    p.add_argument("--branch", default="plus", choices=("plus", "minus"))
+    p.add_argument("--convention", default="table", choices=("table", "equation"))
+    p.add_argument("--T-min", type=float, default=0.1, help="lowest temperature (default 0.1)")
+    p.add_argument("--T-max", type=float, default=5.0, help="highest temperature (default 5)")
+    p.add_argument("--steps", type=int, default=50, help="temperature samples (default 50)")
+    p.add_argument("--N", type=int, default=1, help="particle count in F and S (default 1)")
+    p.add_argument("--kB", type=float, default=1.0, help="Boltzmann constant (default 1)")
+    p.add_argument("--tail-tol", type=float, default=1e-14,
+                   help="relative truncation tolerance of the level sum (default 1e-14)")
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_thermo)
 
     p = sub.add_parser("verify", help="run the finite-difference oracle suites")
-    opts = [
-        Opt("suite", str, default="all", choices=("radial", "angular", "all"),
-            help="which oracle suite to run (default all)"),
-        Opt("points", int, default=4000, help="grid points per case (default 4000)"),
-    ] + _io_opts()
-    _add_options(p, opts)
-    p.set_defaults(handler=cmd_verify, opts=opts)
+    p.add_argument("--suite", default="all", choices=("radial", "angular", "all"),
+                   help="which oracle suite to run (default all)")
+    p.add_argument("--points", type=int, default=4000,
+                   help="grid points per case (default 4000)")
+    _add_io_flags(p)
+    p.set_defaults(handler=cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
+@functools.cache
+def _config_flag_parser() -> _Parser:
+    """A parser that knows only --config, to find it before the full parse."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--config")
+    return parser
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the entries of its --config file spliced in as flags.
+
+    Each ``key = value`` becomes ``--key=value`` right after the subcommand
+    name, so argparse converts and checks it like a flag, and a flag of
+    the user's, parsed later, wins.  A key must be one of the subcommand's
+    flags, spelled out in full.
+    """
+    command = _build_parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    path = _config_flag_parser().parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags = []
+    for key, raw in _read_config(path).items():
+        if key in ("help", "config") or "--" + key not in command._option_string_actions:
+            raise UsageError(f"unknown config key {key!r} in {path}")
+        flags.append(f"--{key}={raw}")
+    return argv[:1] + flags + argv[1:]
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_with_config(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

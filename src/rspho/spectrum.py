@@ -27,10 +27,10 @@ ends share one grid, so numpy broadcasting computes what they share once.
 The scan runs in chunks of (requests x scan points), each one residual
 call, and picks every row's bracket with array operations.  One Illinois
 loop then steps every row at once, one residual call per step, and one
-pass computes lambda, delta and big_delta at every root.  A row whose
-polish would end in an error is polished again by the scalar polish,
-which raises it.  The results equal solve_energy's, bit for bit, request
-by request.
+pass computes lambda, delta and big_delta at every root.  A row that
+reaches the step cap, or whose step lands outside the domain, gets the
+error the scalar polish raises there.  The results equal solve_energy's,
+bit for bit, request by request.
 """
 
 from __future__ import annotations
@@ -311,6 +311,12 @@ def _no_root(count: int, first: float, last: float,
     return None
 
 
+def _step_cap_error(a: float, b: float) -> ConvergenceError:
+    """The error of a polish that reaches its step cap with bracket [a, b]."""
+    return ConvergenceError(f"root polish exceeded {_MAX_POLISH_STEPS} iterations; "
+                            f"interval [{a}, {b}]")
+
+
 def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
             abs_tol: float) -> tuple[float, float, int]:
     """Shrink the bracket [a, b] around a root of the residual.
@@ -331,9 +337,7 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
     while b - a > (tol := abs_tol + 4.0 * _EPS * abs(0.5 * (a + b))):
         steps += 1
         if steps > _MAX_POLISH_STEPS:
-            raise ConvergenceError(
-                f"root polish exceeded {_MAX_POLISH_STEPS} iterations; "
-                f"interval [{a}, {b}]")
+            raise _step_cap_error(a, b)
         c = b - gb * (b - a) / (gb - ga)
         if not c > a + 0.5 * tol:
             c = a + 0.5 * tol
@@ -363,10 +367,10 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     a, b, fa and fb hold one bracket per row; a row whose bracket is
     closed (a == b) takes no step.  Each step evaluates the next point of
     every row in one residual call, and a row stops where _polish would
-    stop it, with the same arithmetic.  Returns (E, f(E), steps, redo):
-    ``redo`` marks the rows that _polish ends in an error, a point outside
-    the domain (DomainError) or the step cap (ConvergenceError), for the
-    caller to polish again with _polish, which raises it.
+    stop it, with the same arithmetic.  A point outside the domain (NaN)
+    closes its row's bracket on that point, where _polish would raise.
+    Returns (E, f(E), steps, a, b, capped): the final brackets, and
+    ``capped`` marks the rows that reached the step cap.
     """
     sides = np.array([[a, fa, fa], [b, fb, fb]])    # point, f, chord weight
     (a, fa, ga), (b, fb, gb) = sides
@@ -392,7 +396,7 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
         np.multiply(ga, 0.5, out=ga, where=keep_b & right)
         left, right = keep_a, keep_b
         # A zero, or a point outside the domain (NaN), closes the bracket
-        # on c: the first ends _polish, the second makes the row a redo.
+        # on c: the first ends _polish, the second makes it raise.
         closed = active & ~(np.abs(fc) > 0.0)
         new[0], new[1:] = c, fc
         np.copyto(sides[0], new, where=keep_a | closed)
@@ -400,24 +404,7 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     at_a = np.abs(fa) <= np.abs(fb)
     f = np.where(at_a, fa, fb)
     # Rows still active here have reached the step cap.
-    return np.where(at_a, a, b), f, steps, np.isnan(f) | active
-
-
-def _finish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
-            count: int, opts: SolverOptions) -> SolveResult:
-    """Polish the bracket (a, b, fa, fb), one of ``count`` that the scan
-    found, and assemble the SolveResult."""
-    energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
-    lam = lambda_separation(energy, request.M, request.params, request.qn.m,
-                            request.qn.n_theta, request.branch,
-                            request.symmetry)
-    ansatz = radial_ansatz(energy, request.M, request.params.K,
-                           request.params.A, lam, request.symmetry,
-                           n_r=request.qn.n_r)
-    return SolveResult(E=energy, lam=lam, delta=ansatz.delta,
-                       big_delta=ansatz.big_delta, residual=residual,
-                       iterations=iterations, bracket=(a, b),
-                       root_count_in_scan=count)
+    return np.where(at_a, a, b), f, steps, a, b, active
 
 
 def solve_energy(request: SolveRequest,
@@ -435,7 +422,25 @@ def solve_energy(request: SolveRequest,
     error = _no_root(count, first, last, opts)
     if error is not None:
         raise error
-    return _finish(request, a, b, fa, fb, count, opts)
+    energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
+    lam = lambda_separation(energy, request.M, request.params, request.qn.m,
+                            request.qn.n_theta, request.branch, request.symmetry)
+    ansatz = radial_ansatz(energy, request.M, request.params.K, request.params.A,
+                           lam, request.symmetry, n_r=request.qn.n_r)
+    return SolveResult(E=energy, lam=lam, delta=ansatz.delta,
+                       big_delta=ansatz.big_delta, residual=residual,
+                       iterations=iterations, bracket=(a, b),
+                       root_count_in_scan=count)
+
+
+def _domain_error(request: SolveRequest, E: float) -> DomainError:
+    """The DomainError that energy_residual raises at E, a polish point
+    where its array form gave NaN."""
+    try:
+        energy_residual(E, request)
+    except DomainError as exc:
+        return exc
+    return DomainError(f"energy residual is NaN at E = {E!r}")
 
 
 def _chunks(groups: dict, rows: int):
@@ -473,8 +478,7 @@ def _solve_rows(requests: list[SolveRequest], ends: list, chunks: list,
     ``ends`` and ``chunks`` come from _chunks.  The scan runs chunk by
     chunk; the Illinois polish and the lambda/ansatz finish then take
     every request at once, one array call per polish step.  Returns per
-    request a SolveResult, a NoRootError, or, for a row that _polish_rows
-    leaves to _polish, its bracket and bracket count.
+    request a SolveResult or the error solve_energy raises for it.
     """
     cols = _columns(requests)
     scans = []
@@ -484,9 +488,10 @@ def _solve_rows(requests: list[SolveRequest], ends: list, chunks: list,
                            first, last, opts))
     count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
     request = _stack(cols)
-    E, f, steps, redo = _polish_rows(request, a, b, fa, fb, opts.abs_tol_E)
-    # Every polished E has a residual that is not NaN, so every radicand
-    # of lambda, delta and big_delta is in its domain there.
+    E, f, steps, a_end, b_end, capped = _polish_rows(request, a, b, fa, fb,
+                                                     opts.abs_tol_E)
+    # Where a polished E has a residual that is not NaN, every radicand of
+    # lambda, delta and big_delta is in its domain.
     E = E[:, None]
     with np.errstate(invalid="ignore"):
         lam = lambda_separation(E, request.M, request.params, request.qn.m,
@@ -495,17 +500,20 @@ def _solve_rows(requests: list[SolveRequest], ends: list, chunks: list,
         ansatz = radial_ansatz(E, request.M, request.params.K, request.params.A,
                                lam, request.symmetry)
     out = []
-    for n, (first, last), *row in zip(
-            count.tolist(), ends, a.tolist(), b.tolist(), fa.tolist(),
-            fb.tolist(), redo.tolist(), E.ravel().tolist(), f.tolist(),
-            steps.tolist(), lam.ravel().tolist(), ansatz.delta.ravel().tolist(),
-            ansatz.big_delta.ravel().tolist()):
-        a_r, b_r, fa_r, fb_r, redo_r, e, residual, iterations, lam_r, delta, big = row
+    for req, n, (first, last), *row in zip(
+            requests, count.tolist(), ends, a.tolist(), b.tolist(),
+            a_end.tolist(), b_end.tolist(), capped.tolist(), E.ravel().tolist(),
+            f.tolist(), steps.tolist(), lam.ravel().tolist(),
+            ansatz.delta.ravel().tolist(), ansatz.big_delta.ravel().tolist()):
+        (a_r, b_r, a_end_r, b_end_r, capped_r, e, residual, iterations,
+         lam_r, delta, big) = row
         error = _no_root(n, first, last, opts)
+        if error is None and capped_r:
+            error = _step_cap_error(a_end_r, b_end_r)
+        elif error is None and math.isnan(residual):
+            error = _domain_error(req, e)
         if error is not None:
             out.append(error)
-        elif redo_r:
-            out.append((a_r, b_r, fa_r, fb_r, n))
         else:
             out.append(SolveResult(E=e, lam=lam_r, delta=delta, big_delta=big,
                                    residual=residual, iterations=iterations,
@@ -538,11 +546,6 @@ def solve_energies(requests: Iterable[SolveRequest],
     order, ends, chunks = _chunks(groups, max(1, _SCAN_CHUNK // opts.scan_points))
     solved = _solve_rows([requests[i] for i in order], ends, chunks, opts)
     for i, res in zip(order, solved):
-        if isinstance(res, tuple):
-            try:
-                res = _finish(requests[i], *res, opts)
-            except RsphoError as exc:
-                res = exc
         out[i] = res
     return out
 

@@ -76,8 +76,11 @@ def _moments(levels, beta: float, rel_tail_tol: float,
 
     Returns (E0, s0, s1, s2, used) with s_k = sum (E - E0)^k exp(-beta (E - E0)),
     truncated once a term drops below rel_tail_tol times the running s0.
-    Raises ConvergenceError if max_levels levels never satisfy the tail test.
+    Raises ConvergenceError if max_levels levels never satisfy the tail test,
+    and DomainError, before taking a level, if rel_tail_tol is not positive.
     """
+    if not rel_tail_tol > 0.0:
+        raise DomainError(f"rel_tail_tol must be positive (got {rel_tail_tol})")
     e0 = None
     prev = None
     s0 = s1 = s2 = 0.0

@@ -492,3 +492,47 @@ M = 5.0
         code, _, err = run_cli(["solve", "--config", str(tmp_path / "absent.conf")])
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("entry,key", [
+        ("n = one", "--n"),                        # not an int
+        ("symmetry = sideways", "--symmetry"),     # not a choice
+        ("sym = spin", "'sym'"),                   # abbreviated flag
+        ("help = 1", "'help'"),
+        ("which = spin1", "'which'"),              # a flag of another subcommand
+    ])
+    def test_bad_entry_is_usage_error(self, tmp_path, entry, key):
+        path = tmp_path / "case.conf"
+        path.write_text(self.CONFIG + entry + "\n")
+        code, out, err = run_cli(["solve", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert key in err
+
+    def test_keys_are_long_flag_names(self, tmp_path):
+        path = tmp_path / "sweep.conf"
+        path.write_text("vary = A\nfrom = 6\nto = 7\nsteps = 3\nseries-values = 1,2\n"
+                        "symmetry = spin\nB = -0.05\nC = 0.005\nK = 5\nM = 5\n")
+        flags = ["sweep", "--vary", "A", "--from", "6", "--to", "7.5", "--steps", "3",
+                 "--series-values", "1,2", "--symmetry", "spin", "--B", "-0.05",
+                 "--C", "0.005", "--K", "5", "--M", "5"]
+        as_config = run_cli(["sweep", "--config", str(path), "--to", "7.5"])
+        assert as_config == run_cli(flags)
+        assert as_config[0] == 0
+
+    def test_values_are_checked_like_flags(self, tmp_path):
+        path = tmp_path / "case.conf"
+        path.write_text(self.CONFIG + "n = one\n")
+        as_config = run_cli(["solve", "--config", str(path)])
+        as_flag = run_cli(["solve"] + SPIN_ARGS + ["--n", "one"])
+        assert as_config == as_flag
+
+    def test_negative_exponent_value(self, tmp_path):
+        # A value like -1e-3 would read as a flag if it stood alone in argv.
+        path = tmp_path / "case.conf"
+        path.write_text(self.CONFIG.replace("A = 6.0", "A = -1e-3"))
+        assert run_cli(["solve", "--config", str(path)]) == run_cli(
+            ["solve"] + SPIN_ARGS + ["--A=-1e-3"])
+
+    def test_config_without_a_path(self):
+        code, out, err = run_cli(["solve", "--config"])
+        assert (code, out) == (1, "")
+        assert "--config" in err

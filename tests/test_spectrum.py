@@ -447,6 +447,20 @@ class TestSolveEnergies:
             assert outcomes(solve_energies(requests, opts)) == outcomes(
                 one_by_one(requests, opts))
 
+    def test_nan_polish_point_never_comes_back_as_a_result(self, monkeypatch):
+        # The array residual is NaN near every root while the scalar one
+        # returns a number there: the rows still end in a DomainError.
+        def nan_near_roots(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where(np.abs(f) < 1e-6, np.nan, f)
+            return f
+
+        monkeypatch.setattr(rspho.spectrum, "energy_residual", nan_near_roots)
+        results = solve_energies([spin_request(n=n) for n in (1, 2, 3)])
+        assert [type(r) for r in results] == [DomainError] * 3
+        assert all("energy residual is NaN" in str(r) for r in results)
+
     @PROPERTY
     @given(requests=grouped_requests())
     def test_shared_grid_gives_the_bits_of_a_full_grid(self, requests):

@@ -62,6 +62,20 @@ class TestPartitionFunction:
             thermo._moments(levels, 1.0, 1e-14, max_levels=2000)
 
 
+def untouchable_levels():
+    """A level sequence that fails the test if anything takes a level."""
+    raise AssertionError("a level was taken")
+    yield
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_nonpositive_tail_tolerance_rejected_before_any_level(tol):
+    with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
+        partition_function(untouchable_levels(), beta=1.0, rel_tail_tol=tol)
+    with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
+        thermo_point(untouchable_levels(), T=1.0, rel_tail_tol=tol)
+
+
 class TestThermoPoint:
     def test_two_level_closed_form(self):
         # beta*eps = ln 3 puts 1/4 of the population in the upper level
