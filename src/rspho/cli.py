@@ -7,26 +7,35 @@ of the subcommand's flags without its dashes, and argparse checks its
 value as it checks that flag's; explicit flags override file values, and
 any other key is an error.
 
-Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
-3 verification failure (verify command only).
+table and sweep build one array per number of their cells (the swept
+values repeated across the series, the series tiled across the sweep)
+and solve them together with spectrum.solve_columns, formatting the CSV
+from the energies and the failure mask it returns.  A failed sweep cell
+is empty; table fails with the error that solve_energy raises for its
+first failed row.
+
+Exit codes: 0 success, 1 usage error (including an --output file that
+cannot be written), 2 domain or convergence failure, 3 verification
+failure (verify command only).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
+from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, evaluate_potential)
 from .oracle import default_angular_grid, default_radial_grid, verify_angular, verify_radial
 from .radial import (default_r_grid, effective_scale, radial_wavefunction,
                      wavefunction_scales)
-from .spectrum import SolverOptions, solve_energies, solve_energy
+from .spectrum import SolverOptions, request_columns, solve_columns, solve_energy
 from .thermo import nonrelativistic_ladder, thermo_point
 
 __all__ = ["main", "main_entry"]
@@ -107,9 +116,12 @@ def _emit(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}")
 
 
 def _build_request(args: argparse.Namespace) -> SolveRequest:
@@ -122,8 +134,8 @@ def _build_request(args: argparse.Namespace) -> SolveRequest:
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    if not args.tol > 0.0:
-        raise UsageError(f"--tol must be positive (got {args.tol})")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite (got {args.tol})")
     return SolverOptions(abs_tol_E=args.tol)
 
 
@@ -153,20 +165,23 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.which == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
     lines.append(TABLE_HEADER)
-    requests = [
-        SolveRequest(params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
-                     M=spec["M"], qn=QuantumNumbers(n_r=n, m=m),
-                     symmetry=Symmetry(spec["symmetry"]))
-        for n in spec["n_values"] for a in spec["A_values"] for m in spec["m_values"]]
-    for req, res in zip(requests, solve_energies(requests)):
-        if isinstance(res, RsphoError):
-            raise res
-        p = req.params
-        lines.append(",".join([
-            str(req.qn.n_r), str(req.qn.m), str(req.qn.n_theta),
-            _param(p.A), _param(p.B), _param(p.C), _param(p.K), _param(req.M),
-            _fixed(res.E, prec),
-        ]))
+    rows = list(itertools.product(spec["n_values"], spec["A_values"], spec["m_values"]))
+    n, A, m = np.array(rows, dtype=float).T
+    symmetry = Symmetry(spec["symmetry"])
+    sol = solve_columns(request_columns(K=spec["K"], A=A, B=spec["B"], C=spec["C"],
+                                        M=spec["M"], n_r=n, n_theta=n, m=m,
+                                        symmetry=symmetry))
+    if sol.failed.any():
+        # solve_energy raises on exactly the rows that failed; the first
+        # one in row order gives the command its error.
+        n_r, a, m_r = rows[sol.failed.argmax()]
+        solve_energy(SolveRequest(
+            params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
+            M=spec["M"], qn=QuantumNumbers(n_r=n_r, m=m_r), symmetry=symmetry))
+    fixed = [_param(spec[name]) for name in ("B", "C", "K", "M")]
+    for (n_r, a, m_r), e in zip(rows, sol.E.tolist()):
+        lines.append(",".join([str(n_r), str(m_r), str(n_r), _param(a), *fixed,
+                               _fixed(e, prec)]))
     _emit(lines, args.output)
     return EXIT_OK
 
@@ -190,26 +205,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     prec = _precision(args)
     xs = np.linspace(getattr(args, "from"), args.to, args.steps)
-    header = "x," + ",".join(f"{args.series}={sv}" for sv in series_values)
-    enums = dict(symmetry=Symmetry(args.symmetry), branch=BranchSign(args.branch),
-                 convention=Convention(args.convention))
-    requests = []
-    for x in xs:
-        for sv in series_values:
-            coeffs = {name: getattr(args, name) for name in ("A", "B", "C", "K")}
-            coeffs[vary] = float(x)
-            if args.series == "n":
-                qn = QuantumNumbers(n_r=sv, n_theta=args.ntheta, m=args.m)
-            else:
-                qn = QuantumNumbers(n_r=args.n, n_theta=args.ntheta, m=sv)
-            requests.append(SolveRequest(params=PotentialParams(**coeffs), M=args.M,
-                                         qn=qn, **enums))
-    results = solve_energies(requests, _solver_options(args))
-    lines = [header]
-    for i, x in enumerate(xs):
-        row = results[i * len(series_values):(i + 1) * len(series_values)]
-        lines.append(",".join([_compact(float(x), prec)] + [
-            "" if isinstance(res, RsphoError) else _fixed(res.E, prec) for res in row]))
+    # One request per cell, row by row: x repeats across the series.
+    series = np.tile(np.array(series_values, dtype=float), len(xs))
+    coeffs = {name: getattr(args, name) for name in ("A", "B", "C", "K")}
+    coeffs[vary] = np.repeat(xs, len(series_values))
+    n_r = series if args.series == "n" else args.n
+    m = series if args.series == "m" else args.m
+    cols = request_columns(**coeffs, M=args.M, n_r=n_r,
+                           n_theta=n_r if args.ntheta is None else args.ntheta, m=m,
+                           symmetry=Symmetry(args.symmetry),
+                           branch=BranchSign(args.branch),
+                           convention=Convention(args.convention))
+    sol = solve_columns(cols, _solver_options(args))
+    cells = ["" if failed else _fixed(e, prec)
+             for e, failed in zip(sol.E.tolist(), sol.failed.tolist())]
+    width = len(series_values)
+    lines = ["x," + ",".join(f"{args.series}={sv}" for sv in series_values)]
+    for i, x in enumerate(xs.tolist()):
+        lines.append(",".join([_compact(x, prec), *cells[i * width:(i + 1) * width]]))
     _emit(lines, args.output)
     return EXIT_OK
 

@@ -32,6 +32,7 @@ __all__ = [
     "SolveRequest",
     "Violation",
     "evaluate_potential",
+    "numeric_checks",
     "validate",
 ]
 
@@ -162,6 +163,19 @@ def _is_integer(x) -> bool:
     return type(x) is int or isinstance(x, Integral)
 
 
+def numeric_checks(K, A, B, C, M, coupling_sign, n_r, n_theta) -> tuple:
+    """The numeric preconditions of a request, each true where it holds.
+
+    In order: K, A, B and C are finite; M is finite and positive; K has
+    the symmetry's sign (coupling_sign * K > 0); n_r >= 0; n_theta >= 0.
+    The numbers may be floats, which give bools, or arrays holding the
+    numbers of many requests, which give boolean arrays.
+    """
+    inf = math.inf
+    return (abs(K) < inf, abs(A) < inf, abs(B) < inf, abs(C) < inf,
+            (M > 0.0) & (M < inf), coupling_sign * K > 0.0, n_r >= 0, n_theta >= 0)
+
+
 def validate(request: SolveRequest) -> list[Violation]:
     """Check every solver precondition; an empty list means the request is ok.
 
@@ -170,21 +184,26 @@ def validate(request: SolveRequest) -> list[Violation]:
     """
     out: list[Violation] = []
     p = request.params
-    for name in ("K", "A", "B", "C"):
-        val = getattr(p, name)
-        if not math.isfinite(val):
-            out.append(Violation("params-finite", f"{name} must be a finite real (got {val!r})"))
-    if not (math.isfinite(request.M) and request.M > 0):
+    qn = request.qn
+    # A quantum number that is not an integer fails its range check too:
+    # one message covers both.
+    K_ok, A_ok, B_ok, C_ok, mass, k_sign, n_r, n_theta = numeric_checks(
+        p.K, p.A, p.B, p.C, request.M, request.symmetry.coupling_sign,
+        qn.n_r if _is_integer(qn.n_r) else -1,
+        qn.n_theta if _is_integer(qn.n_theta) else -1)
+    if not (K_ok and A_ok and B_ok and C_ok):
+        out += [Violation("params-finite", f"{name} must be a finite real (got {getattr(p, name)!r})")
+                for name, ok in zip("KABC", (K_ok, A_ok, B_ok, C_ok)) if not ok]
+    if not mass:
         out.append(Violation("mass-positive", f"M must be positive (got {request.M!r})"))
-    if request.symmetry is Symmetry.SPIN and not p.K > 0:
+    if not k_sign and request.symmetry is Symmetry.SPIN:
         out.append(Violation("k-sign-spin", f"K must be positive under spin symmetry (got {p.K!r})"))
-    if request.symmetry is Symmetry.PSEUDOSPIN and not p.K < 0:
+    elif not k_sign:
         out.append(Violation("k-sign-pseudospin",
                              f"K must be negative under pseudo-spin symmetry (got {p.K!r})"))
-    qn = request.qn
-    if not (_is_integer(qn.n_r) and qn.n_r >= 0):
+    if not n_r:
         out.append(Violation("n-r-range", f"n_r must be an integer >= 0 (got {qn.n_r!r})"))
-    if not (_is_integer(qn.n_theta) and qn.n_theta >= 0):
+    if not n_theta:
         out.append(Violation("n-theta-range", f"n_theta must be an integer >= 0 (got {qn.n_theta!r})"))
     if not _is_integer(qn.m):
         out.append(Violation("m-integer", f"m must be an integer (got {qn.m!r})"))

@@ -20,17 +20,26 @@ superlinearly; every step lands at least half the tolerance inside the
 bracket, so the bracket shrinks even where the chord points at one of
 its ends.
 
-solve_energy does this for one request.  solve_energies does it for many,
-column-wise.  The requests' numbers become (requests x 1) columns; a
-number equal in every row stays one float, and requests with equal scan
-ends share one grid, so numpy broadcasting computes what they share once.
-The scan runs in chunks of (requests x scan points), each one residual
-call, and picks every row's bracket with array operations.  One Illinois
-loop then steps every row at once, one residual call per step, and one
-pass computes lambda, delta and big_delta at every root.  A row that
-reaches the step cap, or whose step lands outside the domain, gets the
-error the scalar polish raises there.  The results equal solve_energy's,
-bit for bit, request by request.
+solve_energy does this for one request.  solve_columns does it for many,
+column-wise: it takes the requests' numbers as an (11, requests) array
+(request_columns builds one), validates them and computes their scan
+intervals with the same formulas applied to arrays, and returns the
+energies with a mask of the requests that failed.  For the scan and the
+polish the numbers become (requests x 1) columns; a number equal in every
+row stays one float, and requests with equal scan ends share one grid, so
+numpy broadcasting computes what they share once.  The scan runs in
+chunks of (requests x scan points), each one residual call, and picks
+every row's bracket with array operations.  One Illinois loop then steps
+every row at once, one residual call per step.  A request fails exactly
+where solve_energy raises, and its energy has solve_energy's bits.
+
+solve_energies takes a list of requests through solve_columns.  It
+validates each one first, so that a request that fails gets validate's
+messages, computes lambda, delta and big_delta at every root in one array
+pass, and builds each failed request's error from its row: the scan's
+error, the step-cap error, or the error the scalar residual raises where
+a polish step left the domain.  Its results equal solve_energy's, bit for
+bit, request by request.
 """
 
 from __future__ import annotations
@@ -38,14 +47,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .angular import lambda_from_coupling, lambda_separation
 from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
-                    SolveRequest, validate)
+                    SolveRequest, Symmetry, numeric_checks, validate)
 from .numerics import nonnegative, positive, sqrt
 from .radial import radial_ansatz, radial_terms
 
@@ -55,6 +64,9 @@ __all__ = [
     "energy_residual",
     "solve_energy",
     "solve_energies",
+    "ColumnSolve",
+    "request_columns",
+    "solve_columns",
     "nonrelativistic_energy",
 ]
 
@@ -109,8 +121,8 @@ class SolverOptions:
     root_index: int = 0
 
     def __post_init__(self) -> None:
-        if not self.abs_tol_E > 0.0:
-            raise ValueError(f"abs_tol_E must be positive (got {self.abs_tol_E})")
+        if not 0.0 < self.abs_tol_E < math.inf:
+            raise ValueError(f"abs_tol_E must be positive and finite (got {self.abs_tol_E})")
         if self.scan_points < 2:
             raise ValueError(f"scan_points must be >= 2 (got {self.scan_points})")
         if self.root_index < 0:
@@ -154,21 +166,28 @@ def _residual(E, request: SolveRequest):
     return (E - M) - rhs, fac, stiff
 
 
-def _validity_interval(request: SolveRequest, e_max: float) -> tuple[float, float]:
+def _validity_interval(M, B, C, m, s, e_max):
     """Closed-form scan interval from the affine-in-E radicand constraints.
 
     Constraints: E + M > 0, and the separation-constant radicand
     1/2 - s*2*(E+M)*(B+C) - m^2 >= 0, which is affine in E.  The radial
     radicand is not affine; the scan tolerates it pointwise instead.
+    Returns (lo, hi).  The numbers may be floats, and where the separation
+    radicand is negative at every energy NoRootError is raised, or 1-D
+    arrays of one request per element, and there lo is NaN.
     """
-    p = request.params
-    M = request.M
-    m = request.qn.m
-    s = request.symmetry.coupling_sign
+    slope = -s * 2.0 * (B + C)
+    const = 0.5 - s * 2.0 * M * (B + C) - m * m
+    if isinstance(slope, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            edge = -const / slope
+        # The float branches below, element by element.
+        lo = np.where((slope > 0.0) & (edge > -M), edge, -M)
+        hi = np.where((slope < 0.0) & (edge < e_max), edge, e_max)
+        lo[~(slope > 0.0) & ~(slope < 0.0) & (const < 0.0)] = np.nan
+        return lo, hi
     lo = -M
     hi = e_max
-    slope = -s * 2.0 * (p.B + p.C)
-    const = 0.5 - s * 2.0 * M * (p.B + p.C) - m * m
     if slope > 0.0:
         lo = max(lo, -const / slope)
     elif slope < 0.0:
@@ -180,24 +199,77 @@ def _validity_interval(request: SolveRequest, e_max: float) -> tuple[float, floa
     return lo, hi
 
 
-def _scan_ends(request: SolveRequest, opts: SolverOptions) -> tuple[float, float]:
-    """Validate a request and return the first and last point of its scan.
+def _scan_interval(K, B, C, M, m, s, opts: SolverOptions):
+    """The first and last point of a scan.
 
     The scan covers the validity interval up to M + e_max_offset, pulled
-    in at both ends by a relative margin of 1e-9.
+    in at both ends by a relative margin of 1e-9.  The numbers may be
+    floats, and an empty interval raises NoRootError, or 1-D arrays of one
+    request per element, and a request without an interval gets NaN ends.
     """
-    violations = validate(request)
-    if violations:
-        raise DomainError("invalid request: "
-                          + "; ".join(v.message for v in violations))
     offset = (opts.e_max_offset if opts.e_max_offset is not None
-              else 100.0 * math.sqrt(abs(request.params.K)))
-    lo, hi = _validity_interval(request, request.M + offset)
+              else 100.0 * sqrt(abs(K)))
+    lo, hi = _validity_interval(M, B, C, m, s, M + offset)
+    if isinstance(lo, np.ndarray):
+        lo[~(hi > lo)] = np.nan
+        margin = 1e-9 * np.maximum(np.maximum(1.0, abs(lo)), abs(hi))
+        return lo + margin, hi - margin
     if not hi > lo:
         raise NoRootError(
             f"empty scan interval: validity bounds give [{lo}, {hi}]")
     margin = 1e-9 * max(1.0, abs(lo), abs(hi))
     return lo + margin, hi - margin
+
+
+def _invalid(request: SolveRequest) -> DomainError | None:
+    """The error of a request that fails validation, or None."""
+    violations = validate(request)
+    if violations:
+        return DomainError("invalid request: "
+                           + "; ".join(v.message for v in violations))
+    return None
+
+
+def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
+    """Validate requests and return the first and last point of their scans
+    (see _scan_interval).
+
+    ``request`` is a SolveRequest, and one that fails validation raises
+    DomainError, or an (11, R) array of columns (see request_columns), and
+    a request that fails the numeric checks of validation, or has no scan
+    interval, gets NaN ends.
+    """
+    if isinstance(request, np.ndarray):
+        K, A, B, C, M, n_r, n_theta, m, s = request[:9]
+        # Requests that fail validation may hold inf and NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, last = _scan_interval(K, B, C, M, m, s, opts)
+            valid = np.logical_and.reduce(numeric_checks(K, A, B, C, M, s, n_r, n_theta))
+        first[~valid] = last[~valid] = np.nan
+        return first, last
+    error = _invalid(request)
+    if error is not None:
+        raise error
+    return _scan_interval(request.params.K, request.params.B, request.params.C,
+                          request.M, request.qn.m, request.symmetry.coupling_sign,
+                          opts)
+
+
+def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
+                    branch: BranchSign = BranchSign.PLUS,
+                    convention: Convention = Convention.TABLE_CONSISTENT
+                    ) -> np.ndarray:
+    """Requests as the (11, R) array that solve_columns takes.
+
+    Each number is a float, the same in every request, or a 1-D array of
+    one value per request; at least one must be an array.  Row r of the
+    result holds, as _columns does for a list of requests, K, A, B, C, M,
+    n_r, n_theta, m and the numeric properties of the three enums.
+    """
+    numbers = (K, A, B, C, M, n_r, n_theta, m, symmetry.coupling_sign,
+               branch.sign, convention.coefficient)
+    return np.array(np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                          for x in numbers)))
 
 
 def _columns(requests: list[SolveRequest]) -> np.ndarray:
@@ -443,110 +515,154 @@ def _domain_error(request: SolveRequest, E: float) -> DomainError:
     return DomainError(f"energy residual is NaN at E = {E!r}")
 
 
-def _chunks(groups: dict, rows: int):
-    """Order the requests for scanning and cut the order into chunks.
+def _chunks(ends: list, rows: int):
+    """Order the rows to scan and cut the order into chunks.
 
-    ``groups`` maps scan ends to the indices of the requests with those
-    ends.  Returns (order, ends, chunks): the request indices in scan
-    order, their scan ends, and (start, stop, shared) slices of the order
-    of at most ``rows`` requests each.  A group that fills at least a
-    quarter of a chunk is chunked on its own, shared, so that its rows
-    scan one grid row; the smaller groups are pooled.
+    ``ends`` holds each row's scan ends.  Returns (order, chunks): the row
+    indices in scan order, and (start, stop, shared) slices of the order
+    of at most ``rows`` rows each.  Rows with equal ends form a group; a
+    group that fills at least a quarter of a chunk is chunked on its own,
+    shared, so that its rows scan one grid row; the smaller groups are
+    pooled.
     """
-    order, ends, chunks, pool = [], [], [], []
-    for key, index in groups.items():
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, key in enumerate(ends):
+        groups.setdefault(key, []).append(i)
+    order, chunks, pool = [], [], []
+    for index in groups.values():
         if 4 * len(index) >= rows:
             for start in range(0, len(index), rows):
                 part = index[start:start + rows]
                 chunks.append((len(order), len(order) + len(part), True))
                 order += part
-                ends += [key] * len(part)
         else:
-            pool += [(i, key) for i in index]
+            pool += index
     for start in range(0, len(pool), rows):
         part = pool[start:start + rows]
         chunks.append((len(order), len(order) + len(part), False))
-        order += [i for i, _ in part]
-        ends += [key for _, key in part]
-    return order, ends, chunks
+        order += part
+    return order, chunks
 
 
-def _solve_rows(requests: list[SolveRequest], ends: list, chunks: list,
-                opts: SolverOptions) -> list:
-    """solve_energy for many requests, column-wise.
+class ColumnSolve(NamedTuple):
+    """What solve_columns finds, one element per request.
 
-    ``ends`` and ``chunks`` come from _chunks.  The scan runs chunk by
-    chunk; the Illinois polish and the lambda/ansatz finish then take
-    every request at once, one array call per polish step.  Returns per
-    request a SolveResult or the error solve_energy raises for it.
+    ``E`` holds the energies, NaN where ``failed``: there solve_energy
+    raises.  The rest is what a SolveResult or the request's error is
+    made of: the scan's bracket count and the bracket (a, b) it picked,
+    and the polish's closing point, residual there, step count, final
+    bracket (end_a, end_b) and whether it reached the step cap.  A request
+    that fails before its scan has count 0, NaN numbers and no steps.
     """
-    cols = _columns(requests)
-    scans = []
-    for start, stop, shared in chunks:
-        first, last = ends[start] if shared else np.array(ends[start:stop]).T
-        scans.append(_scan(_stack(cols[:, start:stop]), stop - start,
-                           first, last, opts))
-    count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
+
+    E: np.ndarray
+    failed: np.ndarray
+    count: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    point: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    end_a: np.ndarray
+    end_b: np.ndarray
+    capped: np.ndarray
+
+
+def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
+                  ) -> ColumnSolve:
+    """solve_energy for the requests of an (11, R) array of columns
+    (see request_columns), solved column-wise in array calls.
+
+    Validation (the numeric checks of model.validate) and the scan ends
+    are array operations over the columns.  The requests that pass are
+    scanned in chunks of up to _SCAN_CHUNK grid points, requests with the
+    same scan ends together, and then polished all at once, one residual
+    call per Illinois step.  A request fails exactly where solve_energy
+    raises for it, and its energy has solve_energy's bits.
+    """
+    opts = options if options is not None else _DEFAULT_OPTIONS
+    first, last = _scan_ends(cols, opts)
+    scanned = np.flatnonzero(~np.isnan(first))
+    size = cols.shape[1]
+    count = np.zeros(size, dtype=int)
+    iterations = np.zeros(size, dtype=int)
+    capped = np.zeros(size, dtype=bool)
+    a, b, point, residual, end_a, end_b = np.full((6, size), np.nan)
+    if scanned.size:
+        order, chunks = _chunks(list(zip(first[scanned].tolist(), last[scanned].tolist())),
+                                max(1, _SCAN_CHUNK // opts.scan_points))
+        rows = scanned[order]
+        cols = cols[:, rows]
+        scans = []
+        for start, stop, shared in chunks:
+            part = rows[start:stop]
+            ends = (first[part[0]], last[part[0]]) if shared else (first[part], last[part])
+            scans.append(_scan(_stack(cols[:, start:stop]), stop - start, *ends, opts))
+        count[rows], a[rows], b[rows], fa, fb = (np.concatenate(x) for x in zip(*scans))
+        (point[rows], residual[rows], iterations[rows], end_a[rows], end_b[rows],
+         capped[rows]) = _polish_rows(_stack(cols), a[rows], b[rows], fa, fb, opts.abs_tol_E)
+    # A NaN residual: the polish stepped outside the domain.
+    failed = (count <= opts.root_index) | capped | np.isnan(residual)
+    return ColumnSolve(np.where(failed, np.nan, point), failed, count, a, b, point,
+                       residual, iterations, end_a, end_b, capped)
+
+
+def _row_error(request: SolveRequest, opts: SolverOptions, count: int,
+               capped: bool, end_a: float, end_b: float,
+               point: float) -> RsphoError:
+    """The error solve_energy raises for a request that solve_columns
+    failed, from the request's row of the ColumnSolve."""
+    try:
+        first, last = _scan_ends(request, opts)
+    except RsphoError as exc:
+        return exc
+    error = _no_root(count, first, last, opts)
+    if error is None and capped:
+        error = _step_cap_error(end_a, end_b)
+    elif error is None:
+        error = _domain_error(request, point)
+    return error
+
+
+def solve_energies(requests: Iterable[SolveRequest],
+                   options: SolverOptions | None = None
+                   ) -> list[SolveResult | RsphoError]:
+    """solve_energy for many requests, through solve_columns.
+
+    Each request is validated first, so that one that fails gets the
+    messages of validate; the others are solved as columns, and one array
+    pass computes lambda, delta and big_delta at every root.  Returns, in
+    request order, the SolveResult or the error solve_energy would raise
+    for that request, with the same values and messages.
+    """
+    opts = options if options is not None else _DEFAULT_OPTIONS
+    requests = list(requests)
+    out: list[SolveResult | RsphoError | None] = [_invalid(r) for r in requests]
+    index = [i for i, error in enumerate(out) if error is None]
+    if not index:
+        return out
+    cols = _columns([requests[i] for i in index])
+    sol = solve_columns(cols, opts)
     request = _stack(cols)
-    E, f, steps, a_end, b_end, capped = _polish_rows(request, a, b, fa, fb,
-                                                     opts.abs_tol_E)
-    # Where a polished E has a residual that is not NaN, every radicand of
-    # lambda, delta and big_delta is in its domain.
-    E = E[:, None]
+    E = sol.E[:, None]
+    # NaN where a request failed; elsewhere every radicand is in its domain.
     with np.errstate(invalid="ignore"):
         lam = lambda_separation(E, request.M, request.params, request.qn.m,
                                 request.qn.n_theta, request.branch,
                                 request.symmetry)
         ansatz = radial_ansatz(E, request.M, request.params.K, request.params.A,
                                lam, request.symmetry)
-    out = []
-    for req, n, (first, last), *row in zip(
-            requests, count.tolist(), ends, a.tolist(), b.tolist(),
-            a_end.tolist(), b_end.tolist(), capped.tolist(), E.ravel().tolist(),
-            f.tolist(), steps.tolist(), lam.ravel().tolist(),
-            ansatz.delta.ravel().tolist(), ansatz.big_delta.ravel().tolist()):
-        (a_r, b_r, a_end_r, b_end_r, capped_r, e, residual, iterations,
-         lam_r, delta, big) = row
-        error = _no_root(n, first, last, opts)
-        if error is None and capped_r:
-            error = _step_cap_error(a_end_r, b_end_r)
-        elif error is None and math.isnan(residual):
-            error = _domain_error(req, e)
-        if error is not None:
-            out.append(error)
+    for i, failed, e, lam_r, delta, big, residual, iterations, a, b, n, *fail in zip(
+            index, *(x.ravel().tolist() for x in (
+                sol.failed, sol.E, lam, ansatz.delta, ansatz.big_delta, sol.residual,
+                sol.iterations, sol.a, sol.b, sol.count, sol.capped, sol.end_a,
+                sol.end_b, sol.point))):
+        if failed:
+            out[i] = _row_error(requests[i], opts, n, *fail)
         else:
-            out.append(SolveResult(E=e, lam=lam_r, delta=delta, big_delta=big,
-                                   residual=residual, iterations=iterations,
-                                   bracket=(a_r, b_r), root_count_in_scan=n))
-    return out
-
-
-def solve_energies(requests: Iterable[SolveRequest],
-                   options: SolverOptions | None = None
-                   ) -> list[SolveResult | RsphoError]:
-    """solve_energy for many requests, solved column-wise in array calls.
-
-    The requests that pass validation are scanned in chunks of up to
-    _SCAN_CHUNK grid points, requests with the same scan ends together,
-    then polished and finished all at once (see _solve_rows).  Returns, in
-    request order, the SolveResult or the error solve_energy would raise
-    for that request, with the same values and messages.
-    """
-    opts = options if options is not None else _DEFAULT_OPTIONS
-    requests = list(requests)
-    out: list[SolveResult | RsphoError | None] = [None] * len(requests)
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, req in enumerate(requests):
-        try:
-            groups.setdefault(_scan_ends(req, opts), []).append(i)
-        except RsphoError as exc:
-            out[i] = exc
-    if not groups:
-        return out
-    order, ends, chunks = _chunks(groups, max(1, _SCAN_CHUNK // opts.scan_points))
-    solved = _solve_rows([requests[i] for i in order], ends, chunks, opts)
-    for i, res in zip(order, solved):
-        out[i] = res
+            out[i] = SolveResult(E=e, lam=lam_r, delta=delta, big_delta=big,
+                                 residual=residual, iterations=iterations,
+                                 bracket=(a, b), root_count_in_scan=n)
     return out
 
 

@@ -21,8 +21,9 @@ import rspho.cli
 import rspho.thermo
 from rspho.cli import SOLVE_HEADER, TABLE_HEADER, main
 from rspho.errors import RsphoError
-from rspho.model import PotentialParams, QuantumNumbers, SolveRequest, Symmetry
-from rspho.spectrum import solve_energy
+from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
+                         SolveRequest, Symmetry)
+from rspho.spectrum import SolverOptions, solve_energy
 from rspho.thermo import nonrelativistic_levels, thermo_point
 
 SPIN_ARGS = ["--symmetry", "spin", "--n", "1", "--m", "0", "--A", "6",
@@ -103,6 +104,19 @@ class TestSolve:
         code, _, err = run_cli(["solve"] + SPIN_ARGS + ["--tol", "0"])
         assert code == 1
         assert "--tol" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf"])
+    def test_infinite_tolerance(self, tol):
+        # An infinite tolerance would print the unpolished bracket end.
+        code, out, err = run_cli(["solve"] + SPIN_ARGS + ["--tol", tol])
+        assert (code, out) == (1, "")
+        assert "--tol" in err
+
+    def test_unwritable_output_file(self, tmp_path):
+        target = tmp_path / "missing" / "row.csv"
+        code, out, err = run_cli(["solve"] + SPIN_ARGS + ["--output", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write output file {target}: ")
 
     def test_no_subcommand(self):
         code, _, err = run_cli([])
@@ -237,6 +251,59 @@ class TestSweep:
                     empty += 1
                 assert cell == expected, (x, m)
         assert 0 < empty < 3 * len(xs)
+
+    # Each swept coefficient with both series, both symmetries, both
+    # branches and conventions, --ntheta, a loose tolerance and 12 decimals.
+    @pytest.mark.parametrize("vary,start,stop,series,options", [
+        ("A", 6.0, 7.5, "n", ["--symmetry", "spin"]),
+        ("A", -6.0, -2.0, "m", ["--symmetry", "pseudospin", "--n", "1",
+                                "--branch", "minus", "--precision", "12"]),
+        ("B", -0.1, 0.3, "n", ["--symmetry", "spin", "--convention", "equation",
+                               "--ntheta", "2"]),
+        ("B", 0.0, 0.8, "m", ["--symmetry", "pseudospin", "--n", "0", "--tol", "1e-3"]),
+        ("K", -2.0, 6.0, "n", ["--symmetry", "spin", "--tol", "1e-3", "--precision", "12"]),
+        ("K", -6.0, 1.0, "m", ["--symmetry", "pseudospin", "--n", "2", "--ntheta", "1",
+                               "--convention", "equation", "--branch", "minus"]),
+    ])
+    def test_cells_match_solve_energy(self, vary, start, stop, series, options):
+        symmetry = options[1]
+        fixed = (dict(A=6.0, B=-0.05, C=0.005, K=5.0, M=5.0) if symmetry == "spin"
+                 else dict(A=-4.0, B=0.5, C=0.005, K=-5.0, M=3.0))
+        values = [0, 1, 3] if series == "n" else [-1, 0, 2]
+        argv = ["sweep", "--vary", vary, "--from", str(start), "--to", str(stop),
+                "--steps", "9", "--series", series,
+                "--series-values=" + ",".join(map(str, values))] + options
+        for name, value in fixed.items():
+            if name != vary:
+                argv += ["--" + name, str(value)]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        flags = dict(zip(options[::2], options[1::2]))
+        prec = int(flags.get("--precision", 8))
+        opts = SolverOptions(abs_tol_E=float(flags.get("--tol", 1e-12)))
+        rows = [row.split(",") for row in lines_of(out)[1:]]
+        xs = np.linspace(start, stop, 9).tolist()
+        assert len(rows) == len(xs)
+        empty = 0
+        for x, row in zip(xs, rows):
+            assert row[0] == f"{x:.{prec}g}"
+            for value, cell in zip(values, row[1:], strict=True):
+                n_r = value if series == "n" else int(flags["--n"])
+                qn = QuantumNumbers(n_r=n_r, n_theta=int(flags.get("--ntheta", n_r)),
+                                    m=value if series == "m" else 0)
+                params = {**fixed, vary: x}
+                req = SolveRequest(
+                    params=PotentialParams(**{k: params[k] for k in "KABC"}),
+                    M=params["M"], qn=qn, symmetry=Symmetry(symmetry),
+                    branch=BranchSign(flags.get("--branch", "plus")),
+                    convention=Convention(flags.get("--convention", "table")))
+                try:
+                    expected = f"{solve_energy(req, opts).E:.{prec}f}"
+                except RsphoError:
+                    expected = ""
+                    empty += 1
+                assert cell == expected, (x, value)
+        assert empty < len(rows) * len(values)
 
     def test_degenerate_range(self):
         code, _, err = run_cli([

@@ -15,8 +15,8 @@ from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.spectrum import (SolverOptions, energy_residual,
-                            nonrelativistic_energy, solve_energies,
-                            solve_energy)
+                            nonrelativistic_energy, request_columns,
+                            solve_columns, solve_energies, solve_energy)
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)
@@ -109,6 +109,43 @@ def mixed_requests(draw):
     if kind == "high_nr":
         return dataclasses.replace(req, qn=QuantumNumbers(
             n_r=draw(st.integers(1000, 2500)), m=req.qn.m))
+    return req
+
+
+@st.composite
+def edge_requests(draw):
+    """Requests at the edges of validation and of the scan interval: a
+    NaN or infinite coefficient, K of the wrong sign, M <= 0 or not
+    finite, a negative n_r or n_theta, B + C = 0 with |m| >= 1 (no slope,
+    no separation constant at any energy), |m| large enough to empty the
+    interval, or none of these."""
+    req = draw(valid_requests())
+    p, qn = req.params, req.qn
+    flaw = draw(st.sampled_from(["none", "coefficient", "K sign", "M", "n_r",
+                                 "n_theta", "zero slope", "large m"]))
+    if flaw == "coefficient":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return dataclasses.replace(req, params=dataclasses.replace(
+            p, **{draw(st.sampled_from("KABC")): value}))
+    if flaw == "K sign":
+        return dataclasses.replace(req, params=dataclasses.replace(p, K=-p.K))
+    if flaw == "M":
+        return dataclasses.replace(req, M=draw(st.sampled_from(
+            [0.0, -0.0, -1.0, math.inf, math.nan])))
+    if flaw == "n_r":
+        return dataclasses.replace(req, qn=QuantumNumbers(
+            n_r=draw(st.integers(-3, -1)), n_theta=qn.n_theta, m=qn.m))
+    if flaw == "n_theta":
+        return dataclasses.replace(req, qn=QuantumNumbers(
+            n_r=qn.n_r, n_theta=draw(st.integers(-3, -1)), m=qn.m))
+    if flaw == "zero slope":
+        m = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        return dataclasses.replace(req, params=dataclasses.replace(p, B=-p.C),
+                                   qn=QuantumNumbers(n_r=qn.n_r, n_theta=qn.n_theta, m=m))
+    if flaw == "large m":
+        m = draw(st.integers(3, 12)) * draw(st.sampled_from([1, -1]))
+        return dataclasses.replace(req, qn=QuantumNumbers(
+            n_r=qn.n_r, n_theta=qn.n_theta, m=m))
     return req
 
 
@@ -430,8 +467,9 @@ class TestSolveEnergies:
     def test_failed_polish_rows_fall_back(self, requests, hole, cap):
         # Residuals smaller than ``hole`` are made a domain error (NaN in an
         # array), and the step cap is lowered, so polish points fall in the
-        # hole and rows reach the cap: those rows are redone one at a time
-        # and must end in the same DomainError or ConvergenceError.
+        # hole and rows reach the cap: the batch builds those rows' errors
+        # itself, and they must equal solve_energy's DomainError or
+        # ConvergenceError.
         def holed(E, request):
             f = energy_residual(E, request)
             if isinstance(E, np.ndarray):
@@ -509,10 +547,67 @@ class TestSolveEnergies:
             assert_no_scan_arrays(exc, options.scan_points)
 
 
+class TestColumnForms:
+    """The array forms of validation and of the scan ends, over the columns
+    of many requests, against the scalar ones."""
+
+    @PROPERTY
+    @given(requests=st.lists(edge_requests(), min_size=1, max_size=30),
+           e_max_offset=st.sampled_from([None, None, 1e3, 0.5, 1e-3]))
+    def test_scan_ends_match_the_scalar(self, requests, e_max_offset):
+        # NaN exactly where the scalar form raises, its bits everywhere else.
+        opts = SolverOptions(e_max_offset=e_max_offset)
+        first, last = rspho.spectrum._scan_ends(rspho.spectrum._columns(requests), opts)
+        for req, ends in zip(requests, zip(first.tolist(), last.tolist())):
+            try:
+                expected = rspho.spectrum._scan_ends(req, opts)
+            except RsphoError:
+                assert math.isnan(ends[0]) and math.isnan(ends[1]), req
+                continue
+            assert repr(ends) == repr(expected), req
+
+    @PROPERTY
+    @given(requests=st.lists(edge_requests(), min_size=1, max_size=20),
+           e_max_offset=st.sampled_from([None, None, 0.5]))
+    def test_solve_columns_fails_where_solve_energy_raises(self, requests, e_max_offset):
+        opts = SolverOptions(e_max_offset=e_max_offset)
+        sol = solve_columns(rspho.spectrum._columns(requests), opts)
+        for req, e, failed in zip(requests, sol.E.tolist(), sol.failed.tolist()):
+            try:
+                expected = repr(solve_energy(req, opts).E)
+            except RsphoError:
+                expected = None
+            assert (None if failed else repr(e)) == expected, req
+            assert math.isnan(e) == failed
+
+    @settings(PROPERTY, max_examples=50)
+    @given(requests=st.lists(valid_requests(), min_size=1, max_size=10),
+           symmetry=st.sampled_from(Symmetry), branch=st.sampled_from(BranchSign),
+           convention=st.sampled_from(Convention))
+    def test_request_columns_is_the_layout_of_columns(self, requests, symmetry,
+                                                      branch, convention):
+        requests = [dataclasses.replace(r, symmetry=symmetry, branch=branch,
+                                        convention=convention) for r in requests]
+        numbers = {name: np.array([getattr(r.params, name) for r in requests])
+                   for name in "KABC"}
+        cols = request_columns(**numbers, M=np.array([r.M for r in requests]),
+                               n_r=np.array([r.qn.n_r for r in requests]),
+                               n_theta=np.array([r.qn.n_theta for r in requests]),
+                               m=np.array([r.qn.m for r in requests]),
+                               symmetry=symmetry, branch=branch, convention=convention)
+        assert cols.tobytes() == rspho.spectrum._columns(requests).tobytes()
+
+
 class TestSolverOptions:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverOptions(abs_tol_E=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_tolerance_that_is_not_finite(self, tol):
+        # An infinite tolerance would end the polish before its first step.
+        with pytest.raises(ValueError, match="finite"):
+            SolverOptions(abs_tol_E=tol)
 
     def test_rejects_bad_scan(self):
         with pytest.raises(ValueError):
