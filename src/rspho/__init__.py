@@ -18,7 +18,7 @@ from .radial import (RadialSolution, WavefunctionSamples, effective_scale,
                      radial_ansatz, radial_spectrum, radial_wavefunction,
                      wavefunction_scales)
 from .spectrum import (SolveResult, SolverOptions, energy_residual,
-                       nonrelativistic_energy, solve_energies, solve_energy)
+                       nonrelativistic_energy, solve_energy)
 from .thermo import (ThermoPoint, nonrelativistic_levels, partition_function,
                      thermo_point)
 
@@ -37,6 +37,6 @@ __all__ = [
     "partner_potentials_angular", "partner_potentials_radial",
     "partition_function", "q_of_vtilde", "radial_ansatz", "radial_spectrum",
     "radial_wavefunction", "shape_invariance_chain", "solve_angular",
-    "solve_energies", "solve_energy", "thermo_point", "v_tilde", "validate",
+    "solve_energy", "thermo_point", "v_tilde", "validate",
     "verify_angular", "verify_radial", "wavefunction_scales",
 ]

@@ -10,9 +10,13 @@ any other key is an error.
 table and sweep build one array per number of their cells (the swept
 values repeated across the series, the series tiled across the sweep)
 and solve them together with spectrum.solve_columns, formatting the CSV
-from the energies and the failure mask it returns.  A failed sweep cell
-is empty; table fails with the error that solve_energy raises for its
-first failed row.
+from the energies it returns, NaN where a cell failed.  A failed sweep
+cell is empty; table fails with the error that solve_energy raises for
+its first failed row.
+
+A flag's value may start with a minus sign, as in ``--series-values
+-3,0,5``: argparse would read it as an unknown flag, so a token that
+starts with a minus sign and a digit is joined to the flag before it.
 
 Exit codes: 0 success, 1 usage error (including an --output file that
 cannot be written), 2 domain or convergence failure, 3 verification
@@ -25,6 +29,7 @@ import argparse
 import functools
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -168,18 +173,19 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = list(itertools.product(spec["n_values"], spec["A_values"], spec["m_values"]))
     n, A, m = np.array(rows, dtype=float).T
     symmetry = Symmetry(spec["symmetry"])
-    sol = solve_columns(request_columns(K=spec["K"], A=A, B=spec["B"], C=spec["C"],
-                                        M=spec["M"], n_r=n, n_theta=n, m=m,
-                                        symmetry=symmetry))
-    if sol.failed.any():
+    E = solve_columns(request_columns(K=spec["K"], A=A, B=spec["B"], C=spec["C"],
+                                      M=spec["M"], n_r=n, n_theta=n, m=m,
+                                      symmetry=symmetry))
+    failed = np.isnan(E)
+    if failed.any():
         # solve_energy raises on exactly the rows that failed; the first
         # one in row order gives the command its error.
-        n_r, a, m_r = rows[sol.failed.argmax()]
+        n_r, a, m_r = rows[failed.argmax()]
         solve_energy(SolveRequest(
             params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
             M=spec["M"], qn=QuantumNumbers(n_r=n_r, m=m_r), symmetry=symmetry))
     fixed = [_param(spec[name]) for name in ("B", "C", "K", "M")]
-    for (n_r, a, m_r), e in zip(rows, sol.E.tolist()):
+    for (n_r, a, m_r), e in zip(rows, E.tolist()):
         lines.append(",".join([str(n_r), str(m_r), str(n_r), _param(a), *fixed,
                                _fixed(e, prec)]))
     _emit(lines, args.output)
@@ -216,9 +222,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            symmetry=Symmetry(args.symmetry),
                            branch=BranchSign(args.branch),
                            convention=Convention(args.convention))
-    sol = solve_columns(cols, _solver_options(args))
-    cells = ["" if failed else _fixed(e, prec)
-             for e, failed in zip(sol.E.tolist(), sol.failed.tolist())]
+    E = solve_columns(cols, _solver_options(args))
+    cells = ["" if math.isnan(e) else _fixed(e, prec) for e in E.tolist()]
     width = len(series_values)
     lines = ["x," + ",".join(f"{args.series}={sv}" for sv in series_values)]
     for i, x in enumerate(xs.tolist()):
@@ -470,10 +475,27 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each token that starts like a negative number ("-3,0,5",
+    "-1e5") joined to the flag before it as ``--flag=token``.
+
+    argparse takes only a plain negative number ("-3", "-0.5") for a
+    value; any other token that starts with a minus sign it reads as a
+    flag, and the flag before it then lacks its argument.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_with_config(argv))
+        args = _build_parser().parse_args(_with_config(_join_negative_values(argv)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

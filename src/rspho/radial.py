@@ -82,37 +82,40 @@ class WavefunctionSamples:
 
 
 def radial_terms(E, M: float, K: float, A: float, lam, symmetry):
-    """The inverse-square strength and the squared oscillator scale at E.
+    """The inverse-square strength, its radial root and the squared
+    oscillator scale at E.
 
         delta'      = s*2*A*(E + M) + lambda
+        root        = sqrt(1/4 + delta')
         big_delta^2 = s*K*(E + M)             (s = +1 spin, -1 pseudo-spin)
 
-    Returns (delta', big_delta^2).  E and lam may be floats or arrays.  The
-    stiffness must be positive for big_delta to be real: a float that is
-    not raises DomainError; an array is returned unchecked, for the caller
-    to mask (see numerics.positive).
+    Returns (delta', root, big_delta^2).  E and lam may be floats or
+    arrays.  The stiffness must be positive for big_delta to be real and
+    the radicand 1/4 + delta' nonnegative for the root: a float that is
+    not raises DomainError, the stiffness checked first; an array is
+    returned unchecked, NaN where the radicand is negative, and the caller
+    masks the stiffness (see numerics.positive).
     """
     s = symmetry.coupling_sign
     fac = E + M
     stiff = positive(s * K * fac,
                      "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
-    return s * 2.0 * A * fac + lam, stiff
+    delta_prime = s * 2.0 * A * fac + lam
+    root = sqrt(nonnegative(0.25 + delta_prime,
+                            "radial radicand negative: 1/4 + delta' = {}"))
+    return delta_prime, root, stiff
 
 
 def radial_ansatz(E, M: float, K: float, A: float, lam,
                   symmetry, n_r: int = 0) -> RadialSolution:
     """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
 
-    Requires s*K*(E + M) > 0 (see radial_terms) so the oscillator
-    stiffness is real, and a nonnegative discriminant 1 + 4*delta_prime so
-    delta is real.  E and lam may be arrays, as in radial_terms; the
-    fields of the result are then arrays too, NaN where the discriminant
-    or the stiffness is negative.
+    Requires s*K*(E + M) > 0 so the oscillator stiffness is real, and
+    1/4 + delta_prime >= 0 so delta = -1/2 - sqrt(1/4 + delta_prime) is
+    real; radial_terms raises DomainError otherwise.
     """
-    delta_prime, stiff = radial_terms(E, M, K, A, lam, symmetry)
-    disc = nonnegative(1.0 + 4.0 * delta_prime,
-                       "ansatz discriminant negative: 1 + 4*delta' = {}")
-    delta = -0.5 * (1.0 + sqrt(disc))
+    delta_prime, root, stiff = radial_terms(E, M, K, A, lam, symmetry)
+    delta = -0.5 - root
     big_delta = sqrt(stiff)
     return RadialSolution(delta=delta, delta_prime=delta_prime,
                           big_delta=big_delta,
@@ -240,20 +243,18 @@ def wavefunction_scales(request: SolveRequest, E: float, lam: float,
     """
     p = request.params
     if mass_factor == "eplus":
-        delta_prime, stiff = radial_terms(E, request.M, p.K, p.A, lam,
-                                          request.symmetry)
-    elif mass_factor == "eminus":
-        fac = E - request.M
-        stiff = p.K * fac
-        if stiff <= 0.0:
-            raise DomainError(
-                f"oscillator stiffness imaginary under mass_factor='eminus': "
-                f"K*factor = {stiff} must be positive")
-        delta_prime = 2.0 * p.A * fac + lam
-    else:
+        _, root, stiff = radial_terms(E, request.M, p.K, p.A, lam, request.symmetry)
+        return -0.5 + root, math.sqrt(stiff)
+    if mass_factor != "eminus":
         raise ValueError(f"mass_factor must be 'eplus' or 'eminus' (got {mass_factor!r})")
-    disc = 0.25 + delta_prime
+    fac = E - request.M
+    stiff = p.K * fac
+    if stiff <= 0.0:
+        raise DomainError(
+            f"oscillator stiffness imaginary under mass_factor='eminus': "
+            f"K*factor = {stiff} must be positive")
+    # Not radial_terms' delta': the couplings multiply E - M here.
+    disc = 0.25 + (2.0 * p.A * fac + lam)
     if disc < 0.0:
         raise DomainError(f"L is complex: 1/4 + delta' = {disc} < 0")
-    L = -0.5 + math.sqrt(disc)
-    return L, math.sqrt(stiff)
+    return -0.5 + math.sqrt(disc), math.sqrt(stiff)

@@ -20,26 +20,19 @@ superlinearly; every step lands at least half the tolerance inside the
 bracket, so the bracket shrinks even where the chord points at one of
 its ends.
 
-solve_energy does this for one request.  solve_columns does it for many,
-column-wise: it takes the requests' numbers as an (11, requests) array
-(request_columns builds one), validates them and computes their scan
-intervals with the same formulas applied to arrays, and returns the
-energies with a mask of the requests that failed.  For the scan and the
-polish the numbers become (requests x 1) columns; a number equal in every
-row stays one float, and requests with equal scan ends share one grid, so
-numpy broadcasting computes what they share once.  The scan runs in
-chunks of (requests x scan points), each one residual call, and picks
-every row's bracket with array operations.  One Illinois loop then steps
-every row at once, one residual call per step.  A request fails exactly
-where solve_energy raises, and its energy has solve_energy's bits.
-
-solve_energies takes a list of requests through solve_columns.  It
-validates each one first, so that a request that fails gets validate's
-messages, computes lambda, delta and big_delta at every root in one array
-pass, and builds each failed request's error from its row: the scan's
-error, the step-cap error, or the error the scalar residual raises where
-a polish step left the domain.  Its results equal solve_energy's, bit for
-bit, request by request.
+solve_energy does this for one request and returns the energy with its
+diagnostics, or raises.  solve_columns does it for many, column-wise: it
+takes the requests' numbers as an (11, requests) array (request_columns
+builds one), validates them and computes their scan intervals with the
+same formulas applied to arrays, and returns only the energies.  For the
+scan and the polish the numbers become (requests x 1) columns; a number
+equal in every row stays one float, and requests with equal scan ends
+share one grid, so numpy broadcasting computes what they share once.  The
+scan runs in chunks of (requests x scan points), each one residual call,
+and picks every row's bracket with array operations.  One Illinois loop
+then steps every row at once, one residual call per step.  An energy is
+NaN exactly where solve_energy raises for that request, and has
+solve_energy's bits everywhere else.
 """
 
 from __future__ import annotations
@@ -47,15 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .angular import lambda_from_coupling, lambda_separation
-from .errors import ConvergenceError, DomainError, NoRootError, RsphoError
+from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, numeric_checks, validate)
-from .numerics import nonnegative, positive, sqrt
+from .numerics import positive, sqrt
 from .radial import radial_ansatz, radial_terms
 
 __all__ = [
@@ -63,8 +55,6 @@ __all__ = [
     "SolverOptions",
     "energy_residual",
     "solve_energy",
-    "solve_energies",
-    "ColumnSolve",
     "request_columns",
     "solve_columns",
     "nonrelativistic_energy",
@@ -157,9 +147,7 @@ def _residual(E, request: SolveRequest):
     fac = positive(E + M, "E + M must be positive (got {})")
     lam = lambda_separation(E, M, p, qn.m, qn.n_theta, request.branch,
                             request.symmetry)
-    delta_prime, stiff = radial_terms(E, M, p.K, p.A, lam, request.symmetry)
-    root = sqrt(nonnegative(0.25 + delta_prime,
-                            "radial radicand negative: 1/4 + delta' = {}"))
+    _, root, stiff = radial_terms(E, M, p.K, p.A, lam, request.symmetry)
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)
     rhs = (request.convention.coefficient * sqrt(stiff) / fac
            * (2.0 * qn.n_r + 1.0 + root))
@@ -221,15 +209,6 @@ def _scan_interval(K, B, C, M, m, s, opts: SolverOptions):
     return lo + margin, hi - margin
 
 
-def _invalid(request: SolveRequest) -> DomainError | None:
-    """The error of a request that fails validation, or None."""
-    violations = validate(request)
-    if violations:
-        return DomainError("invalid request: "
-                           + "; ".join(v.message for v in violations))
-    return None
-
-
 def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
     """Validate requests and return the first and last point of their scans
     (see _scan_interval).
@@ -247,9 +226,10 @@ def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
             valid = np.logical_and.reduce(numeric_checks(K, A, B, C, M, s, n_r, n_theta))
         first[~valid] = last[~valid] = np.nan
         return first, last
-    error = _invalid(request)
-    if error is not None:
-        raise error
+    violations = validate(request)
+    if violations:
+        raise DomainError("invalid request: "
+                          + "; ".join(v.message for v in violations))
     return _scan_interval(request.params.K, request.params.B, request.params.C,
                           request.M, request.qn.m, request.symmetry.coupling_sign,
                           opts)
@@ -262,25 +242,14 @@ def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
     """Requests as the (11, R) array that solve_columns takes.
 
     Each number is a float, the same in every request, or a 1-D array of
-    one value per request; at least one must be an array.  Row r of the
-    result holds, as _columns does for a list of requests, K, A, B, C, M,
-    n_r, n_theta, m and the numeric properties of the three enums.
+    one value per request; at least one must be an array.  Column i of
+    the result is request i; its rows hold K, A, B, C, M, n_r, n_theta, m
+    and the enums' numeric properties coupling_sign, sign and coefficient.
     """
     numbers = (K, A, B, C, M, n_r, n_theta, m, symmetry.coupling_sign,
                branch.sign, convention.coefficient)
     return np.array(np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                           for x in numbers)))
-
-
-def _columns(requests: list[SolveRequest]) -> np.ndarray:
-    """The numbers of each request as an (11, R) array, one column per
-    request: K, A, B, C, M, n_r, n_theta, m and the enums' numeric
-    properties coupling_sign, sign and coefficient."""
-    return np.array(
-        [(r.params.K, r.params.A, r.params.B, r.params.C, r.M,
-          r.qn.n_r, r.qn.n_theta, r.qn.m, r.symmetry.coupling_sign,
-          r.branch.sign, r.convention.coefficient) for r in requests],
-        dtype=float).T
 
 
 def _stack(cols: np.ndarray) -> SolveRequest:
@@ -368,27 +337,6 @@ def _scan_one(request: SolveRequest, first: float, last: float,
     return len(starts), a, grid.item(i + 1), fa, values.item(i + 1)
 
 
-def _no_root(count: int, first: float, last: float,
-             opts: SolverOptions) -> NoRootError | None:
-    """The error for a scan from first to last with ``count`` brackets, if
-    it has no bracket ``opts.root_index``."""
-    if count == 0:
-        return NoRootError(
-            f"no sign change of the energy residual on [{first}, {last}] "
-            f"with {opts.scan_points} scan points")
-    if opts.root_index >= count:
-        return NoRootError(
-            f"root index {opts.root_index} requested but the scan found only "
-            f"{count} bracket(s)")
-    return None
-
-
-def _step_cap_error(a: float, b: float) -> ConvergenceError:
-    """The error of a polish that reaches its step cap with bracket [a, b]."""
-    return ConvergenceError(f"root polish exceeded {_MAX_POLISH_STEPS} iterations; "
-                            f"interval [{a}, {b}]")
-
-
 def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
             abs_tol: float) -> tuple[float, float, int]:
     """Shrink the bracket [a, b] around a root of the residual.
@@ -409,7 +357,8 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
     while b - a > (tol := abs_tol + 4.0 * _EPS * abs(0.5 * (a + b))):
         steps += 1
         if steps > _MAX_POLISH_STEPS:
-            raise _step_cap_error(a, b)
+            raise ConvergenceError(f"root polish exceeded {_MAX_POLISH_STEPS} "
+                                   f"iterations; interval [{a}, {b}]")
         c = b - gb * (b - a) / (gb - ga)
         if not c > a + 0.5 * tol:
             c = a + 0.5 * tol
@@ -441,20 +390,18 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     every row in one residual call, and a row stops where _polish would
     stop it, with the same arithmetic.  A point outside the domain (NaN)
     closes its row's bracket on that point, where _polish would raise.
-    Returns (E, f(E), steps, a, b, capped): the final brackets, and
-    ``capped`` marks the rows that reached the step cap.
+    Returns (E, f(E), capped): ``capped`` marks the rows that reached the
+    step cap, where _polish would raise too.
     """
     sides = np.array([[a, fa, fa], [b, fb, fb]])    # point, f, chord weight
     (a, fa, ga), (b, fb, gb) = sides
     new = np.empty((3,) + a.shape)                  # c, f(c), f(c)
     left = right = np.zeros(a.shape, dtype=bool)    # which end moved last
-    steps = np.zeros(a.shape, dtype=int)
     for step in range(_MAX_POLISH_STEPS + 1):
         tol = abs_tol + 4.0 * _EPS * np.abs(0.5 * (a + b))
         active = b - a > tol
         if step == _MAX_POLISH_STEPS or not active.any():
             break
-        steps += active
         # A finished row's chord may divide 0 by 0; its point is not used.
         with np.errstate(divide="ignore", invalid="ignore"):
             c = b - gb * (b - a) / (gb - ga)
@@ -474,9 +421,8 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
         np.copyto(sides[0], new, where=keep_a | closed)
         np.copyto(sides[1], new, where=keep_b | closed)
     at_a = np.abs(fa) <= np.abs(fb)
-    f = np.where(at_a, fa, fb)
     # Rows still active here have reached the step cap.
-    return np.where(at_a, a, b), f, steps, a, b, active
+    return np.where(at_a, a, b), np.where(at_a, fa, fb), active
 
 
 def solve_energy(request: SolveRequest,
@@ -491,9 +437,14 @@ def solve_energy(request: SolveRequest,
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(request, opts)
     count, a, b, fa, fb = _scan_one(request, first, last, opts)
-    error = _no_root(count, first, last, opts)
-    if error is not None:
-        raise error
+    if count == 0:
+        raise NoRootError(
+            f"no sign change of the energy residual on [{first}, {last}] "
+            f"with {opts.scan_points} scan points")
+    if opts.root_index >= count:
+        raise NoRootError(
+            f"root index {opts.root_index} requested but the scan found only "
+            f"{count} bracket(s)")
     energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
     lam = lambda_separation(energy, request.M, request.params, request.qn.m,
                             request.qn.n_theta, request.branch, request.symmetry)
@@ -503,16 +454,6 @@ def solve_energy(request: SolveRequest,
                        big_delta=ansatz.big_delta, residual=residual,
                        iterations=iterations, bracket=(a, b),
                        root_count_in_scan=count)
-
-
-def _domain_error(request: SolveRequest, E: float) -> DomainError:
-    """The DomainError that energy_residual raises at E, a polish point
-    where its array form gave NaN."""
-    try:
-        energy_residual(E, request)
-    except DomainError as exc:
-        return exc
-    return DomainError(f"energy residual is NaN at E = {E!r}")
 
 
 def _chunks(ends: list, rows: int):
@@ -544,50 +485,22 @@ def _chunks(ends: list, rows: int):
     return order, chunks
 
 
-class ColumnSolve(NamedTuple):
-    """What solve_columns finds, one element per request.
-
-    ``E`` holds the energies, NaN where ``failed``: there solve_energy
-    raises.  The rest is what a SolveResult or the request's error is
-    made of: the scan's bracket count and the bracket (a, b) it picked,
-    and the polish's closing point, residual there, step count, final
-    bracket (end_a, end_b) and whether it reached the step cap.  A request
-    that fails before its scan has count 0, NaN numbers and no steps.
-    """
-
-    E: np.ndarray
-    failed: np.ndarray
-    count: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    point: np.ndarray
-    residual: np.ndarray
-    iterations: np.ndarray
-    end_a: np.ndarray
-    end_b: np.ndarray
-    capped: np.ndarray
-
-
 def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
-                  ) -> ColumnSolve:
-    """solve_energy for the requests of an (11, R) array of columns
-    (see request_columns), solved column-wise in array calls.
+                  ) -> np.ndarray:
+    """solve_energy's energy for each request of an (11, R) array of
+    columns (see request_columns), solved column-wise in array calls.
 
     Validation (the numeric checks of model.validate) and the scan ends
     are array operations over the columns.  The requests that pass are
     scanned in chunks of up to _SCAN_CHUNK grid points, requests with the
     same scan ends together, and then polished all at once, one residual
-    call per Illinois step.  A request fails exactly where solve_energy
-    raises for it, and its energy has solve_energy's bits.
+    call per Illinois step.  Returns the R energies: NaN exactly where
+    solve_energy raises for the request, solve_energy's bits elsewhere.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(cols, opts)
     scanned = np.flatnonzero(~np.isnan(first))
-    size = cols.shape[1]
-    count = np.zeros(size, dtype=int)
-    iterations = np.zeros(size, dtype=int)
-    capped = np.zeros(size, dtype=bool)
-    a, b, point, residual, end_a, end_b = np.full((6, size), np.nan)
+    E = np.full(cols.shape[1], np.nan)
     if scanned.size:
         order, chunks = _chunks(list(zip(first[scanned].tolist(), last[scanned].tolist())),
                                 max(1, _SCAN_CHUNK // opts.scan_points))
@@ -598,72 +511,12 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
             part = rows[start:stop]
             ends = (first[part[0]], last[part[0]]) if shared else (first[part], last[part])
             scans.append(_scan(_stack(cols[:, start:stop]), stop - start, *ends, opts))
-        count[rows], a[rows], b[rows], fa, fb = (np.concatenate(x) for x in zip(*scans))
-        (point[rows], residual[rows], iterations[rows], end_a[rows], end_b[rows],
-         capped[rows]) = _polish_rows(_stack(cols), a[rows], b[rows], fa, fb, opts.abs_tol_E)
-    # A NaN residual: the polish stepped outside the domain.
-    failed = (count <= opts.root_index) | capped | np.isnan(residual)
-    return ColumnSolve(np.where(failed, np.nan, point), failed, count, a, b, point,
-                       residual, iterations, end_a, end_b, capped)
-
-
-def _row_error(request: SolveRequest, opts: SolverOptions, count: int,
-               capped: bool, end_a: float, end_b: float,
-               point: float) -> RsphoError:
-    """The error solve_energy raises for a request that solve_columns
-    failed, from the request's row of the ColumnSolve."""
-    try:
-        first, last = _scan_ends(request, opts)
-    except RsphoError as exc:
-        return exc
-    error = _no_root(count, first, last, opts)
-    if error is None and capped:
-        error = _step_cap_error(end_a, end_b)
-    elif error is None:
-        error = _domain_error(request, point)
-    return error
-
-
-def solve_energies(requests: Iterable[SolveRequest],
-                   options: SolverOptions | None = None
-                   ) -> list[SolveResult | RsphoError]:
-    """solve_energy for many requests, through solve_columns.
-
-    Each request is validated first, so that one that fails gets the
-    messages of validate; the others are solved as columns, and one array
-    pass computes lambda, delta and big_delta at every root.  Returns, in
-    request order, the SolveResult or the error solve_energy would raise
-    for that request, with the same values and messages.
-    """
-    opts = options if options is not None else _DEFAULT_OPTIONS
-    requests = list(requests)
-    out: list[SolveResult | RsphoError | None] = [_invalid(r) for r in requests]
-    index = [i for i, error in enumerate(out) if error is None]
-    if not index:
-        return out
-    cols = _columns([requests[i] for i in index])
-    sol = solve_columns(cols, opts)
-    request = _stack(cols)
-    E = sol.E[:, None]
-    # NaN where a request failed; elsewhere every radicand is in its domain.
-    with np.errstate(invalid="ignore"):
-        lam = lambda_separation(E, request.M, request.params, request.qn.m,
-                                request.qn.n_theta, request.branch,
-                                request.symmetry)
-        ansatz = radial_ansatz(E, request.M, request.params.K, request.params.A,
-                               lam, request.symmetry)
-    for i, failed, e, lam_r, delta, big, residual, iterations, a, b, n, *fail in zip(
-            index, *(x.ravel().tolist() for x in (
-                sol.failed, sol.E, lam, ansatz.delta, ansatz.big_delta, sol.residual,
-                sol.iterations, sol.a, sol.b, sol.count, sol.capped, sol.end_a,
-                sol.end_b, sol.point))):
-        if failed:
-            out[i] = _row_error(requests[i], opts, n, *fail)
-        else:
-            out[i] = SolveResult(E=e, lam=lam_r, delta=delta, big_delta=big,
-                                 residual=residual, iterations=iterations,
-                                 bracket=(a, b), root_count_in_scan=n)
-    return out
+        count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
+        point, residual, capped = _polish_rows(_stack(cols), a, b, fa, fb, opts.abs_tol_E)
+        # A NaN residual: the polish stepped outside the domain.
+        failed = (count <= opts.root_index) | capped | np.isnan(residual)
+        E[rows] = np.where(failed, np.nan, point)
+    return E
 
 
 def nonrelativistic_energy(params: PotentialParams, mu: float,

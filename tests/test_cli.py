@@ -305,6 +305,18 @@ class TestSweep:
                 assert cell == expected, (x, value)
         assert empty < len(rows) * len(values)
 
+    def test_negative_first_series_value(self):
+        # argparse reads "-1,0,2" after a flag as a flag of its own; it must
+        # be the flag's value, as in the "=" form, with flags after it parsed.
+        argv = ["sweep", "--vary", "A", "--from", "-6", "--to", "-2", "--steps", "3",
+                "--series", "m", "--n", "1", "--B", "0.5", "--C", "0.005",
+                "--K", "-5", "--M", "3"]
+        joined = run_cli(argv + ["--series-values=-1,0,2", "--symmetry", "pseudospin"])
+        spaced = run_cli(argv + ["--series-values", "-1,0,2", "--symmetry", "pseudospin"])
+        assert joined[0] == 0 and joined[2] == ""
+        assert lines_of(joined[1])[0] == "x,m=-1,m=0,m=2"
+        assert spaced == joined
+
     def test_degenerate_range(self):
         code, _, err = run_cli([
             "sweep", "--vary", "A", "--from", "6", "--to", "6",

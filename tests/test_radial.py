@@ -55,7 +55,7 @@ class TestRadialAnsatz:
             radial_ansatz(E=1.0, M=1.0, K=-1.0, A=0.0, lam=0.0, symmetry=Symmetry.SPIN)
 
     def test_negative_discriminant_rejected(self):
-        with pytest.raises(DomainError, match="discriminant"):
+        with pytest.raises(DomainError, match="radial radicand"):
             radial_ansatz(E=1.0, M=1.0, K=1.0, A=0.0, lam=-10.0, symmetry=Symmetry.SPIN)
 
 

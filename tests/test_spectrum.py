@@ -16,7 +16,7 @@ from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.spectrum import (SolverOptions, energy_residual,
                             nonrelativistic_energy, request_columns,
-                            solve_columns, solve_energies, solve_energy)
+                            solve_columns, solve_energy)
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)
@@ -169,19 +169,31 @@ def grouped_requests(draw):
     return rows
 
 
-def outcomes(results):
-    """Each result's repr, or its error's type and message: equal reprs are
-    equal bits, since repr prints every float exactly."""
-    return [(type(r), str(r)) if isinstance(r, Exception) else repr(r) for r in results]
+def columns(requests):
+    """The requests' numbers as the (11, R) array that solve_columns takes,
+    one column per request, in the row order of request_columns."""
+    return np.array(
+        [(r.params.K, r.params.A, r.params.B, r.params.C, r.M,
+          r.qn.n_r, r.qn.n_theta, r.qn.m, r.symmetry.coupling_sign,
+          r.branch.sign, r.convention.coefficient) for r in requests],
+        dtype=float).reshape(-1, 11).T
+
+
+def energies(E):
+    """Each energy's repr, None where it is NaN: equal reprs are equal
+    bits, since repr prints every float exactly."""
+    return [None if math.isnan(e) else repr(e) for e in E.tolist()]
 
 
 def one_by_one(requests, opts):
+    """solve_energy's energy for each request as its repr, None where
+    solve_energy raises."""
     out = []
     for req in requests:
         try:
-            out.append(solve_energy(req, opts))
-        except RsphoError as exc:
-            out.append(exc)
+            out.append(repr(solve_energy(req, opts).E))
+        except RsphoError:
+            out.append(None)
     return out
 
 
@@ -350,6 +362,9 @@ class TestPolish:
 
 
 class TestSolveEnergies:
+    """solve_columns against solve_energy: each energy NaN exactly where
+    solve_energy raises, and with solve_energy's bits elsewhere."""
+
     # Twice the examples, so that each kind of batch gets as many as one alone.
     @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)
     @given(requests=st.one_of(st.lists(mixed_requests(), max_size=24), grouped_requests()),
@@ -360,14 +375,14 @@ class TestSolveEnergies:
         # 5e-324 leaves only the four-ulp floor, so the polish takes the most steps.
         opts = SolverOptions(scan_points=points, root_index=root_index,
                              e_max_offset=e_max_offset, abs_tol_E=abs_tol)
-        batch = solve_energies(requests, opts)
-        assert len(batch) == len(requests)
-        assert outcomes(batch) == outcomes(one_by_one(requests, opts))
+        E = solve_columns(columns(requests), opts)
+        assert E.shape == (len(requests),)
+        assert energies(E) == one_by_one(requests, opts)
 
     def test_identical_requests(self):
         # Every number is shared, so the residual comes back as one row.
         requests = [spin_request(n=2)] * 5
-        assert outcomes(solve_energies(requests)) == outcomes(one_by_one(requests, None))
+        assert energies(solve_columns(columns(requests))) == one_by_one(requests, None)
 
     @pytest.fixture
     def residual_shapes(self, monkeypatch):
@@ -387,26 +402,33 @@ class TestSolveEnergies:
     def test_one_residual_call_scans_the_batch(self, residual_shapes):
         requests = [spin_request(n=n, A=a) for n in (1, 2, 3) for a in (6.0, 7.0, 8.0)]
         invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
-        results = solve_energies(requests + [invalid])
+        E = solve_columns(columns(requests + [invalid]))
+        shapes = list(residual_shapes)
         points = SolverOptions().scan_points
-        scans = [s for s in residual_shapes if s is not None and s[-1] == points]
+        scans = [s for s in shapes if s is not None and s[-1] == points]
         assert scans == [(9, points)]
-        assert all(not isinstance(r, RsphoError) for r in results[:9])
-        assert isinstance(results[9], DomainError)
+        assert energies(E) == one_by_one(requests + [invalid], None)
+        assert not np.isnan(E[:9]).any() and np.isnan(E[9])
+        with pytest.raises(DomainError):
+            solve_energy(invalid)
         # The polish steps every row in one (rows, 1) call per step.
-        polish = [s for s in residual_shapes if s not in scans]
-        assert polish == [(9, 1)] * max(r.iterations for r in results[:9])
+        polish = [s for s in shapes if s not in scans]
+        assert polish == [(9, 1)] * max(solve_energy(r).iterations for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
     def test_long_batches_are_scanned_in_chunks(self, residual_shapes):
         requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
-        results = solve_energies(requests, SolverOptions(scan_points=1024))
-        scans = [s for s in residual_shapes if s is not None and s[-1] == 1024]
+        opts = SolverOptions(scan_points=1024)
+        E = solve_columns(columns(requests), opts)
+        shapes = list(residual_shapes)
+        scans = [s for s in shapes if s is not None and s[-1] == 1024]
         assert sum(rows for rows, _ in scans) == len(requests)
         assert all(points == 1024 for _, points in scans)
         assert 1 < len(scans) < len(requests)
-        polish = [s for s in residual_shapes if s not in scans]
-        assert polish == [(100, 1)] * max(r.iterations for r in results)
+        assert energies(E) == one_by_one(requests, opts)
+        polish = [s for s in shapes if s not in scans]
+        assert polish == [(100, 1)] * max(solve_energy(r, opts).iterations
+                                          for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
     @PROPERTY
@@ -431,8 +453,8 @@ class TestSolveEnergies:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            assert outcomes(solve_energies(requests, opts)) == outcomes(
-                one_by_one(requests, opts))
+            assert energies(solve_columns(columns(requests), opts)) == one_by_one(
+                requests, opts)
 
     @pytest.mark.parametrize("where", ["first bracket", "last point"])
     def test_exact_zero_closes_the_bracket(self, monkeypatch, where):
@@ -455,9 +477,10 @@ class TestSolveEnergies:
             return 0.0 if E == zero_at else f
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", zeroed)
-        batch = solve_energies(requests, opts)
-        assert outcomes(batch) == outcomes(one_by_one(requests, opts))
-        res = batch[0]
+        E = solve_columns(columns(requests), opts)
+        assert energies(E) == one_by_one(requests, opts)
+        assert E[0] == zero_at
+        res = solve_energy(requests[0], opts)
         assert (res.E, res.bracket, res.iterations) == (zero_at, (zero_at, zero_at), 0)
         assert repr(res.residual) == "0.0"
 
@@ -467,9 +490,8 @@ class TestSolveEnergies:
     def test_failed_polish_rows_fall_back(self, requests, hole, cap):
         # Residuals smaller than ``hole`` are made a domain error (NaN in an
         # array), and the step cap is lowered, so polish points fall in the
-        # hole and rows reach the cap: the batch builds those rows' errors
-        # itself, and they must equal solve_energy's DomainError or
-        # ConvergenceError.
+        # hole and rows reach the cap: those rows' energies must be NaN
+        # exactly where solve_energy raises DomainError or ConvergenceError.
         def holed(E, request):
             f = energy_residual(E, request)
             if isinstance(E, np.ndarray):
@@ -482,12 +504,12 @@ class TestSolveEnergies:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", holed)
             mp.setattr(rspho.spectrum, "_MAX_POLISH_STEPS", cap)
-            assert outcomes(solve_energies(requests, opts)) == outcomes(
-                one_by_one(requests, opts))
+            assert energies(solve_columns(columns(requests), opts)) == one_by_one(
+                requests, opts)
 
     def test_nan_polish_point_never_comes_back_as_a_result(self, monkeypatch):
         # The array residual is NaN near every root while the scalar one
-        # returns a number there: the rows still end in a DomainError.
+        # returns a number there: the rows still fail.
         def nan_near_roots(E, request):
             f = energy_residual(E, request)
             if isinstance(E, np.ndarray):
@@ -495,9 +517,8 @@ class TestSolveEnergies:
             return f
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", nan_near_roots)
-        results = solve_energies([spin_request(n=n) for n in (1, 2, 3)])
-        assert [type(r) for r in results] == [DomainError] * 3
-        assert all("energy residual is NaN" in str(r) for r in results)
+        E = solve_columns(columns([spin_request(n=n) for n in (1, 2, 3)]))
+        assert np.isnan(E).all()
 
     @PROPERTY
     @given(requests=grouped_requests())
@@ -517,7 +538,7 @@ class TestSolveEnergies:
                 rows.append((req, ends))
         if not rows:
             return
-        cols = spectrum._columns([req for req, _ in rows])
+        cols = columns([req for req, _ in rows])
         (first, last), n = rows[0][1], len(rows)
         shared = spectrum._stack(cols)
         # What _stack builds with no number shared: every one a column.
@@ -535,16 +556,9 @@ class TestSolveEnergies:
             assert x.tobytes() == y.tobytes()
 
     def test_empty_batch(self):
-        assert solve_energies([]) == []
-
-    @pytest.mark.parametrize("options", [SolverOptions(e_max_offset=0.1),
-                                         SolverOptions(root_index=5)])
-    def test_returned_errors_hold_no_scan_arrays(self, options):
-        requests = [spin_request(n=n) for n in range(6)] + [pseudospin_request(n=1)]
-        results = solve_energies(requests, options)
-        assert all(isinstance(r, NoRootError) for r in results)
-        for exc in results:
-            assert_no_scan_arrays(exc, options.scan_points)
+        cols = columns([])
+        assert cols.shape == (11, 0)
+        assert solve_columns(cols).shape == (0,)
 
 
 class TestColumnForms:
@@ -557,7 +571,7 @@ class TestColumnForms:
     def test_scan_ends_match_the_scalar(self, requests, e_max_offset):
         # NaN exactly where the scalar form raises, its bits everywhere else.
         opts = SolverOptions(e_max_offset=e_max_offset)
-        first, last = rspho.spectrum._scan_ends(rspho.spectrum._columns(requests), opts)
+        first, last = rspho.spectrum._scan_ends(columns(requests), opts)
         for req, ends in zip(requests, zip(first.tolist(), last.tolist())):
             try:
                 expected = rspho.spectrum._scan_ends(req, opts)
@@ -571,14 +585,9 @@ class TestColumnForms:
            e_max_offset=st.sampled_from([None, None, 0.5]))
     def test_solve_columns_fails_where_solve_energy_raises(self, requests, e_max_offset):
         opts = SolverOptions(e_max_offset=e_max_offset)
-        sol = solve_columns(rspho.spectrum._columns(requests), opts)
-        for req, e, failed in zip(requests, sol.E.tolist(), sol.failed.tolist()):
-            try:
-                expected = repr(solve_energy(req, opts).E)
-            except RsphoError:
-                expected = None
-            assert (None if failed else repr(e)) == expected, req
-            assert math.isnan(e) == failed
+        E = solve_columns(columns(requests), opts)
+        for req, e, expected in zip(requests, energies(E), one_by_one(requests, opts)):
+            assert e == expected, req
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=st.lists(valid_requests(), min_size=1, max_size=10),
@@ -595,7 +604,7 @@ class TestColumnForms:
                                n_theta=np.array([r.qn.n_theta for r in requests]),
                                m=np.array([r.qn.m for r in requests]),
                                symmetry=symmetry, branch=branch, convention=convention)
-        assert cols.tobytes() == rspho.spectrum._columns(requests).tobytes()
+        assert cols.tobytes() == columns(requests).tobytes()
 
 
 class TestSolverOptions:
