@@ -26,13 +26,14 @@ takes the requests' numbers as an (11, requests) array (request_columns
 builds one), validates them and computes their scan intervals with the
 same formulas applied to arrays, and returns only the energies.  For the
 scan and the polish the numbers become (requests x 1) columns; a number
-equal in every row stays one float, and requests with equal scan ends
-share one grid, so numpy broadcasting computes what they share once.  The
-scan runs in chunks of (requests x scan points), each one residual call,
-and picks every row's bracket with array operations.  One Illinois loop
-then steps every row at once, one residual call per step.  An energy is
-NaN exactly where solve_energy raises for that request, and has
-solve_energy's bits everywhere else.
+equal in every row stays one float, so numpy broadcasting computes what
+the rows share once.  The scan sorts the requests by their scan ends and
+cuts them into fixed chunks of (requests x scan points), each one
+residual call; a chunk whose requests all have the same ends scans one
+grid.  It picks every row's bracket with array operations.  One Illinois
+loop then steps every row at once, one residual call per step.  An
+energy is NaN exactly where solve_energy raises for that request, and
+has solve_energy's bits everywhere else.
 """
 
 from __future__ import annotations
@@ -215,15 +216,17 @@ def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
 
     ``request`` is a SolveRequest, and one that fails validation raises
     DomainError, or an (11, R) array of columns (see request_columns), and
-    a request that fails the numeric checks of validation, or has no scan
-    interval, gets NaN ends.
+    a request that fails the numeric checks of validation, has a quantum
+    number that is not whole, or has no scan interval, gets NaN ends.
     """
     if isinstance(request, np.ndarray):
         K, A, B, C, M, n_r, n_theta, m, s = request[:9]
         # Requests that fail validation may hold inf and NaN.
         with np.errstate(over="ignore", invalid="ignore"):
             first, last = _scan_interval(K, B, C, M, m, s, opts)
-            valid = np.logical_and.reduce(numeric_checks(K, A, B, C, M, s, n_r, n_theta))
+            valid = np.logical_and.reduce(
+                numeric_checks(K, A, B, C, M, s, n_r, n_theta)
+                + tuple(request[5:8] % 1.0 == 0.0))
         first[~valid] = last[~valid] = np.nan
         return first, last
     violations = validate(request)
@@ -456,35 +459,6 @@ def solve_energy(request: SolveRequest,
                        root_count_in_scan=count)
 
 
-def _chunks(ends: list, rows: int):
-    """Order the rows to scan and cut the order into chunks.
-
-    ``ends`` holds each row's scan ends.  Returns (order, chunks): the row
-    indices in scan order, and (start, stop, shared) slices of the order
-    of at most ``rows`` rows each.  Rows with equal ends form a group; a
-    group that fills at least a quarter of a chunk is chunked on its own,
-    shared, so that its rows scan one grid row; the smaller groups are
-    pooled.
-    """
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, key in enumerate(ends):
-        groups.setdefault(key, []).append(i)
-    order, chunks, pool = [], [], []
-    for index in groups.values():
-        if 4 * len(index) >= rows:
-            for start in range(0, len(index), rows):
-                part = index[start:start + rows]
-                chunks.append((len(order), len(order) + len(part), True))
-                order += part
-        else:
-            pool += index
-    for start in range(0, len(pool), rows):
-        part = pool[start:start + rows]
-        chunks.append((len(order), len(order) + len(part), False))
-        order += part
-    return order, chunks
-
-
 def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
                   ) -> np.ndarray:
     """solve_energy's energy for each request of an (11, R) array of
@@ -492,25 +466,28 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
 
     Validation (the numeric checks of model.validate) and the scan ends
     are array operations over the columns.  The requests that pass are
-    scanned in chunks of up to _SCAN_CHUNK grid points, requests with the
-    same scan ends together, and then polished all at once, one residual
+    sorted by their scan ends and scanned in chunks of
+    _SCAN_CHUNK // scan_points requests; a chunk whose requests have equal
+    ends scans one grid.  Then they are polished all at once, one residual
     call per Illinois step.  Returns the R energies: NaN exactly where
     solve_energy raises for the request, solve_energy's bits elsewhere.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(cols, opts)
-    scanned = np.flatnonzero(~np.isnan(first))
     E = np.full(cols.shape[1], np.nan)
-    if scanned.size:
-        order, chunks = _chunks(list(zip(first[scanned].tolist(), last[scanned].tolist())),
-                                max(1, _SCAN_CHUNK // opts.scan_points))
-        rows = scanned[order]
-        cols = cols[:, rows]
+    rows = np.flatnonzero(~np.isnan(first))
+    if rows.size:
+        # Sorted by their ends, rows with equal ends are adjacent: a chunk
+        # whose first and last rows have equal ends has them in every row.
+        rows = rows[np.lexsort((last[rows], first[rows]))]
+        first, last, cols = first[rows], last[rows], cols[:, rows]
+        size = max(1, _SCAN_CHUNK // opts.scan_points)
         scans = []
-        for start, stop, shared in chunks:
-            part = rows[start:stop]
-            ends = (first[part[0]], last[part[0]]) if shared else (first[part], last[part])
-            scans.append(_scan(_stack(cols[:, start:stop]), stop - start, *ends, opts))
+        for start in range(0, rows.size, size):
+            part = slice(start, start + size)
+            lo, hi = first[part], last[part]
+            ends = (lo[0], hi[0]) if lo[0] == lo[-1] and hi[0] == hi[-1] else (lo, hi)
+            scans.append(_scan(_stack(cols[:, part]), lo.size, *ends, opts))
         count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
         point, residual, capped = _polish_rows(_stack(cols), a, b, fa, fb, opts.abs_tol_E)
         # A NaN residual: the polish stepped outside the domain.

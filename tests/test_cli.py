@@ -45,6 +45,13 @@ def lines_of(text):
     return text.splitlines()
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestSolve:
     def test_spin_reference_row(self):
         code, out, err = run_cli(["solve"] + SPIN_ARGS)
@@ -470,14 +477,24 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded.append("scipy" in sys.modules)
 print(json.dumps([codes, loaded]))
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["wavefunction", "--symmetry", "spin", "--n", "2", "--m", "0", "--A", "6",
                 "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
-        done = subprocess.run([sys.executable, "-c", script] + argv, env=env,
+        done = subprocess.run([sys.executable, "-c", script] + argv, env=src_env(),
                               capture_output=True, text=True, check=True)
         assert json.loads(done.stdout) == [[0, 0], [False, True]]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--symmetry", "spin"], 1),
+    (["table", "--which", "spin1"], 0),
+], ids=["usage-error", "table"])
+def test_python_m_rspho_cli_runs_main(argv, code):
+    # Run as a module, the CLI prints what main() prints and exits with its
+    # code; a RuntimeWarning (a module imported twice) is an error.
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rspho.cli"]
+                          + argv, env=src_env(), capture_output=True)
+    _, out, err = run_cli(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
 
 COEFFS = ["--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"]

@@ -116,13 +116,13 @@ def mixed_requests(draw):
 def edge_requests(draw):
     """Requests at the edges of validation and of the scan interval: a
     NaN or infinite coefficient, K of the wrong sign, M <= 0 or not
-    finite, a negative n_r or n_theta, B + C = 0 with |m| >= 1 (no slope,
-    no separation constant at any energy), |m| large enough to empty the
-    interval, or none of these."""
+    finite, a negative n_r or n_theta, a quantum number that is not whole,
+    B + C = 0 with |m| >= 1 (no slope, no separation constant at any
+    energy), |m| large enough to empty the interval, or none of these."""
     req = draw(valid_requests())
     p, qn = req.params, req.qn
     flaw = draw(st.sampled_from(["none", "coefficient", "K sign", "M", "n_r",
-                                 "n_theta", "zero slope", "large m"]))
+                                 "n_theta", "fraction", "zero slope", "large m"]))
     if flaw == "coefficient":
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         return dataclasses.replace(req, params=dataclasses.replace(
@@ -138,6 +138,11 @@ def edge_requests(draw):
     if flaw == "n_theta":
         return dataclasses.replace(req, qn=QuantumNumbers(
             n_r=qn.n_r, n_theta=draw(st.integers(-3, -1)), m=qn.m))
+    if flaw == "fraction":
+        numbers = {"n_r": qn.n_r, "n_theta": qn.n_theta, "m": qn.m}
+        numbers[draw(st.sampled_from(sorted(numbers)))] += draw(
+            st.sampled_from([0.5, 0.25, -0.5]))
+        return dataclasses.replace(req, qn=QuantumNumbers(**numbers))
     if flaw == "zero slope":
         m = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
         return dataclasses.replace(req, params=dataclasses.replace(p, B=-p.C),
@@ -416,19 +421,36 @@ class TestSolveEnergies:
         assert polish == [(9, 1)] * max(solve_energy(r).iterations for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
-    def test_long_batches_are_scanned_in_chunks(self, residual_shapes):
-        requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
-        opts = SolverOptions(scan_points=1024)
+    @pytest.mark.parametrize("layout", ["one-group", "three-groups", "three-groups-interleaved"])
+    def test_long_batches_are_scanned_in_chunks(self, residual_shapes, layout):
+        # One group: 100 rows with equal scan ends at 1024 points.  Three
+        # groups: 24 rows per m, each group with equal scan ends, the shape
+        # of a sweep over m, at the default 512 points.  Sorted by their
+        # ends, the rows fill ceil(rows / rows per chunk) chunks, whatever
+        # their order.
+        if layout == "one-group":
+            requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
+            opts = SolverOptions(scan_points=1024)
+        else:
+            groups = [[pseudospin_request(m=m, A=-5.0 + 0.05 * i) for i in range(24)]
+                      for m in (0, 1, 2)]
+            requests = [r for g in (groups if layout == "three-groups" else zip(*groups))
+                        for r in g]
+            opts = SolverOptions()
+        points = opts.scan_points
         E = solve_columns(columns(requests), opts)
         shapes = list(residual_shapes)
-        scans = [s for s in shapes if s is not None and s[-1] == 1024]
+        scans = [s for s in shapes if s is not None and s[-1] == points]
         assert sum(rows for rows, _ in scans) == len(requests)
-        assert all(points == 1024 for _, points in scans)
-        assert 1 < len(scans) < len(requests)
+        assert all(n == points for _, n in scans)
+        per_chunk = rspho.spectrum._SCAN_CHUNK // points
+        assert len(scans) == math.ceil(len(requests) / per_chunk)
+        assert all(rows * n <= rspho.spectrum._SCAN_CHUNK for rows, n in scans)
         assert energies(E) == one_by_one(requests, opts)
+        assert not np.isnan(E).any()
         polish = [s for s in shapes if s not in scans]
-        assert polish == [(100, 1)] * max(solve_energy(r, opts).iterations
-                                          for r in requests)
+        assert polish == [(len(requests), 1)] * max(solve_energy(r, opts).iterations
+                                                    for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
     @PROPERTY
