@@ -27,13 +27,14 @@ builds one), validates them and computes their scan intervals with the
 same formulas applied to arrays, and returns only the energies.  For the
 scan and the polish the numbers become (requests x 1) columns; a number
 equal in every row stays one float, so numpy broadcasting computes what
-the rows share once.  The scan sorts the requests by their scan ends and
-cuts them into fixed chunks of (requests x scan points), each one
-residual call; a chunk whose requests all have the same ends scans one
-grid.  It picks every row's bracket with array operations.  One Illinois
-loop then steps every row at once, one residual call per step.  An
-energy is NaN exactly where solve_energy raises for that request, and
-has solve_energy's bits everywhere else.
+the rows share once.  The scan walks the requests' grids in ascending
+windows, each one residual call over the requests still scanning, and a
+request leaves the scan as soon as it holds its bracket; most roots lie
+low on the grid, so most requests see only its first points.  The
+brackets are picked with array operations.  One Illinois loop then steps
+every row at once, one residual call per step.  An energy is NaN exactly
+where solve_energy raises for that request, and has solve_energy's bits
+everywhere else.
 """
 
 from __future__ import annotations
@@ -63,13 +64,10 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _MAX_POLISH_STEPS = 200
-# Grid points per batched residual call: rows of requests are scanned in
-# chunks this large, so the kernel's temporaries stay in cache and the
-# memory of a batch does not grow with its length.
+# Grid points per residual call of a batch scan: the scan's windows are at
+# most this large, so the kernel's temporaries stay in cache and the memory
+# of a batch does not grow with its length.
 _SCAN_CHUNK = 8192
-# A bracket's two ends, as grid offsets from its start (a column, so that it
-# broadcasts against one start per row).
-_PAIR = np.array([[0], [1]])
 
 
 @dataclass(frozen=True)
@@ -285,38 +283,64 @@ def _bracket_starts(values):
     return hit
 
 
-def _scan(request: SolveRequest, rows: int, first, last, opts: SolverOptions):
-    """Scan the residual of ``rows`` requests and pick each one's bracket.
+def _scan(cols: np.ndarray, first, last, opts: SolverOptions):
+    """Scan the residual of the requests in ``cols`` (an (11, R) array, see
+    request_columns) and pick each one's bracket ``opts.root_index``.
 
-    ``first`` and ``last`` are floats when every row scans the same grid,
-    which is then one 1-D grid that broadcasts against the rows, or arrays
-    of one value per row.  The grid is evaluated in one residual call.
-    Brackets are counted in ascending order (see _bracket_starts); the one
-    starting at a is (a, b, f(a), f(b)), b the next grid point, or
-    (a, a, 0.0, 0.0) for an exact zero.  Returns (count, a, b, fa, fb),
-    arrays of one value per row: the number of brackets and bracket
-    ``opts.root_index``; a row without that bracket gets a closed bracket
-    (a == b) at some grid point.
+    Row r scans the bits of np.linspace(first[r], last[r], scan_points),
+    walked in ascending windows: each window is one residual call over
+    the rows still scanning, _SCAN_CHUNK // rows points wide (at least
+    one), and rows whose ends are all equal share one grid row.  A row
+    stops scanning once it holds its bracket, and a row without one sees
+    every grid point once.  Brackets are counted as _scan_one counts them
+    (see _bracket_starts): a window's last value is carried into the next
+    one, which decides whether a bracket starts there, and the counts are
+    carried too.  The bracket starting at a is (a, b, f(a), f(b)), b the
+    next grid point, or (a, a, 0.0, 0.0) for an exact zero.  Returns the
+    (4, R) array of the rows' (a, b, fa, fb), NaN for a row without the
+    bracket.
     """
     n = opts.scan_points
-    # linspace stacks the grids along axis 0; .T puts one grid per row.
-    grid = np.linspace(first, last, n).T
-    values = energy_residual(grid, request).reshape(-1, n)
-    if len(values) < rows:                      # identical requests
-        values = np.repeat(values, rows, axis=0)
-    hit = _bracket_starts(values)
-    count = np.add.reduce(hit, axis=1)
-    nth = hit if opts.root_index == 0 else hit.cumsum(axis=1) > opts.root_index
-    # Columns of the bracket's ends, i and i + 1 (kept on the grid): 0 and 1
-    # where there is no bracket.
-    ij = np.minimum(nth.argmax(axis=1) + _PAIR, n - 1)
-    r = np.arange(rows)
-    a, b = grid[ij] if grid.ndim == 1 else grid[r, ij]
-    fab = values[r, ij]
-    # An exact zero, or no bracket, closes (a, b) on a with f = +0.0.
-    closed = (fab[0] == 0.0) | (count <= opts.root_index)
-    fa, fb = np.where(closed, 0.0, fab)
-    return count, a, np.where(closed, a, b), fa, fb
+    rows = first.size
+    step = (last - first) / (n - 1)
+    bracket = np.full((4, rows), np.nan)
+    skip = np.full(rows, opts.root_index)       # brackets still to pass
+    before = np.full(rows, np.nan)              # f at the point before a window
+    scanning = np.arange(rows)
+    start = 0
+    while scanning.size and start < n:
+        width = min(max(1, _SCAN_CHUNK // scanning.size), n - start)
+        lo, hi, h = first[scanning], last[scanning], step[scanning]
+        if (lo == lo[0]).all() and (hi == hi[0]).all():
+            lo, hi, h = lo[:1], hi[:1], h[:1]
+        # Grid points start - 1 to start + width - 1 as linspace computes
+        # them: i*step + first, and the last point is last itself.
+        grid = np.arange(start - 1, start + width, dtype=float) * h[:, None] + lo[:, None]
+        if start + width == n:
+            grid[:, -1] = hi
+        values = energy_residual(grid[:, 1:], _stack(cols[:, scanning]))
+        f = np.concatenate((before[scanning, None],
+                            np.broadcast_to(values, (scanning.size, width))), axis=1)
+        hit = _bracket_starts(f)
+        if start + width < n:
+            hit[:, -1] = False                  # the next window decides it
+        tally = hit.cumsum(axis=1)
+        nth = tally > skip[scanning, None]
+        done = nth[:, -1]
+        r = np.flatnonzero(done)
+        i = nth[r].argmax(axis=1)
+        # The bracket's ends, i and i + 1 (kept in the window).
+        j = np.minimum(i + 1, width)
+        row = r if len(grid) > 1 else 0
+        pa, pb, fa, fb = grid[row, i], grid[row, j], f[r, i], f[r, j]
+        zero = fa == 0.0
+        bracket[:, scanning[r]] = (pa, np.where(zero, pa, pb), np.where(zero, 0.0, fa),
+                                   np.where(zero, 0.0, fb))
+        skip[scanning] -= tally[:, -1]
+        before[scanning] = f[:, -1]
+        scanning = scanning[~done]
+        start += width
+    return bracket
 
 
 def _scan_one(request: SolveRequest, first: float, last: float,
@@ -389,7 +413,7 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     """_polish for every row of a stacked request, element by element.
 
     a, b, fa and fb hold one bracket per row; a row whose bracket is
-    closed (a == b) takes no step.  Each step evaluates the next point of
+    closed (a == b) or NaN takes no step.  Each step evaluates the next point of
     every row in one residual call, and a row stops where _polish would
     stop it, with the same arithmetic.  A point outside the domain (NaN)
     closes its row's bracket on that point, where _polish would raise.
@@ -466,33 +490,29 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
 
     Validation (the numeric checks of model.validate) and the scan ends
     are array operations over the columns.  The requests that pass are
-    sorted by their scan ends and scanned in chunks of
-    _SCAN_CHUNK // scan_points requests; a chunk whose requests have equal
-    ends scans one grid.  Then they are polished all at once, one residual
-    call per Illinois step.  Returns the R energies: NaN exactly where
-    solve_energy raises for the request, solve_energy's bits elsewhere.
+    scanned in ascending windows that they leave once they hold their
+    bracket (see _scan), at most _SCAN_CHUNK requests at a time, and then
+    polished all at once, one residual call per Illinois step.  Returns
+    the R energies: NaN exactly where solve_energy raises for the request,
+    solve_energy's bits elsewhere.  The columns are floats, so a quantum
+    number is checked by value: n_r = 1.0 solves here as n_r = 1 does in
+    solve_energy, which raises "n_r must be an integer" for
+    QuantumNumbers(n_r=1.0); a fraction such as 1.5 fails in both.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(cols, opts)
     E = np.full(cols.shape[1], np.nan)
     rows = np.flatnonzero(~np.isnan(first))
     if rows.size:
-        # Sorted by their ends, rows with equal ends are adjacent: a chunk
-        # whose first and last rows have equal ends has them in every row.
-        rows = rows[np.lexsort((last[rows], first[rows]))]
         first, last, cols = first[rows], last[rows], cols[:, rows]
-        size = max(1, _SCAN_CHUNK // opts.scan_points)
-        scans = []
-        for start in range(0, rows.size, size):
-            part = slice(start, start + size)
-            lo, hi = first[part], last[part]
-            ends = (lo[0], hi[0]) if lo[0] == lo[-1] and hi[0] == hi[-1] else (lo, hi)
-            scans.append(_scan(_stack(cols[:, part]), lo.size, *ends, opts))
-        count, a, b, fa, fb = (np.concatenate(x) for x in zip(*scans))
+        # Blocks of at most _SCAN_CHUNK rows, so that a window of one point
+        # per row stays within _SCAN_CHUNK points.
+        parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
+        a, b, fa, fb = np.concatenate(
+            [_scan(cols[:, p], first[p], last[p], opts) for p in parts], axis=1)
         point, residual, capped = _polish_rows(_stack(cols), a, b, fa, fb, opts.abs_tol_E)
-        # A NaN residual: the polish stepped outside the domain.
-        failed = (count <= opts.root_index) | capped | np.isnan(residual)
-        E[rows] = np.where(failed, np.nan, point)
+        # A NaN residual: no bracket, or the polish stepped outside the domain.
+        E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E
 
 

@@ -484,14 +484,17 @@ print(json.dumps([codes, loaded]))
         assert json.loads(done.stdout) == [[0, 0], [False, True]]
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["solve", "--symmetry", "spin"], 1),
-    (["table", "--which", "spin1"], 0),
-], ids=["usage-error", "table"])
-def test_python_m_rspho_cli_runs_main(argv, code):
-    # Run as a module, the CLI prints what main() prints and exits with its
-    # code; a RuntimeWarning (a module imported twice) is an error.
-    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rspho.cli"]
+@pytest.mark.parametrize("module, argv, code", [
+    ("rspho.cli", ["solve", "--symmetry", "spin"], 1),
+    ("rspho.cli", ["table", "--which", "spin1"], 0),
+    ("rspho", ["solve", "--symmetry", "spin"], 1),
+    ("rspho", ["table", "--which", "spin1"], 0),
+], ids=["usage-error", "table", "package-usage-error", "package-table"])
+def test_python_m_rspho_cli_runs_main(module, argv, code):
+    # Run as a module, rspho.cli or the package, the CLI prints what main()
+    # prints and exits with its code; a RuntimeWarning (a module imported
+    # twice) is an error.
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module]
                           + argv, env=src_env(), capture_output=True)
     _, out, err = run_cli(argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())

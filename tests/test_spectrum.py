@@ -213,6 +213,28 @@ def assert_no_scan_arrays(exc, scan_points):
         tb = tb.tb_next
 
 
+def scan_windows(requests, opts):
+    """(rows, points) of each window of solve_columns' scan of the valid
+    requests: every window is _SCAN_CHUNK // rows points wide (at least
+    one, at most what is left of the grid), and a row scans until it has
+    seen the grid point after its bracket's start, or the whole grid."""
+    n = opts.scan_points
+    seen = []               # the grid points that each row must see
+    for req in requests:
+        first, last = rspho.spectrum._scan_ends(req, opts)
+        values = energy_residual(np.linspace(first, last, n), req)
+        starts = np.flatnonzero(rspho.spectrum._bracket_starts(values))
+        seen.append(min(starts[opts.root_index] + 2, n)
+                    if len(starts) > opts.root_index else n)
+    windows, start = [], 0
+    while seen and start < n:
+        width = min(max(1, rspho.spectrum._SCAN_CHUNK // len(seen)), n - start)
+        windows.append((len(seen), width))
+        start += width
+        seen = [k for k in seen if k > start]
+    return windows
+
+
 def reference_requests():
     """(request, E_ref) for the 24 spin and 54 pseudo-spin reference energies."""
     for param_set, cases in ((SPIN_SET, spin_cases()),
@@ -384,6 +406,34 @@ class TestSolveEnergies:
         assert E.shape == (len(requests),)
         assert energies(E) == one_by_one(requests, opts)
 
+    @settings(PROPERTY, max_examples=50)
+    @given(requests=grouped_requests(), chunk=st.sampled_from([1, 5, 64]),
+           points=st.sampled_from([16, 64]), root_index=st.sampled_from([0, 1]))
+    def test_small_scan_chunks(self, requests, chunk, points, root_index):
+        # A _SCAN_CHUNK below the batch's rows splits the batch into blocks
+        # and makes windows one point wide; no scan call exceeds it.
+        opts = SolverOptions(scan_points=points, root_index=root_index)
+        spectrum = rspho.spectrum
+        sizes, polish = [], spectrum._polish_rows
+
+        def recording(E, request):
+            values = energy_residual(E, request)
+            if None not in sizes:               # a scan call
+                sizes.append(values.size)
+            return values
+
+        def polishing(*args):
+            sizes.append(None)
+            return polish(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
+            mp.setattr(spectrum, "energy_residual", recording)
+            mp.setattr(spectrum, "_polish_rows", polishing)
+            E = solve_columns(columns(requests), opts)
+        assert energies(E) == one_by_one(requests, opts)
+        assert all(size <= chunk for size in sizes if size is not None)
+
     def test_identical_requests(self):
         # Every number is shared, so the residual comes back as one row.
         requests = [spin_request(n=2)] * 5
@@ -410,6 +460,8 @@ class TestSolveEnergies:
         E = solve_columns(columns(requests + [invalid]))
         shapes = list(residual_shapes)
         points = SolverOptions().scan_points
+        # The first window is _SCAN_CHUNK // 9 points wide, more than the grid.
+        assert rspho.spectrum._SCAN_CHUNK // 9 >= points
         scans = [s for s in shapes if s is not None and s[-1] == points]
         assert scans == [(9, points)]
         assert energies(E) == one_by_one(requests + [invalid], None)
@@ -425,9 +477,9 @@ class TestSolveEnergies:
     def test_long_batches_are_scanned_in_chunks(self, residual_shapes, layout):
         # One group: 100 rows with equal scan ends at 1024 points.  Three
         # groups: 24 rows per m, each group with equal scan ends, the shape
-        # of a sweep over m, at the default 512 points.  Sorted by their
-        # ends, the rows fill ceil(rows / rows per chunk) chunks, whatever
-        # their order.
+        # of a sweep over m, at the default 512 points.  The rows are
+        # scanned in the windows that scan_windows predicts from each row's
+        # bracket, whatever their order.
         if layout == "one-group":
             requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
             opts = SolverOptions(scan_points=1024)
@@ -439,16 +491,13 @@ class TestSolveEnergies:
             opts = SolverOptions()
         points = opts.scan_points
         E = solve_columns(columns(requests), opts)
-        shapes = list(residual_shapes)
-        scans = [s for s in shapes if s is not None and s[-1] == points]
-        assert sum(rows for rows, _ in scans) == len(requests)
-        assert all(n == points for _, n in scans)
-        per_chunk = rspho.spectrum._SCAN_CHUNK // points
-        assert len(scans) == math.ceil(len(requests) / per_chunk)
+        windows = scan_windows(requests, opts)
+        assert windows[0][0] == len(requests)
+        scans, polish = residual_shapes[:len(windows)], residual_shapes[len(windows):]
+        assert scans == windows
         assert all(rows * n <= rspho.spectrum._SCAN_CHUNK for rows, n in scans)
         assert energies(E) == one_by_one(requests, opts)
         assert not np.isnan(E).any()
-        polish = [s for s in shapes if s not in scans]
         assert polish == [(len(requests), 1)] * max(solve_energy(r, opts).iterations
                                                     for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
@@ -545,9 +594,11 @@ class TestSolveEnergies:
     @PROPERTY
     @given(requests=grouped_requests())
     def test_shared_grid_gives_the_bits_of_a_full_grid(self, requests):
-        # Rows with equal scan ends scan one 1-D grid and fields equal in
-        # every row stay floats; the same rows with every field a column and
-        # a grid row each must give the same residuals and brackets.
+        # Rows with equal scan ends scan one grid row and fields equal in
+        # every row stay floats.  The same rows with every field a column and
+        # a grid row each must give the same residuals, and scanned beside a
+        # row with other ends and no bracket, so that every window has a
+        # grid row per row, the same brackets.
         opts = SolverOptions()
         spectrum = rspho.spectrum
         rows = []
@@ -573,14 +624,138 @@ class TestSolveEnergies:
         one_row = energy_residual(grid, shared)
         every_row = energy_residual(np.tile(grid, (n, 1)), full)
         assert np.broadcast_to(one_row, every_row.shape).tobytes() == every_row.tobytes()
-        for x, y in zip(spectrum._scan(shared, n, first, last, opts),
-                        spectrum._scan(full, n, np.full(n, first), np.full(n, last), opts)):
-            assert x.tobytes() == y.tobytes()
+        # A higher rest mass moves both scan ends; far above the scan ceiling,
+        # n_r = 10**6 leaves the residual negative on the whole grid.
+        extra = dataclasses.replace(rows[0][0], M=rows[0][0].M + 1.0,
+                                    qn=dataclasses.replace(rows[0][0].qn, n_r=10**6))
+        ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra, opts)]).T
+        one_grid = spectrum._scan(cols, *ends[:, :n], opts)
+        grid_rows = spectrum._scan(columns([req for req, _ in rows] + [extra]), *ends, opts)
+        assert np.isnan(grid_rows[:, -1]).all()
+        assert one_grid.tobytes() == grid_rows[:, :n].tobytes()
 
     def test_empty_batch(self):
         cols = columns([])
         assert cols.shape == (11, 0)
         assert solve_columns(cols).shape == (0,)
+
+
+class TestScanWindows:
+    """solve_columns' scan at the edges of its windows, against solve_energy
+    bit for bit.  The batch has 256 rows, so while every row scans, a
+    window is _SCAN_CHUNK // 256 grid points wide: spin rows that share one
+    grid and change sign only after the second window's first point, and
+    pseudo-spin rows with other scan ends."""
+
+    @pytest.fixture
+    def batch(self):
+        spin = [spin_request(n=1 + i % 3, A=6.0 + 0.01 * i) for i in range(224)]
+        pseudo = [pseudospin_request(n=1 + i % 3, A=-5.0 + 0.01 * i) for i in range(32)]
+        opts = SolverOptions()
+        first, last = rspho.spectrum._scan_ends(spin[0], opts)
+        grid = np.linspace(first, last, opts.scan_points)
+        width = rspho.spectrum._SCAN_CHUNK // (len(spin) + len(pseudo))
+        for req in spin:
+            assert rspho.spectrum._scan_ends(req, opts) == (first, last)
+            values = energy_residual(grid, req)
+            assert np.flatnonzero(values[:-1] * values[1:] <= 0.0)[0] > width
+        return spin + pseudo, opts, grid, width
+
+    @pytest.mark.parametrize("root_index", [0, 1])
+    @pytest.mark.parametrize("where", ["first point", "overlap point"])
+    def test_exact_zero_at_a_window_edge(self, batch, where, root_index):
+        # The second window's first point, or the first window's last point
+        # that it carries over, is an exact zero of every spin row: bracket
+        # 0, counted once, and the sign change after it is bracket 1.
+        requests, opts, grid, width = batch
+        opts = dataclasses.replace(opts, root_index=root_index)
+        zero_at = grid[width if where == "first point" else width - 1]
+
+        def zeroed(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where(E == zero_at, 0.0, f)
+            return 0.0 if E == zero_at else f
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", zeroed)
+            E = solve_columns(columns(requests), opts)
+            assert energies(E) == one_by_one(requests, opts)
+        spin = E[:224]
+        assert (spin == zero_at).all() if root_index == 0 else (spin > zero_at).all()
+
+    def test_exact_zero_at_the_last_grid_point(self, batch):
+        # After the spin rows' sign change, an exact zero at the grid's last
+        # point is bracket 1.  At 1500 points, i*step + first misses that
+        # point by an ulp, and the grid holds the last scan point itself.
+        requests, opts, _, _ = batch
+        opts = dataclasses.replace(opts, scan_points=1500, root_index=1)
+        first, last = rspho.spectrum._scan_ends(requests[0], opts)
+        assert 1499 * ((last - first) / 1499) + first != last
+
+        def zeroed(E, request):
+            f = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                return np.where(E == last, 0.0, f)
+            return 0.0 if E == last else f
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", zeroed)
+            E = solve_columns(columns(requests), opts)
+            assert energies(E) == one_by_one(requests, opts)
+        assert (E[:224] == last).all()
+
+    @pytest.mark.parametrize("splits, root_index", [
+        ([1.0], 0), ([0.5, 1.5], 1), ([0.5, 1.5, 2.5], 2), ([1.0, 2.0, 3.0], 2),
+    ], ids=["straddle", "index-1", "index-2", "index-2-straddles"])
+    def test_sign_changes_in_other_windows(self, batch, splits, root_index):
+        # The residual's size with its sign flipped at grid points
+        # split * width: each flip starts a bracket at the point before it,
+        # inside a window or at one window's last point (a whole split).
+        # The counts of the earlier brackets carry from window to window.
+        requests, opts, grid, width = batch
+        opts = dataclasses.replace(opts, root_index=root_index)
+        flips = [round(k * width) for k in splits]
+
+        def flipped(E, request):
+            f = energy_residual(E, request)
+            odd = sum(E >= grid[i] for i in flips) % 2 == 1
+            if isinstance(E, np.ndarray):
+                return np.where(odd, np.abs(f), -np.abs(f))
+            return abs(f) if odd else -abs(f)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", flipped)
+            E = solve_columns(columns(requests), opts)
+            assert energies(E) == one_by_one(requests, opts)
+        i = flips[root_index]
+        assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
+        assert not np.isnan(E).any()
+
+    def test_row_without_a_bracket_sees_every_grid_point_once(self, batch, monkeypatch):
+        # n_r = 1000 puts the state above the scan ceiling: no sign change.
+        requests, opts, grid, width = batch
+        requests = requests[:100] + [spin_request(n=1000)] + requests[101:]
+        seen, calls = [], []
+
+        def counting(E, request):
+            values = energy_residual(E, request)
+            if isinstance(E, np.ndarray):
+                lone = np.broadcast_to(np.equal(request.qn.n_r, 1000), values.shape)
+                seen.extend(np.broadcast_to(E, values.shape)[lone].tolist())
+                calls.append(values.shape)
+            return values
+
+        monkeypatch.setattr(rspho.spectrum, "energy_residual", counting)
+        cols = columns(requests)
+        bracket = rspho.spectrum._scan(cols, *rspho.spectrum._scan_ends(cols, opts), opts)
+        assert np.isnan(bracket).any(axis=0).tolist() == [i == 100 for i in range(len(requests))]
+        assert len(calls) > 2 and calls[0] == (len(requests), width)
+        assert [repr(e) for e in sorted(seen)] == [repr(e) for e in grid.tolist()]
+        monkeypatch.undo()
+        E = solve_columns(cols, opts)
+        assert energies(E) == one_by_one(requests, opts)
+        assert np.isnan(E[100]) and not np.isnan(np.delete(E, 100)).any()
 
 
 class TestColumnForms:
@@ -610,6 +785,20 @@ class TestColumnForms:
         E = solve_columns(columns(requests), opts)
         for req, e, expected in zip(requests, energies(E), one_by_one(requests, opts)):
             assert e == expected, req
+
+    def test_whole_float_quantum_number_solves(self):
+        # Columns are floats, so a quantum number is checked by value: n_r =
+        # 1.0 gives solve_energy's energy at n_r = 1, while solve_energy
+        # raises for the float itself.
+        req = spin_request(n=1)
+        p = req.params
+        cols = request_columns(p.K, p.A, p.B, p.C, req.M, n_r=np.array([1.0]),
+                               n_theta=1.0, m=0.0, symmetry=Symmetry.SPIN)
+        expected = solve_energy(req).E
+        assert energies(solve_columns(cols)) == [repr(expected)]
+        assert round(expected, 8) == 14.38516214
+        with pytest.raises(DomainError, match="n_r must be an integer"):
+            solve_energy(dataclasses.replace(req, qn=QuantumNumbers(n_r=1.0)))
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=st.lists(valid_requests(), min_size=1, max_size=10),
