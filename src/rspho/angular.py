@@ -8,19 +8,22 @@ so the whole spectrum telescopes in closed form.  The outputs feeding the
 radial sector are the barrier strength parameter q and the separation
 constant lambda.
 
-Every function here is pure; grids are plain numpy arrays.
+Every function here is pure; grids are numpy arrays, and numpy is
+imported only by the functions that take or make them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import BranchSign, PotentialParams, Symmetry
 from .numerics import nonnegative, simpson, sqrt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AngularSolution",
@@ -154,6 +157,7 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
 
 def default_theta_grid(points: int = 2001, endpoint_margin: float = 1e-9) -> np.ndarray:
     """Uniform grid on (0, pi) with a small exclusion at the singular ends."""
+    import numpy as np
     return np.linspace(endpoint_margin, math.pi - endpoint_margin, points)
 
 
@@ -166,6 +170,7 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
     """
     if q <= 0.5:
         raise DomainError(f"ground state not normalizable: requires q > 1/2 (got q = {q})")
+    import numpy as np
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 3:
         raise DomainError("theta grid needs at least 3 points for quadrature")

@@ -12,7 +12,10 @@ values repeated across the series, the series tiled across the sweep)
 and solve them together with spectrum.solve_columns, formatting the CSV
 from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
-its first failed row.
+its first failed row.  potential and thermo need no arrays: their grids
+are lists of floats with np.linspace's bits (_linspace), so these two
+commands run without importing numpy.  Non-finite grid bounds are usage
+errors.
 
 A flag's value may start with a minus sign, as in ``--series-values
 -3,0,5``: argparse would read it as an unknown flag, so a token that
@@ -31,8 +34,6 @@ import itertools
 import math
 import re
 import sys
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
@@ -129,6 +130,36 @@ def _emit(lines: list[str], path: str | None) -> None:
         raise UsageError(f"cannot write output file {path}: {exc}")
 
 
+def _finite(args: argparse.Namespace, *names: str) -> None:
+    """Check that the options ``names`` (attributes of args) are finite."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be finite (got {value})")
+
+
+def _linspace(first: float, last: float, n: int) -> list[float]:
+    """The n floats of np.linspace(first, last, n), bit for bit.
+
+    Point i is i*step + first with step = (last - first)/(n - 1), and the
+    last point is last itself.  Where the step is 0 (first == last, or a
+    difference too small to divide) point i is (i/(n - 1))*(last - first)
+    + first, as numpy computes it; one point is 0.0*(last - first) + first.
+    """
+    delta = last - first
+    if n < 2:
+        return [0.0 * delta + first] * n
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + first for i in range(n)]
+    else:
+        points = [i * step + first for i in range(n)]
+    points[-1] = last
+    return points
+
+
 def _build_request(args: argparse.Namespace) -> SolveRequest:
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     qn = QuantumNumbers(n_r=args.n, n_theta=args.ntheta, m=args.m)
@@ -164,6 +195,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    import numpy as np
     spec = _REFERENCE_SETS[args.which]
     prec = _precision(args)
     lines: list[str] = []
@@ -193,6 +225,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
     vary = args.vary
     if args.steps < 2:
         raise UsageError(f"--steps must be >= 2 (got {args.steps})")
@@ -254,15 +287,15 @@ def cmd_potential(args: argparse.Namespace) -> int:
     if args.r_steps < 1 or args.theta_steps < 1:
         raise UsageError("--r-steps and --theta-steps must be >= 1")
     prec = _precision(args)
+    _finite(args, "r_min", "r_max")
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
-    r_values = np.linspace(args.r_min, args.r_max, args.r_steps)
-    theta_values = math.pi * np.arange(1, args.theta_steps + 1) / (args.theta_steps + 1)
+    k = args.theta_steps
+    thetas = [(t, _compact(t, prec)) for t in (math.pi * i / (k + 1) for i in range(1, k + 1))]
     lines = ["r,theta,V"]
-    for r in r_values:
-        row_v = evaluate_potential(params, float(r), theta_values)
-        lines.extend(
-            f"{_compact(float(r), prec)},{_compact(float(t), prec)},{_compact(float(val), prec)}"
-            for t, val in zip(theta_values, row_v))
+    for r in _linspace(args.r_min, args.r_max, args.r_steps):
+        r_text = _compact(r, prec)
+        lines.extend(f"{r_text},{t_text},{_compact(evaluate_potential(params, r, t), prec)}"
+                     for t, t_text in thetas)
     _emit(lines, args.output)
     return EXIT_OK
 
@@ -271,13 +304,14 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1 (got {args.steps})")
     prec = _precision(args)
+    _finite(args, "T_min", "T_max")
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     branch = BranchSign(args.branch)
     convention = Convention(args.convention)
     levels = nonrelativistic_ladder(params, args.mu, args.m, branch, convention)
     lines = ["T,Z,F,U,S,C"]
-    for t in np.linspace(args.T_min, args.T_max, args.steps):
-        pt = thermo_point(levels, float(t), N=args.N, k_B=args.kB,
+    for t in _linspace(args.T_min, args.T_max, args.steps):
+        pt = thermo_point(levels, t, N=args.N, k_B=args.kB,
                           rel_tail_tol=args.tail_tol)
         lines.append(",".join(_compact(val, prec)
                               for val in (pt.T, pt.Z, pt.F, pt.U, pt.S, pt.C)))

@@ -9,7 +9,8 @@ ring-shaped angular barriers:
 
 Natural units (hbar = c = 1) are used throughout; masses and energies are
 in inverse femtometers.  Everything in this module is an immutable value
-type or a pure function, safe to share between threads.
+type or a pure function, safe to share between threads.  numpy is
+imported only to evaluate the potential on arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
-
-import numpy as np
+from numbers import Integral, Real
 
 from .errors import DomainError
 
@@ -134,18 +133,41 @@ class Violation:
     message: str
 
 
+_R_DOMAIN = "r must be positive; the potential has a 1/r^2 singularity at r = 0"
+_THETA_DOMAIN = "theta must lie strictly inside (0, pi); the ring terms diverge at the axis"
+
+
 def evaluate_potential(params: PotentialParams, r, theta):
     """Evaluate V(r, theta).  Accepts scalars or numpy arrays.
 
     Raises DomainError at the singular loci r <= 0 and theta in {0, pi}
-    (and beyond), where the inverse-square and ring terms blow up.
+    (and beyond), where the inverse-square and ring terms blow up.  Two
+    real numbers are evaluated as floats, with math.sin and math.cos and
+    squares written as products, the operations numpy applies to an
+    array; anything else goes to numpy.
     """
+    if _is_real(r) and _is_real(theta):
+        r = float(r)
+        theta = float(theta)
+        if r <= 0.0:
+            raise DomainError(_R_DOMAIN)
+        if theta <= 0.0 or theta >= math.pi:
+            raise DomainError(_THETA_DOMAIN)
+        r2 = r * r
+        sin = math.sin(theta)
+        cos = math.cos(theta)
+        sin2 = sin * sin
+        return float(0.5 * params.K * r2
+                     + params.A / r2
+                     + params.B / (r2 * sin2)
+                     + params.C * (cos * cos) / (r2 * sin2))
+    import numpy as np
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(theta, dtype=float)
     if np.any(r_arr <= 0.0):
-        raise DomainError("r must be positive; the potential has a 1/r^2 singularity at r = 0")
+        raise DomainError(_R_DOMAIN)
     if np.any(t_arr <= 0.0) or np.any(t_arr >= np.pi):
-        raise DomainError("theta must lie strictly inside (0, pi); the ring terms diverge at the axis")
+        raise DomainError(_THETA_DOMAIN)
     sin2 = np.sin(t_arr) ** 2
     cos2 = np.cos(t_arr) ** 2
     v = (0.5 * params.K * r_arr**2
@@ -155,6 +177,11 @@ def evaluate_potential(params: PotentialParams, r, theta):
     if np.isscalar(r) and np.isscalar(theta):
         return float(v)
     return v
+
+
+def _is_real(x) -> bool:
+    """isinstance(x, Real), a plain float tested first (see _is_integer)."""
+    return type(x) is float or isinstance(x, Real)
 
 
 def _is_integer(x) -> bool:

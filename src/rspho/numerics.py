@@ -9,6 +9,10 @@ unchanged, np.sqrt makes NaN of a negative radicand by itself, and an
 array caller masks what must be strictly positive once, at the end, so a
 scan makes no copy per check.
 
+``is_array`` tells the two apart without importing numpy, so the float
+forms run in a process that has not loaded it; numpy is imported by the
+code that works on arrays, when it runs.
+
 ``simpson`` is plain numpy: the composite rule for irregular spacing with
 Cartwright's correction of the last interval for an even sample count,
 computed in the order of operations of SciPy's ``integrate.simpson`` so
@@ -21,12 +25,21 @@ together.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import DomainError
 
-__all__ = ["positive", "nonnegative", "sqrt", "simpson"]
+__all__ = ["is_array", "positive", "nonnegative", "sqrt", "simpson"]
+
+
+def is_array(x) -> bool:
+    """isinstance(x, numpy.ndarray), without importing numpy: no array
+    exists before numpy is loaded.  A float, the common case, is answered
+    first."""
+    if type(x) is float:
+        return False
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, np.ndarray)
 
 
 def positive(x, what: str):
@@ -36,7 +49,7 @@ def positive(x, what: str):
     ``what.format(x)``.  An array comes back unchecked; the caller masks its
     elements that are not positive.
     """
-    if not isinstance(x, np.ndarray) and not x > 0.0:
+    if not is_array(x) and not x > 0.0:
         raise DomainError(what.format(x))
     return x
 
@@ -48,7 +61,7 @@ def nonnegative(x, what: str):
     ``what.format(x)``.  An array comes back unchecked; sqrt gives NaN for
     its negative elements.
     """
-    if not isinstance(x, np.ndarray) and not x >= 0.0:
+    if not is_array(x) and not x >= 0.0:
         raise DomainError(what.format(x))
     return x
 
@@ -61,16 +74,21 @@ def sqrt(x):
     where negative; callers that expect such elements silence numpy's
     invalid-value warning with np.errstate.
     """
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    if is_array(x):
+        import numpy as np
+        return np.sqrt(x)
+    return math.sqrt(x)
 
 
 def _divide(num, den):
     """num / den, and 0 wherever den is 0."""
+    import numpy as np
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 
 def _simpson_panels(y, h, stop):
     """Simpson sum over the panels [x_i, x_i+2] for even i < stop."""
+    import numpy as np
     h0 = h[0:stop:2]
     h1 = h[1:stop + 1:2]
     hsum = h0 + h1
@@ -90,6 +108,7 @@ def simpson(y, *, x):
     (2017) three-point correction for the last one; two samples fall back
     to the trapezoid.
     """
+    import numpy as np
     y = np.asarray(y)
     x = np.asarray(x)
     if y.ndim != 1 or x.shape != y.shape or y.size == 0:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GridSpec",
@@ -56,6 +58,7 @@ class GridSpec:
         return (self.upper - self.lower) / (self.points + 1)
 
     def interior(self) -> np.ndarray:
+        import numpy as np
         return self.lower + self.h * np.arange(1, self.points + 1)
 
 
@@ -92,6 +95,7 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
         raise ValueError(
             f"count = {count} too large for {grid.points} grid points "
             "(need count <= points/4 for trustworthy discrete levels)")
+    import numpy as np
     x = grid.interior()
     try:
         v = np.asarray(potential(x), dtype=float)
@@ -169,6 +173,7 @@ def verify_angular(v0: float, count: int = 3,
     q = 0.5 + math.sqrt(0.25 + v0)
     predicted = [n * n + 2.0 * n * q + q for n in range(count)]
     printed = [(n + q) ** 2 for n in range(count)]
+    import numpy as np
     computed = fd_eigenvalues(
         lambda t: v0 * (np.cos(t) / np.sin(t)) ** 2, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))

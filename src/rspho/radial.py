@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import Convention, SolveRequest
 from .numerics import nonnegative, positive, simpson, sqrt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RadialSolution",
@@ -75,6 +77,7 @@ class WavefunctionSamples:
     def node_count(self, rel_threshold: float = 1e-9) -> int:
         """Count interior sign changes, ignoring samples that are
         numerically zero relative to the peak."""
+        import numpy as np
         mag = np.abs(self.values)
         keep = mag > rel_threshold * mag.max()
         signs = np.sign(self.values[keep])
@@ -161,6 +164,7 @@ def kummer_1f1_terminating(n: int, b: float, z):
         if b + k == 0.0:
             raise DomainError(
                 f"Pochhammer denominator vanishes: b + {k} = 0 with b = {b}")
+    import numpy as np
     z_arr = np.asarray(z, dtype=float)
     total = np.ones_like(z_arr)
     term = np.ones_like(z_arr)
@@ -197,6 +201,7 @@ def default_r_grid(n_r: int, L: float, delta_eff: float,
         delta_prime = L * (L + 1.0)
         et = 2.0 * delta_eff * (2.0 * n_r + 1.0 + math.sqrt(0.25 + delta_prime))
         r_max = math.sqrt(et) / delta_eff + 4.0 / math.sqrt(delta_eff)
+    import numpy as np
     h = r_max / points
     return h * np.arange(1, points + 1)
 
@@ -216,6 +221,7 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
         raise DomainError(f"L must exceed -3/2 for integrability at the origin (got {L})")
     if big_delta <= 0.0:
         raise DomainError(f"big_delta must be positive (got {big_delta})")
+    import numpy as np
     r = np.asarray(r_grid, dtype=float)
     if r.size < 3 or np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise DomainError("r grid must be strictly positive and ascending with >= 3 points")

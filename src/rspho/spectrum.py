@@ -35,22 +35,30 @@ brackets are picked with array operations.  One Illinois loop then steps
 every row at once, one residual call per step.  An energy is NaN exactly
 where solve_energy raises for that request, and has solve_energy's bits
 everywhere else.
+
+numpy is imported by the array code only (solve_energy's scan, the
+column solver, the array forms of the residual and of the scan
+intervals), so nonrelativistic_energy and the float forms run in a
+process that has not loaded it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .angular import lambda_from_coupling, lambda_separation
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, numeric_checks, validate)
-from .numerics import positive, sqrt
+from .numerics import is_array, positive, sqrt
 from .radial import radial_ansatz, radial_terms
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolveResult",
@@ -62,7 +70,7 @@ __all__ = [
     "nonrelativistic_energy",
 ]
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _MAX_POLISH_STEPS = 200
 # Grid points per residual call of a batch scan: the scan's windows are at
 # most this large, so the kernel's temporaries stay in cache and the memory
@@ -128,7 +136,8 @@ def energy_residual(E, request: SolveRequest):
     array.  A float outside the validity region raises DomainError naming
     the radicand that failed; an array gets NaN wherever one fails.
     """
-    if isinstance(E, np.ndarray):
+    if is_array(E):
+        import numpy as np
         # The square roots make NaN of negative radicands; the two strict
         # guards, E + M > 0 and a positive stiffness, are one mask at the end
         # (np.minimum passes a NaN on, and NaN > 0 is false).
@@ -165,7 +174,8 @@ def _validity_interval(M, B, C, m, s, e_max):
     """
     slope = -s * 2.0 * (B + C)
     const = 0.5 - s * 2.0 * M * (B + C) - m * m
-    if isinstance(slope, np.ndarray):
+    if is_array(slope):
+        import numpy as np
         with np.errstate(divide="ignore", invalid="ignore"):
             edge = -const / slope
         # The float branches below, element by element.
@@ -197,7 +207,8 @@ def _scan_interval(K, B, C, M, m, s, opts: SolverOptions):
     offset = (opts.e_max_offset if opts.e_max_offset is not None
               else 100.0 * sqrt(abs(K)))
     lo, hi = _validity_interval(M, B, C, m, s, M + offset)
-    if isinstance(lo, np.ndarray):
+    if is_array(lo):
+        import numpy as np
         lo[~(hi > lo)] = np.nan
         margin = 1e-9 * np.maximum(np.maximum(1.0, abs(lo)), abs(hi))
         return lo + margin, hi - margin
@@ -217,7 +228,8 @@ def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
     a request that fails the numeric checks of validation, has a quantum
     number that is not whole, or has no scan interval, gets NaN ends.
     """
-    if isinstance(request, np.ndarray):
+    if is_array(request):
+        import numpy as np
         K, A, B, C, M, n_r, n_theta, m, s = request[:9]
         # Requests that fail validation may hold inf and NaN.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -247,6 +259,7 @@ def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
     the result is request i; its rows hold K, A, B, C, M, n_r, n_theta, m
     and the enums' numeric properties coupling_sign, sign and coefficient.
     """
+    import numpy as np
     numbers = (K, A, B, C, M, n_r, n_theta, m, symmetry.coupling_sign,
                branch.sign, convention.coefficient)
     return np.array(np.broadcast_arrays(*(np.asarray(x, dtype=float)
@@ -262,6 +275,7 @@ def _stack(cols: np.ndarray) -> SolveRequest:
     on such numbers and the grid once, not once per row.  The symmetry,
     branch and convention fields hold their enums' numeric properties.
     """
+    import numpy as np
     bits = cols.view(np.int64)
     shared = (bits == bits[:, :1]).all(axis=1).tolist()
     K, A, B, C, M, n_r, n_theta, m, s, sign, c = [
@@ -300,6 +314,7 @@ def _scan(cols: np.ndarray, first, last, opts: SolverOptions):
     (4, R) array of the rows' (a, b, fa, fb), NaN for a row without the
     bracket.
     """
+    import numpy as np
     n = opts.scan_points
     rows = first.size
     step = (last - first) / (n - 1)
@@ -352,6 +367,7 @@ def _scan_one(request: SolveRequest, first: float, last: float,
     no bracket ``opts.root_index``.  Only these floats leave this frame,
     so an exception raised about the scan does not keep its arrays alive.
     """
+    import numpy as np
     grid = np.linspace(first, last, opts.scan_points)
     values = energy_residual(grid, request)
     starts = np.flatnonzero(_bracket_starts(values)).tolist()
@@ -420,6 +436,7 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     Returns (E, f(E), capped): ``capped`` marks the rows that reached the
     step cap, where _polish would raise too.
     """
+    import numpy as np
     sides = np.array([[a, fa, fa], [b, fb, fb]])    # point, f, chord weight
     (a, fa, ga), (b, fb, gb) = sides
     new = np.empty((3,) + a.shape)                  # c, f(c), f(c)
@@ -499,6 +516,7 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
     solve_energy, which raises "n_r must be an integer" for
     QuantumNumbers(n_r=1.0); a fraction such as 1.5 fails in both.
     """
+    import numpy as np
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(cols, opts)
     E = np.full(cols.shape[1], np.nan)

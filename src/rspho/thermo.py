@@ -77,10 +77,15 @@ def _moments(levels, beta: float, rel_tail_tol: float,
     Returns (E0, s0, s1, s2, used) with s_k = sum (E - E0)^k exp(-beta (E - E0)),
     truncated once a term drops below rel_tail_tol times the running s0.
     Raises ConvergenceError if max_levels levels never satisfy the tail test,
-    and DomainError, before taking a level, if rel_tail_tol is not positive.
+    and DomainError, before taking a level, if beta or rel_tail_tol is not
+    positive and finite: at beta = 0 no truncation passes the tail test,
+    at beta = inf every term is NaN, and an infinite rel_tail_tol would
+    end the sum at the ground level.
     """
-    if not rel_tail_tol > 0.0:
-        raise DomainError(f"rel_tail_tol must be positive (got {rel_tail_tol})")
+    if not 0.0 < beta < math.inf:
+        raise DomainError(f"beta must be positive and finite (got {beta})")
+    if not 0.0 < rel_tail_tol < math.inf:
+        raise DomainError(f"rel_tail_tol must be positive and finite (got {rel_tail_tol})")
     e0 = None
     prev = None
     s0 = s1 = s2 = 0.0
@@ -118,22 +123,28 @@ def partition_function(levels, beta: float,
     ``levels`` may be any iterable of strictly ascending energies,
     including an unbounded generator such as nonrelativistic_levels.
     """
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive (got {beta})")
     e0, s0, _, _, used = _moments(levels, beta, rel_tail_tol)
     return math.exp(-beta * e0) * s0, used
 
 
 def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
                  rel_tail_tol: float = _DEFAULT_TAIL_TOL) -> ThermoPoint:
-    """All thermodynamic functions at temperature T from one truncated sum."""
-    if not T > 0.0:
-        raise DomainError(f"T must be positive (got {T})")
-    if not k_B > 0.0:
-        raise DomainError(f"k_B must be positive (got {k_B})")
+    """All thermodynamic functions at temperature T from one truncated sum.
+
+    T and k_B must be positive and finite, and so must their product and
+    beta = 1/(k_B*T) (see _moments), which they can miss by overflow or
+    underflow.
+    """
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite (got {T})")
+    if not 0.0 < k_B < math.inf:
+        raise DomainError(f"k_B must be positive and finite (got {k_B})")
     if N < 1:
         raise DomainError(f"N must be >= 1 (got {N})")
-    beta = 1.0 / (k_B * T)
+    kT = k_B * T
+    if not 0.0 < kT < math.inf:
+        raise DomainError(f"k_B*T must be positive and finite (got {kT})")
+    beta = 1.0 / kT
     e0, s0, s1, s2, used = _moments(levels, beta, rel_tail_tol)
     mean_shift = s1 / s0
     u = e0 + mean_shift

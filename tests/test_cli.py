@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rspho.cli
 import rspho.thermo
@@ -31,6 +33,15 @@ SPIN_ARGS = ["--symmetry", "spin", "--n", "1", "--m", "0", "--A", "6",
 PSEUDOSPIN_ARGS = ["--symmetry", "pseudospin", "--n", "1", "--m", "0",
                    "--A", "-5", "--B", "0.5", "--C", "0.005",
                    "--K", "-5", "--M", "3"]
+
+
+# The README's potential and thermo commands.
+POTENTIAL_ARGS = ["potential", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
+                  "--r-min", "0.5", "--r-max", "3"]
+THERMO_ARGS = ["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
+               "--mu", "5", "--T-min", "0.1", "--T-max", "5"]
+# What the installed rspho console script runs.
+ENTRY_CODE = "import sys; from rspho.cli import main_entry; sys.exit(main_entry())"
 
 
 def run_cli(argv):
@@ -390,6 +401,51 @@ class TestPotential:
             "--K", "0.001", "--r-steps", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--precision", "17"], ["--r-steps", "4097", "--theta-steps", "1", "--precision", "17"],
+    ], ids=["readme", "readme-17-digits", "4097-rows-17-digits"])
+    def test_output_has_the_bytes_of_a_numpy_grid(self, extra):
+        # The grid and V as numpy computes them over arrays; at 17 digits
+        # equal bytes mean equal bits.
+        argv = POTENTIAL_ARGS + extra
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        prec = int(flags.get("--precision", 8))
+        K, A, B, C = (float(flags[name]) for name in ("--K", "--A", "--B", "--C"))
+        steps = int(flags.get("--theta-steps", 64))
+        theta = math.pi * np.arange(1, steps + 1) / (steps + 1)
+        r = np.linspace(float(flags["--r-min"]), float(flags["--r-max"]),
+                        int(flags.get("--r-steps", 64)))[:, None]
+        r2, sin2, cos2 = r**2, np.sin(theta)**2, np.cos(theta)**2
+        V = 0.5 * K * r2 + A / r2 + B / (r2 * sin2) + C * cos2 / (r2 * sin2)
+        expected = ["r,theta,V"] + [
+            f"{x:.{prec}g},{t:.{prec}g},{v:.{prec}g}"
+            for x, row in zip(r[:, 0].tolist(), V.tolist())
+            for t, v in zip(theta.tolist(), row)]
+        assert run_cli(argv) == (0, "\n".join(expected) + "\n", "")
+
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_radius_is_usage_error(self, flag, value):
+        code, out, err = run_cli(POTENTIAL_ARGS + [f"{flag}={value}"])
+        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+
+
+@pytest.mark.parametrize("first, last, n", [
+    (0.1, 5.0, 1), (0.1, 5.0, 2), (0.1, 5.0, 50), (0.5, 3.0, 4097),
+    (2.5, 2.5, 1), (2.5, 2.5, 2), (2.5, 2.5, 50), (-0.0, -0.0, 1), (-0.0, -0.0, 3), (0.0, -0.0, 3),
+    (5.0, 0.1, 50), (3.0, -7.25, 4097), (0.0, 5e-324, 4097), (1e300, -1e300, 50),
+])
+def test_float_grid_has_the_bits_of_linspace(first, last, n):
+    assert (np.array(rspho.cli._linspace(first, last, n)).tobytes()
+            == np.linspace(first, last, n).tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(first=st.floats(-1e6, 1e6), last=st.floats(-1e6, 1e6), n=st.integers(1, 300))
+def test_float_grid_has_the_bits_of_linspace_everywhere(first, last, n):
+    assert (np.array(rspho.cli._linspace(first, last, n)).tobytes()
+            == np.linspace(first, last, n).tobytes())
+
 
 class TestThermo:
     def test_monotone_entropy_and_positive_capacity(self):
@@ -424,6 +480,22 @@ class TestThermo:
         assert (code, err) == (0, "")
         assert out == "\n".join(expected) + "\n"
         assert calls == list(range(77))       # the T = 5 sum needs 77 levels
+
+    @pytest.mark.parametrize("flag", ["--T-min", "--T-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_temperature_is_usage_error(self, flag, value):
+        code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
+        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--kB", "k_B must be positive and finite (got inf)"),
+        ("--tail-tol", "rel_tail_tol must be positive and finite (got inf)"),
+    ])
+    def test_infinite_constant_fails_before_any_level(self, flag, message, monkeypatch):
+        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
+                            lambda *args: pytest.fail("a level was taken"))
+        code, out, err = run_cli(THERMO_ARGS + [flag, "inf"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
@@ -482,6 +554,19 @@ print(json.dumps([codes, loaded]))
         done = subprocess.run([sys.executable, "-c", script] + argv, env=src_env(),
                               capture_output=True, text=True, check=True)
         assert json.loads(done.stdout) == [[0, 0], [False, True]]
+
+    @pytest.mark.parametrize("launch", [["-m", "rspho"], ["-c", ENTRY_CODE]],
+                             ids=["python-m", "console-script"])
+    @pytest.mark.parametrize("argv", [POTENTIAL_ARGS, THERMO_ARGS], ids=lambda argv: argv[0])
+    def test_thermo_and_potential_load_neither_numpy_nor_scipy(self, launch, argv):
+        # -X importtime lists every module the process imports.
+        done = subprocess.run([sys.executable, "-X", "importtime"] + launch + argv,
+                              env=src_env(), capture_output=True, text=True)
+        imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                    for line in done.stderr.splitlines() if line.startswith("import time:")}
+        assert (done.returncode, done.stdout) == (0, run_cli(argv)[1])
+        assert "rspho" in imported
+        assert not imported & {"numpy", "scipy"}
 
 
 @pytest.mark.parametrize("module, argv, code", [

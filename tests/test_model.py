@@ -1,6 +1,8 @@
 """Tests for the problem-definition layer: potential, validation, enums."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +62,31 @@ class TestEvaluatePotential:
         for i in range(3):
             assert grid[i] == pytest.approx(
                 evaluate_potential(p, float(r[i]), float(theta[i])), rel=1e-14)
+
+
+    def test_floats_have_the_array_bits(self):
+        # The float path must give, bit for bit, what numpy gives for the
+        # same point inside an array.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = _params(*rng.uniform(-10.0, 10.0, 4))
+            r = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+            theta = rng.uniform(1e-6, math.pi - 1e-6, 200)
+            expected = evaluate_potential(p, r, theta)
+            got = [evaluate_potential(p, a, b) for a, b in zip(r.tolist(), theta.tolist())]
+            assert np.array(got).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("r, theta, kind", [
+        (1.0, 1.0, float), (1, 1.0, float), (np.float64(1.0), np.float32(1.0), float),
+        (np.int64(2), Fraction(1, 2), float), (Decimal("1.5"), 1.0, float),
+        (np.array(1.0), 1.0, np.float64), ([1.0, 2.0], 1.0, np.ndarray),
+        (1.0, np.array([1.0, 2.0]), np.ndarray),
+    ], ids=repr)
+    def test_scalars_give_a_float_and_arrays_go_to_numpy(self, r, theta, kind):
+        value = evaluate_potential(_params(), r, theta)
+        assert type(value) is kind
+        assert np.all(value == evaluate_potential(_params(), np.asarray(r, dtype=float),
+                                                  np.asarray(theta, dtype=float)))
 
 
 class TestQuantumNumbers:

@@ -1,12 +1,16 @@
 """Tests for the shared numerical building blocks."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rspho.numerics import simpson
+from rspho.errors import DomainError
+from rspho.numerics import is_array, nonnegative, positive, simpson, sqrt
 
 # Property tests draw the same examples on every run.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -50,3 +54,26 @@ class TestSimpson:
     def test_rejects_mismatched_or_empty_samples(self, y, x):
         with pytest.raises(ValueError, match="simpson needs"):
             simpson(y, x=x)
+
+
+class TestIsArray:
+    @pytest.mark.parametrize("x, expected", [
+        (1.5, False), (2, False), (True, False), (Fraction(1, 2), False),
+        (np.float64(1.5), False), (np.float32(1.5), False), (np.int64(2), False),
+        ([1.0, 2.0], False), ((1.0,), False),
+        (np.array(1.5), True), (np.arange(3.0), True),
+        (np.ma.masked_array([1.0, 2.0]), True),
+    ], ids=repr)
+    def test_matches_isinstance_ndarray(self, x, expected):
+        assert is_array(x) is expected is isinstance(x, np.ndarray)
+
+    def test_float_forms_raise_and_array_forms_pass(self):
+        with pytest.raises(DomainError, match="got -1.0"):
+            positive(-1.0, "got {}")
+        with pytest.raises(DomainError, match="got nan"):
+            nonnegative(math.nan, "got {}")
+        x = np.array([-1.0, 4.0])
+        assert positive(x, "") is x and nonnegative(x, "") is x
+        assert type(sqrt(4.0)) is float and type(sqrt(np.float64(4.0))) is float
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(sqrt(x), [np.nan, 2.0], equal_nan=True)

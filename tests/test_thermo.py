@@ -45,8 +45,11 @@ class TestPartitionFunction:
         assert z_hot > z_mid > z_cold
 
     def test_rejects_nonpositive_beta(self):
-        with pytest.raises(DomainError):
-            partition_function([0.0, 1.0], beta=0.0)
+        # At beta = inf every term is exp(-inf*0) = NaN, which never passes
+        # the tail test.
+        for beta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                partition_function(untouchable_levels(), beta=beta)
 
     def test_rejects_unsorted_levels(self):
         with pytest.raises(DomainError, match="ascending"):
@@ -68,12 +71,34 @@ def untouchable_levels():
     yield
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_nonpositive_tail_tolerance_rejected_before_any_level(tol):
     with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
         partition_function(untouchable_levels(), beta=1.0, rel_tail_tol=tol)
     with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
         thermo_point(untouchable_levels(), T=1.0, rel_tail_tol=tol)
+
+
+@pytest.mark.parametrize("name", ["T", "k_B"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_nonfinite_temperature_rejected_before_any_level(name, value):
+    # An infinite T or k_B makes beta 0, where no truncation of the sum
+    # passes the tail test.
+    kwargs = dict(T=1.0, k_B=1.0)
+    kwargs[name] = value
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+        thermo_point(untouchable_levels(), **kwargs)
+
+
+@pytest.mark.parametrize("T, k_B, message", [
+    (1e200, 1e200, "k_B*T must be positive and finite (got inf)"),
+    (1e-200, 1e-200, "k_B*T must be positive and finite (got 0.0)"),
+    (1e-160, 1e-150, "beta must be positive and finite (got inf)"),   # 1/subnormal
+])
+def test_overflowing_temperature_rejected_before_any_level(T, k_B, message):
+    with pytest.raises(DomainError) as info:
+        thermo_point(untouchable_levels(), T=T, k_B=k_B)
+    assert str(info.value) == message
 
 
 class TestThermoPoint:
