@@ -33,7 +33,9 @@ __all__ = [
     "angular_spectrum",
     "shape_invariance_chain",
     "lambda_separation",
+    "coupling_from_terms",
     "lambda_from_coupling",
+    "lambda_from_terms",
     "angular_ground_state",
     "partner_potentials_angular",
     "default_theta_grid",
@@ -69,9 +71,15 @@ class ShapeInvarianceChain:
     remainders: list[float]
 
 
+def coupling_from_terms(s2, fac, bc):
+    """The signed ring coupling w = s*2(E+M)(B+C), s = +1 spin / -1 pseudo-spin,
+    from s2 = s*2, fac = E + M and bc = B + C."""
+    return s2 * fac * bc
+
+
 def _coupling(E, M: float, params: PotentialParams, symmetry: Symmetry):
-    """The signed ring coupling w = s*2(E+M)(B+C), s = +1 spin / -1 pseudo-spin."""
-    return symmetry.coupling_sign * 2.0 * (E + M) * (params.B + params.C)
+    """coupling_from_terms at E."""
+    return coupling_from_terms(symmetry.coupling_sign * 2.0, E + M, params.B + params.C)
 
 
 def v_tilde(E: float, M: float, params: PotentialParams, m: int,
@@ -120,10 +128,16 @@ def lambda_from_coupling(w, m: int, n_theta: int, branch: BranchSign):
     variants, which differ only in what w is.  w may be a float (a negative
     radicand raises DomainError) or an array (NaN where it is negative).
     """
-    root = sqrt(nonnegative(0.5 - w - m * m,
+    return lambda_from_terms(w, m * m, n_theta + 0.5, branch.sign)
+
+
+def lambda_from_terms(w, mm, half_nt, sign):
+    """lambda_from_coupling from mm = m^2, half_nt = n_theta + 1/2 and the
+    branch's sign, which a caller evaluating many couplings computes once."""
+    root = sqrt(nonnegative(0.5 - w - mm,
                             "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
-    bracket = n_theta + 0.5 + branch.sign * root
-    return bracket * bracket + w + m * m - 0.5
+    bracket = half_nt + sign * root
+    return bracket * bracket + w + mm - 0.5
 
 
 def lambda_separation(E, M: float, params: PotentialParams, m: int,

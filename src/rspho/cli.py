@@ -18,8 +18,9 @@ commands run without importing numpy.  Non-finite grid bounds are usage
 errors.
 
 A flag's value may start with a minus sign, as in ``--series-values
--3,0,5``: argparse would read it as an unknown flag, so a token that
-starts with a minus sign and a digit is joined to the flag before it.
+-3,0,5`` or ``--r-min -inf``: argparse would read it as an unknown flag,
+so a token that starts with a minus sign and a digit, or with -inf,
+-infinity or -nan in any case, is joined to the flag before it.
 
 Exit codes: 0 success, 1 usage error (including an --output file that
 cannot be written), 2 domain or convergence failure, 3 verification
@@ -496,7 +497,9 @@ def _with_config(argv: list[str]) -> list[str]:
     flags, spelled out in full.
     """
     command = _build_parser().commands.get(argv[0]) if argv else None
-    if command is None:
+    # Only a token that starts with "--c" can be --config or an
+    # abbreviation of it.
+    if command is None or not any(token.startswith("--c") for token in argv[1:]):
         return argv
     path = _config_flag_parser().parse_known_args(argv[1:])[0].config
     if path is None:
@@ -509,9 +512,15 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
+# A minus sign, then a digit, a point and a digit, or a whole inf,
+# infinity or nan (any case) before the end or a comma.
+_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
+_FLAG_WITHOUT_VALUE = re.compile(r"--[^=]+")
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """argv with each token that starts like a negative number ("-3,0,5",
-    "-1e5") joined to the flag before it as ``--flag=token``.
+    "-1e5", "-inf") joined to the flag before it as ``--flag=token``.
 
     argparse takes only a plain negative number ("-3", "-0.5") for a
     value; any other token that starts with a minus sign it reads as a
@@ -519,7 +528,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for token in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\.?\d", token):
+        if out and _NEGATIVE.match(token) and _FLAG_WITHOUT_VALUE.fullmatch(out[-1]):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -31,6 +31,7 @@ __all__ = [
     "RadialSolution",
     "WavefunctionSamples",
     "radial_terms",
+    "radial_terms_from_terms",
     "radial_ansatz",
     "radial_spectrum",
     "partner_potentials_radial",
@@ -100,10 +101,15 @@ def radial_terms(E, M: float, K: float, A: float, lam, symmetry):
     masks the stiffness (see numerics.positive).
     """
     s = symmetry.coupling_sign
-    fac = E + M
-    stiff = positive(s * K * fac,
+    return radial_terms_from_terms(E + M, s * K, s * 2.0 * A, lam)
+
+
+def radial_terms_from_terms(fac, sK, s2A, lam):
+    """radial_terms from fac = E + M, sK = s*K and s2A = s*2*A, which a
+    caller evaluating many energies computes once."""
+    stiff = positive(sK * fac,
                      "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
-    delta_prime = s * 2.0 * A * fac + lam
+    delta_prime = s2A * fac + lam
     root = sqrt(nonnegative(0.25 + delta_prime,
                             "radial radicand negative: 1/4 + delta' = {}"))
     return delta_prime, root, stiff

@@ -25,13 +25,20 @@ diagnostics, or raises.  solve_columns does it for many, column-wise: it
 takes the requests' numbers as an (11, requests) array (request_columns
 builds one), validates them and computes their scan intervals with the
 same formulas applied to arrays, and returns only the energies.  For the
-scan and the polish the numbers become (requests x 1) columns; a number
-equal in every row stays one float, so numpy broadcasting computes what
-the rows share once.  The scan walks the requests' grids in ascending
-windows, each one residual call over the requests still scanning, and a
-request leaves the scan as soon as it holds its bracket; most roots lie
-low on the grid, so most requests see only its first points.  The
-brackets are picked with array operations.  One Illinois loop then steps
+scan and the polish it prepares the batch once (_stack): the numbers
+become (requests x 1) columns, and a number equal in every row stays one
+float, so numpy broadcasting computes what the rows share once.  The
+residual's terms that depend on the request alone (s*2, B + C, m^2,
+n_theta + 1/2, s*K, s*2*A and 2*n_r + 1, see _terms) are computed then,
+as the closed forms compute them, and are not recomputed per residual
+call: angular and radial take them through lambda_from_terms,
+coupling_from_terms and radial_terms_from_terms, the same functions
+their float forms call.  The scan walks the requests' grids in
+ascending windows, each one residual call over the requests still
+scanning, taken from the prepared batch by index, and a request leaves
+the scan as soon as it holds its bracket; most roots lie low on the
+grid, so most requests see only its first points.  The brackets are
+counted and picked with array operations.  One Illinois loop then steps
 every row at once, one residual call per step.  An energy is NaN exactly
 where solve_energy raises for that request, and has solve_energy's bits
 everywhere else.
@@ -50,12 +57,13 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .angular import lambda_from_coupling, lambda_separation
+from .angular import (coupling_from_terms, lambda_from_coupling, lambda_from_terms,
+                      lambda_separation)
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, numeric_checks, validate)
 from .numerics import is_array, positive, sqrt
-from .radial import radial_ansatz, radial_terms
+from .radial import radial_ansatz, radial_terms_from_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,36 +137,49 @@ class SolverOptions:
 _DEFAULT_OPTIONS = SolverOptions()
 
 
+def _terms(request) -> tuple:
+    """The numbers of the residual that depend on the request alone, each
+    computed as the closed forms compute it: M, s*2, B + C, m^2,
+    n_theta + 1/2, the branch sign, s*K, s*2*A, 2*n_r + 1 and the
+    convention coefficient c."""
+    p, qn, s = request.params, request.qn, request.symmetry.coupling_sign
+    s2 = s * 2.0
+    return (request.M, s2, p.B + p.C, qn.m * qn.m, qn.n_theta + 0.5,
+            request.branch.sign, s * p.K, s2 * p.A, 2.0 * qn.n_r + 1.0,
+            request.convention.coefficient)
+
+
 def energy_residual(E, request: SolveRequest):
     """f(E) = (E - M) - c*sqrt(s*K/(E+M))*(2*n_r + 1 + sqrt(1/4 + delta'(E))).
 
     Zero exactly at a bound-state energy.  E may be a float or a numpy
     array.  A float outside the validity region raises DomainError naming
-    the radicand that failed; an array gets NaN wherever one fails.
+    the radicand that failed; an array gets NaN wherever one fails.  A
+    batch that _stack made brings its _terms; any other request's are
+    computed here.
     """
+    terms = request.terms if type(request) is _Batch else _terms(request)
     if is_array(E):
         import numpy as np
         # The square roots make NaN of negative radicands; the two strict
         # guards, E + M > 0 and a positive stiffness, are one mask at the end
-        # (np.minimum passes a NaN on, and NaN > 0 is false).
+        # (np.minimum passes a NaN on, and NaN > 0 is false), written into
+        # f, a new array with the shape of the three.
         with np.errstate(invalid="ignore", divide="ignore"):
-            f, fac, stiff = _residual(E, request)
-        return np.where(np.minimum(fac, stiff) > 0.0, f, np.nan)
-    return _residual(E, request)[0]
+            f, fac, stiff = _residual(E, terms)
+        np.copyto(f, np.nan, where=~(np.minimum(fac, stiff) > 0.0))
+        return f
+    return _residual(E, terms)[0]
 
 
-def _residual(E, request: SolveRequest):
+def _residual(E, terms: tuple):
     """energy_residual with E + M and the stiffness, which it must mask."""
-    p = request.params
-    M = request.M
-    qn = request.qn
+    M, s2, bc, mm, half_nt, sign, sK, s2A, nr21, c = terms
     fac = positive(E + M, "E + M must be positive (got {})")
-    lam = lambda_separation(E, M, p, qn.m, qn.n_theta, request.branch,
-                            request.symmetry)
-    _, root, stiff = radial_terms(E, M, p.K, p.A, lam, request.symmetry)
+    lam = lambda_from_terms(coupling_from_terms(s2, fac, bc), mm, half_nt, sign)
+    _, root, stiff = radial_terms_from_terms(fac, sK, s2A, lam)
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)
-    rhs = (request.convention.coefficient * sqrt(stiff) / fac
-           * (2.0 * qn.n_r + 1.0 + root))
+    rhs = c * sqrt(stiff) / fac * (nr21 + root)
     return (E - M) - rhs, fac, stiff
 
 
@@ -266,24 +287,46 @@ def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
                                           for x in numbers)))
 
 
-def _stack(cols: np.ndarray) -> SolveRequest:
-    """One request whose numbers are (R, 1) columns, row r from cols[:, r].
+class _Batch:
+    """A request whose numbers are (R, 1) columns, row r for request r, or
+    floats shared by every row, with its _terms computed once.
 
-    energy_residual evaluates it on an (R, n) grid element by element as
-    it would each request alone.  A number with the same bits in every
-    row stays one float, so numpy broadcasting computes what depends only
-    on such numbers and the grid once, not once per row.  The symmetry,
-    branch and convention fields hold their enums' numeric properties.
+    It has a SolveRequest's fields, so energy_residual evaluates it on an
+    (R, n) grid element by element as it would each request alone; the
+    symmetry, branch and convention fields hold their enums' numeric
+    properties.  take() gives the batch of some of its rows without
+    computing their terms again.
+    """
+
+    def __init__(self, numbers: tuple, terms: tuple | None = None):
+        K, A, B, C, M, n_r, n_theta, m, s, sign, c = self.numbers = numbers
+        self.params = PotentialParams(K=K, A=A, B=B, C=C)
+        self.M = M
+        self.qn = QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m)
+        self.symmetry = self.branch = self.convention = SimpleNamespace(
+            coupling_sign=s, sign=sign, coefficient=c)
+        self.terms = _terms(self) if terms is None else terms
+
+    def take(self, rows) -> _Batch:
+        """The batch of the rows ``rows``, an index array or a slice."""
+        def pick(x):
+            return x if type(x) is float else x[rows]
+        return _Batch(tuple(map(pick, self.numbers)), tuple(map(pick, self.terms)))
+
+
+def _stack(cols: np.ndarray) -> _Batch:
+    """The batch of the requests in ``cols`` (an (11, R) array, see
+    request_columns), row r from cols[:, r].
+
+    A number with the same bits in every row stays one float, so numpy
+    broadcasting computes what depends only on such numbers and the grid
+    once, not once per row.
     """
     import numpy as np
     bits = cols.view(np.int64)
     shared = (bits == bits[:, :1]).all(axis=1).tolist()
-    K, A, B, C, M, n_r, n_theta, m, s, sign, c = [
-        col[0].item() if same else col[:, None] for col, same in zip(cols, shared)]
-    enums = SimpleNamespace(coupling_sign=s, sign=sign, coefficient=c)
-    return SolveRequest(params=PotentialParams(K=K, A=A, B=B, C=C), M=M,
-                        qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
-                        symmetry=enums, branch=enums, convention=enums)
+    return _Batch(tuple(col[0].item() if same else col[:, None]
+                        for col, same in zip(cols, shared)))
 
 
 def _bracket_starts(values):
@@ -297,27 +340,32 @@ def _bracket_starts(values):
     return hit
 
 
-def _scan(cols: np.ndarray, first, last, opts: SolverOptions):
+def _scan(cols, first, last, opts: SolverOptions):
     """Scan the residual of the requests in ``cols`` (an (11, R) array, see
-    request_columns) and pick each one's bracket ``opts.root_index``.
+    request_columns, or the batch that _stack made of one) and pick each
+    one's bracket ``opts.root_index``.
 
     Row r scans the bits of np.linspace(first[r], last[r], scan_points),
     walked in ascending windows: each window is one residual call over
-    the rows still scanning, _SCAN_CHUNK // rows points wide (at least
-    one), and rows whose ends are all equal share one grid row.  A row
-    stops scanning once it holds its bracket, and a row without one sees
-    every grid point once.  Brackets are counted as _scan_one counts them
-    (see _bracket_starts): a window's last value is carried into the next
-    one, which decides whether a bracket starts there, and the counts are
-    carried too.  The bracket starting at a is (a, b, f(a), f(b)), b the
-    next grid point, or (a, a, 0.0, 0.0) for an exact zero.  Returns the
-    (4, R) array of the rows' (a, b, fa, fb), NaN for a row without the
-    bracket.
+    the rows still scanning, taken from the batch by index, _SCAN_CHUNK //
+    rows points wide (at least one), and if every row has the same ends
+    they share one grid row.  A row stops scanning once it holds its
+    bracket, and a row without one sees every grid point once.  Brackets
+    are counted as _scan_one counts them (see _bracket_starts): a window
+    counts the brackets that start at its points but its last, and at
+    the point before it, whose residual the previous window leaves
+    behind; the counts are carried too.  The bracket starting at a is
+    (a, b, f(a), f(b)), b the next grid point, or (a, a, 0.0, 0.0) for an
+    exact zero.  Returns the (4, R) array of the rows' (a, b, fa, fb), NaN
+    for a row without the bracket.
     """
     import numpy as np
+    batch = cols if type(cols) is _Batch else _stack(cols)
     n = opts.scan_points
     rows = first.size
     step = (last - first) / (n - 1)
+    if (first == first[0]).all() and (last == last[0]).all():
+        first, last, step = first[:1], last[:1], step[:1]
     bracket = np.full((4, rows), np.nan)
     skip = np.full(rows, opts.root_index)       # brackets still to pass
     before = np.full(rows, np.nan)              # f at the point before a window
@@ -325,34 +373,45 @@ def _scan(cols: np.ndarray, first, last, opts: SolverOptions):
     start = 0
     while scanning.size and start < n:
         width = min(max(1, _SCAN_CHUNK // scanning.size), n - start)
-        lo, hi, h = first[scanning], last[scanning], step[scanning]
-        if (lo == lo[0]).all() and (hi == hi[0]).all():
-            lo, hi, h = lo[:1], hi[:1], h[:1]
+        lo, hi, h = ((first, last, step) if len(first) == 1 else
+                     (first[scanning], last[scanning], step[scanning]))
         # Grid points start - 1 to start + width - 1 as linspace computes
         # them: i*step + first, and the last point is last itself.
         grid = np.arange(start - 1, start + width, dtype=float) * h[:, None] + lo[:, None]
-        if start + width == n:
+        final = start + width == n
+        if final:
             grid[:, -1] = hi
-        values = energy_residual(grid[:, 1:], _stack(cols[:, scanning]))
-        f = np.concatenate((before[scanning, None],
-                            np.broadcast_to(values, (scanning.size, width))), axis=1)
-        hit = _bracket_starts(f)
-        if start + width < n:
+        values = energy_residual(
+            grid[:, 1:], batch if scanning.size == rows else batch.take(scanning))
+        hit = _bracket_starts(values)
+        if not final:
             hit[:, -1] = False                  # the next window decides it
-        tally = hit.cumsum(axis=1)
-        nth = tally > skip[scanning, None]
-        done = nth[:, -1]
+        f0 = before[scanning]
+        hit0 = (f0 == 0.0) | (f0 * values[:, 0] < 0.0)     # at the point before
+        count = hit0 + np.count_nonzero(hit, axis=1)
+        done = count > skip[scanning]
         r = np.flatnonzero(done)
-        i = nth[r].argmax(axis=1)
-        # The bracket's ends, i and i + 1 (kept in the window).
-        j = np.minimum(i + 1, width)
-        row = r if len(grid) > 1 else 0
-        pa, pb, fa, fb = grid[row, i], grid[row, j], f[r, i], f[r, j]
-        zero = fa == 0.0
-        bracket[:, scanning[r]] = (pa, np.where(zero, pa, pb), np.where(zero, 0.0, fa),
-                                   np.where(zero, 0.0, fb))
-        skip[scanning] -= tally[:, -1]
-        before[scanning] = f[:, -1]
+        if r.size:
+            # The done rows' window with the point before it: find their
+            # bracket, at i, and its ends, i and i + 1 (kept in the window).
+            vr = r if len(values) > 1 else 0
+            starts = np.empty((r.size, width + 1), dtype=bool)
+            f = np.empty((r.size, width + 1))
+            starts[:, 0], starts[:, 1:] = hit0[r], hit[vr]
+            f[:, 0], f[:, 1:] = f0[r], values[vr]
+            passing = skip[scanning[r]]
+            if passing.any():                   # mark the starts after those passed
+                starts = starts.cumsum(axis=1) > passing[:, None]
+            i = starts.argmax(axis=1)
+            j = np.minimum(i + 1, width)
+            k = np.arange(r.size)
+            row = r if len(grid) > 1 else 0
+            pa, pb, fa, fb = grid[row, i], grid[row, j], f[k, i], f[k, j]
+            zero = fa == 0.0
+            bracket[:, scanning[r]] = (pa, np.where(zero, pa, pb), np.where(zero, 0.0, fa),
+                                       np.where(zero, 0.0, fb))
+        skip[scanning] -= count
+        before[scanning] = values[:, -1]
         scanning = scanning[~done]
         start += width
     return bracket
@@ -439,31 +498,36 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
     import numpy as np
     sides = np.array([[a, fa, fa], [b, fb, fb]])    # point, f, chord weight
     (a, fa, ga), (b, fb, gb) = sides
+    weights = sides[:, 2]                           # ga, gb
     new = np.empty((3,) + a.shape)                  # c, f(c), f(c)
-    left = right = np.zeros(a.shape, dtype=bool)    # which end moved last
-    for step in range(_MAX_POLISH_STEPS + 1):
-        tol = abs_tol + 4.0 * _EPS * np.abs(0.5 * (a + b))
-        active = b - a > tol
-        if step == _MAX_POLISH_STEPS or not active.any():
-            break
-        # A finished row's chord may divide 0 by 0; its point is not used.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = b - gb * (b - a) / (gb - ga)
-        half = 0.5 * tol
-        lo, hi = a + half, b - half
-        c = np.where(c > lo, np.where(c < hi, c, hi), lo)
-        fc = energy_residual(c[:, None], request)[:, 0]
-        keep_a = active & ((fc < 0.0) == (fa < 0.0))    # c replaces a
-        keep_b = active ^ keep_a                        # c replaces b
-        np.multiply(gb, 0.5, out=gb, where=keep_a & left)
-        np.multiply(ga, 0.5, out=ga, where=keep_b & right)
-        left, right = keep_a, keep_b
-        # A zero, or a point outside the domain (NaN), closes the bracket
-        # on c: the first ends _polish, the second makes it raise.
-        closed = active & ~(np.abs(fc) > 0.0)
-        new[0], new[1:] = c, fc
-        np.copyto(sides[0], new, where=keep_a | closed)
-        np.copyto(sides[1], new, where=keep_b | closed)
+    moved = np.zeros((2,) + a.shape, dtype=bool)    # a, b took c last step
+    # f(a) keeps its sign while a moves, and f(b) the other one:
+    # f(c)*away[0] < 0 where f(c) has f(b)'s sign, f(c)*away[1] < 0 where
+    # it has f(a)'s.
+    away = np.where(fa < 0.0, -1.0, 1.0) * np.array([[1.0], [-1.0]])
+    # A finished row's chord may divide 0 by 0; its point is not used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(_MAX_POLISH_STEPS + 1):
+            tol = abs_tol + 4.0 * _EPS * np.abs(0.5 * (a + b))
+            width = b - a
+            active = width > tol
+            if step == _MAX_POLISH_STEPS or not np.count_nonzero(active):
+                break
+            c = b - gb * width / (gb - ga)
+            half = 0.5 * tol
+            lo, hi = a + half, b - half
+            c = np.where(c > lo, np.where(c < hi, c, hi), lo)
+            fc = energy_residual(c[:, None], request)[:, 0]
+            # c replaces a where f(c) has f(a)'s sign, b where it has f(b)'s,
+            # and both, closing the bracket on c, where f(c) is 0 or NaN
+            # (outside the domain): the first ends _polish, the second
+            # makes it raise.  An end that takes c twice in a row halves
+            # the other end's chord weight.
+            took = active & ~(fc * away < 0.0)
+            np.multiply(weights, 0.5, out=weights, where=(took & moved)[::-1])
+            moved = took
+            new[0], new[1:] = c, fc
+            np.copyto(sides, new, where=moved[:, None])
     at_a = np.abs(fa) <= np.abs(fb)
     # Rows still active here have reached the step cap.
     return np.where(at_a, a, b), np.where(at_a, fa, fb), active
@@ -522,13 +586,14 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
     E = np.full(cols.shape[1], np.nan)
     rows = np.flatnonzero(~np.isnan(first))
     if rows.size:
-        first, last, cols = first[rows], last[rows], cols[:, rows]
+        first, last = first[rows], last[rows]
+        batch = _stack(cols[:, rows])
         # Blocks of at most _SCAN_CHUNK rows, so that a window of one point
         # per row stays within _SCAN_CHUNK points.
         parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
         a, b, fa, fb = np.concatenate(
-            [_scan(cols[:, p], first[p], last[p], opts) for p in parts], axis=1)
-        point, residual, capped = _polish_rows(_stack(cols), a, b, fa, fb, opts.abs_tol_E)
+            [_scan(batch.take(p), first[p], last[p], opts) for p in parts], axis=1)
+        point, residual, capped = _polish_rows(batch, a, b, fa, fb, opts.abs_tol_E)
         # A NaN residual: no bracket, or the polish stepped outside the domain.
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E

@@ -130,6 +130,16 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert "--tol" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--M", "-inf", "M must be positive (got -inf)"),
+        ("--A", "-nan", "A must be a finite real (got nan)"),
+        ("--K", "-Inf", "K must be a finite real (got -inf)"),
+    ])
+    def test_nonfinite_value_after_a_space_is_validated(self, flag, value, message):
+        code, out, err = run_cli(["solve"] + SPIN_ARGS + [flag, value])
+        assert (code, out, err) == run_cli(["solve"] + SPIN_ARGS + [f"{flag}={value}"])
+        assert (code, out) == (2, "") and message in err
+
     def test_unwritable_output_file(self, tmp_path):
         target = tmp_path / "missing" / "row.csv"
         code, out, err = run_cli(["solve"] + SPIN_ARGS + ["--output", str(target)])
@@ -430,6 +440,19 @@ class TestPotential:
         assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
 
 
+    @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NaN"])
+    def test_nonfinite_radius_after_a_space_is_usage_error(self, flag, value):
+        # "-inf" as a token of its own is the flag's value, as in --flag=-inf.
+        code, out, err = run_cli(POTENTIAL_ARGS + [flag, value])
+        assert (code, out, err) == run_cli(POTENTIAL_ARGS + [f"{flag}={value}"])
+        assert (code, out) == (1, "") and flag in err
+
+    def test_nonfinite_coefficient_after_a_space(self):
+        argv = POTENTIAL_ARGS + ["--r-steps", "2", "--theta-steps", "1"]
+        assert run_cli(argv + ["--K", "-inf"]) == run_cli(argv + ["--K=-inf"])
+
+
 @pytest.mark.parametrize("first, last, n", [
     (0.1, 5.0, 1), (0.1, 5.0, 2), (0.1, 5.0, 50), (0.5, 3.0, 4097),
     (2.5, 2.5, 1), (2.5, 2.5, 2), (2.5, 2.5, 50), (-0.0, -0.0, 1), (-0.0, -0.0, 3), (0.0, -0.0, 3),
@@ -486,6 +509,19 @@ class TestThermo:
     def test_nonfinite_temperature_is_usage_error(self, flag, value):
         code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
         assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+
+    @pytest.mark.parametrize("flag", ["--T-min", "--T-max"])
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-INFINITY"])
+    def test_nonfinite_temperature_after_a_space_is_usage_error(self, flag, value):
+        code, out, err = run_cli(THERMO_ARGS + [flag, value])
+        assert (code, out, err) == run_cli(THERMO_ARGS + [f"{flag}={value}"])
+        assert (code, out) == (1, "") and flag in err
+
+    def test_nonfinite_coefficient_after_a_space(self):
+        code, out, err = run_cli(THERMO_ARGS + ["--K", "-inf"])
+        assert (code, out, err) == run_cli(THERMO_ARGS + ["--K=-inf"])
+        assert (code, out, err) == (2, "", "error: non-relativistic limit requires K > 0 "
+                                           "(got -inf)\n")
 
     @pytest.mark.parametrize("flag, message", [
         ("--kB", "k_B must be positive and finite (got inf)"),
@@ -715,6 +751,22 @@ M = 5.0
         path.write_text(self.CONFIG.replace("A = 6.0", "A = -1e-3"))
         assert run_cli(["solve", "--config", str(path)]) == run_cli(
             ["solve"] + SPIN_ARGS + ["--A=-1e-3"])
+
+    @pytest.mark.parametrize("form", [["--config", "PATH"], ["--config=PATH"], ["--conf", "PATH"]],
+                             ids=" ".join)
+    def test_config_flag_forms(self, tmp_path, form):
+        # An abbreviation that argparse accepts finds the file too.
+        path = tmp_path / "case.conf"
+        path.write_text(self.CONFIG)
+        code, out, err = run_cli(["solve"] + [token.replace("PATH", str(path)) for token in form])
+        assert (code, out, err) == run_cli(["solve"] + SPIN_ARGS)
+        assert code == 0
+
+    def test_no_config_parse_without_a_dash_dash_c_token(self, monkeypatch):
+        # --C, capital, cannot abbreviate --config.
+        monkeypatch.setattr(rspho.cli, "_config_flag_parser",
+                            lambda: pytest.fail("argv was parsed for --config"))
+        assert run_cli(["solve"] + SPIN_ARGS)[0] == 0
 
     def test_config_without_a_path(self):
         code, out, err = run_cli(["solve", "--config"])

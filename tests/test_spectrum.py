@@ -267,6 +267,43 @@ class TestResidualKernel:
             else:
                 assert np.float64(scalar).tobytes() == f.tobytes(), (e, scalar, f)
 
+    @PROPERTY
+    @given(requests=st.one_of(
+               valid_requests().map(lambda req: [req] * 3),             # every number shared
+               st.lists(valid_requests(), min_size=1, max_size=12),     # numbers per row
+               grouped_requests()),                                     # some of each
+           data=st.data())
+    def test_prepared_batch_rows_match_their_requests(self, requests, data):
+        # The batch that _stack prepares, and row subsets of it taken by
+        # index as the scan's windows take them, evaluate each row as
+        # energy_residual evaluates that row's own request: on a grid row
+        # per row, or on one grid row that every row shares.
+        batch = rspho.spectrum._stack(columns(requests))
+        rows = data.draw(st.lists(st.integers(0, len(requests) - 1), min_size=1,
+                                  max_size=2 * len(requests)), label="rows")
+        offsets = data.draw(st.lists(st.floats(-30.0, 300.0), min_size=1, max_size=12),
+                            label="offsets")
+        shared_grid = data.draw(st.booleans(), label="shared_grid")
+        subsets = [batch.take(np.array(rows))]
+        if rows == list(range(len(requests))):
+            subsets.append(batch)
+        if shared_grid:
+            grid = np.array([[-requests[0].M + x for x in offsets]])
+        else:
+            grid = np.array([[-requests[i].M + x for x in offsets] for i in rows])
+        shape = (len(rows), len(offsets))
+        for sub in subsets:
+            # One row when every number and the grid are shared.
+            values = np.broadcast_to(energy_residual(grid, sub), shape)
+            for i, row, E in zip(rows, values, np.broadcast_to(grid, shape)):
+                own = energy_residual(E.copy(), requests[i])
+                assert [repr(f) for f in row.tolist()] == [repr(f) for f in own.tolist()]
+                for e, f in zip(E.tolist(), row.tolist()):
+                    try:
+                        assert repr(energy_residual(e, requests[i])) == repr(f)
+                    except DomainError:
+                        assert math.isnan(f)
+
     def test_scan_is_one_array_call_then_scalar_steps(self, monkeypatch):
         calls = []
 
@@ -731,6 +768,31 @@ class TestScanWindows:
         i = flips[root_index]
         assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
         assert not np.isnan(E).any()
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-block", "four-blocks"])
+    def test_batch_is_prepared_once(self, batch, chunk):
+        # The scan walks several windows, and at a _SCAN_CHUNK of 64 four
+        # blocks of rows, but solve_columns prepares its batch once.
+        requests, opts, _, _ = batch
+        spectrum = rspho.spectrum
+        stacked, scans, stack = [], [], spectrum._stack
+
+        def counting(E, request):
+            values = energy_residual(E, request)
+            if E.shape[-1] > 1:
+                scans.append(values.shape)
+            return values
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_stack", lambda cols: stacked.append(cols.shape) or stack(cols))
+            mp.setattr(spectrum, "energy_residual", counting)
+            if chunk is not None:
+                mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
+            E = solve_columns(columns(requests), opts)
+        assert stacked == [(11, len(requests))]
+        blocks = -(-len(requests) // spectrum._SCAN_CHUNK) if chunk is None else 4
+        assert len(scans) > blocks
+        assert energies(E) == one_by_one(requests, opts)
 
     def test_row_without_a_bracket_sees_every_grid_point_once(self, batch, monkeypatch):
         # n_r = 1000 puts the state above the scan ceiling: no sign change.
