@@ -14,8 +14,18 @@ from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  potential and thermo need no arrays: their grids
 are lists of floats with np.linspace's bits (_linspace), so these two
-commands run without importing numpy.  Non-finite grid bounds are usage
+commands run without importing numpy.  Non-finite grid bounds (sweep's
+--from and --to, potential's radii, thermo's temperatures) are usage
 errors.
+
+This module imports only errors and model from the package.  Each command
+imports the modules it runs when it runs: potential imports no other,
+thermo imports thermo (and with it angular), verify imports oracle, and
+solve, table, sweep and wavefunction import spectrum (and with it angular
+and radial).  The public functions that a command calls (solve_energy,
+radial_wavefunction, thermo_point, verify_radial and verify_angular) are
+taken from the package, rspho, so a wrapper set there, as perfbench's span
+tracer sets one, sees each call; the helpers come from their own modules.
 
 A flag's value may start with a minus sign, as in ``--series-values
 -3,0,5`` or ``--r-min -inf``: argparse would read it as an unknown flag,
@@ -35,15 +45,14 @@ import itertools
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, evaluate_potential)
-from .oracle import default_angular_grid, default_radial_grid, verify_angular, verify_radial
-from .radial import (default_r_grid, effective_scale, radial_wavefunction,
-                     wavefunction_scales)
-from .spectrum import SolverOptions, request_columns, solve_columns, solve_energy
-from .thermo import nonrelativistic_ladder, thermo_point
+
+if TYPE_CHECKING:
+    from .spectrum import SolverOptions
 
 __all__ = ["main", "main_entry"]
 
@@ -171,6 +180,7 @@ def _build_request(args: argparse.Namespace) -> SolveRequest:
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
+    from .spectrum import SolverOptions
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite (got {args.tol})")
     return SolverOptions(abs_tol_E=args.tol)
@@ -188,6 +198,7 @@ def _solve_row(req: SolveRequest, res, prec: int) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from . import solve_energy
     prec = _precision(args)
     req = _build_request(args)
     res = solve_energy(req, _solver_options(args))
@@ -197,6 +208,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     import numpy as np
+    from . import solve_energy
+    from .spectrum import request_columns, solve_columns
     spec = _REFERENCE_SETS[args.which]
     prec = _precision(args)
     lines: list[str] = []
@@ -227,9 +240,11 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
+    from .spectrum import request_columns, solve_columns
     vary = args.vary
     if args.steps < 2:
         raise UsageError(f"--steps must be >= 2 (got {args.steps})")
+    _finite(args, "from", "to")
     if getattr(args, "from") == args.to:
         raise UsageError("degenerate sweep range: --from equals --to")
     for name in ("A", "B", "K"):
@@ -267,6 +282,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
+    from . import radial_wavefunction, solve_energy
+    from .radial import default_r_grid, effective_scale, wavefunction_scales
     if args.points < 3:
         raise UsageError(f"--points must be >= 3 (got {args.points})")
     prec = _precision(args)
@@ -302,6 +319,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
+    from . import thermo_point
+    from .thermo import nonrelativistic_ladder
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1 (got {args.steps})")
     prec = _precision(args)
@@ -322,6 +341,8 @@ def cmd_thermo(args: argparse.Namespace) -> int:
 
 def _oracle_reports(suite: str, points: int):
     """(suite, case label, OracleReport) for every oracle case of ``suite``."""
+    from . import verify_angular, verify_radial
+    from .oracle import default_angular_grid, default_radial_grid
     if suite in ("radial", "all"):
         for delta_prime, big_delta in _VERIFY_RADIAL_CASES:
             grid = default_radial_grid(delta_prime, big_delta, 3, points=points)

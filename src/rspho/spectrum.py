@@ -1,4 +1,4 @@
-"""Self-consistent energy solver and the non-relativistic closed form.
+"""Self-consistent energy solver for one request or for columns of many.
 
 The bound-state energy satisfies an implicit relation
 
@@ -45,8 +45,7 @@ everywhere else.
 
 numpy is imported by the array code only (solve_energy's scan, the
 column solver, the array forms of the residual and of the scan
-intervals), so nonrelativistic_energy and the float forms run in a
-process that has not loaded it.
+intervals), so the float forms run in a process that has not loaded it.
 """
 
 from __future__ import annotations
@@ -57,8 +56,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .angular import (coupling_from_terms, lambda_from_coupling, lambda_from_terms,
-                      lambda_separation)
+from .angular import coupling_from_terms, lambda_from_terms, lambda_separation
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, numeric_checks, validate)
@@ -75,7 +73,6 @@ __all__ = [
     "solve_energy",
     "request_columns",
     "solve_columns",
-    "nonrelativistic_energy",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -598,28 +595,3 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E
 
-
-def nonrelativistic_energy(params: PotentialParams, mu: float,
-                           qn: QuantumNumbers,
-                           branch: BranchSign = BranchSign.PLUS,
-                           convention: Convention = Convention.TABLE_CONSISTENT
-                           ) -> float:
-    """Explicit oscillator-limit energy for reduced mass mu (no root-finding).
-
-    E_NR = (c/2) * sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))
-
-    with lambda_NR evaluated at the static ring coupling w = 4*mu*(B+C).
-    Requires K > 0: the mapping descends from the spin-symmetric regime.
-    """
-    if mu <= 0.0:
-        raise DomainError(f"reduced mass must be positive (got {mu})")
-    if params.K <= 0.0:
-        raise DomainError(
-            f"non-relativistic limit requires K > 0 (got {params.K})")
-    w = 4.0 * mu * (params.B + params.C)
-    lam_nr = lambda_from_coupling(w, qn.m, qn.n_theta, branch)
-    inner = 0.25 + 4.0 * params.A * mu + lam_nr
-    if inner < 0.0:
-        raise DomainError(f"radial radicand negative: 1/4 + 4*A*mu + lambda = {inner}")
-    return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
-            * (2.0 * qn.n_r + 1.0 + math.sqrt(inner)))

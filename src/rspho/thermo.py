@@ -11,6 +11,10 @@ differentiation (that is kept as a test oracle only):
 Energies are shifted by the ground level before exponentiation so large
 beta cannot underflow the sums; the shift cancels identically in U, S, C
 and is restored in F and Z.
+
+The ladder's levels come from nonrelativistic_energy, the explicit
+oscillator-limit closed form, which needs the angular separation constant
+but no energy solver: this module imports angular, not spectrum or radial.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import math
 from dataclasses import dataclass
 from itertools import count as _count
 
+from .angular import lambda_from_coupling
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
-from .spectrum import nonrelativistic_energy
 
 __all__ = [
     "CachedLevels",
     "ThermoPoint",
     "partition_function",
     "thermo_point",
+    "nonrelativistic_energy",
     "nonrelativistic_ladder",
     "nonrelativistic_levels",
 ]
@@ -154,6 +159,42 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     s = N * k_B * (math.log(s0) + beta * mean_shift)
     return ThermoPoint(T=T, beta=beta, Z=math.exp(log_z), F=f, U=u, S=s,
                        C=max(c, 0.0), levels_used=used)
+
+
+def nonrelativistic_energy(params: PotentialParams, mu: float,
+                           qn: QuantumNumbers,
+                           branch: BranchSign = BranchSign.PLUS,
+                           convention: Convention = Convention.TABLE_CONSISTENT
+                           ) -> float:
+    """Explicit oscillator-limit energy for reduced mass mu (no root-finding).
+
+    E_NR = (c/2) * sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))
+
+    with lambda_NR evaluated at the static ring coupling w = 4*mu*(B+C).
+    Requires K > 0: the mapping descends from the spin-symmetric regime.
+    K, A, B, C and mu must be finite: a NaN or infinite one makes every
+    level of a ladder NaN or infinite, and no partition sum over it ends.
+    """
+    if mu <= 0.0:
+        raise DomainError(f"reduced mass must be positive (got {mu})")
+    if params.K <= 0.0:
+        raise DomainError(
+            f"non-relativistic limit requires K > 0 (got {params.K})")
+    # One sum tests the five inputs at once: it is not finite when one of
+    # them is not (or when finite ones overflow), and only then is each
+    # input tested, to name it.
+    if not math.isfinite(params.K + params.A + params.B + params.C + mu):
+        for name, value in (("K", params.K), ("A", params.A), ("B", params.B),
+                            ("C", params.C), ("mu", mu)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite (got {value})")
+    w = 4.0 * mu * (params.B + params.C)
+    lam_nr = lambda_from_coupling(w, qn.m, qn.n_theta, branch)
+    inner = 0.25 + 4.0 * params.A * mu + lam_nr
+    if inner < 0.0:
+        raise DomainError(f"radial radicand negative: 1/4 + 4*A*mu + lambda = {inner}")
+    return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
+            * (2.0 * qn.n_r + 1.0 + math.sqrt(inner)))
 
 
 def nonrelativistic_ladder(params: PotentialParams, mu: float, m: int = 0,

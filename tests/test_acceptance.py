@@ -16,9 +16,9 @@ from rspho.model import (Convention, PotentialParams, QuantumNumbers,
 from rspho.oracle import verify_angular, verify_radial
 from rspho.radial import (default_r_grid, effective_scale,
                           kummer_1f1_terminating, radial_wavefunction)
-from rspho.spectrum import nonrelativistic_energy, solve_energy
-from rspho.thermo import (nonrelativistic_levels, partition_function,
-                          thermo_point)
+from rspho.spectrum import solve_energy
+from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
+                          partition_function, thermo_point)
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)

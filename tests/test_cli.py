@@ -40,6 +40,10 @@ POTENTIAL_ARGS = ["potential", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K"
                   "--r-min", "0.5", "--r-max", "3"]
 THERMO_ARGS = ["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
                "--mu", "5", "--T-min", "0.1", "--T-max", "5"]
+# The README's sweep command.
+SWEEP_ARGS = ["sweep", "--vary", "A", "--from", "6", "--to", "7.5", "--steps", "16",
+              "--series", "n", "--series-values", "1,2,3", "--symmetry", "spin",
+              "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
 # What the installed rspho console script runs.
 ENTRY_CODE = "import sys; from rspho.cli import main_entry; sys.exit(main_entry())"
 
@@ -367,6 +371,20 @@ class TestSweep:
         assert code == 1
         assert "--K" in err
 
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_bound_is_usage_error(self, flag, value):
+        # Before np.linspace runs, which would warn and give NaN rows.
+        code, out, err = run_cli(SWEEP_ARGS + [f"{flag}={value}"])
+        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("value", ["-inf", "-NaN", "-Infinity"])
+    def test_nonfinite_bound_after_a_space_is_usage_error(self, flag, value):
+        code, out, err = run_cli(SWEEP_ARGS + [flag, value])
+        assert (code, out, err) == run_cli(SWEEP_ARGS + [f"{flag}={value}"])
+        assert (code, out) == (1, "") and flag in err
+
 
 class TestWavefunction:
     def test_row_count_and_finiteness(self):
@@ -533,6 +551,19 @@ class TestThermo:
         code, out, err = run_cli(THERMO_ARGS + [flag, "inf"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--K", "nan"), ("--K", "inf"), ("--A", "nan"), ("--A", "-inf"),
+        ("--B", "inf"), ("--C", "nan"), ("--mu", "nan"), ("--mu", "inf"),
+    ])
+    def test_nonfinite_coefficient_fails_at_the_first_level(self, flag, value, monkeypatch):
+        calls = []
+        level = rspho.thermo.nonrelativistic_energy
+        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
+                            lambda *args: calls.append(args[2].n_r) or level(*args))
+        code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
+        assert (code, out, err) == (2, "", f"error: {flag[2:]} must be finite (got {value})\n")
+        assert calls == [0]
+
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
             "thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"])
@@ -603,6 +634,65 @@ print(json.dumps([codes, loaded]))
         assert (done.returncode, done.stdout) == (0, run_cli(argv)[1])
         assert "rspho" in imported
         assert not imported & {"numpy", "scipy"}
+
+
+    def test_import_rspho_loads_no_submodule(self):
+        # dir() lists the public names without importing their modules.
+        script = """
+import json, sys, rspho
+print(json.dumps([sorted(set(rspho.__all__) - set(dir(rspho))),
+                  sorted(m for m in sys.modules if m.split(".")[0] == "rspho")]))
+"""
+        done = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [[], ["rspho"]]
+
+    @staticmethod
+    def imported_by(launch, argv):
+        """The rspho modules a fresh ``rspho <argv>`` process imports; the
+        command must exit 0 and print what it prints in process."""
+        # -X importtime lists every module the process imports.
+        done = subprocess.run([sys.executable, "-X", "importtime"] + launch + argv,
+                              env=src_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, run_cli(argv)[1])
+        return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")
+                and line.rsplit("|", 1)[-1].strip().split(".")[0] == "rspho"}
+
+    @pytest.mark.parametrize("launch", [["-m", "rspho"], ["-c", ENTRY_CODE]],
+                             ids=["python-m", "console-script"])
+    def test_potential_loads_only_cli_model_and_errors(self, launch):
+        assert self.imported_by(launch, POTENTIAL_ARGS) == {
+            "rspho", "rspho.cli", "rspho.model", "rspho.errors"}
+
+    @pytest.mark.parametrize("launch", [["-m", "rspho"], ["-c", ENTRY_CODE]],
+                             ids=["python-m", "console-script"])
+    @pytest.mark.parametrize("argv, unused", [
+        (THERMO_ARGS, {"spectrum", "radial", "oracle"}),
+        (["verify", "--suite", "angular", "--points", "400"],
+         {"spectrum", "angular", "radial", "thermo"}),
+        (["solve"] + SPIN_ARGS, {"oracle", "thermo"}),
+        (["table", "--which", "spin1"], {"oracle", "thermo"}),
+        (SWEEP_ARGS, {"oracle", "thermo"}),
+        (["wavefunction"] + SPIN_ARGS + ["--points", "50"], {"oracle", "thermo"}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_each_command_loads_only_the_modules_it_runs(self, launch, argv, unused):
+        imported = self.imported_by(launch, argv)
+        assert "rspho.cli" in imported
+        assert not imported & {"rspho." + name for name in unused}
+
+    def test_package_names_are_their_modules_objects(self):
+        import rspho
+        for name in rspho.__all__:
+            obj = getattr(rspho, name)
+            assert obj.__module__.startswith("rspho.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        namespace = {}
+        exec("from rspho import *", namespace)
+        assert all(namespace[name] is getattr(rspho, name) for name in rspho.__all__)
+        assert set(rspho.__all__) <= set(dir(rspho))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rspho.no_such_name
 
 
 @pytest.mark.parametrize("module, argv, code", [

@@ -14,9 +14,9 @@ import rspho.spectrum
 from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
-from rspho.spectrum import (SolverOptions, energy_residual,
-                            nonrelativistic_energy, request_columns,
+from rspho.spectrum import (SolverOptions, energy_residual, request_columns,
                             solve_columns, solve_energy)
+from rspho.thermo import nonrelativistic_energy
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)

@@ -1,6 +1,8 @@
 """Tests for the partition function and derived thermodynamic quantities."""
 
 import math
+import re
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -8,9 +10,8 @@ import pytest
 import rspho.thermo as thermo
 from rspho.errors import ConvergenceError, DomainError
 from rspho.model import PotentialParams, QuantumNumbers
-from rspho.spectrum import nonrelativistic_energy
-from rspho.thermo import (nonrelativistic_levels, partition_function,
-                          thermo_point)
+from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
+                          partition_function, thermo_point)
 
 REFERENCE_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 REFERENCE_MU = 5.0
@@ -185,6 +186,26 @@ class TestNonrelativisticLevels:
         shifted = list(islice(nonrelativistic_levels(REFERENCE_PARAMS,
                                                      REFERENCE_MU, m=1), 4))
         assert all(s != b for s, b in zip(shifted, base))
+
+    @pytest.mark.parametrize("name, value", [
+        ("K", math.nan), ("K", math.inf), ("A", math.nan), ("A", -math.inf),
+        ("B", math.inf), ("C", math.nan), ("mu", math.nan), ("mu", math.inf),
+    ])
+    def test_nonfinite_input_fails_at_the_first_level(self, name, value, monkeypatch):
+        # A NaN or infinite level would make the sum run to its level cap.
+        mu = value if name == "mu" else REFERENCE_MU
+        params = (REFERENCE_PARAMS if name == "mu"
+                  else replace(REFERENCE_PARAMS, **{name: value}))
+        message = f"{name} must be finite (got {value})"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
+        taken = []
+        level = thermo.nonrelativistic_energy
+        monkeypatch.setattr(thermo, "nonrelativistic_energy",
+                            lambda *args: taken.append(args[2].n_r) or level(*args))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            thermo_point(nonrelativistic_levels(params, mu), T=1.0)
+        assert taken == [0]
 
 
 class TestCachedLevels:
