@@ -15,8 +15,8 @@ cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  potential and thermo need no arrays: their grids
 are lists of floats with np.linspace's bits (_linspace), so these two
 commands run without importing numpy.  Non-finite grid bounds (sweep's
---from and --to, potential's radii, thermo's temperatures) are usage
-errors.
+--from and --to, potential's radii, thermo's temperatures, wavefunction's
+--r-max) and bounds whose span overflows are usage errors.
 
 This module imports only errors and model from the package.  Each command
 imports the modules it runs when it runs: potential imports no other,
@@ -140,13 +140,26 @@ def _emit(lines: list[str], path: str | None) -> None:
         raise UsageError(f"cannot write output file {path}: {exc}")
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _finite(args: argparse.Namespace, *names: str) -> None:
     """Check that the options ``names`` (attributes of args) are finite."""
     for name in names:
         value = getattr(args, name)
         if not math.isfinite(value):
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be finite (got {value})")
+            raise UsageError(f"{_flag(name)} must be finite (got {value})")
+
+
+def _finite_range(args: argparse.Namespace, first: str, last: str) -> None:
+    """Check that a grid's bounds, the options ``first`` and ``last``, and
+    its span, last - first, are finite."""
+    _finite(args, first, last)
+    span = getattr(args, last) - getattr(args, first)
+    if not math.isfinite(span):
+        raise UsageError(f"the span from {_flag(first)} to {_flag(last)} "
+                         f"must be finite (got {span})")
 
 
 def _linspace(first: float, last: float, n: int) -> list[float]:
@@ -244,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vary = args.vary
     if args.steps < 2:
         raise UsageError(f"--steps must be >= 2 (got {args.steps})")
-    _finite(args, "from", "to")
+    _finite_range(args, "from", "to")
     if getattr(args, "from") == args.to:
         raise UsageError("degenerate sweep range: --from equals --to")
     for name in ("A", "B", "K"):
@@ -286,6 +299,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     from .radial import default_r_grid, effective_scale, wavefunction_scales
     if args.points < 3:
         raise UsageError(f"--points must be >= 3 (got {args.points})")
+    if args.r_max is not None:
+        _finite(args, "r_max")
     prec = _precision(args)
     req = _build_request(args)
     res = solve_energy(req, _solver_options(args))
@@ -305,7 +320,7 @@ def cmd_potential(args: argparse.Namespace) -> int:
     if args.r_steps < 1 or args.theta_steps < 1:
         raise UsageError("--r-steps and --theta-steps must be >= 1")
     prec = _precision(args)
-    _finite(args, "r_min", "r_max")
+    _finite_range(args, "r_min", "r_max")
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     k = args.theta_steps
     thetas = [(t, _compact(t, prec)) for t in (math.pi * i / (k + 1) for i in range(1, k + 1))]
@@ -324,7 +339,7 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1 (got {args.steps})")
     prec = _precision(args)
-    _finite(args, "T_min", "T_max")
+    _finite_range(args, "T_min", "T_max")
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     branch = BranchSign(args.branch)
     convention = Convention(args.convention)

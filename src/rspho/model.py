@@ -141,17 +141,17 @@ def evaluate_potential(params: PotentialParams, r, theta):
     """Evaluate V(r, theta).  Accepts scalars or numpy arrays.
 
     Raises DomainError at the singular loci r <= 0 and theta in {0, pi}
-    (and beyond), where the inverse-square and ring terms blow up.  Two
-    real numbers are evaluated as floats, with math.sin and math.cos and
-    squares written as products, the operations numpy applies to an
-    array; anything else goes to numpy.
+    (and beyond), where the inverse-square and ring terms blow up, and at
+    a NaN r or theta.  Two real numbers are evaluated as floats, with
+    math.sin and math.cos and squares written as products, the operations
+    numpy applies to an array; anything else goes to numpy.
     """
     if _is_real(r) and _is_real(theta):
         r = float(r)
         theta = float(theta)
-        if r <= 0.0:
+        if not r > 0.0:
             raise DomainError(_R_DOMAIN)
-        if theta <= 0.0 or theta >= math.pi:
+        if not 0.0 < theta < math.pi:
             raise DomainError(_THETA_DOMAIN)
         r2 = r * r
         sin = math.sin(theta)
@@ -164,9 +164,9 @@ def evaluate_potential(params: PotentialParams, r, theta):
     import numpy as np
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(theta, dtype=float)
-    if np.any(r_arr <= 0.0):
+    if not np.all(r_arr > 0.0):
         raise DomainError(_R_DOMAIN)
-    if np.any(t_arr <= 0.0) or np.any(t_arr >= np.pi):
+    if not np.all((t_arr > 0.0) & (t_arr < np.pi)):
         raise DomainError(_THETA_DOMAIN)
     sin2 = np.sin(t_arr) ** 2
     cos2 = np.cos(t_arr) ** 2

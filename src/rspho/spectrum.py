@@ -13,34 +13,31 @@ The relation is solved in two steps.  A scan evaluates the residual on a
 grid over the analytic validity interval in one array call and records
 every sign change: every radicand except the radial one is affine in E, so
 the interval endpoints are available in closed form, and grid points where
-the radial radicand fails are skipped.  The selected bracket is then
-polished by the Illinois variant of regula falsi (Dowell & Jarratt, BIT 11
-(1971) 168), which keeps the root bracketed at every step and converges
-superlinearly; every step lands at least half the tolerance inside the
-bracket, so the bracket shrinks even where the chord points at one of
-its ends.
+the radial radicand fails are skipped.  The first bracket, the lowest
+root, is then polished by the Illinois variant of regula falsi (Dowell &
+Jarratt, BIT 11 (1971) 168), which keeps the root bracketed at every step
+and converges superlinearly; every step lands at least half the tolerance
+inside the bracket, so the bracket shrinks even where the chord points at
+one of its ends.
 
 solve_energy does this for one request and returns the energy with its
 diagnostics, or raises.  solve_columns does it for many, column-wise: it
 takes the requests' numbers as an (11, requests) array (request_columns
 builds one), validates them and computes their scan intervals with the
-same formulas applied to arrays, and returns only the energies.  For the
-scan and the polish it prepares the batch once (_stack): the numbers
-become (requests x 1) columns, and a number equal in every row stays one
-float, so numpy broadcasting computes what the rows share once.  The
-residual's terms that depend on the request alone (s*2, B + C, m^2,
-n_theta + 1/2, s*K, s*2*A and 2*n_r + 1, see _terms) are computed then,
-as the closed forms compute them, and are not recomputed per residual
-call: angular and radial take them through lambda_from_terms,
-coupling_from_terms and radial_terms_from_terms, the same functions
-their float forms call.  The scan walks the requests' grids in
-ascending windows, each one residual call over the requests still
-scanning, taken from the prepared batch by index, and a request leaves
-the scan as soon as it holds its bracket; most roots lie low on the
-grid, so most requests see only its first points.  The brackets are
-counted and picked with array operations.  One Illinois loop then steps
-every row at once, one residual call per step.  An energy is NaN exactly
-where solve_energy raises for that request, and has solve_energy's bits
+same formulas applied to arrays, and returns only the energies.  It
+computes the residual's terms that depend on the request alone (s*2,
+B + C, m^2, n_theta + 1/2, s*K, s*2*A, 2*n_r + 1, see _terms) once, as
+(requests x 1) columns, a number equal in every row staying one float so
+that numpy broadcasting computes what the rows share once (_stack).
+energy_residual takes that tuple in place of a request; angular and
+radial take the terms through lambda_from_terms, coupling_from_terms and
+radial_terms_from_terms, the same functions their float forms call.  The
+scan walks the requests' grids in ascending windows, each one residual
+call over the rows still scanning, and a request leaves the scan as soon
+as it holds its first bracket; most roots lie low on the grid, so most
+requests see only its first points.  One Illinois loop then steps every
+row at once, one residual call per step.  An energy is NaN exactly where
+solve_energy raises for that request, and has solve_energy's bits
 everywhere else.
 
 numpy is imported by the array code only (solve_energy's scan, the
@@ -53,13 +50,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .angular import coupling_from_terms, lambda_from_terms, lambda_separation
 from .errors import ConvergenceError, DomainError, NoRootError
-from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
-                    SolveRequest, Symmetry, numeric_checks, validate)
+from .model import (BranchSign, Convention, SolveRequest, Symmetry,
+                    numeric_checks, validate)
 from .numerics import is_array, positive, sqrt
 from .radial import radial_ansatz, radial_terms_from_terms
 
@@ -87,7 +83,8 @@ _SCAN_CHUNK = 8192
 class SolveResult:
     """A converged bound-state energy with its diagnostics.
 
-    ``bracket`` is the scan interval that contained the root;
+    ``bracket`` is the scan interval that contained the root, the first
+    the scan found;
     ``root_count_in_scan`` reports how many sign changes the scan saw in
     total, so callers can detect parameter regimes with several candidate
     roots.  ``iterations`` counts the polish steps, each one residual
@@ -113,49 +110,53 @@ class SolverOptions:
     ``scan_points`` is the number of grid points of the scan.
     ``e_max_offset`` bounds the scan at M + offset; None means the default
     100*sqrt(|K|), generous against the oscillator level spacing.
-    ``root_index`` selects among brackets in ascending energy order
-    (0 = smallest root, the physical ground choice).
+    The solver polishes the scan's first bracket, the smallest root.
     """
 
     abs_tol_E: float = 1e-12
     scan_points: int = 512
     e_max_offset: float | None = None
-    root_index: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.abs_tol_E < math.inf:
             raise ValueError(f"abs_tol_E must be positive and finite (got {self.abs_tol_E})")
         if self.scan_points < 2:
             raise ValueError(f"scan_points must be >= 2 (got {self.scan_points})")
-        if self.root_index < 0:
-            raise ValueError(f"root_index must be >= 0 (got {self.root_index})")
 
 
 _DEFAULT_OPTIONS = SolverOptions()
 
 
-def _terms(request) -> tuple:
+def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
     """The numbers of the residual that depend on the request alone, each
     computed as the closed forms compute it: M, s*2, B + C, m^2,
     n_theta + 1/2, the branch sign, s*K, s*2*A, 2*n_r + 1 and the
-    convention coefficient c."""
-    p, qn, s = request.params, request.qn, request.symmetry.coupling_sign
+    convention coefficient c.  The numbers may be floats or (R, 1)
+    columns, row r for request r (s, sign and c being the enums' numeric
+    properties)."""
     s2 = s * 2.0
-    return (request.M, s2, p.B + p.C, qn.m * qn.m, qn.n_theta + 0.5,
-            request.branch.sign, s * p.K, s2 * p.A, 2.0 * qn.n_r + 1.0,
-            request.convention.coefficient)
+    return (M, s2, B + C, m * m, n_theta + 0.5, sign, s * K, s2 * A,
+            2.0 * n_r + 1.0, c)
 
 
-def energy_residual(E, request: SolveRequest):
+def energy_residual(E, request: SolveRequest | tuple):
     """f(E) = (E - M) - c*sqrt(s*K/(E+M))*(2*n_r + 1 + sqrt(1/4 + delta'(E))).
 
     Zero exactly at a bound-state energy.  E may be a float or a numpy
     array.  A float outside the validity region raises DomainError naming
-    the radicand that failed; an array gets NaN wherever one fails.  A
-    batch that _stack made brings its _terms; any other request's are
-    computed here.
+    the radicand that failed; an array gets NaN wherever one fails.
+    ``request`` is a SolveRequest, whose _terms are computed here, or the
+    terms themselves, as _stack returns them for many requests: then an
+    (R, n) grid is evaluated element by element as each row's request
+    would be alone.
     """
-    terms = request.terms if type(request) is _Batch else _terms(request)
+    if type(request) is tuple:
+        terms = request
+    else:
+        p, qn = request.params, request.qn
+        terms = _terms(p.K, p.A, p.B, p.C, request.M, qn.n_r, qn.n_theta, qn.m,
+                       request.symmetry.coupling_sign, request.branch.sign,
+                       request.convention.coefficient)
     if is_array(E):
         import numpy as np
         # The square roots make NaN of negative radicands; the two strict
@@ -284,35 +285,8 @@ def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
                                           for x in numbers)))
 
 
-class _Batch:
-    """A request whose numbers are (R, 1) columns, row r for request r, or
-    floats shared by every row, with its _terms computed once.
-
-    It has a SolveRequest's fields, so energy_residual evaluates it on an
-    (R, n) grid element by element as it would each request alone; the
-    symmetry, branch and convention fields hold their enums' numeric
-    properties.  take() gives the batch of some of its rows without
-    computing their terms again.
-    """
-
-    def __init__(self, numbers: tuple, terms: tuple | None = None):
-        K, A, B, C, M, n_r, n_theta, m, s, sign, c = self.numbers = numbers
-        self.params = PotentialParams(K=K, A=A, B=B, C=C)
-        self.M = M
-        self.qn = QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m)
-        self.symmetry = self.branch = self.convention = SimpleNamespace(
-            coupling_sign=s, sign=sign, coefficient=c)
-        self.terms = _terms(self) if terms is None else terms
-
-    def take(self, rows) -> _Batch:
-        """The batch of the rows ``rows``, an index array or a slice."""
-        def pick(x):
-            return x if type(x) is float else x[rows]
-        return _Batch(tuple(map(pick, self.numbers)), tuple(map(pick, self.terms)))
-
-
-def _stack(cols: np.ndarray) -> _Batch:
-    """The batch of the requests in ``cols`` (an (11, R) array, see
+def _stack(cols: np.ndarray) -> tuple:
+    """The _terms of the requests in ``cols`` (an (11, R) array, see
     request_columns), row r from cols[:, r].
 
     A number with the same bits in every row stays one float, so numpy
@@ -322,8 +296,13 @@ def _stack(cols: np.ndarray) -> _Batch:
     import numpy as np
     bits = cols.view(np.int64)
     shared = (bits == bits[:, :1]).all(axis=1).tolist()
-    return _Batch(tuple(col[0].item() if same else col[:, None]
-                        for col, same in zip(cols, shared)))
+    return _terms(*(col[0].item() if same else col[:, None]
+                    for col, same in zip(cols, shared)))
+
+
+def _take(terms: tuple, rows) -> tuple:
+    """The terms of the rows ``rows`` (an index array or a slice) of _stack's terms."""
+    return tuple(x if type(x) is float else x[rows] for x in terms)
 
 
 def _bracket_starts(values):
@@ -337,34 +316,30 @@ def _bracket_starts(values):
     return hit
 
 
-def _scan(cols, first, last, opts: SolverOptions):
-    """Scan the residual of the requests in ``cols`` (an (11, R) array, see
-    request_columns, or the batch that _stack made of one) and pick each
-    one's bracket ``opts.root_index``.
+def _scan(terms: tuple, first, last, opts: SolverOptions):
+    """Scan the residual of the requests whose _terms _stack returned and
+    pick each one's first bracket.
 
     Row r scans the bits of np.linspace(first[r], last[r], scan_points),
     walked in ascending windows: each window is one residual call over
-    the rows still scanning, taken from the batch by index, _SCAN_CHUNK //
+    the rows still scanning, taken from the terms by index, _SCAN_CHUNK //
     rows points wide (at least one), and if every row has the same ends
-    they share one grid row.  A row stops scanning once it holds its
+    they share one grid row.  A row stops scanning once it holds a
     bracket, and a row without one sees every grid point once.  Brackets
-    are counted as _scan_one counts them (see _bracket_starts): a window
-    counts the brackets that start at its points but its last, and at
-    the point before it, whose residual the previous window leaves
-    behind; the counts are carried too.  The bracket starting at a is
-    (a, b, f(a), f(b)), b the next grid point, or (a, a, 0.0, 0.0) for an
-    exact zero.  Returns the (4, R) array of the rows' (a, b, fa, fb), NaN
-    for a row without the bracket.
+    start where _scan_one finds them (see _bracket_starts): a window looks
+    for starts at its points but its last, which the next window decides,
+    and at the point before it, whose residual the previous window leaves
+    behind.  The bracket starting at a is (a, b, f(a), f(b)), b the next
+    grid point, or (a, a, 0.0, 0.0) for an exact zero.  Returns the (4, R)
+    array of the rows' (a, b, fa, fb), NaN for a row without a bracket.
     """
     import numpy as np
-    batch = cols if type(cols) is _Batch else _stack(cols)
     n = opts.scan_points
     rows = first.size
     step = (last - first) / (n - 1)
     if (first == first[0]).all() and (last == last[0]).all():
         first, last, step = first[:1], last[:1], step[:1]
     bracket = np.full((4, rows), np.nan)
-    skip = np.full(rows, opts.root_index)       # brackets still to pass
     before = np.full(rows, np.nan)              # f at the point before a window
     scanning = np.arange(rows)
     start = 0
@@ -379,26 +354,22 @@ def _scan(cols, first, last, opts: SolverOptions):
         if final:
             grid[:, -1] = hi
         values = energy_residual(
-            grid[:, 1:], batch if scanning.size == rows else batch.take(scanning))
+            grid[:, 1:], terms if scanning.size == rows else _take(terms, scanning))
         hit = _bracket_starts(values)
         if not final:
             hit[:, -1] = False                  # the next window decides it
         f0 = before[scanning]
         hit0 = (f0 == 0.0) | (f0 * values[:, 0] < 0.0)     # at the point before
-        count = hit0 + np.count_nonzero(hit, axis=1)
-        done = count > skip[scanning]
+        done = hit0 | hit.any(axis=1)
         r = np.flatnonzero(done)
         if r.size:
             # The done rows' window with the point before it: find their
-            # bracket, at i, and its ends, i and i + 1 (kept in the window).
+            # first bracket, at i, and its ends, i and i + 1 (in the window).
             vr = r if len(values) > 1 else 0
             starts = np.empty((r.size, width + 1), dtype=bool)
             f = np.empty((r.size, width + 1))
             starts[:, 0], starts[:, 1:] = hit0[r], hit[vr]
             f[:, 0], f[:, 1:] = f0[r], values[vr]
-            passing = skip[scanning[r]]
-            if passing.any():                   # mark the starts after those passed
-                starts = starts.cumsum(axis=1) > passing[:, None]
             i = starts.argmax(axis=1)
             j = np.minimum(i + 1, width)
             k = np.arange(r.size)
@@ -407,7 +378,6 @@ def _scan(cols, first, last, opts: SolverOptions):
             zero = fa == 0.0
             bracket[:, scanning[r]] = (pa, np.where(zero, pa, pb), np.where(zero, 0.0, fa),
                                        np.where(zero, 0.0, fb))
-        skip[scanning] -= count
         before[scanning] = values[:, -1]
         scanning = scanning[~done]
         start += width
@@ -416,20 +386,21 @@ def _scan(cols, first, last, opts: SolverOptions):
 
 def _scan_one(request: SolveRequest, first: float, last: float,
               opts: SolverOptions) -> tuple:
-    """_scan for one request, picking the bracket from a list of starts,
-    which costs fewer numpy calls than _scan's row-wise picking.
+    """_scan for one request, picking the first bracket from a list of
+    starts, which costs fewer numpy calls than _scan's row-wise picking.
 
-    Returns (count, a, b, fa, fb) as floats, the bracket NaN if there is
-    no bracket ``opts.root_index``.  Only these floats leave this frame,
-    so an exception raised about the scan does not keep its arrays alive.
+    Returns (count, a, b, fa, fb) as floats: count is the number of
+    brackets on the whole grid, and the bracket is the first one, NaN if
+    there is none.  Only these floats leave this frame, so an exception
+    raised about the scan does not keep its arrays alive.
     """
     import numpy as np
     grid = np.linspace(first, last, opts.scan_points)
     values = energy_residual(grid, request)
     starts = np.flatnonzero(_bracket_starts(values)).tolist()
-    if len(starts) <= opts.root_index:
-        return len(starts), math.nan, math.nan, math.nan, math.nan
-    i = starts[opts.root_index]
+    if not starts:
+        return 0, math.nan, math.nan, math.nan, math.nan
+    i = starts[0]
     a, fa = grid.item(i), values.item(i)
     if fa == 0.0:
         return len(starts), a, a, 0.0, 0.0
@@ -481,8 +452,8 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
     return b, fb, steps
 
 
-def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
-    """_polish for every row of a stacked request, element by element.
+def _polish_rows(terms: tuple, a, b, fa, fb, abs_tol: float):
+    """_polish for every row of _stack's terms, element by element.
 
     a, b, fa and fb hold one bracket per row; a row whose bracket is
     closed (a == b) or NaN takes no step.  Each step evaluates the next point of
@@ -514,7 +485,7 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
             half = 0.5 * tol
             lo, hi = a + half, b - half
             c = np.where(c > lo, np.where(c < hi, c, hi), lo)
-            fc = energy_residual(c[:, None], request)[:, 0]
+            fc = energy_residual(c[:, None], terms)[:, 0]
             # c replaces a where f(c) has f(a)'s sign, b where it has f(b)'s,
             # and both, closing the bracket on c, where f(c) is 0 or NaN
             # (outside the domain): the first ends _polish, the second
@@ -532,12 +503,13 @@ def _polish_rows(request: SolveRequest, a, b, fa, fb, abs_tol: float):
 
 def solve_energy(request: SolveRequest,
                  options: SolverOptions | None = None) -> SolveResult:
-    """Find a bound-state energy: scan for sign changes, then polish one.
+    """Find the lowest bound-state energy: scan for sign changes, then
+    polish the first.
 
     Scans ``scan_points`` abscissae over the validity interval in one
     array evaluation of the residual, counts the sign changes, and
-    polishes the bracket selected by ``options.root_index`` with Illinois
-    steps until it is narrower than ``abs_tol_E`` plus a few ulps of E.
+    polishes the first bracket with Illinois steps until it is narrower
+    than ``abs_tol_E`` plus a few ulps of E.
     """
     opts = options if options is not None else _DEFAULT_OPTIONS
     first, last = _scan_ends(request, opts)
@@ -546,10 +518,6 @@ def solve_energy(request: SolveRequest,
         raise NoRootError(
             f"no sign change of the energy residual on [{first}, {last}] "
             f"with {opts.scan_points} scan points")
-    if opts.root_index >= count:
-        raise NoRootError(
-            f"root index {opts.root_index} requested but the scan found only "
-            f"{count} bracket(s)")
     energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
     lam = lambda_separation(energy, request.M, request.params, request.qn.m,
                             request.qn.n_theta, request.branch, request.symmetry)
@@ -569,8 +537,8 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
     Validation (the numeric checks of model.validate) and the scan ends
     are array operations over the columns.  The requests that pass are
     scanned in ascending windows that they leave once they hold their
-    bracket (see _scan), at most _SCAN_CHUNK requests at a time, and then
-    polished all at once, one residual call per Illinois step.  Returns
+    first bracket (see _scan), at most _SCAN_CHUNK requests at a time, and
+    then polished all at once, one residual call per Illinois step.  Returns
     the R energies: NaN exactly where solve_energy raises for the request,
     solve_energy's bits elsewhere.  The columns are floats, so a quantum
     number is checked by value: n_r = 1.0 solves here as n_r = 1 does in
@@ -584,13 +552,13 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
     rows = np.flatnonzero(~np.isnan(first))
     if rows.size:
         first, last = first[rows], last[rows]
-        batch = _stack(cols[:, rows])
+        terms = _stack(cols[:, rows])
         # Blocks of at most _SCAN_CHUNK rows, so that a window of one point
         # per row stays within _SCAN_CHUNK points.
         parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
         a, b, fa, fb = np.concatenate(
-            [_scan(batch.take(p), first[p], last[p], opts) for p in parts], axis=1)
-        point, residual, capped = _polish_rows(batch, a, b, fa, fb, opts.abs_tol_E)
+            [_scan(_take(terms, p), first[p], last[p], opts) for p in parts], axis=1)
+        point, residual, capped = _polish_rows(terms, a, b, fa, fb, opts.abs_tol_E)
         # A NaN residual: no bracket, or the polish stepped outside the domain.
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E

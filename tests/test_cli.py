@@ -406,6 +406,12 @@ class TestWavefunction:
         assert code == 2
         assert "eminus" in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_nonfinite_r_max_is_usage_error(self, value):
+        # Before the solve: the grid would warn and fail the quadrature.
+        code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + [f"--r-max={value}"])
+        assert (code, out, err) == (1, "", f"error: --r-max must be finite (got {value})\n")
+
 
 class TestPotential:
     def test_small_grid_values(self):
@@ -469,6 +475,20 @@ class TestPotential:
     def test_nonfinite_coefficient_after_a_space(self):
         argv = POTENTIAL_ARGS + ["--r-steps", "2", "--theta-steps", "1"]
         assert run_cli(argv + ["--K", "-inf"]) == run_cli(argv + ["--K=-inf"])
+
+
+@pytest.mark.parametrize("argv, first, last", [
+    (SWEEP_ARGS, "--from", "--to"),
+    (POTENTIAL_ARGS, "--r-min", "--r-max"),
+    (THERMO_ARGS, "--T-min", "--T-max"),
+], ids=["sweep", "potential", "thermo"])
+@pytest.mark.parametrize("big", [1e308, -1.7e308])
+def test_grid_bounds_whose_span_overflows_are_usage_error(argv, first, last, big):
+    # Finite bounds whose difference is not: the grid would be NaN and inf.
+    code, out, err = run_cli(argv + [f"{first}={-big!r}", f"{last}={big!r}"])
+    span = "inf" if big > 0 else "-inf"
+    assert (code, out, err) == (
+        1, "", f"error: the span from {first} to {last} must be finite (got {span})\n")
 
 
 @pytest.mark.parametrize("first, last, n", [

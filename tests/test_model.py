@@ -25,14 +25,15 @@ class TestEvaluatePotential:
         # sin^2 = cos^2 = 1/2 at pi/4: ring terms double, C term survives whole
         assert evaluate_potential(_params(), 1.0, math.pi / 4) == pytest.approx(0.0405, abs=1e-14)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, np.array([1.0, math.nan])])
     def test_radial_singularity(self, r):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="r must be positive"):
             evaluate_potential(_params(), r, math.pi / 2)
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 3.2])
+    @pytest.mark.parametrize("theta", [0.0, math.pi, -0.1, 3.2, math.nan,
+                                       np.array([1.0, math.nan])])
     def test_axis_singularity(self, theta):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="theta must lie"):
             evaluate_potential(_params(), 1.0, theta)
 
     def test_reflection_symmetry(self):

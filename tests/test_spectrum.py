@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import types
 import warnings
 
 import numpy as np
@@ -224,8 +223,7 @@ def scan_windows(requests, opts):
         first, last = rspho.spectrum._scan_ends(req, opts)
         values = energy_residual(np.linspace(first, last, n), req)
         starts = np.flatnonzero(rspho.spectrum._bracket_starts(values))
-        seen.append(min(starts[opts.root_index] + 2, n)
-                    if len(starts) > opts.root_index else n)
+        seen.append(min(starts[0] + 2, n) if len(starts) else n)
     windows, start = [], 0
     while seen and start < n:
         width = min(max(1, rspho.spectrum._SCAN_CHUNK // len(seen)), n - start)
@@ -274,19 +272,19 @@ class TestResidualKernel:
                grouped_requests()),                                     # some of each
            data=st.data())
     def test_prepared_batch_rows_match_their_requests(self, requests, data):
-        # The batch that _stack prepares, and row subsets of it taken by
+        # The terms that _stack computes, and row subsets of them taken by
         # index as the scan's windows take them, evaluate each row as
         # energy_residual evaluates that row's own request: on a grid row
         # per row, or on one grid row that every row shares.
-        batch = rspho.spectrum._stack(columns(requests))
+        terms = rspho.spectrum._stack(columns(requests))
         rows = data.draw(st.lists(st.integers(0, len(requests) - 1), min_size=1,
                                   max_size=2 * len(requests)), label="rows")
         offsets = data.draw(st.lists(st.floats(-30.0, 300.0), min_size=1, max_size=12),
                             label="offsets")
         shared_grid = data.draw(st.booleans(), label="shared_grid")
-        subsets = [batch.take(np.array(rows))]
+        subsets = [rspho.spectrum._take(terms, np.array(rows))]
         if rows == list(range(len(requests))):
-            subsets.append(batch)
+            subsets.append(terms)
         if shared_grid:
             grid = np.array([[-requests[0].M + x for x in offsets]])
         else:
@@ -375,13 +373,8 @@ class TestSolveEnergy:
         with pytest.raises(NoRootError, match="no sign change"):
             solve_energy(spin_request(), SolverOptions(e_max_offset=0.1))
 
-    def test_root_index_out_of_range(self):
-        with pytest.raises(NoRootError, match="root index"):
-            solve_energy(spin_request(), SolverOptions(root_index=5))
-
-    @pytest.mark.parametrize("options", [SolverOptions(e_max_offset=0.1),
-                                         SolverOptions(root_index=5)])
-    def test_no_root_error_holds_no_scan_arrays(self, options):
+    def test_no_root_error_holds_no_scan_arrays(self):
+        options = SolverOptions(e_max_offset=0.1)
         with pytest.raises(NoRootError) as info:
             solve_energy(spin_request(), options)
         assert_no_scan_arrays(info.value, options.scan_points)
@@ -432,24 +425,24 @@ class TestSolveEnergies:
     # Twice the examples, so that each kind of batch gets as many as one alone.
     @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)
     @given(requests=st.one_of(st.lists(mixed_requests(), max_size=24), grouped_requests()),
-           points=st.sampled_from([512, 16, 1500]), root_index=st.sampled_from([0, 0, 1, 2]),
+           points=st.sampled_from([512, 16, 1500]),
            e_max_offset=st.sampled_from([None, None, 1e3, 0.5]),
            abs_tol=st.sampled_from([1e-12, 1e-12, 1e-4, 5e-324]))
-    def test_matches_solve_energy(self, requests, points, root_index, e_max_offset, abs_tol):
+    def test_matches_solve_energy(self, requests, points, e_max_offset, abs_tol):
         # 5e-324 leaves only the four-ulp floor, so the polish takes the most steps.
-        opts = SolverOptions(scan_points=points, root_index=root_index,
-                             e_max_offset=e_max_offset, abs_tol_E=abs_tol)
+        opts = SolverOptions(scan_points=points, e_max_offset=e_max_offset,
+                             abs_tol_E=abs_tol)
         E = solve_columns(columns(requests), opts)
         assert E.shape == (len(requests),)
         assert energies(E) == one_by_one(requests, opts)
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=grouped_requests(), chunk=st.sampled_from([1, 5, 64]),
-           points=st.sampled_from([16, 64]), root_index=st.sampled_from([0, 1]))
-    def test_small_scan_chunks(self, requests, chunk, points, root_index):
+           points=st.sampled_from([16, 64]))
+    def test_small_scan_chunks(self, requests, chunk, points):
         # A _SCAN_CHUNK below the batch's rows splits the batch into blocks
         # and makes windows one point wide; no scan call exceeds it.
-        opts = SolverOptions(scan_points=points, root_index=root_index)
+        opts = SolverOptions(scan_points=points)
         spectrum = rspho.spectrum
         sizes, polish = [], spectrum._polish_rows
 
@@ -541,12 +534,12 @@ class TestSolveEnergies:
 
     @PROPERTY
     @given(requests=grouped_requests(), at=st.floats(0.0, 1.0),
-           root_index=st.sampled_from([0, 0, 1]), points=st.sampled_from([512, 64]))
-    def test_exact_zero_on_the_grid(self, requests, at, root_index, points):
+           points=st.sampled_from([512, 64]))
+    def test_exact_zero_on_the_grid(self, requests, at, points):
         # The residual is made exactly 0 at one grid point of the first
         # request's scan, the last point included, wherever it is in the
         # domain; the rows with the same ends share that grid point.
-        opts = SolverOptions(scan_points=points, root_index=root_index)
+        opts = SolverOptions(scan_points=points)
         try:
             first, last = rspho.spectrum._scan_ends(requests[0], opts)
         except RsphoError:
@@ -572,14 +565,14 @@ class TestSolveEnergies:
         grid = np.linspace(first, last, opts.scan_points)
         values = energy_residual(grid, requests[0])
         starts = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-        if where == "last point":
-            # A zero at the last point is one more bracket, after the others.
-            zero_at, opts = grid[-1], dataclasses.replace(opts, root_index=len(starts))
-        else:
-            zero_at = grid[starts[0]]
+        # A zero at the last point is the first bracket where the residual
+        # is negative before it.
+        zero_at = grid[-1] if where == "last point" else grid[starts[0]]
 
         def zeroed(E, request):
             f = energy_residual(E, request)
+            if where == "last point":
+                f = -abs(f)
             if isinstance(E, np.ndarray):
                 return np.where(E == zero_at, 0.0, f)
             return 0.0 if E == zero_at else f
@@ -651,12 +644,8 @@ class TestSolveEnergies:
         cols = columns([req for req, _ in rows])
         (first, last), n = rows[0][1], len(rows)
         shared = spectrum._stack(cols)
-        # What _stack builds with no number shared: every one a column.
-        K, A, B, C, M, n_r, n_theta, m, s, sign, c = (col[:, None] for col in cols)
-        enums = types.SimpleNamespace(coupling_sign=s, sign=sign, coefficient=c)
-        full = SolveRequest(params=PotentialParams(K, A, B, C), M=M,
-                            qn=QuantumNumbers(n_r, n_theta, m),
-                            symmetry=enums, branch=enums, convention=enums)
+        # What _stack computes with no number shared: every one a column.
+        full = spectrum._terms(*(col[:, None] for col in cols))
         grid = np.linspace(first, last, opts.scan_points)
         one_row = energy_residual(grid, shared)
         every_row = energy_residual(np.tile(grid, (n, 1)), full)
@@ -666,8 +655,9 @@ class TestSolveEnergies:
         extra = dataclasses.replace(rows[0][0], M=rows[0][0].M + 1.0,
                                     qn=dataclasses.replace(rows[0][0].qn, n_r=10**6))
         ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra, opts)]).T
-        one_grid = spectrum._scan(cols, *ends[:, :n], opts)
-        grid_rows = spectrum._scan(columns([req for req, _ in rows] + [extra]), *ends, opts)
+        one_grid = spectrum._scan(shared, *ends[:, :n], opts)
+        grid_rows = spectrum._scan(spectrum._stack(columns([req for req, _ in rows] + [extra])),
+                                   *ends, opts)
         assert np.isnan(grid_rows[:, -1]).all()
         assert one_grid.tobytes() == grid_rows[:, :n].tobytes()
 
@@ -698,14 +688,12 @@ class TestScanWindows:
             assert np.flatnonzero(values[:-1] * values[1:] <= 0.0)[0] > width
         return spin + pseudo, opts, grid, width
 
-    @pytest.mark.parametrize("root_index", [0, 1])
     @pytest.mark.parametrize("where", ["first point", "overlap point"])
-    def test_exact_zero_at_a_window_edge(self, batch, where, root_index):
+    def test_exact_zero_at_a_window_edge(self, batch, where):
         # The second window's first point, or the first window's last point
-        # that it carries over, is an exact zero of every spin row: bracket
-        # 0, counted once, and the sign change after it is bracket 1.
+        # that it carries over, is an exact zero of every spin row: their
+        # first bracket.
         requests, opts, grid, width = batch
-        opts = dataclasses.replace(opts, root_index=root_index)
         zero_at = grid[width if where == "first point" else width - 1]
 
         def zeroed(E, request):
@@ -718,20 +706,20 @@ class TestScanWindows:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
             E = solve_columns(columns(requests), opts)
             assert energies(E) == one_by_one(requests, opts)
-        spin = E[:224]
-        assert (spin == zero_at).all() if root_index == 0 else (spin > zero_at).all()
+        assert (E[:224] == zero_at).all()
 
     def test_exact_zero_at_the_last_grid_point(self, batch):
-        # After the spin rows' sign change, an exact zero at the grid's last
-        # point is bracket 1.  At 1500 points, i*step + first misses that
-        # point by an ulp, and the grid holds the last scan point itself.
+        # With the residual negative before it, an exact zero at the grid's
+        # last point is the spin rows' first bracket.  At 1500 points,
+        # i*step + first misses that point by an ulp, and the grid holds the
+        # last scan point itself.
         requests, opts, _, _ = batch
-        opts = dataclasses.replace(opts, scan_points=1500, root_index=1)
+        opts = dataclasses.replace(opts, scan_points=1500)
         first, last = rspho.spectrum._scan_ends(requests[0], opts)
         assert 1499 * ((last - first) / 1499) + first != last
 
         def zeroed(E, request):
-            f = energy_residual(E, request)
+            f = -abs(energy_residual(E, request))
             if isinstance(E, np.ndarray):
                 return np.where(E == last, 0.0, f)
             return 0.0 if E == last else f
@@ -742,16 +730,14 @@ class TestScanWindows:
             assert energies(E) == one_by_one(requests, opts)
         assert (E[:224] == last).all()
 
-    @pytest.mark.parametrize("splits, root_index", [
-        ([1.0], 0), ([0.5, 1.5], 1), ([0.5, 1.5, 2.5], 2), ([1.0, 2.0, 3.0], 2),
-    ], ids=["straddle", "index-1", "index-2", "index-2-straddles"])
-    def test_sign_changes_in_other_windows(self, batch, splits, root_index):
+    @pytest.mark.parametrize("splits", [[1.0], [0.5, 1.5, 2.5], [1.0, 2.0, 3.0]],
+                             ids=["straddle", "several", "several-straddle"])
+    def test_sign_changes_in_other_windows(self, batch, splits):
         # The residual's size with its sign flipped at grid points
         # split * width: each flip starts a bracket at the point before it,
         # inside a window or at one window's last point (a whole split).
-        # The counts of the earlier brackets carry from window to window.
+        # The first flip's bracket is the one polished.
         requests, opts, grid, width = batch
-        opts = dataclasses.replace(opts, root_index=root_index)
         flips = [round(k * width) for k in splits]
 
         def flipped(E, request):
@@ -765,7 +751,7 @@ class TestScanWindows:
             mp.setattr(rspho.spectrum, "energy_residual", flipped)
             E = solve_columns(columns(requests), opts)
             assert energies(E) == one_by_one(requests, opts)
-        i = flips[root_index]
+        i = flips[0]
         assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
         assert not np.isnan(E).any()
 
@@ -803,14 +789,16 @@ class TestScanWindows:
         def counting(E, request):
             values = energy_residual(E, request)
             if isinstance(E, np.ndarray):
-                lone = np.broadcast_to(np.equal(request.qn.n_r, 1000), values.shape)
+                # The lone row is the one whose 2*n_r + 1 term is 2001.
+                lone = np.broadcast_to(np.equal(request[8], 2001.0), values.shape)
                 seen.extend(np.broadcast_to(E, values.shape)[lone].tolist())
                 calls.append(values.shape)
             return values
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", counting)
         cols = columns(requests)
-        bracket = rspho.spectrum._scan(cols, *rspho.spectrum._scan_ends(cols, opts), opts)
+        bracket = rspho.spectrum._scan(rspho.spectrum._stack(cols),
+                                       *rspho.spectrum._scan_ends(cols, opts), opts)
         assert np.isnan(bracket).any(axis=0).tolist() == [i == 100 for i in range(len(requests))]
         assert len(calls) > 2 and calls[0] == (len(requests), width)
         assert [repr(e) for e in sorted(seen)] == [repr(e) for e in grid.tolist()]
@@ -894,10 +882,6 @@ class TestSolverOptions:
     def test_rejects_bad_scan(self):
         with pytest.raises(ValueError):
             SolverOptions(scan_points=1)
-
-    def test_rejects_negative_root_index(self):
-        with pytest.raises(ValueError):
-            SolverOptions(root_index=-1)
 
 
 class TestNonrelativisticEnergy:
