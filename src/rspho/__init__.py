@@ -26,7 +26,7 @@ _EXPORTS = {
     "radial": ("RadialSolution", "WavefunctionSamples", "effective_scale",
                "kummer_1f1_terminating", "partner_potentials_radial", "radial_ansatz",
                "radial_spectrum", "radial_wavefunction", "wavefunction_scales"),
-    "spectrum": ("SolveResult", "SolverOptions", "energy_residual", "solve_energy"),
+    "spectrum": ("SolveResult", "energy_residual", "solve_energy"),
     "thermo": ("ThermoPoint", "nonrelativistic_energy", "nonrelativistic_levels",
                "partition_function", "thermo_point"),
 }

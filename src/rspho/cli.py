@@ -45,14 +45,10 @@ import itertools
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, evaluate_potential)
-
-if TYPE_CHECKING:
-    from .spectrum import SolverOptions
 
 __all__ = ["main", "main_entry"]
 
@@ -192,11 +188,10 @@ def _build_request(args: argparse.Namespace) -> SolveRequest:
                         convention=Convention(args.convention))
 
 
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    from .spectrum import SolverOptions
+def _tol(args: argparse.Namespace) -> float:
     if not 0.0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite (got {args.tol})")
-    return SolverOptions(abs_tol_E=args.tol)
+    return args.tol
 
 
 def _solve_row(req: SolveRequest, res, prec: int) -> str:
@@ -214,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     from . import solve_energy
     prec = _precision(args)
     req = _build_request(args)
-    res = solve_energy(req, _solver_options(args))
+    res = solve_energy(req, _tol(args))
     _emit([SOLVE_HEADER, _solve_row(req, res, prec)], args.output)
     return EXIT_OK
 
@@ -284,7 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            symmetry=Symmetry(args.symmetry),
                            branch=BranchSign(args.branch),
                            convention=Convention(args.convention))
-    E = solve_columns(cols, _solver_options(args))
+    E = solve_columns(cols, _tol(args))
     cells = ["" if math.isnan(e) else _fixed(e, prec) for e in E.tolist()]
     width = len(series_values)
     lines = ["x," + ",".join(f"{args.series}={sv}" for sv in series_values)]
@@ -303,7 +298,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         _finite(args, "r_max")
     prec = _precision(args)
     req = _build_request(args)
-    res = solve_energy(req, _solver_options(args))
+    res = solve_energy(req, _tol(args))
     L, big_delta = wavefunction_scales(req, res.E, res.lam, args.mass_factor)
     delta_eff = effective_scale(big_delta, req.convention)
     grid = default_r_grid(req.qn.n_r, L, delta_eff,

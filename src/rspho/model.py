@@ -135,16 +135,20 @@ class Violation:
 
 _R_DOMAIN = "r must be positive; the potential has a 1/r^2 singularity at r = 0"
 _THETA_DOMAIN = "theta must lie strictly inside (0, pi); the ring terms diverge at the axis"
+_V_FINITE = "V(r, theta) is not finite at r = {!r}, theta = {!r}"
 
 
 def evaluate_potential(params: PotentialParams, r, theta):
     """Evaluate V(r, theta).  Accepts scalars or numpy arrays.
 
     Raises DomainError at the singular loci r <= 0 and theta in {0, pi}
-    (and beyond), where the inverse-square and ring terms blow up, and at
-    a NaN r or theta.  Two real numbers are evaluated as floats, with
-    math.sin and math.cos and squares written as products, the operations
-    numpy applies to an array; anything else goes to numpy.
+    (and beyond), where the inverse-square and ring terms blow up, at a
+    NaN r or theta, and where V is not finite in float64 (r^2 or
+    sin^2(theta) under- or overflowing, a coefficient that is not finite),
+    naming the first such r and theta.  Two real numbers are evaluated as
+    floats, with math.sin and math.cos and squares written as products,
+    the operations numpy applies to an array, so both paths give the same
+    bits and verdicts; anything else goes to numpy.
     """
     if _is_real(r) and _is_real(theta):
         r = float(r)
@@ -156,11 +160,14 @@ def evaluate_potential(params: PotentialParams, r, theta):
         r2 = r * r
         sin = math.sin(theta)
         cos = math.cos(theta)
-        sin2 = sin * sin
-        return float(0.5 * params.K * r2
-                     + params.A / r2
-                     + params.B / (r2 * sin2)
-                     + params.C * (cos * cos) / (r2 * sin2))
+        den = r2 * (sin * sin)          # 0 where r^2 or sin^2 underflows
+        v = float(0.5 * params.K * r2
+                  + params.A / r2
+                  + params.B / den
+                  + params.C * (cos * cos) / den) if den else math.nan
+        if not math.isfinite(v):
+            raise DomainError(_V_FINITE.format(r, theta))
+        return v
     import numpy as np
     r_arr = np.asarray(r, dtype=float)
     t_arr = np.asarray(theta, dtype=float)
@@ -170,10 +177,15 @@ def evaluate_potential(params: PotentialParams, r, theta):
         raise DomainError(_THETA_DOMAIN)
     sin2 = np.sin(t_arr) ** 2
     cos2 = np.cos(t_arr) ** 2
-    v = (0.5 * params.K * r_arr**2
-         + params.A / r_arr**2
-         + params.B / (r_arr**2 * sin2)
-         + params.C * cos2 / (r_arr**2 * sin2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = (0.5 * params.K * r_arr**2
+             + params.A / r_arr**2
+             + params.B / (r_arr**2 * sin2)
+             + params.C * cos2 / (r_arr**2 * sin2))
+    bad = ~np.isfinite(v)
+    if bad.any():
+        r_at, t_at = (float(np.broadcast_to(x, v.shape)[bad][0]) for x in (r_arr, t_arr))
+        raise DomainError(_V_FINITE.format(r_at, t_at))
     if np.isscalar(r) and np.isscalar(theta):
         return float(v)
     return v

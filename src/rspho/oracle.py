@@ -87,7 +87,9 @@ def eigh_tridiagonal(diag, off, **kwargs):
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     """Lowest ``count`` Dirichlet eigenvalues of -u'' + potential(x) u = E u.
 
-    ``potential`` may be vectorized over numpy arrays or scalar-only.
+    ``potential`` is called once, on the array of interior grid points,
+    and returns one value per point; a value that is not finite raises
+    DomainError.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
@@ -97,12 +99,7 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
             "(need count <= points/4 for trustworthy discrete levels)")
     import numpy as np
     x = grid.interior()
-    try:
-        v = np.asarray(potential(x), dtype=float)
-        if v.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        v = np.array([float(potential(xi)) for xi in x])
+    v = np.asarray(potential(x), dtype=float)
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)][0]
         raise DomainError(f"potential evaluates non-finite at x = {bad}")

@@ -221,7 +221,10 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
         R(r) = N exp(-eta^2/2) r^(L+1) 1F1(-n_r, L + 3/2, eta^2)
 
     with eta^2 = delta_eff * r^2 and delta_eff = (c/2)*big_delta.
-    N is fixed by unit Simpson quadrature of R^2 dr on the grid.
+    N is fixed by unit Simpson quadrature of R^2 dr on the grid.  A norm
+    that is not finite and positive (a grid that misses the state, or one
+    so wide that a sample or the sum overflows, which makes the norm inf or
+    NaN) raises DomainError ("quadrature collapsed"), with no numpy warning.
     """
     if L <= -1.5:
         raise DomainError(f"L must exceed -3/2 for integrability at the origin (got {L})")
@@ -232,10 +235,11 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
     if r.size < 3 or np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
         raise DomainError("r grid must be strictly positive and ascending with >= 3 points")
     delta_eff = effective_scale(big_delta, convention)
-    eta2 = delta_eff * r**2
-    bare = np.exp(-0.5 * eta2) * r ** (L + 1.0) * kummer_1f1_terminating(n_r, L + 1.5, eta2)
-    norm_sq = simpson(bare**2, x=r)
-    if not norm_sq > 0.0:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta2 = delta_eff * r**2
+        bare = np.exp(-0.5 * eta2) * r ** (L + 1.0) * kummer_1f1_terminating(n_r, L + 1.5, eta2)
+        norm_sq = simpson(bare**2, x=r)
+    if not 0.0 < norm_sq < math.inf:
         raise DomainError("wavefunction quadrature collapsed; grid does not resolve the state")
     norm_constant = 1.0 / math.sqrt(norm_sq)
     return WavefunctionSamples(r=r, values=norm_constant * bare, L=L,

@@ -10,15 +10,17 @@ and -1 under pseudo-spin; c is the convention coefficient (see
 model.Convention).
 
 The relation is solved in two steps.  A scan evaluates the residual on a
-grid over the analytic validity interval in one array call and records
-every sign change: every radicand except the radial one is affine in E, so
-the interval endpoints are available in closed form, and grid points where
-the radial radicand fails are skipped.  The first bracket, the lowest
-root, is then polished by the Illinois variant of regula falsi (Dowell &
-Jarratt, BIT 11 (1971) 168), which keeps the root bracketed at every step
-and converges superlinearly; every step lands at least half the tolerance
-inside the bracket, so the bracket shrinks even where the chord points at
-one of its ends.
+grid of _SCAN_POINTS points over the analytic validity interval, up to
+M + _SCAN_CEILING*sqrt(|K|), in one array call and records every sign
+change: every radicand except the radial one is affine in E, so the
+interval endpoints are available in closed form (_scan_ends), and grid
+points where the radial radicand fails are skipped.  The first bracket,
+the lowest root, is then polished by the Illinois variant of regula falsi
+(Dowell & Jarratt, BIT 11 (1971) 168), which keeps the root bracketed at
+every step and converges superlinearly; every step lands at least half
+the tolerance inside the bracket, so the bracket shrinks even where the
+chord points at one of its ends.  That tolerance, abs_tol_E, is the one
+setting a caller passes; the grid and the ceiling are constants.
 
 solve_energy does this for one request and returns the energy with its
 diagnostics, or raises.  solve_columns does it for many, column-wise: it
@@ -42,7 +44,7 @@ everywhere else.
 
 numpy is imported by the array code only (solve_energy's scan, the
 column solver, the array forms of the residual and of the scan
-intervals), so the float forms run in a process that has not loaded it.
+ends), so the float forms run in a process that has not loaded it.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SolveResult",
-    "SolverOptions",
     "energy_residual",
     "solve_energy",
     "request_columns",
@@ -73,6 +74,11 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _MAX_POLISH_STEPS = 200
+# Grid points of a scan, and its ceiling: a scan stops at
+# M + _SCAN_CEILING*sqrt(|K|), generous against the oscillator level
+# spacing.  Both are read when a scan runs.
+_SCAN_POINTS = 512
+_SCAN_CEILING = 100.0
 # Grid points per residual call of a batch scan: the scan's windows are at
 # most this large, so the kernel's temporaries stay in cache and the memory
 # of a batch does not grow with its length.
@@ -83,8 +89,9 @@ _SCAN_CHUNK = 8192
 class SolveResult:
     """A converged bound-state energy with its diagnostics.
 
-    ``bracket`` is the scan interval that contained the root, the first
-    the scan found;
+    ``bracket`` is the interval between two neighbouring points of the
+    scan's grid (see _scan_ends) that contained the root, the first the
+    scan found, or (E, E) for an exact zero on the grid;
     ``root_count_in_scan`` reports how many sign changes the scan saw in
     total, so callers can detect parameter regimes with several candidate
     roots.  ``iterations`` counts the polish steps, each one residual
@@ -99,32 +106,6 @@ class SolveResult:
     iterations: int
     bracket: tuple[float, float]
     root_count_in_scan: int
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables of the scan-and-polish root finder.
-
-    ``abs_tol_E`` ends the polish once the bracket is narrower than
-    abs_tol_E plus a few ulps of E, so large energies converge too.
-    ``scan_points`` is the number of grid points of the scan.
-    ``e_max_offset`` bounds the scan at M + offset; None means the default
-    100*sqrt(|K|), generous against the oscillator level spacing.
-    The solver polishes the scan's first bracket, the smallest root.
-    """
-
-    abs_tol_E: float = 1e-12
-    scan_points: int = 512
-    e_max_offset: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_tol_E < math.inf:
-            raise ValueError(f"abs_tol_E must be positive and finite (got {self.abs_tol_E})")
-        if self.scan_points < 2:
-            raise ValueError(f"scan_points must be >= 2 (got {self.scan_points})")
-
-
-_DEFAULT_OPTIONS = SolverOptions()
 
 
 def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
@@ -181,29 +162,53 @@ def _residual(E, terms: tuple):
     return (E - M) - rhs, fac, stiff
 
 
-def _validity_interval(M, B, C, m, s, e_max):
-    """Closed-form scan interval from the affine-in-E radicand constraints.
+def _scan_ends(request: SolveRequest | np.ndarray):
+    """Validate requests and return the first and last point of their scans.
 
-    Constraints: E + M > 0, and the separation-constant radicand
-    1/2 - s*2*(E+M)*(B+C) - m^2 >= 0, which is affine in E.  The radial
-    radicand is not affine; the scan tolerates it pointwise instead.
-    Returns (lo, hi).  The numbers may be floats, and where the separation
-    radicand is negative at every energy NoRootError is raised, or 1-D
-    arrays of one request per element, and there lo is NaN.
+    A scan covers the energies where E + M > 0 and where the
+    separation-constant radicand 1/2 - s*2*(E+M)*(B+C) - m^2, affine in E,
+    is >= 0, up to M + _SCAN_CEILING*sqrt(|K|), pulled in at both ends by
+    a relative margin of 1e-9.  The radial radicand is not affine; the
+    scan tolerates it pointwise instead.
+
+    ``request`` is a SolveRequest: one that fails validation raises
+    DomainError, and NoRootError is raised where the separation radicand
+    is negative at every energy or the interval is empty.  Or it is an
+    (11, R) array of columns (see request_columns), and a request that
+    fails the numeric checks of validation, has a quantum number that is
+    not whole, or has no scan interval gets NaN ends.  Both forms compute
+    the same formulas in the same order, so their ends have the same bits.
     """
-    slope = -s * 2.0 * (B + C)
-    const = 0.5 - s * 2.0 * M * (B + C) - m * m
-    if is_array(slope):
+    if is_array(request):
         import numpy as np
-        with np.errstate(divide="ignore", invalid="ignore"):
+        K, A, B, C, M, n_r, n_theta, m, s = request[:9]
+        # Requests that fail validation may hold inf and NaN, and a slope
+        # of 0 divides by 0.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e_max = M + _SCAN_CEILING * np.sqrt(abs(K))
+            slope = -s * 2.0 * (B + C)
+            const = 0.5 - s * 2.0 * M * (B + C) - m * m
             edge = -const / slope
-        # The float branches below, element by element.
-        lo = np.where((slope > 0.0) & (edge > -M), edge, -M)
-        hi = np.where((slope < 0.0) & (edge < e_max), edge, e_max)
-        lo[~(slope > 0.0) & ~(slope < 0.0) & (const < 0.0)] = np.nan
-        return lo, hi
+            # The float branch below, element by element.
+            lo = np.where((slope > 0.0) & (edge > -M), edge, -M)
+            hi = np.where((slope < 0.0) & (edge < e_max), edge, e_max)
+            valid = np.logical_and.reduce(
+                numeric_checks(K, A, B, C, M, s, n_r, n_theta)
+                + tuple(request[5:8] % 1.0 == 0.0)
+                + ((slope > 0.0) | (slope < 0.0) | ~(const < 0.0), hi > lo))
+            margin = 1e-9 * np.maximum(np.maximum(1.0, abs(lo)), abs(hi))
+            first, last = lo + margin, hi - margin
+        first[~valid] = last[~valid] = np.nan
+        return first, last
+    violations = validate(request)
+    if violations:
+        raise DomainError("invalid request: "
+                          + "; ".join(v.message for v in violations))
+    p, M, s = request.params, request.M, request.symmetry.coupling_sign
     lo = -M
-    hi = e_max
+    hi = M + _SCAN_CEILING * math.sqrt(abs(p.K))
+    slope = -s * 2.0 * (p.B + p.C)
+    const = 0.5 - s * 2.0 * M * (p.B + p.C) - request.qn.m * request.qn.m
     if slope > 0.0:
         lo = max(lo, -const / slope)
     elif slope < 0.0:
@@ -212,59 +217,11 @@ def _validity_interval(M, B, C, m, s, e_max):
         raise NoRootError(
             f"separation-constant radicand is {const} for every energy; "
             "no bound state exists for these quantum numbers")
-    return lo, hi
-
-
-def _scan_interval(K, B, C, M, m, s, opts: SolverOptions):
-    """The first and last point of a scan.
-
-    The scan covers the validity interval up to M + e_max_offset, pulled
-    in at both ends by a relative margin of 1e-9.  The numbers may be
-    floats, and an empty interval raises NoRootError, or 1-D arrays of one
-    request per element, and a request without an interval gets NaN ends.
-    """
-    offset = (opts.e_max_offset if opts.e_max_offset is not None
-              else 100.0 * sqrt(abs(K)))
-    lo, hi = _validity_interval(M, B, C, m, s, M + offset)
-    if is_array(lo):
-        import numpy as np
-        lo[~(hi > lo)] = np.nan
-        margin = 1e-9 * np.maximum(np.maximum(1.0, abs(lo)), abs(hi))
-        return lo + margin, hi - margin
     if not hi > lo:
         raise NoRootError(
             f"empty scan interval: validity bounds give [{lo}, {hi}]")
     margin = 1e-9 * max(1.0, abs(lo), abs(hi))
     return lo + margin, hi - margin
-
-
-def _scan_ends(request: SolveRequest | np.ndarray, opts: SolverOptions):
-    """Validate requests and return the first and last point of their scans
-    (see _scan_interval).
-
-    ``request`` is a SolveRequest, and one that fails validation raises
-    DomainError, or an (11, R) array of columns (see request_columns), and
-    a request that fails the numeric checks of validation, has a quantum
-    number that is not whole, or has no scan interval, gets NaN ends.
-    """
-    if is_array(request):
-        import numpy as np
-        K, A, B, C, M, n_r, n_theta, m, s = request[:9]
-        # Requests that fail validation may hold inf and NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            first, last = _scan_interval(K, B, C, M, m, s, opts)
-            valid = np.logical_and.reduce(
-                numeric_checks(K, A, B, C, M, s, n_r, n_theta)
-                + tuple(request[5:8] % 1.0 == 0.0))
-        first[~valid] = last[~valid] = np.nan
-        return first, last
-    violations = validate(request)
-    if violations:
-        raise DomainError("invalid request: "
-                          + "; ".join(v.message for v in violations))
-    return _scan_interval(request.params.K, request.params.B, request.params.C,
-                          request.M, request.qn.m, request.symmetry.coupling_sign,
-                          opts)
 
 
 def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
@@ -316,11 +273,11 @@ def _bracket_starts(values):
     return hit
 
 
-def _scan(terms: tuple, first, last, opts: SolverOptions):
+def _scan(terms: tuple, first, last):
     """Scan the residual of the requests whose _terms _stack returned and
     pick each one's first bracket.
 
-    Row r scans the bits of np.linspace(first[r], last[r], scan_points),
+    Row r scans the bits of np.linspace(first[r], last[r], _SCAN_POINTS),
     walked in ascending windows: each window is one residual call over
     the rows still scanning, taken from the terms by index, _SCAN_CHUNK //
     rows points wide (at least one), and if every row has the same ends
@@ -334,7 +291,7 @@ def _scan(terms: tuple, first, last, opts: SolverOptions):
     array of the rows' (a, b, fa, fb), NaN for a row without a bracket.
     """
     import numpy as np
-    n = opts.scan_points
+    n = _SCAN_POINTS
     rows = first.size
     step = (last - first) / (n - 1)
     if (first == first[0]).all() and (last == last[0]).all():
@@ -384,8 +341,7 @@ def _scan(terms: tuple, first, last, opts: SolverOptions):
     return bracket
 
 
-def _scan_one(request: SolveRequest, first: float, last: float,
-              opts: SolverOptions) -> tuple:
+def _scan_one(request: SolveRequest, first: float, last: float) -> tuple:
     """_scan for one request, picking the first bracket from a list of
     starts, which costs fewer numpy calls than _scan's row-wise picking.
 
@@ -395,7 +351,7 @@ def _scan_one(request: SolveRequest, first: float, last: float,
     raised about the scan does not keep its arrays alive.
     """
     import numpy as np
-    grid = np.linspace(first, last, opts.scan_points)
+    grid = np.linspace(first, last, _SCAN_POINTS)
     values = energy_residual(grid, request)
     starts = np.flatnonzero(_bracket_starts(values)).tolist()
     if not starts:
@@ -501,24 +457,29 @@ def _polish_rows(terms: tuple, a, b, fa, fb, abs_tol: float):
     return np.where(at_a, a, b), np.where(at_a, fa, fb), active
 
 
-def solve_energy(request: SolveRequest,
-                 options: SolverOptions | None = None) -> SolveResult:
+def _check_tolerance(abs_tol_E: float) -> None:
+    if not 0.0 < abs_tol_E < math.inf:
+        raise ValueError(f"abs_tol_E must be positive and finite (got {abs_tol_E})")
+
+
+def solve_energy(request: SolveRequest, abs_tol_E: float = 1e-12) -> SolveResult:
     """Find the lowest bound-state energy: scan for sign changes, then
     polish the first.
 
-    Scans ``scan_points`` abscissae over the validity interval in one
-    array evaluation of the residual, counts the sign changes, and
+    Scans _SCAN_POINTS abscissae over the scan interval (see _scan_ends)
+    in one array evaluation of the residual, counts the sign changes, and
     polishes the first bracket with Illinois steps until it is narrower
-    than ``abs_tol_E`` plus a few ulps of E.
+    than ``abs_tol_E`` plus a few ulps of E, so large energies converge
+    too.  ``abs_tol_E`` must be positive and finite (ValueError).
     """
-    opts = options if options is not None else _DEFAULT_OPTIONS
-    first, last = _scan_ends(request, opts)
-    count, a, b, fa, fb = _scan_one(request, first, last, opts)
+    _check_tolerance(abs_tol_E)
+    first, last = _scan_ends(request)
+    count, a, b, fa, fb = _scan_one(request, first, last)
     if count == 0:
         raise NoRootError(
             f"no sign change of the energy residual on [{first}, {last}] "
-            f"with {opts.scan_points} scan points")
-    energy, residual, iterations = _polish(request, a, b, fa, fb, opts.abs_tol_E)
+            f"with {_SCAN_POINTS} scan points")
+    energy, residual, iterations = _polish(request, a, b, fa, fb, abs_tol_E)
     lam = lambda_separation(energy, request.M, request.params, request.qn.m,
                             request.qn.n_theta, request.branch, request.symmetry)
     ansatz = radial_ansatz(energy, request.M, request.params.K, request.params.A,
@@ -529,8 +490,7 @@ def solve_energy(request: SolveRequest,
                        root_count_in_scan=count)
 
 
-def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
-                  ) -> np.ndarray:
+def solve_columns(cols: np.ndarray, abs_tol_E: float = 1e-12) -> np.ndarray:
     """solve_energy's energy for each request of an (11, R) array of
     columns (see request_columns), solved column-wise in array calls.
 
@@ -544,10 +504,11 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
     number is checked by value: n_r = 1.0 solves here as n_r = 1 does in
     solve_energy, which raises "n_r must be an integer" for
     QuantumNumbers(n_r=1.0); a fraction such as 1.5 fails in both.
+    ``abs_tol_E`` is solve_energy's, and raises ValueError as it does.
     """
     import numpy as np
-    opts = options if options is not None else _DEFAULT_OPTIONS
-    first, last = _scan_ends(cols, opts)
+    _check_tolerance(abs_tol_E)
+    first, last = _scan_ends(cols)
     E = np.full(cols.shape[1], np.nan)
     rows = np.flatnonzero(~np.isnan(first))
     if rows.size:
@@ -557,8 +518,8 @@ def solve_columns(cols: np.ndarray, options: SolverOptions | None = None
         # per row stays within _SCAN_CHUNK points.
         parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
         a, b, fa, fb = np.concatenate(
-            [_scan(_take(terms, p), first[p], last[p], opts) for p in parts], axis=1)
-        point, residual, capped = _polish_rows(terms, a, b, fa, fb, opts.abs_tol_E)
+            [_scan(_take(terms, p), first[p], last[p]) for p in parts], axis=1)
+        point, residual, capped = _polish_rows(terms, a, b, fa, fb, abs_tol_E)
         # A NaN residual: no bracket, or the polish stepped outside the domain.
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E

@@ -25,7 +25,7 @@ from rspho.cli import SOLVE_HEADER, TABLE_HEADER, main
 from rspho.errors import RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                          SolveRequest, Symmetry)
-from rspho.spectrum import SolverOptions, solve_energy
+from rspho.spectrum import solve_energy
 from rspho.thermo import nonrelativistic_levels, thermo_point
 
 SPIN_ARGS = ["--symmetry", "spin", "--n", "1", "--m", "0", "--A", "6",
@@ -312,7 +312,7 @@ class TestSweep:
         assert (code, err) == (0, "")
         flags = dict(zip(options[::2], options[1::2]))
         prec = int(flags.get("--precision", 8))
-        opts = SolverOptions(abs_tol_E=float(flags.get("--tol", 1e-12)))
+        tol = float(flags.get("--tol", 1e-12))
         rows = [row.split(",") for row in lines_of(out)[1:]]
         xs = np.linspace(start, stop, 9).tolist()
         assert len(rows) == len(xs)
@@ -330,7 +330,7 @@ class TestSweep:
                     branch=BranchSign(flags.get("--branch", "plus")),
                     convention=Convention(flags.get("--convention", "table")))
                 try:
-                    expected = f"{solve_energy(req, opts).E:.{prec}f}"
+                    expected = f"{solve_energy(req, tol).E:.{prec}f}"
                 except RsphoError:
                     expected = ""
                     empty += 1
@@ -412,6 +412,15 @@ class TestWavefunction:
         code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + [f"--r-max={value}"])
         assert (code, out, err) == (1, "", f"error: --r-max must be finite (got {value})\n")
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("r_max", ["1e120", "1e200"])
+    def test_r_max_that_overflows_is_domain_error(self, n, r_max):
+        # Finite, but r^2 and the quadrature overflow: exit 2 with no numpy
+        # warning (an error in this suite).
+        code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + ["--n", n, "--r-max", r_max])
+        assert (code, out, err) == (
+            2, "", "error: wavefunction quadrature collapsed; grid does not resolve the state\n")
+
 
 class TestPotential:
     def test_small_grid_values(self):
@@ -471,6 +480,16 @@ class TestPotential:
         code, out, err = run_cli(POTENTIAL_ARGS + [flag, value])
         assert (code, out, err) == run_cli(POTENTIAL_ARGS + [f"{flag}={value}"])
         assert (code, out) == (1, "") and flag in err
+
+    @pytest.mark.parametrize("r_min, r_max, r", [("1e-200", "1", "1e-200"),
+                                                 ("1e200", "1e201", "1e+200")])
+    def test_potential_that_is_not_finite_is_domain_error(self, r_min, r_max, r):
+        # r^2 underflows to 0 or overflows; the float path divided by 0 or
+        # printed inf.
+        code, out, err = run_cli(POTENTIAL_ARGS + ["--r-min", r_min, "--r-max", r_max,
+                                                   "--r-steps", "2", "--theta-steps", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: V(r, theta) is not finite at r = {r}, theta = {math.pi / 2!r}\n"
 
     def test_nonfinite_coefficient_after_a_space(self):
         argv = POTENTIAL_ARGS + ["--r-steps", "2", "--theta-steps", "1"]

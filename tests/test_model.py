@@ -1,6 +1,7 @@
 """Tests for the problem-definition layer: potential, validation, enums."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,6 +36,23 @@ class TestEvaluatePotential:
     def test_axis_singularity(self, theta):
         with pytest.raises(DomainError, match="theta must lie"):
             evaluate_potential(_params(), 1.0, theta)
+
+    @pytest.mark.parametrize("r, theta, params", [
+        (1e-200, 1.0, _params()),           # r^2 underflows: a division by 0
+        (1.0, 1e-200, _params()),           # sin^2 underflows: a division by 0
+        (1e-160, 1.0, _params()),           # 1/r^2 overflows
+        (1.0, 1e-160, _params()),           # 1/sin^2 overflows
+        (1e200, 1.0, _params()),            # r^2 overflows
+        (1e200, 1.0, _params(K=0.0)),       # 0 * inf
+        (1.0, 1.0, _params(A=math.inf)),    # a coefficient that is not finite
+    ], ids=["tiny-r", "tiny-theta", "small-r", "small-theta", "huge-r", "zero-K", "inf-A"])
+    def test_value_that_is_not_finite(self, r, theta, params):
+        # The float and array paths give one verdict, naming the point.
+        message = re.escape(f"V(r, theta) is not finite at r = {r!r}, theta = {theta!r}")
+        with pytest.raises(DomainError, match=message):
+            evaluate_potential(params, r, theta)
+        with pytest.raises(DomainError, match=message):
+            evaluate_potential(params, np.array([1.0, r]), np.array([1.0, theta]))
 
     def test_reflection_symmetry(self):
         p = _params(K=0.4, A=1.2, B=-0.3, C=0.7)

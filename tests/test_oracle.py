@@ -57,11 +57,6 @@ class TestFdEigenvalues:
         vals = fd_eigenvalues(lambda x: 0.0 * x, box_grid(2000), 6)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_scalar_only_potential_falls_back(self):
-        vectorized = fd_eigenvalues(lambda x: 0.0 * x, box_grid(2000), 2)
-        scalar = fd_eigenvalues(lambda x: 0.0, box_grid(2000), 2)
-        assert vectorized == scalar
-
     def test_count_too_small(self):
         with pytest.raises(ValueError):
             fd_eigenvalues(lambda x: 0.0 * x, box_grid(2000), 0)

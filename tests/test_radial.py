@@ -1,6 +1,7 @@
 """Tests for the radial sector: ansatz, ladder, Kummer polynomial, wavefunction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,25 @@ class TestRadialWavefunction:
         wf_equation = radial_wavefunction(0, 1.0, 2.0, grid, Convention.EQUATION_CONSISTENT)
         assert wf_table.eta_scale == pytest.approx(1.0)
         assert wf_equation.eta_scale == pytest.approx(math.sqrt(2.0))
+
+    def test_norm_has_the_bits_of_scipy_simpson(self):
+        grid = default_r_grid(2, 1.5, 2.0, points=4001)
+        wf = radial_wavefunction(2, 1.5, 4.0, grid)
+        eta2 = 2.0 * grid**2
+        bare = np.exp(-0.5 * eta2) * grid**2.5 * kummer_1f1_terminating(2, 3.0, eta2)
+        assert wf.norm_constant == 1.0 / math.sqrt(simpson(bare**2, x=grid))
+        assert wf.values.tobytes() == (wf.norm_constant * bare).tobytes()
+
+    @pytest.mark.parametrize("r_max", [1e10, 1e120, 1e200, 1e300])
+    def test_grid_far_beyond_the_state_collapses(self, r_max):
+        # 1e10 steps over the state; from 1e120 on, r^2, r^(L+1), the series
+        # or the Simpson weights overflow.  Either way one DomainError and
+        # no numpy warning.
+        grid = default_r_grid(2, 1.5, 2.0, points=4000, r_max=r_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="quadrature collapsed"):
+                radial_wavefunction(2, 1.5, 4.0, grid)
 
     def test_shallow_l_rejected(self):
         with pytest.raises(DomainError, match="-3/2"):

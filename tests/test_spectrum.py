@@ -1,5 +1,6 @@
 """Tests for the energy solver and the non-relativistic closed form."""
 
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -13,8 +14,8 @@ import rspho.spectrum
 from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
-from rspho.spectrum import (SolverOptions, energy_residual, request_columns,
-                            solve_columns, solve_energy)
+from rspho.spectrum import (energy_residual, request_columns, solve_columns,
+                            solve_energy)
 from rspho.thermo import nonrelativistic_energy
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
@@ -189,13 +190,31 @@ def energies(E):
     return [None if math.isnan(e) else repr(e) for e in E.tolist()]
 
 
-def one_by_one(requests, opts):
+def ceiling_for(offset):
+    """The _SCAN_CEILING that ends a scan at M + offset where |K| = 5, the
+    |K| of both reference sets."""
+    return offset / math.sqrt(5.0)
+
+
+@contextlib.contextmanager
+def scan_grid(points=None, ceiling=None):
+    """_SCAN_POINTS and _SCAN_CEILING patched while the block runs (None
+    keeps the constant); yields the MonkeyPatch, for more patches."""
+    with pytest.MonkeyPatch.context() as mp:
+        if points is not None:
+            mp.setattr(rspho.spectrum, "_SCAN_POINTS", points)
+        if ceiling is not None:
+            mp.setattr(rspho.spectrum, "_SCAN_CEILING", ceiling)
+        yield mp
+
+
+def one_by_one(requests, abs_tol_E=1e-12):
     """solve_energy's energy for each request as its repr, None where
     solve_energy raises."""
     out = []
     for req in requests:
         try:
-            out.append(repr(solve_energy(req, opts).E))
+            out.append(repr(solve_energy(req, abs_tol_E).E))
         except RsphoError:
             out.append(None)
     return out
@@ -212,15 +231,15 @@ def assert_no_scan_arrays(exc, scan_points):
         tb = tb.tb_next
 
 
-def scan_windows(requests, opts):
+def scan_windows(requests):
     """(rows, points) of each window of solve_columns' scan of the valid
     requests: every window is _SCAN_CHUNK // rows points wide (at least
     one, at most what is left of the grid), and a row scans until it has
     seen the grid point after its bracket's start, or the whole grid."""
-    n = opts.scan_points
+    n = rspho.spectrum._SCAN_POINTS
     seen = []               # the grid points that each row must see
     for req in requests:
-        first, last = rspho.spectrum._scan_ends(req, opts)
+        first, last = rspho.spectrum._scan_ends(req)
         values = energy_residual(np.linspace(first, last, n), req)
         starts = np.flatnonzero(rspho.spectrum._bracket_starts(values))
         seen.append(min(starts[0] + 2, n) if len(starts) else n)
@@ -311,7 +330,7 @@ class TestResidualKernel:
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", recording)
         res = solve_energy(spin_request())
-        assert calls[0] == SolverOptions().scan_points
+        assert calls[0] == rspho.spectrum._SCAN_POINTS == 512
         assert calls[1:] == [None] * res.iterations
 
 
@@ -326,9 +345,9 @@ class TestSolveEnergy:
         assert solve_energy(pseudospin_request(n=2, m=2, A=-5.0)).E == pytest.approx(13.34829750, abs=1e-6)
 
     def test_result_invariants(self):
-        opts = SolverOptions()
-        res = solve_energy(spin_request(n=2, m=1), opts)
-        assert abs(res.residual) <= opts.abs_tol_E * max(1.0, abs(res.E))
+        tol = 1e-12
+        res = solve_energy(spin_request(n=2, m=1), tol)
+        assert abs(res.residual) <= tol * max(1.0, abs(res.E))
         assert res.bracket[0] <= res.E <= res.bracket[1]
         assert res.E > SPIN_SET["M"]
         assert res.root_count_in_scan >= 1
@@ -370,14 +389,14 @@ class TestSolveEnergy:
             solve_energy(req)
 
     def test_scan_ceiling_too_low(self):
-        with pytest.raises(NoRootError, match="no sign change"):
-            solve_energy(spin_request(), SolverOptions(e_max_offset=0.1))
+        # The scan stops at M + 0.1, below the state.
+        with scan_grid(ceiling=ceiling_for(0.1)), pytest.raises(NoRootError, match="no sign change"):
+            solve_energy(spin_request())
 
     def test_no_root_error_holds_no_scan_arrays(self):
-        options = SolverOptions(e_max_offset=0.1)
-        with pytest.raises(NoRootError) as info:
-            solve_energy(spin_request(), options)
-        assert_no_scan_arrays(info.value, options.scan_points)
+        with scan_grid(ceiling=ceiling_for(0.1)), pytest.raises(NoRootError) as info:
+            solve_energy(spin_request())
+        assert_no_scan_arrays(info.value, rspho.spectrum._SCAN_POINTS)
 
     def test_large_mass_converges(self):
         # exercises the relative tolerance floor far above the absolute one
@@ -404,15 +423,15 @@ class TestPolish:
     def test_root_within_tolerance(self, req):
         # A sign change of the residual within the stop width of E certifies
         # that a root lies that close, whatever method found E.
-        opts = SolverOptions()
+        tol = 1e-12
         try:
-            res = solve_energy(req, opts)
+            res = solve_energy(req, tol)
         except NoRootError:
             return
         lo, hi = res.bracket
         assert lo <= res.E <= hi
         assert res.residual == energy_residual(res.E, req)
-        width = opts.abs_tol_E + 4.0 * np.finfo(float).eps * abs(res.E)
+        width = tol + 4.0 * np.finfo(float).eps * abs(res.E)
         left = energy_residual(max(lo, res.E - width), req)
         right = energy_residual(min(hi, res.E + width), req)
         assert left * right <= 0.0, (res, left, right)
@@ -426,15 +445,14 @@ class TestSolveEnergies:
     @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)
     @given(requests=st.one_of(st.lists(mixed_requests(), max_size=24), grouped_requests()),
            points=st.sampled_from([512, 16, 1500]),
-           e_max_offset=st.sampled_from([None, None, 1e3, 0.5]),
+           scan_ceiling=st.sampled_from([None, None, ceiling_for(1e3), ceiling_for(0.5)]),
            abs_tol=st.sampled_from([1e-12, 1e-12, 1e-4, 5e-324]))
-    def test_matches_solve_energy(self, requests, points, e_max_offset, abs_tol):
+    def test_matches_solve_energy(self, requests, points, scan_ceiling, abs_tol):
         # 5e-324 leaves only the four-ulp floor, so the polish takes the most steps.
-        opts = SolverOptions(scan_points=points, e_max_offset=e_max_offset,
-                             abs_tol_E=abs_tol)
-        E = solve_columns(columns(requests), opts)
-        assert E.shape == (len(requests),)
-        assert energies(E) == one_by_one(requests, opts)
+        with scan_grid(points, scan_ceiling):
+            E = solve_columns(columns(requests), abs_tol)
+            assert E.shape == (len(requests),)
+            assert energies(E) == one_by_one(requests, abs_tol)
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=grouped_requests(), chunk=st.sampled_from([1, 5, 64]),
@@ -442,7 +460,6 @@ class TestSolveEnergies:
     def test_small_scan_chunks(self, requests, chunk, points):
         # A _SCAN_CHUNK below the batch's rows splits the batch into blocks
         # and makes windows one point wide; no scan call exceeds it.
-        opts = SolverOptions(scan_points=points)
         spectrum = rspho.spectrum
         sizes, polish = [], spectrum._polish_rows
 
@@ -456,18 +473,19 @@ class TestSolveEnergies:
             sizes.append(None)
             return polish(*args)
 
-        with pytest.MonkeyPatch.context() as mp:
+        with scan_grid(points) as mp:
+            expected = one_by_one(requests)
             mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
             mp.setattr(spectrum, "energy_residual", recording)
             mp.setattr(spectrum, "_polish_rows", polishing)
-            E = solve_columns(columns(requests), opts)
-        assert energies(E) == one_by_one(requests, opts)
+            E = solve_columns(columns(requests))
+        assert energies(E) == expected
         assert all(size <= chunk for size in sizes if size is not None)
 
     def test_identical_requests(self):
         # Every number is shared, so the residual comes back as one row.
         requests = [spin_request(n=2)] * 5
-        assert energies(solve_columns(columns(requests))) == one_by_one(requests, None)
+        assert energies(solve_columns(columns(requests))) == one_by_one(requests)
 
     @pytest.fixture
     def residual_shapes(self, monkeypatch):
@@ -489,12 +507,12 @@ class TestSolveEnergies:
         invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
         E = solve_columns(columns(requests + [invalid]))
         shapes = list(residual_shapes)
-        points = SolverOptions().scan_points
+        points = rspho.spectrum._SCAN_POINTS
         # The first window is _SCAN_CHUNK // 9 points wide, more than the grid.
         assert rspho.spectrum._SCAN_CHUNK // 9 >= points
         scans = [s for s in shapes if s is not None and s[-1] == points]
         assert scans == [(9, points)]
-        assert energies(E) == one_by_one(requests + [invalid], None)
+        assert energies(E) == one_by_one(requests + [invalid])
         assert not np.isnan(E[:9]).any() and np.isnan(E[9])
         with pytest.raises(DomainError):
             solve_energy(invalid)
@@ -504,7 +522,7 @@ class TestSolveEnergies:
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
     @pytest.mark.parametrize("layout", ["one-group", "three-groups", "three-groups-interleaved"])
-    def test_long_batches_are_scanned_in_chunks(self, residual_shapes, layout):
+    def test_long_batches_are_scanned_in_chunks(self, residual_shapes, monkeypatch, layout):
         # One group: 100 rows with equal scan ends at 1024 points.  Three
         # groups: 24 rows per m, each group with equal scan ends, the shape
         # of a sweep over m, at the default 512 points.  The rows are
@@ -512,23 +530,21 @@ class TestSolveEnergies:
         # bracket, whatever their order.
         if layout == "one-group":
             requests = [spin_request(A=6.0 + 0.05 * i) for i in range(100)]
-            opts = SolverOptions(scan_points=1024)
+            monkeypatch.setattr(rspho.spectrum, "_SCAN_POINTS", 1024)
         else:
             groups = [[pseudospin_request(m=m, A=-5.0 + 0.05 * i) for i in range(24)]
                       for m in (0, 1, 2)]
             requests = [r for g in (groups if layout == "three-groups" else zip(*groups))
                         for r in g]
-            opts = SolverOptions()
-        points = opts.scan_points
-        E = solve_columns(columns(requests), opts)
-        windows = scan_windows(requests, opts)
+        E = solve_columns(columns(requests))
+        windows = scan_windows(requests)
         assert windows[0][0] == len(requests)
         scans, polish = residual_shapes[:len(windows)], residual_shapes[len(windows):]
         assert scans == windows
         assert all(rows * n <= rspho.spectrum._SCAN_CHUNK for rows, n in scans)
-        assert energies(E) == one_by_one(requests, opts)
+        assert energies(E) == one_by_one(requests)
         assert not np.isnan(E).any()
-        assert polish == [(len(requests), 1)] * max(solve_energy(r, opts).iterations
+        assert polish == [(len(requests), 1)] * max(solve_energy(r).iterations
                                                     for r in requests)
         assert len(polish) <= rspho.spectrum._MAX_POLISH_STEPS
 
@@ -539,12 +555,11 @@ class TestSolveEnergies:
         # The residual is made exactly 0 at one grid point of the first
         # request's scan, the last point included, wherever it is in the
         # domain; the rows with the same ends share that grid point.
-        opts = SolverOptions(scan_points=points)
         try:
-            first, last = rspho.spectrum._scan_ends(requests[0], opts)
+            first, last = rspho.spectrum._scan_ends(requests[0])
         except RsphoError:
             return
-        zero_at = np.linspace(first, last, opts.scan_points)[round(at * (opts.scan_points - 1))]
+        zero_at = np.linspace(first, last, points)[round(at * (points - 1))]
 
         def zeroed(E, request):
             f = energy_residual(E, request)
@@ -552,17 +567,16 @@ class TestSolveEnergies:
                 return np.where((E == zero_at) & ~np.isnan(f), 0.0, f)
             return 0.0 if E == zero_at else f
 
-        with pytest.MonkeyPatch.context() as mp:
+        with scan_grid(points) as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            assert energies(solve_columns(columns(requests), opts)) == one_by_one(
-                requests, opts)
+            assert energies(solve_columns(columns(requests))) == one_by_one(requests)
 
     @pytest.mark.parametrize("where", ["first bracket", "last point"])
     def test_exact_zero_closes_the_bracket(self, monkeypatch, where):
-        opts = SolverOptions(scan_points=64)
+        monkeypatch.setattr(rspho.spectrum, "_SCAN_POINTS", 64)
         requests = [spin_request(A=a) for a in (6.0, 6.5, 7.0, 7.5)]
-        first, last = rspho.spectrum._scan_ends(requests[0], opts)
-        grid = np.linspace(first, last, opts.scan_points)
+        first, last = rspho.spectrum._scan_ends(requests[0])
+        grid = np.linspace(first, last, 64)
         values = energy_residual(grid, requests[0])
         starts = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         # A zero at the last point is the first bracket where the residual
@@ -578,10 +592,10 @@ class TestSolveEnergies:
             return 0.0 if E == zero_at else f
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", zeroed)
-        E = solve_columns(columns(requests), opts)
-        assert energies(E) == one_by_one(requests, opts)
+        E = solve_columns(columns(requests))
+        assert energies(E) == one_by_one(requests)
         assert E[0] == zero_at
-        res = solve_energy(requests[0], opts)
+        res = solve_energy(requests[0])
         assert (res.E, res.bracket, res.iterations) == (zero_at, (zero_at, zero_at), 0)
         assert repr(res.residual) == "0.0"
 
@@ -601,12 +615,10 @@ class TestSolveEnergies:
                 raise DomainError(f"residual {f!r} inside the hole at E = {E!r}")
             return f
 
-        opts = SolverOptions()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", holed)
             mp.setattr(rspho.spectrum, "_MAX_POLISH_STEPS", cap)
-            assert energies(solve_columns(columns(requests), opts)) == one_by_one(
-                requests, opts)
+            assert energies(solve_columns(columns(requests))) == one_by_one(requests)
 
     def test_nan_polish_point_never_comes_back_as_a_result(self, monkeypatch):
         # The array residual is NaN near every root while the scalar one
@@ -629,12 +641,11 @@ class TestSolveEnergies:
         # a grid row each must give the same residuals, and scanned beside a
         # row with other ends and no bracket, so that every window has a
         # grid row per row, the same brackets.
-        opts = SolverOptions()
         spectrum = rspho.spectrum
         rows = []
         for req in requests:
             try:
-                ends = spectrum._scan_ends(req, opts)
+                ends = spectrum._scan_ends(req)
             except RsphoError:
                 continue
             if not rows or ends == rows[0][1]:
@@ -646,7 +657,7 @@ class TestSolveEnergies:
         shared = spectrum._stack(cols)
         # What _stack computes with no number shared: every one a column.
         full = spectrum._terms(*(col[:, None] for col in cols))
-        grid = np.linspace(first, last, opts.scan_points)
+        grid = np.linspace(first, last, spectrum._SCAN_POINTS)
         one_row = energy_residual(grid, shared)
         every_row = energy_residual(np.tile(grid, (n, 1)), full)
         assert np.broadcast_to(one_row, every_row.shape).tobytes() == every_row.tobytes()
@@ -654,10 +665,10 @@ class TestSolveEnergies:
         # n_r = 10**6 leaves the residual negative on the whole grid.
         extra = dataclasses.replace(rows[0][0], M=rows[0][0].M + 1.0,
                                     qn=dataclasses.replace(rows[0][0].qn, n_r=10**6))
-        ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra, opts)]).T
-        one_grid = spectrum._scan(shared, *ends[:, :n], opts)
+        ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra)]).T
+        one_grid = spectrum._scan(shared, *ends[:, :n])
         grid_rows = spectrum._scan(spectrum._stack(columns([req for req, _ in rows] + [extra])),
-                                   *ends, opts)
+                                   *ends)
         assert np.isnan(grid_rows[:, -1]).all()
         assert one_grid.tobytes() == grid_rows[:, :n].tobytes()
 
@@ -678,22 +689,21 @@ class TestScanWindows:
     def batch(self):
         spin = [spin_request(n=1 + i % 3, A=6.0 + 0.01 * i) for i in range(224)]
         pseudo = [pseudospin_request(n=1 + i % 3, A=-5.0 + 0.01 * i) for i in range(32)]
-        opts = SolverOptions()
-        first, last = rspho.spectrum._scan_ends(spin[0], opts)
-        grid = np.linspace(first, last, opts.scan_points)
+        first, last = rspho.spectrum._scan_ends(spin[0])
+        grid = np.linspace(first, last, rspho.spectrum._SCAN_POINTS)
         width = rspho.spectrum._SCAN_CHUNK // (len(spin) + len(pseudo))
         for req in spin:
-            assert rspho.spectrum._scan_ends(req, opts) == (first, last)
+            assert rspho.spectrum._scan_ends(req) == (first, last)
             values = energy_residual(grid, req)
             assert np.flatnonzero(values[:-1] * values[1:] <= 0.0)[0] > width
-        return spin + pseudo, opts, grid, width
+        return spin + pseudo, grid, width
 
     @pytest.mark.parametrize("where", ["first point", "overlap point"])
     def test_exact_zero_at_a_window_edge(self, batch, where):
         # The second window's first point, or the first window's last point
         # that it carries over, is an exact zero of every spin row: their
         # first bracket.
-        requests, opts, grid, width = batch
+        requests, grid, width = batch
         zero_at = grid[width if where == "first point" else width - 1]
 
         def zeroed(E, request):
@@ -704,8 +714,8 @@ class TestScanWindows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            E = solve_columns(columns(requests), opts)
-            assert energies(E) == one_by_one(requests, opts)
+            E = solve_columns(columns(requests))
+            assert energies(E) == one_by_one(requests)
         assert (E[:224] == zero_at).all()
 
     def test_exact_zero_at_the_last_grid_point(self, batch):
@@ -713,9 +723,8 @@ class TestScanWindows:
         # last point is the spin rows' first bracket.  At 1500 points,
         # i*step + first misses that point by an ulp, and the grid holds the
         # last scan point itself.
-        requests, opts, _, _ = batch
-        opts = dataclasses.replace(opts, scan_points=1500)
-        first, last = rspho.spectrum._scan_ends(requests[0], opts)
+        requests, _, _ = batch
+        first, last = rspho.spectrum._scan_ends(requests[0])
         assert 1499 * ((last - first) / 1499) + first != last
 
         def zeroed(E, request):
@@ -724,10 +733,10 @@ class TestScanWindows:
                 return np.where(E == last, 0.0, f)
             return 0.0 if E == last else f
 
-        with pytest.MonkeyPatch.context() as mp:
+        with scan_grid(1500) as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            E = solve_columns(columns(requests), opts)
-            assert energies(E) == one_by_one(requests, opts)
+            E = solve_columns(columns(requests))
+            assert energies(E) == one_by_one(requests)
         assert (E[:224] == last).all()
 
     @pytest.mark.parametrize("splits", [[1.0], [0.5, 1.5, 2.5], [1.0, 2.0, 3.0]],
@@ -737,7 +746,7 @@ class TestScanWindows:
         # split * width: each flip starts a bracket at the point before it,
         # inside a window or at one window's last point (a whole split).
         # The first flip's bracket is the one polished.
-        requests, opts, grid, width = batch
+        requests, grid, width = batch
         flips = [round(k * width) for k in splits]
 
         def flipped(E, request):
@@ -749,8 +758,8 @@ class TestScanWindows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", flipped)
-            E = solve_columns(columns(requests), opts)
-            assert energies(E) == one_by_one(requests, opts)
+            E = solve_columns(columns(requests))
+            assert energies(E) == one_by_one(requests)
         i = flips[0]
         assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
         assert not np.isnan(E).any()
@@ -759,7 +768,7 @@ class TestScanWindows:
     def test_batch_is_prepared_once(self, batch, chunk):
         # The scan walks several windows, and at a _SCAN_CHUNK of 64 four
         # blocks of rows, but solve_columns prepares its batch once.
-        requests, opts, _, _ = batch
+        requests, _, _ = batch
         spectrum = rspho.spectrum
         stacked, scans, stack = [], [], spectrum._stack
 
@@ -774,15 +783,15 @@ class TestScanWindows:
             mp.setattr(spectrum, "energy_residual", counting)
             if chunk is not None:
                 mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
-            E = solve_columns(columns(requests), opts)
+            E = solve_columns(columns(requests))
         assert stacked == [(11, len(requests))]
         blocks = -(-len(requests) // spectrum._SCAN_CHUNK) if chunk is None else 4
         assert len(scans) > blocks
-        assert energies(E) == one_by_one(requests, opts)
+        assert energies(E) == one_by_one(requests)
 
     def test_row_without_a_bracket_sees_every_grid_point_once(self, batch, monkeypatch):
         # n_r = 1000 puts the state above the scan ceiling: no sign change.
-        requests, opts, grid, width = batch
+        requests, grid, width = batch
         requests = requests[:100] + [spin_request(n=1000)] + requests[101:]
         seen, calls = [], []
 
@@ -798,13 +807,13 @@ class TestScanWindows:
         monkeypatch.setattr(rspho.spectrum, "energy_residual", counting)
         cols = columns(requests)
         bracket = rspho.spectrum._scan(rspho.spectrum._stack(cols),
-                                       *rspho.spectrum._scan_ends(cols, opts), opts)
+                                       *rspho.spectrum._scan_ends(cols))
         assert np.isnan(bracket).any(axis=0).tolist() == [i == 100 for i in range(len(requests))]
         assert len(calls) > 2 and calls[0] == (len(requests), width)
         assert [repr(e) for e in sorted(seen)] == [repr(e) for e in grid.tolist()]
         monkeypatch.undo()
-        E = solve_columns(cols, opts)
-        assert energies(E) == one_by_one(requests, opts)
+        E = solve_columns(cols)
+        assert energies(E) == one_by_one(requests)
         assert np.isnan(E[100]) and not np.isnan(np.delete(E, 100)).any()
 
 
@@ -814,26 +823,28 @@ class TestColumnForms:
 
     @PROPERTY
     @given(requests=st.lists(edge_requests(), min_size=1, max_size=30),
-           e_max_offset=st.sampled_from([None, None, 1e3, 0.5, 1e-3]))
-    def test_scan_ends_match_the_scalar(self, requests, e_max_offset):
+           scan_ceiling=st.sampled_from([None, None, ceiling_for(1e3), ceiling_for(0.5),
+                                         ceiling_for(1e-3)]))
+    def test_scan_ends_match_the_scalar(self, requests, scan_ceiling):
         # NaN exactly where the scalar form raises, its bits everywhere else.
-        opts = SolverOptions(e_max_offset=e_max_offset)
-        first, last = rspho.spectrum._scan_ends(columns(requests), opts)
-        for req, ends in zip(requests, zip(first.tolist(), last.tolist())):
-            try:
-                expected = rspho.spectrum._scan_ends(req, opts)
-            except RsphoError:
-                assert math.isnan(ends[0]) and math.isnan(ends[1]), req
-                continue
-            assert repr(ends) == repr(expected), req
+        with scan_grid(ceiling=scan_ceiling):
+            first, last = rspho.spectrum._scan_ends(columns(requests))
+            for req, ends in zip(requests, zip(first.tolist(), last.tolist())):
+                try:
+                    expected = rspho.spectrum._scan_ends(req)
+                except RsphoError:
+                    assert math.isnan(ends[0]) and math.isnan(ends[1]), req
+                    continue
+                assert repr(ends) == repr(expected), req
 
     @PROPERTY
     @given(requests=st.lists(edge_requests(), min_size=1, max_size=20),
-           e_max_offset=st.sampled_from([None, None, 0.5]))
-    def test_solve_columns_fails_where_solve_energy_raises(self, requests, e_max_offset):
-        opts = SolverOptions(e_max_offset=e_max_offset)
-        E = solve_columns(columns(requests), opts)
-        for req, e, expected in zip(requests, energies(E), one_by_one(requests, opts)):
+           scan_ceiling=st.sampled_from([None, None, ceiling_for(0.5)]))
+    def test_solve_columns_fails_where_solve_energy_raises(self, requests, scan_ceiling):
+        with scan_grid(ceiling=scan_ceiling):
+            E = solve_columns(columns(requests))
+            expected = one_by_one(requests)
+        for req, e, expected in zip(requests, energies(E), expected):
             assert e == expected, req
 
     def test_whole_float_quantum_number_solves(self):
@@ -869,19 +880,37 @@ class TestColumnForms:
 
 
 class TestSolverOptions:
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            SolverOptions(abs_tol_E=0.0)
+    """The solver's one setting, the energy tolerance abs_tol_E: solve_energy
+    and solve_columns reject one that is not positive and finite before any
+    work, and the smallest positive float solves."""
+
+    SOLVERS = [lambda tol: solve_energy(spin_request(), tol),
+               lambda tol: solve_columns(columns([spin_request()]), tol)]
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def fail(request):
+            raise AssertionError("scan ends computed with a bad tolerance")
+        monkeypatch.setattr(rspho.spectrum, "_scan_ends", fail)
+
+    def test_rejects_bad_tolerance(self, no_scan):
+        for solve in self.SOLVERS:
+            for tol in (0.0, -1.0):
+                with pytest.raises(ValueError, match="abs_tol_E must be positive and finite"):
+                    solve(tol)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_rejects_tolerance_that_is_not_finite(self, tol):
+    def test_rejects_tolerance_that_is_not_finite(self, no_scan, tol):
         # An infinite tolerance would end the polish before its first step.
-        with pytest.raises(ValueError, match="finite"):
-            SolverOptions(abs_tol_E=tol)
+        for solve in self.SOLVERS:
+            with pytest.raises(ValueError, match="finite"):
+                solve(tol)
 
-    def test_rejects_bad_scan(self):
-        with pytest.raises(ValueError):
-            SolverOptions(scan_points=1)
+    def test_smallest_tolerance_solves(self):
+        # Only the four-ulp floor of the stop width is left.
+        res = solve_energy(spin_request(), 5e-324)
+        assert energies(solve_columns(columns([spin_request()]), 5e-324)) == [repr(res.E)]
+        assert res.E == pytest.approx(14.38516214, abs=1e-8)
 
 
 class TestNonrelativisticEnergy:
