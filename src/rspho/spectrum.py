@@ -22,18 +22,23 @@ the tolerance inside the bracket, so the bracket shrinks even where the
 chord points at one of its ends.  That tolerance, abs_tol_E, is the one
 setting a caller passes; the grid and the ceiling are constants.
 
+Both solvers compute the residual's terms that depend on the request
+alone (s*2, B + C, m^2, n_theta + 1/2, s*K, s*2*A, 2*n_r + 1, see _terms)
+once per request, and energy_residual takes that tuple in place of a
+request; angular and radial take the terms through lambda_from_terms,
+coupling_from_terms and radial_terms_from_terms, the same functions
+their float forms call.  Both scan the grid that _grid computes, with
+the bits of np.linspace.
+
 solve_energy does this for one request and returns the energy with its
-diagnostics, or raises.  solve_columns does it for many, column-wise: it
-takes the requests' numbers as an (11, requests) array (request_columns
-builds one), validates them and computes their scan intervals with the
-same formulas applied to arrays, and returns only the energies.  It
-computes the residual's terms that depend on the request alone (s*2,
-B + C, m^2, n_theta + 1/2, s*K, s*2*A, 2*n_r + 1, see _terms) once, as
+diagnostics, or raises: the scan, every polish step and the result's
+lambda, delta and big_delta at E share the request's one terms tuple.
+solve_columns does it for many, column-wise: it takes the requests'
+numbers as an (11, requests) array (request_columns builds one),
+validates them and computes their scan intervals with the same formulas
+applied to arrays, and returns only the energies.  Its terms are
 (requests x 1) columns, a number equal in every row staying one float so
-that numpy broadcasting computes what the rows share once (_stack).
-energy_residual takes that tuple in place of a request; angular and
-radial take the terms through lambda_from_terms, coupling_from_terms and
-radial_terms_from_terms, the same functions their float forms call.  The
+that numpy broadcasting computes what the rows share once (_stack).  The
 scan walks the requests' grids in ascending windows, each one residual
 call over the rows still scanning, and a request leaves the scan as soon
 as it holds its first bracket; most roots lie low on the grid, so most
@@ -54,12 +59,12 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .angular import coupling_from_terms, lambda_from_terms, lambda_separation
+from .angular import coupling_from_terms, lambda_from_terms
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, SolveRequest, Symmetry,
                     numeric_checks, validate)
 from .numerics import is_array, positive, sqrt
-from .radial import radial_ansatz, radial_terms_from_terms
+from .radial import radial_terms_from_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,6 +125,14 @@ def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
             2.0 * n_r + 1.0, c)
 
 
+def _request_terms(request: SolveRequest) -> tuple:
+    """The _terms of one request, as floats."""
+    p, qn = request.params, request.qn
+    return _terms(p.K, p.A, p.B, p.C, request.M, qn.n_r, qn.n_theta, qn.m,
+                  request.symmetry.coupling_sign, request.branch.sign,
+                  request.convention.coefficient)
+
+
 def energy_residual(E, request: SolveRequest | tuple):
     """f(E) = (E - M) - c*sqrt(s*K/(E+M))*(2*n_r + 1 + sqrt(1/4 + delta'(E))).
 
@@ -131,13 +144,7 @@ def energy_residual(E, request: SolveRequest | tuple):
     (R, n) grid is evaluated element by element as each row's request
     would be alone.
     """
-    if type(request) is tuple:
-        terms = request
-    else:
-        p, qn = request.params, request.qn
-        terms = _terms(p.K, p.A, p.B, p.C, request.M, qn.n_r, qn.n_theta, qn.m,
-                       request.symmetry.coupling_sign, request.branch.sign,
-                       request.convention.coefficient)
+    terms = request if type(request) is tuple else _request_terms(request)
     if is_array(E):
         import numpy as np
         # The square roots make NaN of negative radicands; the two strict
@@ -145,21 +152,23 @@ def energy_residual(E, request: SolveRequest | tuple):
         # (np.minimum passes a NaN on, and NaN > 0 is false), written into
         # f, a new array with the shape of the three.
         with np.errstate(invalid="ignore", divide="ignore"):
-            f, fac, stiff = _residual(E, terms)
+            f, fac, _, _, stiff = _residual(E, terms)
         np.copyto(f, np.nan, where=~(np.minimum(fac, stiff) > 0.0))
         return f
     return _residual(E, terms)[0]
 
 
 def _residual(E, terms: tuple):
-    """energy_residual with E + M and the stiffness, which it must mask."""
+    """energy_residual's f with what it computes on the way: (f, E + M,
+    lambda, sqrt(1/4 + delta'), big_delta^2).  The array form masks E + M
+    and the stiffness; solve_energy builds its result from the rest."""
     M, s2, bc, mm, half_nt, sign, sK, s2A, nr21, c = terms
     fac = positive(E + M, "E + M must be positive (got {})")
     lam = lambda_from_terms(coupling_from_terms(s2, fac, bc), mm, half_nt, sign)
     _, root, stiff = radial_terms_from_terms(fac, sK, s2A, lam)
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)
     rhs = c * sqrt(stiff) / fac * (nr21 + root)
-    return (E - M) - rhs, fac, stiff
+    return (E - M) - rhs, fac, lam, root, stiff
 
 
 def _scan_ends(request: SolveRequest | np.ndarray):
@@ -173,7 +182,9 @@ def _scan_ends(request: SolveRequest | np.ndarray):
 
     ``request`` is a SolveRequest: one that fails validation raises
     DomainError, and NoRootError is raised where the separation radicand
-    is negative at every energy or the interval is empty.  Or it is an
+    is negative at every energy or the interval is empty, naming the
+    constraint that sets each end (E + M > 0, the separation radicand or
+    the ceiling).  Or it is an
     (11, R) array of columns (see request_columns), and a request that
     fails the numeric checks of validation, has a quantum number that is
     not whole, or has no scan interval gets NaN ends.  Both forms compute
@@ -205,21 +216,26 @@ def _scan_ends(request: SolveRequest | np.ndarray):
         raise DomainError("invalid request: "
                           + "; ".join(v.message for v in violations))
     p, M, s = request.params, request.M, request.symmetry.coupling_sign
-    lo = -M
-    hi = M + _SCAN_CEILING * math.sqrt(abs(p.K))
+    lo, lo_by = -M, "E + M > 0"
+    hi, hi_by = M + _SCAN_CEILING * math.sqrt(abs(p.K)), "the scan ceiling"
     slope = -s * 2.0 * (p.B + p.C)
     const = 0.5 - s * 2.0 * M * (p.B + p.C) - request.qn.m * request.qn.m
     if slope > 0.0:
-        lo = max(lo, -const / slope)
+        if (edge := -const / slope) > lo:
+            lo, lo_by = edge, "the separation radicand"
     elif slope < 0.0:
-        hi = min(hi, -const / slope)
+        if (edge := -const / slope) < hi:
+            hi, hi_by = edge, "the separation radicand"
     elif const < 0.0:
         raise NoRootError(
             f"separation-constant radicand is {const} for every energy; "
             "no bound state exists for these quantum numbers")
     if not hi > lo:
+        if hi_by == "the scan ceiling":
+            hi_by += f" M + {_SCAN_CEILING}*sqrt(|K|)"
         raise NoRootError(
-            f"empty scan interval: validity bounds give [{lo}, {hi}]")
+            f"empty scan interval [{lo}, {hi}]: {lo_by} sets its low end "
+            f"and {hi_by} its high end")
     margin = 1e-9 * max(1.0, abs(lo), abs(hi))
     return lo + margin, hi - margin
 
@@ -273,12 +289,26 @@ def _bracket_starts(values):
     return hit
 
 
+def _grid(first, step, last, start: int, stop: int):
+    """Points start to stop - 1 of the scan grid from first to last, with
+    the bits of np.linspace(first, last, _SCAN_POINTS): point i is
+    i*step + first, step = (last - first)/(_SCAN_POINTS - 1), and the
+    grid's last point is last itself.  first, step and last are floats
+    for one grid, or first and step are (R, 1) columns and last an (R,)
+    array for R grid rows."""
+    import numpy as np
+    grid = np.arange(start, stop, dtype=float) * step + first
+    if stop == _SCAN_POINTS:
+        grid[..., -1] = last
+    return grid
+
+
 def _scan(terms: tuple, first, last):
     """Scan the residual of the requests whose _terms _stack returned and
     pick each one's first bracket.
 
-    Row r scans the bits of np.linspace(first[r], last[r], _SCAN_POINTS),
-    walked in ascending windows: each window is one residual call over
+    Row r scans the grid from first[r] to last[r] (see _grid), walked in
+    ascending windows: each window is one residual call over
     the rows still scanning, taken from the terms by index, _SCAN_CHUNK //
     rows points wide (at least one), and if every row has the same ends
     they share one grid row.  A row stops scanning once it holds a
@@ -304,12 +334,9 @@ def _scan(terms: tuple, first, last):
         width = min(max(1, _SCAN_CHUNK // scanning.size), n - start)
         lo, hi, h = ((first, last, step) if len(first) == 1 else
                      (first[scanning], last[scanning], step[scanning]))
-        # Grid points start - 1 to start + width - 1 as linspace computes
-        # them: i*step + first, and the last point is last itself.
-        grid = np.arange(start - 1, start + width, dtype=float) * h[:, None] + lo[:, None]
+        # Grid points start - 1 to start + width - 1.
+        grid = _grid(lo[:, None], h[:, None], hi, start - 1, start + width)
         final = start + width == n
-        if final:
-            grid[:, -1] = hi
         values = energy_residual(
             grid[:, 1:], terms if scanning.size == rows else _take(terms, scanning))
         hit = _bracket_starts(values)
@@ -341,21 +368,24 @@ def _scan(terms: tuple, first, last):
     return bracket
 
 
-def _scan_one(request: SolveRequest, first: float, last: float) -> tuple:
-    """_scan for one request, picking the first bracket from a list of
-    starts, which costs fewer numpy calls than _scan's row-wise picking.
+def _scan_one(terms: tuple, first: float, last: float) -> tuple:
+    """_scan for the _terms of one request, picking the first bracket from
+    a list of starts, which costs fewer numpy calls than _scan's row-wise
+    picking.
 
     Returns (count, a, b, fa, fb) as floats: count is the number of
-    brackets on the whole grid, and the bracket is the first one, NaN if
-    there is none.  Only these floats leave this frame, so an exception
-    raised about the scan does not keep its arrays alive.
+    brackets on the whole grid, and the bracket is the first one.  A grid
+    without a bracket returns (0, inside), inside being the number of its
+    points inside the domain (a residual that is not NaN).  Only these
+    numbers leave this frame, so an exception raised about the scan does
+    not keep its arrays alive.
     """
     import numpy as np
-    grid = np.linspace(first, last, _SCAN_POINTS)
-    values = energy_residual(grid, request)
+    grid = _grid(first, (last - first) / (_SCAN_POINTS - 1), last, 0, _SCAN_POINTS)
+    values = energy_residual(grid, terms)
     starts = np.flatnonzero(_bracket_starts(values)).tolist()
     if not starts:
-        return 0, math.nan, math.nan, math.nan, math.nan
+        return 0, int(np.count_nonzero(~np.isnan(values)))
     i = starts[0]
     a, fa = grid.item(i), values.item(i)
     if fa == 0.0:
@@ -363,9 +393,10 @@ def _scan_one(request: SolveRequest, first: float, last: float) -> tuple:
     return len(starts), a, grid.item(i + 1), fa, values.item(i + 1)
 
 
-def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
+def _polish(terms: tuple, a: float, b: float, fa: float, fb: float,
             abs_tol: float) -> tuple[float, float, int]:
-    """Shrink the bracket [a, b] around a root of the residual.
+    """Shrink the bracket [a, b] around a root of the residual of one
+    request, given by its _terms.
 
     Illinois steps: the next point is where the chord through (a, ga) and
     (b, gb) crosses zero, ga and gb being f(a) and f(b) except that the
@@ -390,7 +421,7 @@ def _polish(request: SolveRequest, a: float, b: float, fa: float, fb: float,
             c = a + 0.5 * tol
         elif not c < b - 0.5 * tol:
             c = b - 0.5 * tol
-        fc = energy_residual(c, request)
+        fc = energy_residual(c, terms)
         if fc == 0.0:
             return c, fc, steps
         if (fc < 0.0) == (fa < 0.0):
@@ -466,26 +497,32 @@ def solve_energy(request: SolveRequest, abs_tol_E: float = 1e-12) -> SolveResult
     """Find the lowest bound-state energy: scan for sign changes, then
     polish the first.
 
-    Scans _SCAN_POINTS abscissae over the scan interval (see _scan_ends)
-    in one array evaluation of the residual, counts the sign changes, and
-    polishes the first bracket with Illinois steps until it is narrower
-    than ``abs_tol_E`` plus a few ulps of E, so large energies converge
-    too.  ``abs_tol_E`` must be positive and finite (ValueError).
+    Computes the request's _terms once, for every residual call and for
+    the result.  Scans _SCAN_POINTS abscissae over the scan interval (see
+    _scan_ends), on the grid that solve_columns' scan computes (see
+    _grid), in one array evaluation of the residual, counts the sign
+    changes, and polishes the first bracket with Illinois steps until it
+    is narrower than ``abs_tol_E`` plus a few ulps of E, so large energies
+    converge too.  lambda, delta = -1/2 - sqrt(1/4 + delta') and big_delta
+    at E come from the residual's own arithmetic (_residual).  A scan
+    without a bracket raises NoRootError that says how many grid points
+    lay inside the domain.  ``abs_tol_E`` must be positive and finite
+    (ValueError).
     """
     _check_tolerance(abs_tol_E)
     first, last = _scan_ends(request)
-    count, a, b, fa, fb = _scan_one(request, first, last)
-    if count == 0:
+    terms = _request_terms(request)
+    scan = _scan_one(terms, first, last)
+    if scan[0] == 0:
         raise NoRootError(
             f"no sign change of the energy residual on [{first}, {last}] "
-            f"with {_SCAN_POINTS} scan points")
-    energy, residual, iterations = _polish(request, a, b, fa, fb, abs_tol_E)
-    lam = lambda_separation(energy, request.M, request.params, request.qn.m,
-                            request.qn.n_theta, request.branch, request.symmetry)
-    ansatz = radial_ansatz(energy, request.M, request.params.K, request.params.A,
-                           lam, request.symmetry, n_r=request.qn.n_r)
-    return SolveResult(E=energy, lam=lam, delta=ansatz.delta,
-                       big_delta=ansatz.big_delta, residual=residual,
+            f"with {_SCAN_POINTS} scan points ({scan[1]} of {_SCAN_POINTS} "
+            "points inside the domain)")
+    count, a, b, fa, fb = scan
+    energy, residual, iterations = _polish(terms, a, b, fa, fb, abs_tol_E)
+    _, _, lam, root, stiff = _residual(energy, terms)
+    return SolveResult(E=energy, lam=lam, delta=-0.5 - root,
+                       big_delta=sqrt(stiff), residual=residual,
                        iterations=iterations, bracket=(a, b),
                        root_count_in_scan=count)
 

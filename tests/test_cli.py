@@ -103,6 +103,22 @@ class TestSolve:
         assert out == ""
         assert "K must be positive" in err
 
+    def test_scan_ceiling_below_the_domain_is_named(self):
+        argv = ["solve"] + SPIN_ARGS
+        argv[argv.index("--m") + 1] = "5"
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: empty scan interval [267.2")
+        assert "the scan ceiling M + 100.0*sqrt(|K|) its high end" in err
+
+    def test_no_bracket_counts_the_grid_points_inside_the_domain(self):
+        code, out, err = run_cli(["solve", "--symmetry", "spin", "--n", "0", "--ntheta", "3",
+                                  "--m", "1", "--K", "16.97", "--A", "-2.887", "--B",
+                                  "-0.3846", "--C", "0.0781", "--M", "0.3585"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no sign change")
+        assert err.endswith("(4 of 512 points inside the domain)\n")
+
     def test_missing_required_option(self):
         argv = ["solve"] + SPIN_ARGS
         idx = argv.index("--M")

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rspho.spectrum
+from rspho.angular import lambda_separation
 from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
+from rspho.radial import radial_ansatz
 from rspho.spectrum import (energy_residual, request_columns, solve_columns,
                             solve_energy)
 from rspho.thermo import nonrelativistic_energy
@@ -333,6 +335,52 @@ class TestResidualKernel:
         assert calls[0] == rspho.spectrum._SCAN_POINTS == 512
         assert calls[1:] == [None] * res.iterations
 
+    @settings(PROPERTY, max_examples=50)
+    @given(req=valid_requests())
+    def test_terms_are_prepared_once_per_solve(self, req):
+        # The scan, every polish step and the result share one terms tuple.
+        calls = []
+
+        def counting(*numbers):
+            calls.append(numbers)
+            return terms(*numbers)
+
+        terms = rspho.spectrum._terms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "_terms", counting)
+            try:
+                res = solve_energy(req)
+            except NoRootError as exc:
+                # An empty scan interval raises before the terms are made.
+                assert len(calls) == (str(exc).startswith("no sign change"))
+                return
+        assert len(calls) == 1
+
+    @PROPERTY
+    @given(first=st.floats(-1e12, 1e12),
+           span=st.one_of(st.floats(-1e12, 1e12),
+                          st.floats(-1e3, 1e3).map(lambda x: x * 1e-9),
+                          st.sampled_from([0.0, -0.0])),
+           scale=st.sampled_from([1.0, 1e-9, 1e6]))
+    def test_scalar_scan_grid_is_linspace(self, first, span, scale):
+        # The grid _scan_one evaluates has np.linspace's bits, for ends of
+        # either sign, large or small, the same or a margin's width apart,
+        # and even in the wrong order.
+        first *= scale
+        last = first + span * max(1.0, abs(first))
+        grids = []
+
+        def recording(E, terms):
+            grids.append(E.copy())
+            return np.full(E.shape, np.nan)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "energy_residual", recording)
+            scan = rspho.spectrum._scan_one(None, first, last)
+        assert scan == (0, 0)
+        expected = np.linspace(first, last, rspho.spectrum._SCAN_POINTS)
+        assert grids[0].tobytes() == expected.tobytes()
+
 
 class TestSolveEnergy:
     def test_spin_anchor(self):
@@ -388,10 +436,56 @@ class TestSolveEnergy:
         with pytest.raises(NoRootError):
             solve_energy(req)
 
+    def test_ceiling_empties_the_scan_interval(self):
+        # The separation radicand needs E >= 267.2, above the ceiling
+        # M + 100*sqrt(5) = 228.6: the message names both.
+        with pytest.raises(NoRootError) as info:
+            solve_energy(spin_request(m=5))
+        assert str(info.value) == (
+            "empty scan interval [267.2222222222222, 228.60679774997897]: the "
+            "separation radicand sets its low end and the scan ceiling "
+            "M + 100.0*sqrt(|K|) its high end")
+
+    def test_separation_radicand_empties_the_scan_interval(self):
+        # Spin with B + C > 0 and |m| >= 1: the separation radicand closes
+        # below E = -M, so the ceiling plays no part.
+        req = SolveRequest(params=PotentialParams(K=5.0, A=6.0, B=0.1, C=0.005),
+                           M=5.0, qn=QuantumNumbers(n_r=1, m=1), symmetry=Symmetry.SPIN)
+        with pytest.raises(NoRootError, match=r"^empty scan interval \[-5\.0, ") as info:
+            solve_energy(req)
+        message = str(info.value)
+        assert message.endswith(": E + M > 0 sets its low end and the separation "
+                                "radicand its high end")
+        assert "ceiling" not in message
+
+    @pytest.mark.parametrize("m", [1, 2, -3])
+    def test_no_slope_names_the_radicand_not_the_ceiling(self, m):
+        # B = -C: the separation radicand is 1/2 - m^2 < 0 at every energy.
+        req = SolveRequest(params=PotentialParams(K=5.0, A=6.0, B=-0.005, C=0.005),
+                           M=5.0, qn=QuantumNumbers(n_r=1, m=m), symmetry=Symmetry.SPIN)
+        with pytest.raises(NoRootError, match="^separation-constant radicand is ") as info:
+            solve_energy(req)
+        assert "ceiling" not in str(info.value)
+
     def test_scan_ceiling_too_low(self):
-        # The scan stops at M + 0.1, below the state.
-        with scan_grid(ceiling=ceiling_for(0.1)), pytest.raises(NoRootError, match="no sign change"):
+        # The scan stops at M + 0.1, below the state; the whole grid lies
+        # inside the domain.
+        with scan_grid(ceiling=ceiling_for(0.1)), pytest.raises(
+                NoRootError, match=r"^no sign change .* with 512 scan points "
+                                   r"\(512 of 512 points inside the domain\)$"):
             solve_energy(spin_request())
+
+    def test_no_sign_change_counts_the_points_inside_the_domain(self):
+        # The radial radicand closes the domain at E = 3.45, so only 4 of
+        # the grid's points on [0.457, 412.3] have a residual.
+        req = SolveRequest(params=PotentialParams(K=16.97, A=-2.887, B=-0.3846, C=0.0781),
+                           M=0.3585, qn=QuantumNumbers(n_r=0, n_theta=3, m=1),
+                           symmetry=Symmetry.SPIN)
+        with pytest.raises(NoRootError) as info:
+            solve_energy(req)
+        assert str(info.value).startswith("no sign change of the energy residual on [")
+        assert str(info.value).endswith(
+            "with 512 scan points (4 of 512 points inside the domain)")
 
     def test_no_root_error_holds_no_scan_arrays(self):
         with scan_grid(ceiling=ceiling_for(0.1)), pytest.raises(NoRootError) as info:
@@ -435,6 +529,25 @@ class TestPolish:
         left = energy_residual(max(lo, res.E - width), req)
         right = energy_residual(min(hi, res.E + width), req)
         assert left * right <= 0.0, (res, left, right)
+
+    @pytest.mark.parametrize("branch", BranchSign)
+    @pytest.mark.parametrize("convention", Convention)
+    @settings(PROPERTY, max_examples=60)
+    @given(req=valid_requests())
+    def test_result_is_the_closed_forms_at_E(self, req, branch, convention):
+        # lambda, delta and big_delta, taken from the solver's terms, have
+        # the bits of the angular and radial closed forms at the same E.
+        req = dataclasses.replace(req, branch=branch, convention=convention)
+        try:
+            res = solve_energy(req)
+        except NoRootError:
+            return
+        lam = lambda_separation(res.E, req.M, req.params, req.qn.m, req.qn.n_theta,
+                                req.branch, req.symmetry)
+        ansatz = radial_ansatz(res.E, req.M, req.params.K, req.params.A, lam,
+                               req.symmetry, n_r=req.qn.n_r)
+        assert (repr(res.lam), repr(res.delta), repr(res.big_delta)) == (
+            repr(lam), repr(ansatz.delta), repr(ansatz.big_delta))
 
 
 class TestSolveEnergies:
