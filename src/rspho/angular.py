@@ -190,8 +190,9 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
         raise DomainError("theta grid needs at least 3 points for quadrature")
     if np.any(theta_grid <= 0.0) or np.any(theta_grid >= math.pi):
         raise DomainError("theta grid must lie strictly inside (0, pi)")
-    profile = np.sin(theta_grid) ** (q - 0.5)
-    norm_sq = simpson(profile**2 * np.sin(theta_grid), x=theta_grid)
+    sin_theta = np.sin(theta_grid)
+    profile = sin_theta ** (q - 0.5)
+    norm_sq = simpson(profile**2 * sin_theta, x=theta_grid)
     return profile / math.sqrt(norm_sq)
 
 

@@ -81,8 +81,14 @@ def sqrt(x):
 
 
 def _divide(num, den):
-    """num / den, and 0 wherever den is 0."""
+    """num / den, and 0 wherever den is 0.
+
+    The masked division runs only when some denominator is 0: it costs
+    several plain divisions, which give the same bits everywhere else.
+    """
     import numpy as np
+    if den.all():
+        return np.true_divide(num, den)
     return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
 
 

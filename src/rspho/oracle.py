@@ -2,10 +2,12 @@
 
 Discretizes -u'' + V(x) u = E u on a uniform interior grid with Dirichlet
 ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
-off-diagonal -1/h^2) and extracts the lowest eigenvalues with a
-Sturm-sequence bisection solver on the tridiagonal form.  This shares no
-algebra with the shape-invariance spectra it verifies, which is the whole
-point: agreement is evidence, not tautology.
+off-diagonal -1/h^2) and extracts the lowest eigenvalues with LAPACK's
+Sturm-sequence bisection on the tridiagonal form (dstebz, called directly
+with the arguments scipy.linalg.eigh_tridiagonal would pass it, without
+that wrapper's per-call checks; fd_eigenvalues checks the matrix itself).
+This shares no algebra with the shape-invariance spectra it verifies,
+which is the whole point: agreement is evidence, not tautology.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,10 +80,23 @@ class OracleReport:
     predicted_printed: list[float] | None = None
 
 
-def eigh_tridiagonal(diag, off, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on first use."""
-    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
-    return scipy_eigh_tridiagonal(diag, off, **kwargs)
+def eigh_tridiagonal(diag, off, count: int):
+    """The ``count`` lowest eigenvalues, ascending, of the symmetric
+    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``.
+
+    LAPACK's dstebz, imported from SciPy on first use, with the arguments
+    that scipy.linalg.eigh_tridiagonal passes it for ``eigvals_only=True,
+    select="i", select_range=(0, count - 1)``: the same bits, without that
+    wrapper's checks, so the caller passes finite float64 arrays.  A
+    nonzero LAPACK ``info`` raises ConvergenceError.
+    """
+    from scipy.linalg.lapack import dstebz
+    # RANGE 'I' (2) from il = 1 to iu = count; vl and vu are unused; abstol 0
+    # asks for eps*|T|; order 'E' sorts the whole matrix's eigenvalues.
+    found, vals, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0, "E")
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
+    return vals[:found]
 
 
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
@@ -89,7 +104,8 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
 
     ``potential`` is called once, on the array of interior grid points,
     and returns one value per point; a value that is not finite raises
-    DomainError.
+    DomainError.  So does a grid step h whose h^2 or 2/h^2 overflows,
+    and a diagonal 2/h^2 + V(x) that overflows.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
@@ -104,11 +120,19 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
         bad = x[~np.isfinite(v)][0]
         raise DomainError(f"potential evaluates non-finite at x = {bad}")
     h = grid.h
-    diag = 2.0 / h**2 + v
-    off = np.full(grid.points - 1, -1.0 / h**2)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True,
-                            select="i", select_range=(0, count - 1))
-    return [float(e) for e in vals]
+    try:
+        h2 = h**2
+    except OverflowError:
+        h2 = math.inf
+    if not 0.0 < h2 < math.inf or 2.0 / h2 == math.inf:
+        raise DomainError(f"grid step h = {h} makes h^2 or 2/h^2 overflow")
+    with np.errstate(over="ignore"):
+        diag = 2.0 / h2 + v
+    if not np.all(np.isfinite(diag)):
+        bad = x[~np.isfinite(diag)][0]
+        raise DomainError(f"diagonal 2/h^2 + V overflows at x = {bad}")
+    off = np.full(grid.points - 1, -1.0 / h2)
+    return [float(e) for e in eigh_tridiagonal(diag, off, count)]
 
 
 def default_radial_grid(delta_prime: float, big_delta: float, count: int,
@@ -132,12 +156,20 @@ def default_angular_grid(points: int = 4000) -> GridSpec:
     return GridSpec(lower=eps, upper=math.pi - eps, points=points)
 
 
+def _require_finite(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite (got {value})")
+
+
 def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                   grid: GridSpec | None = None) -> OracleReport:
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
     Prediction: Et_n = 2*big_delta*(2n + 1 + sqrt(1/4 + delta')).
     """
+    _require_finite(delta_prime=delta_prime, big_delta=big_delta)
     if delta_prime < 0.0:
         raise DomainError(f"delta_prime must be >= 0 for the Dirichlet emulation "
                           f"(got {delta_prime})")
@@ -163,6 +195,7 @@ def verify_angular(v0: float, count: int = 3,
     The perfect-square rival (n + q)^2 is reported alongside; the operator
     agrees with the sum form only.
     """
+    _require_finite(v0=v0)
     if v0 < 0.0:
         raise DomainError(f"v0 must be >= 0 for the Dirichlet emulation (got {v0})")
     if grid is None:

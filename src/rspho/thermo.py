@@ -12,9 +12,10 @@ Energies are shifted by the ground level before exponentiation so large
 beta cannot underflow the sums; the shift cancels identically in U, S, C
 and is restored in F and Z.
 
-The ladder's levels come from nonrelativistic_energy, the explicit
-oscillator-limit closed form, which needs the angular separation constant
-but no energy solver: this module imports angular, not spectrum or radial.
+The ladder's levels are the explicit oscillator-limit closed form of
+nonrelativistic_energy, with the terms that do not depend on the level
+computed once per ladder.  It needs no energy solver: this module imports
+neither spectrum, radial nor angular.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 from itertools import count as _count
 
-from .angular import lambda_from_coupling
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
 
@@ -161,16 +161,12 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
                        C=max(c, 0.0), levels_used=used)
 
 
-def nonrelativistic_energy(params: PotentialParams, mu: float,
-                           qn: QuantumNumbers,
-                           branch: BranchSign = BranchSign.PLUS,
-                           convention: Convention = Convention.TABLE_CONSISTENT
-                           ) -> float:
-    """Explicit oscillator-limit energy for reduced mass mu (no root-finding).
+def _ladder_terms(params: PotentialParams, mu: float, m: int,
+                  branch: BranchSign, convention: Convention) -> tuple:
+    """The terms of E_NR that do not depend on n_r or n_theta, inputs checked.
 
-    E_NR = (c/2) * sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))
-
-    with lambda_NR evaluated at the static ring coupling w = 4*mu*(B+C).
+    Returns (w, sign*sqrt(1/2 - w - m^2), m^2, 1/4 + 4*A*mu,
+    (c/2)*sqrt(2K/mu)) with w = 4*mu*(B+C), the static ring coupling.
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
     level of a ladder NaN or infinite, and no partition sum over it ends.
@@ -189,12 +185,63 @@ def nonrelativistic_energy(params: PotentialParams, mu: float,
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite (got {value})")
     w = 4.0 * mu * (params.B + params.C)
-    lam_nr = lambda_from_coupling(w, qn.m, qn.n_theta, branch)
-    inner = 0.25 + 4.0 * params.A * mu + lam_nr
+    if not math.isfinite(w):
+        raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")
+    mm = m * m
+    radicand = 0.5 - w - mm
+    if radicand < 0.0:
+        raise DomainError(
+            f"separation-constant radicand negative: 1/2 - w - m^2 = {radicand}")
+    return (w, branch.sign * math.sqrt(radicand), mm, 0.25 + 4.0 * params.A * mu,
+            0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu))
+
+
+def _level(terms: tuple, n_r: int, n_theta: int) -> float:
+    """E_NR at (n_r, n_theta) from the terms of _ladder_terms.
+
+    lambda_NR = (n_theta + 1/2 + sign*sqrt(1/2 - w - m^2))^2 + w + m^2 - 1/2,
+    as in angular.lambda_from_terms, and
+    E_NR = (c/2)*sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR)).
+    """
+    w, signed_root, mm, radial, scale = terms
+    bracket = n_theta + 0.5 + signed_root
+    inner = radial + (bracket * bracket + w + mm - 0.5)
     if inner < 0.0:
         raise DomainError(f"radial radicand negative: 1/4 + 4*A*mu + lambda = {inner}")
-    return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
-            * (2.0 * qn.n_r + 1.0 + math.sqrt(inner)))
+    energy = scale * (2.0 * n_r + 1.0 + math.sqrt(inner))
+    if not math.isfinite(energy):
+        raise DomainError(
+            f"oscillator-limit energy overflows at n_r = {n_r}, n_theta = {n_theta}: "
+            f"(c/2)*sqrt(2K/mu) = {scale}, 1/4 + 4*A*mu + lambda = {inner}")
+    return energy
+
+
+def nonrelativistic_energy(params: PotentialParams, mu: float,
+                           qn: QuantumNumbers,
+                           branch: BranchSign = BranchSign.PLUS,
+                           convention: Convention = Convention.TABLE_CONSISTENT
+                           ) -> float:
+    """Explicit oscillator-limit energy for reduced mass mu (no root-finding).
+
+    E_NR = (c/2) * sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))
+
+    with lambda_NR evaluated at the static ring coupling w = 4*mu*(B+C).
+    The inputs are checked as in _ladder_terms, and an energy that
+    overflows raises DomainError.
+    """
+    return _level(_ladder_terms(params, mu, qn.m, branch, convention),
+                  qn.n_r, qn.n_theta)
+
+
+def _ladder_level(n: int, inputs: tuple, terms: list) -> float:
+    """Level n of the ladder on ``inputs``, at n_r = n_theta = n.
+
+    Level 0 checks the inputs and stores their n-independent terms in
+    ``terms``, where every later level reads them.
+    """
+    if n == 0:
+        terms[:] = [_ladder_terms(*inputs)]
+    return _level(terms[0], n, n)
 
 
 def nonrelativistic_ladder(params: PotentialParams, mu: float, m: int = 0,
@@ -204,10 +251,14 @@ def nonrelativistic_ladder(params: PotentialParams, mu: float, m: int = 0,
     """The oscillator-limit ladder at fixed m, replayable and computed once.
 
     Every iteration yields E_NR(n) for n = 0, 1, 2, ... with n_theta locked
-    to n, the same pairing used by the reference energy tables.
+    to n, the same pairing used by the reference energy tables.  The inputs
+    are checked, and the terms that do not depend on n computed, when an
+    iteration first reaches level 0 (_ladder_level); each level then has
+    the bits of nonrelativistic_energy at n_r = n_theta = n.
     """
-    return CachedLevels(lambda n: nonrelativistic_energy(
-        params, mu, QuantumNumbers(n_r=n, m=m), branch, convention))
+    inputs = (params, mu, m, branch, convention)
+    terms: list = []
+    return CachedLevels(lambda n: _ladder_level(n, inputs, terms))
 
 
 def nonrelativistic_levels(params: PotentialParams, mu: float, m: int = 0,

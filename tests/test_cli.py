@@ -569,9 +569,9 @@ class TestThermo:
             expected.append(",".join(rspho.cli._compact(val, 8)
                                      for val in (pt.T, pt.Z, pt.F, pt.U, pt.S, pt.C)))
         calls = []
-        level = rspho.thermo.nonrelativistic_energy
-        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
-                            lambda *args: calls.append(args[2].n_r) or level(*args))
+        level = rspho.thermo._ladder_level
+        monkeypatch.setattr(rspho.thermo, "_ladder_level",
+                            lambda *args: calls.append(args[0]) or level(*args))
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == "\n".join(expected) + "\n"
@@ -601,7 +601,7 @@ class TestThermo:
         ("--tail-tol", "rel_tail_tol must be positive and finite (got inf)"),
     ])
     def test_infinite_constant_fails_before_any_level(self, flag, message, monkeypatch):
-        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
+        monkeypatch.setattr(rspho.thermo, "_ladder_level",
                             lambda *args: pytest.fail("a level was taken"))
         code, out, err = run_cli(THERMO_ARGS + [flag, "inf"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -612,11 +612,29 @@ class TestThermo:
     ])
     def test_nonfinite_coefficient_fails_at_the_first_level(self, flag, value, monkeypatch):
         calls = []
-        level = rspho.thermo.nonrelativistic_energy
-        monkeypatch.setattr(rspho.thermo, "nonrelativistic_energy",
-                            lambda *args: calls.append(args[2].n_r) or level(*args))
+        level = rspho.thermo._ladder_level
+        monkeypatch.setattr(rspho.thermo, "_ladder_level",
+                            lambda *args: calls.append(args[0]) or level(*args))
         code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
         assert (code, out, err) == (2, "", f"error: {flag[2:]} must be finite (got {value})\n")
+        assert calls == [0]
+
+    @pytest.mark.parametrize("coefficients, terms", [
+        (["--K", "1e308", "--A", "1e308"],
+         "(c/2)*sqrt(2K/mu) = inf, 1/4 + 4*A*mu + lambda = inf"),
+        (["--mu", "1e-310"], "(c/2)*sqrt(2K/mu) = inf, 1/4 + 4*A*mu + lambda = 1.2"),
+    ], ids=["K-and-A", "mu"])
+    def test_overflowing_ladder_fails_at_the_first_level(self, coefficients, terms,
+                                                         monkeypatch):
+        # Every coefficient is finite, but level 0 overflows.
+        calls = []
+        level = rspho.thermo._ladder_level
+        monkeypatch.setattr(rspho.thermo, "_ladder_level",
+                            lambda *args: calls.append(args[0]) or level(*args))
+        code, out, err = run_cli(THERMO_ARGS + coefficients)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: oscillator-limit energy overflows at n_r = 0, "
+                              f"n_theta = 0: {terms}")
         assert calls == [0]
 
     def test_missing_reduced_mass(self):

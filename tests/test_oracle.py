@@ -1,11 +1,19 @@
 """Tests for the finite-difference verification oracle."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rspho.errors import DomainError
+import rspho.cli
+import rspho.oracle as oracle
+from rspho.errors import ConvergenceError, DomainError
 from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
                           fd_eigenvalues, verify_angular, verify_radial)
 
@@ -71,6 +79,71 @@ class TestFdEigenvalues:
                            GridSpec(0.5, 2.0, 64), 3)
 
 
+    @pytest.mark.parametrize("grid", [
+        GridSpec(0.0, 1e-160, 100),     # h^2 underflows to 0
+        GridSpec(0.0, 1e-152, 100),     # h^2 is subnormal and 2/h^2 overflows
+        GridSpec(0.0, 1e160, 100),      # h^2 overflows
+    ], ids=["h2-zero", "h2-subnormal", "h2-overflow"])
+    def test_grid_step_outside_the_float_range_rejected(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"grid step h = {grid.h!r} makes h^2 or 2/h^2 overflow")):
+                fd_eigenvalues(lambda x: 0.0 * x, grid, 3)
+
+    def test_overflowing_diagonal_rejected(self):
+        grid = GridSpec(0.0, 1.5e-152, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"diagonal 2/h\^2 \+ V overflows at x = "):
+                fd_eigenvalues(lambda x: 0.0 * x + 1.7e308, grid, 3)
+
+    def test_nonzero_lapack_info_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+                            lambda d, e, *args: (0, np.zeros_like(d), None, None, 3))
+        with pytest.raises(ConvergenceError, match=r"dstebz failed \(info = 3\)"):
+            fd_eigenvalues(lambda x: 0.0 * x, box_grid(100), 3)
+
+
+def compare_with_scipy(monkeypatch):
+    """Wrap the oracle's LAPACK seam so that each call is compared, by bits,
+    with scipy.linalg.eigh_tridiagonal on the same matrix; returns the list
+    of the counts compared."""
+    compared = []
+    seam = oracle.eigh_tridiagonal
+
+    def checked(diag, off, count):
+        vals = seam(diag, off, count)
+        reference = scipy.linalg.eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
+        assert vals.tobytes() == reference.tobytes()
+        compared.append(count)
+        return vals
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", checked)
+    return compared
+
+
+class TestSameBitsAsScipy:
+    """fd_eigenvalues calls LAPACK's dstebz with the arguments that
+    scipy.linalg.eigh_tridiagonal passes it, so the two agree by bits."""
+
+    def test_cli_verify_cases(self, monkeypatch):
+        compared = compare_with_scipy(monkeypatch)
+        reports = list(rspho.cli._oracle_reports("all", 4000))
+        assert len(reports) == len(compared) == 7
+        assert all(rep.converged for _, _, rep in reports)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.5, 12.0),
+           v0=st.floats(0.0, 20.0), count=st.integers(1, 6))
+    def test_random_cases(self, delta_prime, big_delta, v0, count):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            compared = compare_with_scipy(monkeypatch)
+            verify_radial(delta_prime, big_delta, count=count)
+            verify_angular(v0, count=count)
+        assert compared == [count, count]
+
+
 class TestDefaultGrids:
     def test_radial_grid_clears_turning_point(self):
         grid = default_radial_grid(2.0, 1.0, 3)
@@ -111,6 +184,21 @@ class TestVerifyRadial:
         with pytest.raises(DomainError):
             verify_radial(2.0, 0.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("big_delta", (2.0, math.nan)), ("big_delta", (2.0, math.inf)),
+        ("delta_prime", (math.inf, 2.0)), ("delta_prime", (math.nan, 2.0)),
+        ("delta_prime", (-math.inf, 2.0)),
+    ])
+    def test_nonfinite_input_rejected_before_any_grid(self, name, args, monkeypatch):
+        monkeypatch.setattr(oracle, "default_radial_grid",
+                            lambda *a, **k: pytest.fail("a grid was built"))
+        value = args[0] if name == "delta_prime" else args[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} must be finite "
+                                                  rf"\(got {value}\)$"):
+                verify_radial(*args)
+
 
 class TestVerifyAngular:
     def test_integer_case_converges(self):
@@ -128,3 +216,10 @@ class TestVerifyAngular:
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
             verify_angular(-0.5)
+
+    @pytest.mark.parametrize("v0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_strength_rejected_before_any_grid(self, v0, monkeypatch):
+        monkeypatch.setattr(oracle, "default_angular_grid",
+                            lambda *a, **k: pytest.fail("a grid was built"))
+        with pytest.raises(DomainError, match=rf"^v0 must be finite \(got {v0}\)$"):
+            verify_angular(v0)

@@ -6,12 +6,15 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rspho.thermo as thermo
+from rspho.angular import lambda_from_coupling
 from rspho.errors import ConvergenceError, DomainError
-from rspho.model import PotentialParams, QuantumNumbers
-from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
-                          partition_function, thermo_point)
+from rspho.model import BranchSign, Convention, PotentialParams, QuantumNumbers
+from rspho.thermo import (nonrelativistic_energy, nonrelativistic_ladder,
+                          nonrelativistic_levels, partition_function, thermo_point)
 
 REFERENCE_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 REFERENCE_MU = 5.0
@@ -200,12 +203,113 @@ class TestNonrelativisticLevels:
         with pytest.raises(DomainError, match=re.escape(message)):
             nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
         taken = []
-        level = thermo.nonrelativistic_energy
-        monkeypatch.setattr(thermo, "nonrelativistic_energy",
-                            lambda *args: taken.append(args[2].n_r) or level(*args))
+        level = thermo._ladder_level
+        monkeypatch.setattr(thermo, "_ladder_level",
+                            lambda *args: taken.append(args[0]) or level(*args))
         with pytest.raises(DomainError, match=re.escape(message)):
             thermo_point(nonrelativistic_levels(params, mu), T=1.0)
         assert taken == [0]
+
+    def test_terms_are_computed_once_per_ladder(self, monkeypatch):
+        expected = list(islice(reference_levels(), 12))
+        prepared = []
+        terms = thermo._ladder_terms
+        monkeypatch.setattr(thermo, "_ladder_terms",
+                            lambda *args: prepared.append(args) or terms(*args))
+        ladder = thermo.nonrelativistic_ladder(REFERENCE_PARAMS, REFERENCE_MU)
+        for count in (5, 12, 3):
+            assert list(islice(ladder, count)) == expected[:count]
+        assert len(prepared) == 1
+
+    @pytest.mark.parametrize("params, mu, message", [
+        (PotentialParams(K=1e308, A=1e308, B=-0.05, C=0.005), 5.0,
+         "(c/2)*sqrt(2K/mu) = inf, 1/4 + 4*A*mu + lambda = inf"),
+        (REFERENCE_PARAMS, 1e-310, "(c/2)*sqrt(2K/mu) = inf"),
+        (PotentialParams(K=5.0, A=1e308, B=-0.05, C=0.005), 5.0,
+         "1/4 + 4*A*mu + lambda = inf"),
+    ])
+    def test_overflowing_ladder_fails_at_the_first_level(self, params, mu, message,
+                                                         monkeypatch):
+        # Each input is finite, but a term of level 0 overflows.
+        expected = "oscillator-limit energy overflows at n_r = 0, n_theta = 0: "
+        with pytest.raises(DomainError, match=re.escape(expected)) as info:
+            nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
+        assert message in str(info.value)
+        taken = []
+        level = thermo._ladder_level
+        monkeypatch.setattr(thermo, "_ladder_level",
+                            lambda *args: taken.append(args[0]) or level(*args))
+        with pytest.raises(DomainError, match=re.escape(str(info.value))):
+            thermo_point(nonrelativistic_levels(params, mu), T=1.0)
+        assert taken == [0]
+
+    @pytest.mark.parametrize("b_plus_c", [1e308, -1e308])
+    def test_overflowing_ring_coupling_is_named(self, b_plus_c):
+        params = replace(REFERENCE_PARAMS, B=b_plus_c, C=b_plus_c)
+        w = math.copysign(math.inf, b_plus_c)
+        message = f"ring coupling overflows: w = 4*mu*(B+C) = {w}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            nonrelativistic_energy(params, REFERENCE_MU, QuantumNumbers(n_r=0))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            thermo_point(nonrelativistic_levels(params, REFERENCE_MU), T=1.0)
+
+    def test_energy_overflows_at_the_level_that_overflows(self):
+        # (c/2)*sqrt(2K/mu) = 1e150: finite up to n_r near 1e158.
+        params = replace(REFERENCE_PARAMS, K=2e300)
+        assert math.isfinite(nonrelativistic_energy(params, 1.0,
+                                                    QuantumNumbers(n_r=10**157, n_theta=0)))
+        with pytest.raises(DomainError, match=re.escape(
+                f"oscillator-limit energy overflows at n_r = {10**159}, n_theta = 0")):
+            nonrelativistic_energy(params, 1.0, QuantumNumbers(n_r=10**159, n_theta=0))
+
+
+extreme_values = st.floats(-1e308, 1e308) | st.sampled_from(
+    [1e308, -1e308, 1e-310, 5e-324, 0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(K=st.floats(0.1, 20.0), A=st.floats(-2.0, 10.0), B=st.floats(-3.0, 0.0),
+       C=st.floats(-0.1, 0.0), mu=st.floats(0.5, 10.0), m=st.integers(0, 2),
+       branch=st.sampled_from(BranchSign), convention=st.sampled_from(Convention),
+       extreme=st.none() | st.tuples(st.sampled_from(["K", "A", "B", "C", "mu"]),
+                                     extreme_values))
+# The minus branch fails the radial radicand at level 1 here.
+@example(K=5.0, A=0.5, B=-0.95, C=-0.05, mu=5.0, m=0, branch=BranchSign.MINUS,
+         convention=Convention.TABLE_CONSISTENT, extreme=None)
+def test_ladder_levels_have_the_bits_of_nonrelativistic_energy(K, A, B, C, mu, m, branch,
+                                                               convention, extreme):
+    """Level n of a ladder is nonrelativistic_energy at n_r = n_theta = n,
+    and a ladder fails at the level, with the error, that the closed form
+    fails at.  ``extreme`` replaces one input with a value far outside the
+    physical range, or one that is not finite."""
+    inputs = {"K": K, "A": A, "B": B, "C": C, "mu": mu}
+    if extreme is not None:
+        inputs[extreme[0]] = extreme[1]
+    mu = inputs.pop("mu")
+    params = PotentialParams(**inputs)
+
+    def outcome(level):
+        try:
+            return level().hex()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    ladder = iter(nonrelativistic_ladder(params, mu, m, branch, convention))
+    for n in range(40):
+        got = outcome(lambda: next(ladder))
+        assert got == outcome(lambda: nonrelativistic_energy(
+            params, mu, QuantumNumbers(n_r=n, m=m), branch, convention))
+        if type(got) is tuple:
+            break
+        assert got == reference_energy(params, mu, n, m, branch, convention).hex()
+
+
+def reference_energy(params, mu, n, m, branch, convention):
+    """E_NR at n_r = n_theta = n through angular.lambda_from_coupling, in
+    the order of operations that the ladder's prepared terms must keep."""
+    lam = lambda_from_coupling(4.0 * mu * (params.B + params.C), m, n, branch)
+    return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
+            * (2.0 * n + 1.0 + math.sqrt(0.25 + 4.0 * params.A * mu + lam)))
 
 
 class TestCachedLevels:
