@@ -36,6 +36,8 @@ __all__ = [
     "coupling_from_terms",
     "lambda_from_coupling",
     "lambda_from_terms",
+    "separation_root",
+    "lambda_from_root",
     "angular_ground_state",
     "partner_potentials_angular",
     "default_theta_grid",
@@ -134,9 +136,25 @@ def lambda_from_coupling(w, m: int, n_theta: int, branch: BranchSign):
 def lambda_from_terms(w, mm, half_nt, sign):
     """lambda_from_coupling from mm = m^2, half_nt = n_theta + 1/2 and the
     branch's sign, which a caller evaluating many couplings computes once."""
-    root = sqrt(nonnegative(0.5 - w - mm,
-                            "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
-    bracket = half_nt + sign * root
+    return lambda_from_root(w, mm, half_nt, separation_root(w, mm, sign))
+
+
+def separation_root(w, mm, sign):
+    """The signed root sign*sqrt(1/2 - w - m^2) of lambda, from mm = m^2.
+
+    A float radicand that is negative raises DomainError; an array gets
+    NaN there.  A caller whose w and m stay fixed over many n_theta (the
+    oscillator-limit ladder) computes it once and passes it to
+    lambda_from_root.
+    """
+    return sign * sqrt(nonnegative(
+        0.5 - w - mm, "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
+
+
+def lambda_from_root(w, mm, half_nt, signed_root):
+    """lambda = (half_nt + signed_root)^2 + w + mm - 1/2, with signed_root
+    from separation_root and half_nt = n_theta + 1/2."""
+    bracket = half_nt + signed_root
     return bracket * bracket + w + mm - 0.5
 
 

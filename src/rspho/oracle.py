@@ -2,12 +2,10 @@
 
 Discretizes -u'' + V(x) u = E u on a uniform interior grid with Dirichlet
 ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
-off-diagonal -1/h^2) and extracts the lowest eigenvalues with LAPACK's
-Sturm-sequence bisection on the tridiagonal form (dstebz, called directly
-with the arguments scipy.linalg.eigh_tridiagonal would pass it, without
-that wrapper's per-call checks; fd_eigenvalues checks the matrix itself).
-This shares no algebra with the shape-invariance spectra it verifies,
-which is the whole point: agreement is evidence, not tautology.
+off-diagonal -1/h^2) and extracts the lowest eigenvalues with a
+Sturm-sequence bisection solver on the tridiagonal form.  This shares no
+algebra with the shape-invariance spectra it verifies, which is the whole
+point: agreement is evidence, not tautology.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -20,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,23 +78,10 @@ class OracleReport:
     predicted_printed: list[float] | None = None
 
 
-def eigh_tridiagonal(diag, off, count: int):
-    """The ``count`` lowest eigenvalues, ascending, of the symmetric
-    tridiagonal matrix with diagonal ``diag`` and off-diagonal ``off``.
-
-    LAPACK's dstebz, imported from SciPy on first use, with the arguments
-    that scipy.linalg.eigh_tridiagonal passes it for ``eigvals_only=True,
-    select="i", select_range=(0, count - 1)``: the same bits, without that
-    wrapper's checks, so the caller passes finite float64 arrays.  A
-    nonzero LAPACK ``info`` raises ConvergenceError.
-    """
-    from scipy.linalg.lapack import dstebz
-    # RANGE 'I' (2) from il = 1 to iu = count; vl and vu are unused; abstol 0
-    # asks for eps*|T|; order 'E' sorts the whole matrix's eigenvalues.
-    found, vals, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count, 0.0, "E")
-    if info != 0:
-        raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
-    return vals[:found]
+def eigh_tridiagonal(diag, off, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on first use."""
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+    return scipy_eigh_tridiagonal(diag, off, **kwargs)
 
 
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
@@ -132,7 +117,9 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
         bad = x[~np.isfinite(diag)][0]
         raise DomainError(f"diagonal 2/h^2 + V overflows at x = {bad}")
     off = np.full(grid.points - 1, -1.0 / h2)
-    return [float(e) for e in eigh_tridiagonal(diag, off, count)]
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True,
+                            select="i", select_range=(0, count - 1))
+    return [float(e) for e in vals]
 
 
 def default_radial_grid(delta_prime: float, big_delta: float, count: int,

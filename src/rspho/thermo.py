@@ -14,8 +14,9 @@ and is restored in F and Z.
 
 The ladder's levels are the explicit oscillator-limit closed form of
 nonrelativistic_energy, with the terms that do not depend on the level
-computed once per ladder.  It needs no energy solver: this module imports
-neither spectrum, radial nor angular.
+computed once per ladder; lambda comes from angular, as for the solver.
+It needs no energy solver: this module imports neither spectrum nor
+radial.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import count as _count
 
+from .angular import lambda_from_root, separation_root
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
 
@@ -165,7 +167,7 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
                   branch: BranchSign, convention: Convention) -> tuple:
     """The terms of E_NR that do not depend on n_r or n_theta, inputs checked.
 
-    Returns (w, sign*sqrt(1/2 - w - m^2), m^2, 1/4 + 4*A*mu,
+    Returns (w, angular.separation_root at w, m^2, 1/4 + 4*A*mu,
     (c/2)*sqrt(2K/mu)) with w = 4*mu*(B+C), the static ring coupling.
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
@@ -188,24 +190,15 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     if not math.isfinite(w):
         raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")
     mm = m * m
-    radicand = 0.5 - w - mm
-    if radicand < 0.0:
-        raise DomainError(
-            f"separation-constant radicand negative: 1/2 - w - m^2 = {radicand}")
-    return (w, branch.sign * math.sqrt(radicand), mm, 0.25 + 4.0 * params.A * mu,
+    return (w, separation_root(w, mm, branch.sign), mm, 0.25 + 4.0 * params.A * mu,
             0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu))
 
 
 def _level(terms: tuple, n_r: int, n_theta: int) -> float:
-    """E_NR at (n_r, n_theta) from the terms of _ladder_terms.
-
-    lambda_NR = (n_theta + 1/2 + sign*sqrt(1/2 - w - m^2))^2 + w + m^2 - 1/2,
-    as in angular.lambda_from_terms, and
-    E_NR = (c/2)*sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR)).
-    """
+    """E_NR at (n_r, n_theta) from the terms of _ladder_terms:
+    (c/2)*sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))."""
     w, signed_root, mm, radial, scale = terms
-    bracket = n_theta + 0.5 + signed_root
-    inner = radial + (bracket * bracket + w + mm - 0.5)
+    inner = radial + lambda_from_root(w, mm, n_theta + 0.5, signed_root)
     if inner < 0.0:
         raise DomainError(f"radial radicand negative: 1/4 + 4*A*mu + lambda = {inner}")
     energy = scale * (2.0 * n_r + 1.0 + math.sqrt(inner))

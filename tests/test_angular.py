@@ -12,9 +12,10 @@ import pytest
 
 from rspho.angular import (angular_ground_state, angular_spectrum,
                            default_theta_grid, lambda_from_coupling,
-                           lambda_separation, partner_potentials_angular,
-                           q_of_vtilde, shape_invariance_chain, solve_angular,
-                           v_tilde)
+                           lambda_from_root, lambda_separation,
+                           partner_potentials_angular, q_of_vtilde,
+                           separation_root, shape_invariance_chain,
+                           solve_angular, v_tilde)
 from rspho.errors import DomainError
 from rspho.model import BranchSign, PotentialParams, Symmetry
 
@@ -144,6 +145,23 @@ class TestLambdaSeparation:
         hot = PotentialParams(K=5.0, A=0.0, B=1.0, C=0.0)
         with pytest.raises(DomainError, match="radicand"):
             lambda_separation(10.0, 5.0, hot, 1, 0, BranchSign.PLUS, Symmetry.SPIN)
+
+    @pytest.mark.parametrize("branch", list(BranchSign))
+    def test_signed_root_then_bracket(self, branch):
+        # The ladder's split: the root once, the bracket per n_theta.
+        w = np.array([-3.7, -1.2, -0.6, -0.5, 2.0])
+        with np.errstate(invalid="ignore"):
+            root = separation_root(w, 1, branch.sign)
+        assert np.isnan(root[-1]) and np.all(np.isfinite(root[:-1]))
+        for n_theta in range(3):
+            lam = lambda_from_root(w, 1, n_theta + 0.5, root)
+            assert lam[:-1].tobytes() == lambda_from_coupling(
+                w[:-1], 1, n_theta, branch).tobytes()
+            assert lambda_from_root(-1.2, 1, n_theta + 0.5, float(root[1])) == float(
+                lambda_from_coupling(-1.2, 1, n_theta, branch))
+        with pytest.raises(DomainError, match=r"^separation-constant radicand negative: "
+                                              r"1/2 - w - m\^2 = -2.5$"):
+            separation_root(2.0, 1, branch.sign)
 
     def test_orbital_number_real_at_reference_energies(self):
         # l(l+1) = lambda must give a real l for the reference regimes

@@ -6,14 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.linalg.lapack
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import rspho.cli
 import rspho.oracle as oracle
-from rspho.errors import ConvergenceError, DomainError
+from rspho.errors import DomainError
 from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
                           fd_eigenvalues, verify_angular, verify_radial)
 
@@ -78,7 +73,6 @@ class TestFdEigenvalues:
             fd_eigenvalues(lambda x: np.where(x < 1.0, np.inf, 0.0),
                            GridSpec(0.5, 2.0, 64), 3)
 
-
     @pytest.mark.parametrize("grid", [
         GridSpec(0.0, 1e-160, 100),     # h^2 underflows to 0
         GridSpec(0.0, 1e-152, 100),     # h^2 is subnormal and 2/h^2 overflows
@@ -97,51 +91,6 @@ class TestFdEigenvalues:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"diagonal 2/h\^2 \+ V overflows at x = "):
                 fd_eigenvalues(lambda x: 0.0 * x + 1.7e308, grid, 3)
-
-    def test_nonzero_lapack_info_raises(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
-                            lambda d, e, *args: (0, np.zeros_like(d), None, None, 3))
-        with pytest.raises(ConvergenceError, match=r"dstebz failed \(info = 3\)"):
-            fd_eigenvalues(lambda x: 0.0 * x, box_grid(100), 3)
-
-
-def compare_with_scipy(monkeypatch):
-    """Wrap the oracle's LAPACK seam so that each call is compared, by bits,
-    with scipy.linalg.eigh_tridiagonal on the same matrix; returns the list
-    of the counts compared."""
-    compared = []
-    seam = oracle.eigh_tridiagonal
-
-    def checked(diag, off, count):
-        vals = seam(diag, off, count)
-        reference = scipy.linalg.eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
-        assert vals.tobytes() == reference.tobytes()
-        compared.append(count)
-        return vals
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", checked)
-    return compared
-
-
-class TestSameBitsAsScipy:
-    """fd_eigenvalues calls LAPACK's dstebz with the arguments that
-    scipy.linalg.eigh_tridiagonal passes it, so the two agree by bits."""
-
-    def test_cli_verify_cases(self, monkeypatch):
-        compared = compare_with_scipy(monkeypatch)
-        reports = list(rspho.cli._oracle_reports("all", 4000))
-        assert len(reports) == len(compared) == 7
-        assert all(rep.converged for _, _, rep in reports)
-
-    @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.5, 12.0),
-           v0=st.floats(0.0, 20.0), count=st.integers(1, 6))
-    def test_random_cases(self, delta_prime, big_delta, v0, count):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            compared = compare_with_scipy(monkeypatch)
-            verify_radial(delta_prime, big_delta, count=count)
-            verify_angular(v0, count=count)
-        assert compared == [count, count]
 
 
 class TestDefaultGrids:
