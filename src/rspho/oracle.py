@@ -2,10 +2,12 @@
 
 Discretizes -u'' + V(x) u = E u on a uniform interior grid with Dirichlet
 ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
-off-diagonal -1/h^2) and extracts the lowest eigenvalues with a
-Sturm-sequence bisection solver on the tridiagonal form.  This shares no
-algebra with the shape-invariance spectra it verifies, which is the whole
-point: agreement is evidence, not tautology.
+off-diagonal -1/h^2) and extracts the lowest eigenvalues with
+shift-invert Lanczos on the tridiagonal form, each result certified by
+one Sturm count, or with LAPACK's Sturm-sequence bisection where the
+certificate fails.  This shares no algebra with the shape-invariance
+spectra it verifies, which is the whole point: agreement is evidence,
+not tautology.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -78,19 +80,148 @@ class OracleReport:
     predicted_printed: list[float] | None = None
 
 
-def eigh_tridiagonal(diag, off, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on first use."""
+_EPS = 2.0**-52
+
+# Lanczos gives way to bisection after this many steps.  Step k
+# reorthogonalizes against k vectors, so its cost grows with k, and the
+# cap bounds the work spent before the fallback to a few bisections.  The
+# default grids certify their three levels in 13-18 steps.
+_LANCZOS_STEPS = 64
+
+# Rounding in the factorization, the solves and sigma + 1/theta, in units
+# of eps*|T|, by which each certified interval is widened.
+_ROUNDING = 4.0
+
+
+def eigh_tridiagonal(diag, off, count):
+    """The ``count`` lowest eigenvalues, ascending, of the symmetric
+    tridiagonal matrix T with diagonal ``diag`` and off-diagonal ``off``.
+
+    Shift-invert Lanczos (_lanczos) finds them to within eps*|T|, the
+    absolute tolerance of LAPACK's bisection, where |T| is the larger
+    Gershgorin bound in size, and certifies them.  Where it cannot (near-
+    degenerate levels, or no certificate within _LANCZOS_STEPS steps),
+    LAPACK's bisection (scipy.linalg.eigh_tridiagonal with select="i")
+    finds them instead.  numpy and scipy are imported on first use.
+    """
+    import numpy as np
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    # A power of two scales T to entries below 1 in size exactly, so no
+    # step of the iteration can overflow or underflow.
+    _, exponent = math.frexp(max(float(np.max(np.abs(diag))),
+                                 float(np.max(np.abs(off), initial=0.0))))
+    values = _lanczos(np.ldexp(diag, -exponent), np.ldexp(off, -exponent), count)
+    if values is None:
+        return _bisection(diag, off, count)
+    return np.ldexp(values, exponent)
+
+
+def _bisection(diag, off, count):
+    """The ``count`` lowest eigenvalues of T by LAPACK's bisection (dstebz)."""
     from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
-    return scipy_eigh_tridiagonal(diag, off, **kwargs)
+    return scipy_eigh_tridiagonal(diag, off, eigvals_only=True,
+                                  select="i", select_range=(0, count - 1))
+
+
+def _lanczos(diag, off, count):
+    """The ``count`` lowest eigenvalues of T, certified, or None.
+
+    The shift sigma lies sqrt(eps)*|T| below the Gershgorin lower bound,
+    so T - sigma*I is positive definite.  It is factored once (LAPACK
+    dpttrf), and each Lanczos step on (T - sigma*I)^-1 is one solve
+    (dpttrs), from a fixed start vector, with the new vector
+    orthogonalized twice against every earlier one: once is not enough
+    where cancellation is heavy, as when the Krylov space fills a small
+    grid.  A Ritz value theta with residual bound r gives an eigenvalue
+    sigma + 1/theta within r/(theta*(theta - r)); the steps stop once that
+    is at most eps*|T| for the ``count`` largest theta, and _certified
+    checks the result.  The Ritz values also carry rounding errors of
+    about eps*theta_1, the largest of them, which sigma + 1/theta turns
+    into eps*theta_1/theta^2; where that exceeds eps*|T| (on a coarse grid
+    whose lowest levels spread over much of its spectrum), None leaves the
+    values to bisection.
+    """
+    import numpy as np
+    from scipy.linalg import lapack
+    points = diag.size
+    radius = np.abs(off)
+    radius = np.concatenate(([0.0], radius)) + np.concatenate((radius, [0.0]))
+    low = float(np.min(diag - radius))
+    norm = max(abs(low), abs(float(np.max(diag + radius))))
+    tol = _EPS * norm
+    sigma = low - math.sqrt(_EPS) * norm
+    factor_d, factor_e, info = lapack.dpttrf(diag - sigma, off)
+    if info:
+        return None
+    steps = min(_LANCZOS_STEPS, points)
+    # Neither symmetric nor antisymmetric about the grid's middle, so the
+    # eigenvectors of either parity of a symmetric potential have a share.
+    start = 1.0 + np.arange(points) / points
+    basis = np.empty((steps, points))
+    basis[0] = start / math.sqrt(start @ start)
+    alpha, beta = [], []
+    least = check_at = max(count, 2)
+    for k in range(1, steps + 1):
+        done = basis[:k]
+        w = lapack.dpttrs(factor_d, factor_e, basis[k - 1])[0]
+        first = done @ w
+        w -= first @ done
+        second = done @ w
+        w -= second @ done
+        alpha.append(first[-1] + second[-1])
+        b = math.sqrt(w @ w)
+        if k >= check_at or k == steps or b == 0.0:
+            if k < least:
+                return None
+            ritz, vectors, _ = lapack.dstev(np.array(alpha), np.array(beta))
+            theta = ritz[:-count - 1:-1]
+            r = np.abs(b * vectors[-1, :-count - 1:-1])
+            jump = 1
+            if np.all(theta > r):
+                err = r / (theta * (theta - r))
+                worst = float(err.max())
+                if worst <= tol:
+                    if theta[0] > norm * theta[-1] ** 2:
+                        return None
+                    return _certified(diag, off, count, sigma, sigma + 1.0 / theta,
+                                      err + _ROUNDING * tol)
+                # Near convergence the bound falls by 1.5 decades a step
+                # or more.
+                jump = math.ceil(math.log10(worst / tol) / 1.5)
+            if k == steps or b == 0.0:
+                return None
+            check_at = k + jump
+        basis[k] = w / b
+        beta.append(b)
+
+
+def _certified(diag, off, count, sigma, values, radius):
+    """``values`` if the intervals values +- radius are disjoint and hold
+    exactly ``count`` eigenvalues of T, else None.
+
+    One Sturm count (LAPACK dstebz over (sigma, top end], with a tolerance
+    wider than that range, so that it counts without bisecting) finds the
+    eigenvalues up to the top interval's end; sigma lies below them all.
+    """
+    from scipy.linalg import lapack
+    if not (values[1:] - radius[1:] > values[:-1] + radius[:-1]).all():
+        return None
+    high = float(values[-1] + radius[-1])
+    found, _, _, _, info = lapack.dstebz(diag, off, 1, sigma, high, 0, 0,
+                                         2.0 * (high - sigma), b"E")
+    return values if info == 0 and found == count else None
 
 
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     """Lowest ``count`` Dirichlet eigenvalues of -u'' + potential(x) u = E u.
 
     ``potential`` is called once, on the array of interior grid points,
-    and returns one value per point; a value that is not finite raises
+    with numpy's floating-point warnings off, and returns one value per
+    point; a value that is not finite, overflowed or not, raises
     DomainError.  So does a grid step h whose h^2 or 2/h^2 overflows,
-    and a diagonal 2/h^2 + V(x) that overflows.
+    and a diagonal 2/h^2 + V(x) that overflows.  The eigenvalues come
+    from eigh_tridiagonal, within a few eps*|T| of LAPACK's bisection.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
@@ -100,7 +231,8 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
             "(need count <= points/4 for trustworthy discrete levels)")
     import numpy as np
     x = grid.interior()
-    v = np.asarray(potential(x), dtype=float)
+    with np.errstate(all="ignore"):
+        v = np.asarray(potential(x), dtype=float)
     if not np.all(np.isfinite(v)):
         bad = x[~np.isfinite(v)][0]
         raise DomainError(f"potential evaluates non-finite at x = {bad}")
@@ -117,9 +249,7 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
         bad = x[~np.isfinite(diag)][0]
         raise DomainError(f"diagonal 2/h^2 + V overflows at x = {bad}")
     off = np.full(grid.points - 1, -1.0 / h2)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True,
-                            select="i", select_range=(0, count - 1))
-    return [float(e) for e in vals]
+    return [float(e) for e in eigh_tridiagonal(diag, off, count)]
 
 
 def default_radial_grid(delta_prime: float, big_delta: float, count: int,
@@ -129,12 +259,19 @@ def default_radial_grid(delta_prime: float, big_delta: float, count: int,
     r_max = sqrt(Et_max)/big_delta + 6/sqrt(big_delta) leaves the exact
     eigenfunction tail below ~1e-9 at the artificial Dirichlet wall.
     The lower end starts at 1e-6 instead of 0; the eigenfunctions vanish
-    super-linearly there for delta_prime >= 0.
+    super-linearly there for delta_prime >= 0.  An r_max that is not
+    finite, or not above 1e-6 (as for a big_delta above about 4e13),
+    raises DomainError.
     """
     et_max = 2.0 * big_delta * (2.0 * (count - 1) + 1.0
                                 + math.sqrt(0.25 + delta_prime))
     r_max = math.sqrt(et_max) / big_delta + 6.0 / math.sqrt(big_delta)
-    return GridSpec(lower=1e-6, upper=r_max, points=points)
+    lower = 1e-6
+    if not lower < r_max < math.inf:
+        raise DomainError(f"radial grid end r_max = {r_max} must be finite and above "
+                          f"the lower end {lower} (delta_prime = {delta_prime}, "
+                          f"big_delta = {big_delta})")
+    return GridSpec(lower=lower, upper=r_max, points=points)
 
 
 def default_angular_grid(points: int = 4000) -> GridSpec:

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _MAX_LEVELS = 10**6
+_MAX_SEPARATION_ROOT = 2.0**26
 _DEFAULT_TAIL_TOL = 1e-14
 
 
@@ -172,6 +173,9 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
     level of a ladder NaN or infinite, and no partition sum over it ends.
+    So must |separation root| <= 2^26: a larger one leaves lambda, and the
+    spacing of the levels, less than half of float64's precision, and a
+    far larger one rounds the spacing away.
     """
     if mu <= 0.0:
         raise DomainError(f"reduced mass must be positive (got {mu})")
@@ -190,7 +194,16 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     if not math.isfinite(w):
         raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")
     mm = m * m
-    return (w, separation_root(w, mm, branch.sign), mm, 0.25 + 4.0 * params.A * mu,
+    root = separation_root(w, mm, branch.sign)
+    # lambda = (n_theta + 1/2 + root)^2 + w + m^2 - 1/2 cancels terms near
+    # root^2 down to about (2*n_theta + 1)*root, so its relative rounding
+    # error grows like eps*|root|.
+    if abs(root) > _MAX_SEPARATION_ROOT:
+        raise DomainError(
+            f"ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
+            f"{abs(root)} swamps n_theta + 1/2 (w = 4*mu*(B+C) = {w}), so lambda "
+            f"would keep fewer than half of its 53 bits")
+    return (w, root, mm, 0.25 + 4.0 * params.A * mu,
             0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu))
 
 

@@ -637,6 +637,15 @@ class TestThermo:
                               f"n_theta = 0: {terms}")
         assert calls == [0]
 
+    def test_swamped_level_spacing_is_named(self):
+        # The parent blamed the spectrum: "levels must be strictly ascending".
+        code, out, err = run_cli(["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005",
+                                  "--K", "5", "--mu", "1e300", "--steps", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ring coupling too strong for double precision: "
+                              "sqrt(1/2 - w - m^2) = 4.242640687119286e+149 swamps "
+                              "n_theta + 1/2")
+
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
             "thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"])

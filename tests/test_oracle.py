@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rspho.oracle as oracle
 from rspho.errors import DomainError
@@ -15,6 +18,29 @@ from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
 
 def box_grid(points):
     return GridSpec(lower=0.0, upper=math.pi, points=points)
+
+
+def tridiagonal(potential, grid):
+    """The finite-difference matrix of -u'' + V u, built as fd_eigenvalues
+    documents it: diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2."""
+    h2 = grid.h**2
+    return (2.0 / h2 + potential(grid.interior()),
+            np.full(grid.points - 1, -1.0 / h2))
+
+
+def bisection(diag, off, count):
+    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
+                                         select="i", select_range=(0, count - 1))
+
+
+def gershgorin_norm(diag, off):
+    """The larger Gershgorin bound of the matrix in size: LAPACK's |T|."""
+    radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    return max(abs(float(np.min(diag - radius))), abs(float(np.max(diag + radius))))
+
+
+def double_well(x):
+    return 4.0 * (x**2 - 2.5**2) ** 2
 
 
 class TestGridSpec:
@@ -93,6 +119,96 @@ class TestFdEigenvalues:
                 fd_eigenvalues(lambda x: 0.0 * x + 1.7e308, grid, 3)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(points=st.integers(16, 4000), lower=st.floats(-10.0, 10.0),
+       width=st.floats(0.5, 20.0), symmetric=st.booleans(),
+       coefficients=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+       count=st.integers(1, 3))
+# A coarse grid whose three levels spread over much of its spectrum: the
+# Lanczos values would miss bisection's by up to 5 eps*|T|.
+@example(points=16, lower=0.0, width=8.0, symmetric=False,
+         coefficients=[0.0, 0.0, 0.0, -788.5], count=3)
+def test_fd_eigenvalues_agree_with_bisection(points, lower, width, symmetric,
+                                             coefficients, count):
+    """Smooth potentials of either sign: a polynomial in the grid's own
+    coordinate y in (-1, 1), even in y where ``symmetric`` (so half the
+    eigenvectors are odd).  count <= 3 <= points/4."""
+    grid = GridSpec(lower=lower, upper=lower + width, points=points)
+    middle = lower + 0.5 * width
+
+    def potential(x):
+        y = (x - middle) / (0.5 * width)
+        return sum(c * y ** (2 * j if symmetric else j)
+                   for j, c in enumerate(coefficients))
+
+    diag, off = tridiagonal(potential, grid)
+    expected = bisection(diag, off, count)
+    computed = fd_eigenvalues(potential, grid, count)
+    tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+    assert np.all(np.abs(np.array(computed) - expected) <= tolerance)
+
+
+class TestEighTridiagonal:
+    @pytest.mark.parametrize("potential, grid", [
+        (lambda r: 239.36660968 / r**2 + 9.845090690288231**2 * r**2,
+         default_radial_grid(239.36660968, 9.845090690288231, 3)),
+        (lambda t: 12.0 / np.tan(t) ** 2, default_angular_grid()),
+        # the levels certify only once the steps span all 16 dimensions
+        (lambda r: 2.0 / r**2 + 9.0 * r**2, default_radial_grid(2.0, 3.0, 3, points=16)),
+        # five points a period: one orthogonalization pass a step loses
+        # orthogonality here, and never certifies
+        (lambda x: 1000.0 * np.cos(40.0 * x), GridSpec(-1.0, 1.0, 64)),
+    ], ids=["radial", "angular", "whole-space", "rough"])
+    def test_certified_without_bisection(self, potential, grid, monkeypatch):
+        diag, off = tridiagonal(potential, grid)
+        expected = bisection(diag, off, 3)
+        monkeypatch.setattr(oracle, "_bisection",
+                            lambda *args: pytest.fail("bisection was called"))
+        computed = oracle.eigh_tridiagonal(diag, off, 3)
+        tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+        assert np.all(np.abs(computed - expected) <= tolerance)
+
+    @pytest.mark.parametrize("picked, certified", [
+        ([0, 1, 2], True),
+        ([0, 0, 2], False),     # two intervals on one level: not disjoint
+        ([0, 2], False),        # a level skipped: the Sturm count finds 3
+    ], ids=["lowest", "repeated", "skipped"])
+    def test_certificate(self, picked, certified):
+        diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2,
+                                default_radial_grid(2.0, 3.0, 3))
+        levels = bisection(diag, off, 3)
+        values = levels[picked]
+        radius = np.full(len(picked), 1e-6)
+        result = oracle._certified(diag, off, len(picked), levels[0] - 1.0, values, radius)
+        assert (result is values) == certified
+
+    def test_near_degenerate_pair_falls_back_to_bisection(self, monkeypatch):
+        # The two lowest levels of a symmetric double well differ by less
+        # than eps*|T|: Lanczos cannot tell them apart, bisection gives
+        # the same value twice.
+        grid = GridSpec(lower=-6.0, upper=6.0, points=4000)
+        diag, off = tridiagonal(double_well, grid)
+        calls = []
+        fallback = oracle._bisection
+        monkeypatch.setattr(oracle, "_bisection",
+                            lambda *args: calls.append(args) or fallback(*args))
+        computed = fd_eigenvalues(double_well, grid, 3)
+        assert len(calls) == 1
+        assert computed == [float(e) for e in bisection(diag, off, 3)]
+        assert computed[0] == computed[1] == pytest.approx(9.91844473, abs=1e-8)
+
+    @pytest.mark.parametrize("exponent", [-1000, -60, 60, 1000])
+    def test_scaling_by_a_power_of_two_scales_the_values_exactly(self, exponent):
+        grid = default_radial_grid(2.0, 3.0, 3)
+        diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2, grid)
+        base = oracle.eigh_tridiagonal(diag, off, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = oracle.eigh_tridiagonal(np.ldexp(diag, exponent),
+                                             np.ldexp(off, exponent), 3)
+        assert scaled.tobytes() == np.ldexp(base, exponent).tobytes()
+
+
 class TestDefaultGrids:
     def test_radial_grid_clears_turning_point(self):
         grid = default_radial_grid(2.0, 1.0, 3)
@@ -100,6 +216,18 @@ class TestDefaultGrids:
         # top level 13 turns at r = sqrt(13); the wall sits 6 lengths beyond
         assert grid.upper == pytest.approx(math.sqrt(13.0) + 6.0)
         assert grid.points == 4000
+
+    @pytest.mark.parametrize("delta_prime, big_delta, r_max", [
+        (0.0, 1e200, "9.3166247903554e-100"),   # below the lower end
+        (1e300, 1e200, "inf"),                  # Et_max overflows
+    ])
+    def test_radial_grid_end_must_be_finite_and_above_the_lower_end(
+            self, delta_prime, big_delta, r_max):
+        with pytest.raises(DomainError, match=re.escape(
+                f"radial grid end r_max = {r_max} must be finite and above the "
+                f"lower end 1e-06 (delta_prime = {delta_prime}, "
+                f"big_delta = {big_delta})")):
+            default_radial_grid(delta_prime, big_delta, 3)
 
     def test_angular_grid_straddles_the_open_interval(self):
         grid = default_angular_grid(points=1000)
@@ -149,6 +277,26 @@ class TestVerifyRadial:
                 verify_radial(*args)
 
 
+    @pytest.mark.parametrize("big_delta, message", [
+        # r_max falls below the grid's lower end 1e-6
+        (1e200, "radial grid end r_max = 9.3166247903554e-100 must be finite"),
+        # big_delta^2 underflows to 0 and r^2 overflows: 0*inf is NaN
+        (5e-324, "potential evaluates non-finite at x = "),
+    ])
+    def test_extreme_finite_scale_is_a_domain_error(self, big_delta, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                verify_radial(0.0, big_delta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.5, 12.0))
+def test_radial_ladder_matches_the_oracle(delta_prime, big_delta):
+    report = verify_radial(delta_prime, big_delta)
+    assert report.converged, report
+
+
 class TestVerifyAngular:
     def test_integer_case_converges(self):
         report = verify_angular(2.0)
@@ -172,3 +320,10 @@ class TestVerifyAngular:
                             lambda *a, **k: pytest.fail("a grid was built"))
         with pytest.raises(DomainError, match=rf"^v0 must be finite \(got {v0}\)$"):
             verify_angular(v0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(v0=st.floats(0.0, 20.0))
+def test_angular_sum_form_matches_the_oracle(v0):
+    report = verify_angular(v0)
+    assert report.converged, report

@@ -253,6 +253,36 @@ class TestNonrelativisticLevels:
         with pytest.raises(DomainError, match=re.escape(message)):
             thermo_point(nonrelativistic_levels(params, REFERENCE_MU), T=1.0)
 
+    def test_separation_root_that_swamps_n_theta_is_named(self, monkeypatch):
+        # w = 4*mu*(B+C) = -1.8e299: beside sqrt(1/2 - w) = 4.2e149,
+        # n_theta + 1/2 is lost and every level rounds to the same value.
+        message = ("ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
+                   "4.242640687119286e+149 swamps n_theta + 1/2 (w = 4*mu*(B+C) = "
+                   "-1.8000000000000004e+299), so lambda would keep fewer than half "
+                   "of its 53 bits")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            nonrelativistic_energy(REFERENCE_PARAMS, 1e300, QuantumNumbers(n_r=0))
+        taken = []
+        level = thermo._ladder_level
+        monkeypatch.setattr(thermo, "_ladder_level",
+                            lambda *args: taken.append(args[0]) or level(*args))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            thermo_point(nonrelativistic_levels(REFERENCE_PARAMS, 1e300), T=1.0)
+        assert taken == [0]
+
+    def test_largest_separation_root_kept_is_2_to_the_26(self):
+        # With mu = 1 and C = 0, w = 4B: 1/2 - w = 2^52 gives the root
+        # 2^26, and about 2^52 + 2^30 the root 2^26 + 8.
+        kept = replace(REFERENCE_PARAMS, B=(0.5 - 2.0**52) / 4.0, C=0.0)
+        swamped = replace(kept, B=(0.5 - 2.0**52 - 2.0**30) / 4.0)
+        levels = list(islice(nonrelativistic_levels(kept, 1.0), 40))
+        assert all(a < b for a, b in zip(levels, levels[1:]))
+        root = math.sqrt(0.5 - 4.0 * swamped.B)
+        assert root > 2.0**26
+        with pytest.raises(DomainError, match=re.escape(
+                f"sqrt(1/2 - w - m^2) = {root} swamps n_theta + 1/2")):
+            nonrelativistic_energy(swamped, 1.0, QuantumNumbers(n_r=0))
+
     def test_energy_overflows_at_the_level_that_overflows(self):
         # (c/2)*sqrt(2K/mu) = 1e150: finite up to n_r near 1e158.
         params = replace(REFERENCE_PARAMS, K=2e300)
