@@ -105,8 +105,6 @@ def eigh_tridiagonal(diag, off, count):
     finds them instead.  numpy and scipy are imported on first use.
     """
     import numpy as np
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
     # A power of two scales T to entries below 1 in size exactly, so no
     # step of the iteration can overflow or underflow.
     _, exponent = math.frexp(max(float(np.max(np.abs(diag))),

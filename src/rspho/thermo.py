@@ -173,9 +173,9 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
     level of a ladder NaN or infinite, and no partition sum over it ends.
-    So must |separation root| <= 2^26: a larger one leaves lambda, and the
-    spacing of the levels, less than half of float64's precision, and a
-    far larger one rounds the spacing away.
+    The separation root sqrt(1/2 - w - m^2) must be at most 2^26: beyond
+    that lambda, and the spacing of the levels, keep less than half of
+    float64's precision, and far beyond it the spacing rounds away.
     """
     if mu <= 0.0:
         raise DomainError(f"reduced mass must be positive (got {mu})")
