@@ -638,7 +638,8 @@ class TestThermo:
         assert calls == [0]
 
     def test_swamped_level_spacing_is_named(self):
-        # The parent blamed the spectrum: "levels must be strictly ascending".
+        # Every level would round to one value; the error names the precision,
+        # not the spectrum ("levels must be strictly ascending").
         code, out, err = run_cli(["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005",
                                   "--K", "5", "--mu", "1e300", "--steps", "2"])
         assert (code, out) == (2, "")
