@@ -3,11 +3,11 @@
 Discretizes -u'' + V(x) u = E u on a uniform interior grid with Dirichlet
 ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
 off-diagonal -1/h^2) and extracts the lowest eigenvalues with
-shift-invert Lanczos on the tridiagonal form, each result certified by
-one Sturm count, or with LAPACK's Sturm-sequence bisection where the
-certificate fails.  This shares no algebra with the shape-invariance
-spectra it verifies, which is the whole point: agreement is evidence,
-not tautology.
+shift-invert Lanczos on the tridiagonal form, stopped on Kato-Temple
+error bounds and certified by one Sturm count, or with LAPACK's
+Sturm-sequence bisection where the certificate fails.  This shares no
+algebra with the shape-invariance spectra it verifies, which is the
+whole point: agreement is evidence, not tautology.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -85,7 +85,7 @@ _EPS = 2.0**-52
 # Lanczos gives way to bisection after this many steps.  Step k
 # reorthogonalizes against k vectors, so its cost grows with k, and the
 # cap bounds the work spent before the fallback to a few bisections.  The
-# default grids certify their three levels in 13-18 steps.
+# default grids certify their three levels in 11-14 steps.
 _LANCZOS_STEPS = 64
 
 # Rounding in the factorization, the solves and sigma + 1/theta, in units
@@ -128,17 +128,37 @@ def _lanczos(diag, off, count):
     The shift sigma lies sqrt(eps)*|T| below the Gershgorin lower bound,
     so T - sigma*I is positive definite.  It is factored once (LAPACK
     dpttrf), and each Lanczos step on (T - sigma*I)^-1 is one solve
-    (dpttrs), from a fixed start vector, with the new vector
-    orthogonalized twice against every earlier one: once is not enough
-    where cancellation is heavy, as when the Krylov space fills a small
-    grid.  A Ritz value theta with residual bound r gives an eigenvalue
-    sigma + 1/theta within r/(theta*(theta - r)); the steps stop once that
-    is at most eps*|T| for the ``count`` largest theta, and _certified
-    checks the result.  The Ritz values also carry rounding errors of
-    about eps*theta_1, the largest of them, which sigma + 1/theta turns
-    into eps*theta_1/theta^2; where that exceeds eps*|T| (on a coarse grid
-    whose lowest levels spread over much of its spectrum), None leaves the
-    values to bisection.
+    (dpttrs), from a fixed start vector, followed by the three-term
+    recurrence and one classical Gram-Schmidt pass against every earlier
+    vector, which keeps the basis orthogonal where cancellation is heavy,
+    as when the Krylov space fills a small grid.
+
+    The steps track count + 1 Ritz values theta, largest first, each with
+    a residual bound r, so that theta +- r holds an eigenvalue mu of the
+    inverse.  Where these first-order intervals of the ``count`` levels
+    are disjoint and the top one lies above 1/(xi - sigma), xi being the
+    midpoint of the top level and sigma + 1/theta of the next Ritz value,
+    the Kato-Temple inequality bounds each level more tightly:
+
+        theta - r^2/(beta - theta) <= mu <= theta + r^2/(theta - alpha),
+
+    alpha and beta being the nearest ends of the neighbouring levels'
+    intervals (alpha = 1/(xi - sigma) for the top level, beta = inf for
+    the lowest).  The steps stop once these bounds, mapped to T through
+    lambda = sigma + 1/mu, are at most eps*|T|, and _certified checks the
+    result with one Sturm count at xi, which is what makes alpha and beta
+    rigorous.  The bounds fall with r^2, twice as fast as r, so the Ritz
+    values (LAPACK dstev) are first computed after 2(count + 1) steps, the
+    next time where a fall of two decades a step would take the bound to
+    eps*|T|, and from then on where its fall between the last two checks
+    would.
+
+    Levels whose first-order bounds reach eps*|T| while their intervals
+    still overlap are too close to tell apart, and None leaves them to
+    bisection.  So does rounding: the Ritz values carry errors of about
+    eps*theta_1, the largest of them, which sigma + 1/theta turns into
+    eps*theta_1/theta^2, above eps*|T| on a coarse grid whose lowest
+    levels spread over much of its spectrum.
     """
     import numpy as np
     from scipy.linalg import lapack
@@ -153,61 +173,86 @@ def _lanczos(diag, off, count):
     if info:
         return None
     steps = min(_LANCZOS_STEPS, points)
+    tracked = count + 1
     # Neither symmetric nor antisymmetric about the grid's middle, so the
     # eigenvectors of either parity of a symmetric potential have a share.
     start = 1.0 + np.arange(points) / points
     basis = np.empty((steps, points))
     basis[0] = start / math.sqrt(start @ start)
     alpha, beta = [], []
-    least = check_at = max(count, 2)
+    check_at, previous = 2 * tracked, None
     for k in range(1, steps + 1):
+        v = basis[k - 1]
+        w = lapack.dpttrs(factor_d, factor_e, v)[0]
+        if beta:
+            w -= beta[-1] * basis[k - 2]
+        a = v @ w
+        w -= a * v
         done = basis[:k]
-        w = lapack.dpttrs(factor_d, factor_e, basis[k - 1])[0]
-        first = done @ w
-        w -= first @ done
-        second = done @ w
-        w -= second @ done
-        alpha.append(first[-1] + second[-1])
+        c = done @ w
+        w -= c @ done
+        alpha.append(a + c[-1])
         b = math.sqrt(w @ w)
-        if k >= check_at or k == steps or b == 0.0:
-            if k < least:
+        end = k == steps or b == 0.0
+        if k >= check_at or end:
+            if k < tracked:
                 return None
             ritz, vectors, _ = lapack.dstev(np.array(alpha), np.array(beta))
-            theta = ritz[:-count - 1:-1]
+            theta = ritz[:-tracked - 1:-1]
+            level = theta[:count]
             r = np.abs(b * vectors[-1, :-count - 1:-1])
-            jump = 1
-            if np.all(theta > r):
-                err = r / (theta * (theta - r))
+            xi = sigma + 0.5 * (1.0 / level[-1] + 1.0 / theta[count])
+            below = np.append(level[1:] + r[1:], 1.0 / (xi - sigma))
+            above = np.append(np.inf, level[:-1] - r[:-1])
+            if np.all(level - r > below):
+                up = r * r / (level - below)
+                down = r * r / (above - level)
+                err = np.maximum(up / (level * (level + up)),
+                                 down / (level * (level - down)))
                 worst = float(err.max())
                 if worst <= tol:
-                    if theta[0] > norm * theta[-1] ** 2:
+                    if level[0] > norm * level[-1] ** 2:
                         return None
-                    return _certified(diag, off, count, sigma, sigma + 1.0 / theta,
+                    return _certified(diag, off, count, sigma, xi, sigma + 1.0 / level,
                                       err + _ROUNDING * tol)
-                # Near convergence the bound falls by 1.5 decades a step
-                # or more.
-                jump = math.ceil(math.log10(worst / tol) / 1.5)
-            if k == steps or b == 0.0:
+            elif np.all(level > r):
+                worst = float(np.max(r / (level * (level - r))))
+                if worst <= tol:
+                    return None
+            else:
+                worst = math.inf
+            if end:
                 return None
-            check_at = k + jump
+            if worst == math.inf:
+                check_at, previous = k + 1, None
+            else:
+                decades = math.log10(worst / tol)
+                # A bound that fell less than a decade a step, or rose (as
+                # where the levels' intervals overlap again), is taken to
+                # fall a decade a step.
+                rate = 2.0 if previous is None else max(
+                    1.0, (previous[1] - decades) / (k - previous[0]))
+                previous = (k, decades)
+                check_at = k + math.ceil(decades / rate)
         basis[k] = w / b
         beta.append(b)
 
 
-def _certified(diag, off, count, sigma, values, radius):
-    """``values`` if the intervals values +- radius are disjoint and hold
-    exactly ``count`` eigenvalues of T, else None.
+def _certified(diag, off, count, sigma, xi, values, radius):
+    """``values`` if the intervals values +- radius are disjoint, lie below
+    ``xi`` and hold exactly ``count`` eigenvalues of T, else None.
 
-    One Sturm count (LAPACK dstebz over (sigma, top end], with a tolerance
-    wider than that range, so that it counts without bisecting) finds the
-    eigenvalues up to the top interval's end; sigma lies below them all.
+    One Sturm count (LAPACK dstebz over (sigma, xi], with a tolerance wider
+    than that range, so that it counts without bisecting) finds the
+    eigenvalues up to xi; sigma lies below them all.
     """
     from scipy.linalg import lapack
     if not (values[1:] - radius[1:] > values[:-1] + radius[:-1]).all():
         return None
-    high = float(values[-1] + radius[-1])
-    found, _, _, _, info = lapack.dstebz(diag, off, 1, sigma, high, 0, 0,
-                                         2.0 * (high - sigma), b"E")
+    if not values[-1] + radius[-1] < xi:
+        return None
+    found, _, _, _, info = lapack.dstebz(diag, off, 1, sigma, xi, 0, 0,
+                                         2.0 * (xi - sigma), b"E")
     return values if info == 0 and found == count else None
 
 
@@ -256,15 +301,16 @@ def default_radial_grid(delta_prime: float, big_delta: float, count: int,
 
     r_max = sqrt(Et_max)/big_delta + 6/sqrt(big_delta) leaves the exact
     eigenfunction tail below ~1e-9 at the artificial Dirichlet wall.
-    The lower end starts at 1e-6 instead of 0; the eigenfunctions vanish
-    super-linearly there for delta_prime >= 0.  An r_max that is not
-    finite, or not above 1e-6 (as for a big_delta above about 4e13),
-    raises DomainError.
+    The lower end starts at min(1e-6, 1e-4/sqrt(big_delta)) instead of 0,
+    so within 1e-4 oscillator lengths of it however stiff the oscillator;
+    the eigenfunctions vanish super-linearly there for delta_prime >= 0.
+    An r_max that is not finite, or not above the lower end, raises
+    DomainError.
     """
     et_max = 2.0 * big_delta * (2.0 * (count - 1) + 1.0
                                 + math.sqrt(0.25 + delta_prime))
     r_max = math.sqrt(et_max) / big_delta + 6.0 / math.sqrt(big_delta)
-    lower = 1e-6
+    lower = min(1e-6, 1e-4 / math.sqrt(big_delta))
     if not lower < r_max < math.inf:
         raise DomainError(f"radial grid end r_max = {r_max} must be finite and above "
                           f"the lower end {lower} (delta_prime = {delta_prime}, "
@@ -297,12 +343,16 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                           f"(got {delta_prime})")
     if big_delta <= 0.0:
         raise DomainError(f"big_delta must be positive (got {big_delta})")
+    try:
+        stiffness = big_delta**2
+    except OverflowError:
+        raise DomainError(f"big_delta^2 overflows (big_delta = {big_delta})") from None
     if grid is None:
         grid = default_radial_grid(delta_prime, big_delta, count)
     predicted = [2.0 * big_delta * (2.0 * n + 1.0 + math.sqrt(0.25 + delta_prime))
                  for n in range(count)]
     computed = fd_eigenvalues(
-        lambda r: delta_prime / r**2 + big_delta**2 * r**2, grid, count)
+        lambda r: delta_prime / r**2 + stiffness * r**2, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))
     return OracleReport(computed=computed, predicted=predicted,
                         max_rel_error=rel, grid=grid,

@@ -14,6 +14,7 @@ import rspho.oracle as oracle
 from rspho.errors import DomainError
 from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
                           fd_eigenvalues, verify_angular, verify_radial)
+from rspho.radial import radial_spectrum
 
 
 def box_grid(points):
@@ -128,6 +129,10 @@ class TestFdEigenvalues:
 # Lanczos values would miss bisection's by up to 5 eps*|T|.
 @example(points=16, lower=0.0, width=8.0, symmetric=False,
          coefficients=[0.0, 0.0, 0.0, -788.5], count=3)
+# A check at which a Ritz value is not yet above its residual bound, so
+# no bound holds: the steps go on.
+@example(points=245, lower=0.0, width=9.0, symmetric=True,
+         coefficients=[0.0, -286.0, 281.0], count=3)
 def test_fd_eigenvalues_agree_with_bisection(points, lower, width, symmetric,
                                              coefficients, count):
     """Smooth potentials of either sign: a polynomial in the grid's own
@@ -168,18 +173,57 @@ class TestEighTridiagonal:
         tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
         assert np.all(np.abs(computed - expected) <= tolerance)
 
+    @pytest.mark.parametrize("potential, grid", [
+        (lambda r: 239.36660968 / r**2 + 9.845090690288231**2 * r**2,
+         default_radial_grid(239.36660968, 9.845090690288231, 3)),
+        (lambda t: 12.0 / np.tan(t) ** 2, default_angular_grid()),
+    ], ids=["radial", "angular"])
+    def test_default_grids_certify_in_few_steps(self, potential, grid, monkeypatch):
+        calls = {"dpttrs": 0, "dstev": 0}
+        for name in calls:
+            kernel = getattr(scipy.linalg.lapack, name)
+
+            def counted(*args, name=name, kernel=kernel, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        monkeypatch.setattr(oracle, "_bisection",
+                            lambda *args: pytest.fail("bisection was called"))
+        oracle.eigh_tridiagonal(*tridiagonal(potential, grid), 3)
+        assert calls["dpttrs"] <= 13
+        assert calls["dstev"] <= 3
+
+    def test_a_sturm_count_above_the_levels_falls_back_to_bisection(self, monkeypatch):
+        diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2,
+                                default_radial_grid(2.0, 3.0, 3))
+        dstebz = scipy.linalg.lapack.dstebz
+
+        def one_more(*args):
+            found, *rest = dstebz(*args)
+            return (found + 1, *rest)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", one_more)
+        calls = []
+        fallback = oracle._bisection
+        monkeypatch.setattr(oracle, "_bisection",
+                            lambda *args: calls.append(args) or fallback(*args))
+        computed = oracle.eigh_tridiagonal(diag, off, 3)
+        assert len(calls) == 1
+        assert computed.tobytes() == bisection(diag, off, 3).tobytes()
+
     @pytest.mark.parametrize("picked, certified", [
         ([0, 1, 2], True),
         ([0, 0, 2], False),     # two intervals on one level: not disjoint
         ([0, 2], False),        # a level skipped: the Sturm count finds 3
-    ], ids=["lowest", "repeated", "skipped"])
+        ([0, 1, 3], False),     # the top interval reaches past xi
+    ], ids=["lowest", "repeated", "skipped", "beyond-xi"])
     def test_certificate(self, picked, certified):
         diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2,
                                 default_radial_grid(2.0, 3.0, 3))
-        levels = bisection(diag, off, 3)
+        levels = bisection(diag, off, 4)
         values = levels[picked]
         radius = np.full(len(picked), 1e-6)
-        result = oracle._certified(diag, off, len(picked), levels[0] - 1.0, values, radius)
+        result = oracle._certified(diag, off, len(picked), levels[0] - 1.0,
+                                   0.5 * (levels[2] + levels[3]), values, radius)
         assert (result is values) == certified
 
     def test_near_degenerate_pair_falls_back_to_bisection(self, monkeypatch):
@@ -217,15 +261,23 @@ class TestDefaultGrids:
         assert grid.upper == pytest.approx(math.sqrt(13.0) + 6.0)
         assert grid.points == 4000
 
-    @pytest.mark.parametrize("delta_prime, big_delta, r_max", [
-        (0.0, 1e200, "9.3166247903554e-100"),   # below the lower end
-        (1e300, 1e200, "inf"),                  # Et_max overflows
+    @pytest.mark.parametrize("big_delta, lower", [
+        # 1e-6 up to big_delta = 1e4, so those grids are as they were
+        (0.5, 1e-6), (12.0, 1e-6), (1e4, 1e-6),
+        # then 1e-4 oscillator lengths 1/sqrt(big_delta)
+        (1e8, 1e-8), (1e12, 1e-10), (1e100, 1e-54)])
+    def test_radial_grid_lower_end(self, big_delta, lower):
+        assert default_radial_grid(2.0, big_delta, 3).lower == lower
+
+    @pytest.mark.parametrize("delta_prime, big_delta, r_max, lower", [
+        (0.0, 1e308, "inf", "1e-158"),                      # Et_max overflows by big_delta
+        (1e300, 1e200, "inf", "1.0000000000000001e-104"),   # and by delta_prime
     ])
     def test_radial_grid_end_must_be_finite_and_above_the_lower_end(
-            self, delta_prime, big_delta, r_max):
+            self, delta_prime, big_delta, r_max, lower):
         with pytest.raises(DomainError, match=re.escape(
                 f"radial grid end r_max = {r_max} must be finite and above the "
-                f"lower end 1e-06 (delta_prime = {delta_prime}, "
+                f"lower end {lower} (delta_prime = {delta_prime}, "
                 f"big_delta = {big_delta})")):
             default_radial_grid(delta_prime, big_delta, 3)
 
@@ -276,10 +328,15 @@ class TestVerifyRadial:
                                                   rf"\(got {value}\)$"):
                 verify_radial(*args)
 
+    @pytest.mark.parametrize("big_delta", [1e8, 1e12, 1e150])
+    def test_stiff_oscillator_converges(self, big_delta):
+        report = verify_radial(0.0, big_delta)
+        assert report.converged
+        assert report.max_rel_error < 1e-4
 
     @pytest.mark.parametrize("big_delta, message", [
-        # r_max falls below the grid's lower end 1e-6
-        (1e200, "radial grid end r_max = 9.3166247903554e-100 must be finite"),
+        # big_delta^2 overflows before any grid is built
+        (1e200, "big_delta^2 overflows (big_delta = 1e+200)"),
         # big_delta^2 underflows to 0 and r^2 overflows: 0*inf is NaN
         (5e-324, "potential evaluates non-finite at x = "),
     ])
@@ -295,6 +352,21 @@ class TestVerifyRadial:
 def test_radial_ladder_matches_the_oracle(delta_prime, big_delta):
     report = verify_radial(delta_prime, big_delta)
     assert report.converged, report
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.5, 12.0),
+       n=st.integers(0, 2))
+def test_radial_spectrum_is_the_oracle_ladder(delta_prime, big_delta, n):
+    """The shape-invariance ladder at delta = -1/2 - sqrt(1/4 + delta'), the
+    root of delta^2 + delta = delta' that radial_spectrum takes, is the
+    closed form to a few ulps and the FD level to the oracle's gate."""
+    root = math.sqrt(0.25 + delta_prime)
+    ladder = radial_spectrum(big_delta, -0.5 - root, n)
+    closed_form = 2.0 * big_delta * (2.0 * n + 1.0 + root)
+    assert abs(ladder - closed_form) <= 4.0 * math.ulp(closed_form)
+    computed = verify_radial(delta_prime, big_delta).computed[n]
+    assert abs(computed - ladder) <= 1e-3 * ladder
 
 
 class TestVerifyAngular:
