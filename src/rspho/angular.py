@@ -34,7 +34,6 @@ __all__ = [
     "shape_invariance_chain",
     "lambda_separation",
     "coupling_from_terms",
-    "lambda_from_coupling",
     "lambda_from_terms",
     "separation_root",
     "lambda_from_root",
@@ -95,10 +94,9 @@ def v_tilde(E: float, M: float, params: PotentialParams, m: int,
 
 
 def q_of_vtilde(vt: float, branch: BranchSign) -> float:
-    """Solve q^2 - q = Vt for the superpotential strength q = 1/2 +/- sqrt(1/4 + Vt)."""
-    radicand = 0.25 + vt
-    if radicand < 0.0:
-        raise DomainError(f"q is complex: 1/4 + v_tilde = {radicand} < 0")
+    """Solve q^2 - q = Vt for the superpotential strength q = 1/2 +/- sqrt(1/4 + Vt);
+    a radicand 1/4 + Vt that is negative or NaN raises DomainError."""
+    radicand = nonnegative(0.25 + vt, "q is complex: 1/4 + v_tilde = {} < 0")
     return 0.5 + branch.sign * math.sqrt(radicand)
 
 
@@ -121,21 +119,16 @@ def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
     return ShapeInvarianceChain(a=a, remainders=remainders)
 
 
-def lambda_from_coupling(w, m: int, n_theta: int, branch: BranchSign):
-    """Separation constant as a function of the signed ring coupling w.
-
-    lambda = [n_theta + 1/2 +/- sqrt(1/2 - w - m^2)]^2 + w + m^2 - 1/2
-
-    This single core serves the spin, pseudo-spin, and non-relativistic
-    variants, which differ only in what w is.  w may be a float (a negative
-    radicand raises DomainError) or an array (NaN where it is negative).
-    """
-    return lambda_from_terms(w, m * m, n_theta + 0.5, branch.sign)
-
-
 def lambda_from_terms(w, mm, half_nt, sign):
-    """lambda_from_coupling from mm = m^2, half_nt = n_theta + 1/2 and the
-    branch's sign, which a caller evaluating many couplings computes once."""
+    """Separation constant as a function of the signed ring coupling w:
+
+        lambda = [half_nt + sign*sqrt(1/2 - w - mm)]^2 + w + mm - 1/2
+
+    with mm = m^2, half_nt = n_theta + 1/2 and the branch's sign.  The spin,
+    pseudo-spin and non-relativistic variants differ only in w, which may be
+    a float (a negative radicand raises DomainError) or an array (NaN where
+    it is negative).
+    """
     return lambda_from_root(w, mm, half_nt, separation_root(w, mm, sign))
 
 
@@ -165,9 +158,10 @@ def lambda_separation(E, M: float, params: PotentialParams, m: int,
     Energy-dependent because the ring coupling scales with (E + M); the
     radial solver therefore treats lambda as part of its self-consistency
     loop rather than a fixed input.  E may be a float or an array, as in
-    lambda_from_coupling.
+    lambda_from_terms.
     """
-    return lambda_from_coupling(_coupling(E, M, params, symmetry), m, n_theta, branch)
+    return lambda_from_terms(_coupling(E, M, params, symmetry), m * m, n_theta + 0.5,
+                             branch.sign)
 
 
 def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:

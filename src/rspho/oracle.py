@@ -5,9 +5,10 @@ ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
 off-diagonal -1/h^2) and extracts the lowest eigenvalues with
 shift-invert Lanczos on the tridiagonal form, stopped on Kato-Temple
 error bounds and certified by one Sturm count, or with LAPACK's
-Sturm-sequence bisection where the certificate fails.  This shares no
-algebra with the shape-invariance spectra it verifies, which is the
-whole point: agreement is evidence, not tautology.
+Sturm-sequence bisection where the certificate fails.  The eigenvalues
+share no algebra with the closed forms they verify, the library's own
+radial_spectrum, q_of_vtilde and angular_spectrum (which also size the
+radial grid), which is the whole point: agreement is evidence.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -20,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .angular import angular_spectrum, q_of_vtilde
 from .errors import DomainError
+from .model import BranchSign
+from .radial import radial_spectrum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -307,8 +311,7 @@ def default_radial_grid(delta_prime: float, big_delta: float, count: int,
     An r_max that is not finite, or not above the lower end, raises
     DomainError.
     """
-    et_max = 2.0 * big_delta * (2.0 * (count - 1) + 1.0
-                                + math.sqrt(0.25 + delta_prime))
+    et_max = radial_spectrum(big_delta, -0.5 - math.sqrt(0.25 + delta_prime), count - 1)
     r_max = math.sqrt(et_max) / big_delta + 6.0 / math.sqrt(big_delta)
     lower = min(1e-6, 1e-4 / math.sqrt(big_delta))
     if not lower < r_max < math.inf:
@@ -335,7 +338,7 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                   grid: GridSpec | None = None) -> OracleReport:
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
-    Prediction: Et_n = 2*big_delta*(2n + 1 + sqrt(1/4 + delta')).
+    Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
     """
     _require_finite(delta_prime=delta_prime, big_delta=big_delta)
     if delta_prime < 0.0:
@@ -349,8 +352,8 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
         raise DomainError(f"big_delta^2 overflows (big_delta = {big_delta})") from None
     if grid is None:
         grid = default_radial_grid(delta_prime, big_delta, count)
-    predicted = [2.0 * big_delta * (2.0 * n + 1.0 + math.sqrt(0.25 + delta_prime))
-                 for n in range(count)]
+    delta = -0.5 - math.sqrt(0.25 + delta_prime)
+    predicted = [radial_spectrum(big_delta, delta, n) for n in range(count)]
     computed = fd_eigenvalues(
         lambda r: delta_prime / r**2 + stiffness * r**2, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))
@@ -363,18 +366,17 @@ def verify_angular(v0: float, count: int = 3,
                    grid: GridSpec | None = None) -> OracleReport:
     """Compare FD eigenvalues of v0*cot^2(theta) with the two closed forms.
 
-    Prediction (sum form): Et_n = n^2 + 2nq + q with q = 1/2 + sqrt(1/4 + v0).
-    The perfect-square rival (n + q)^2 is reported alongside; the operator
-    agrees with the sum form only.
+    Prediction: angular_spectrum's sum form at q = q_of_vtilde(v0, PLUS),
+    with its perfect-square rival alongside, which the operator rejects.
     """
     _require_finite(v0=v0)
     if v0 < 0.0:
         raise DomainError(f"v0 must be >= 0 for the Dirichlet emulation (got {v0})")
     if grid is None:
         grid = default_angular_grid()
-    q = 0.5 + math.sqrt(0.25 + v0)
-    predicted = [n * n + 2.0 * n * q + q for n in range(count)]
-    printed = [(n + q) ** 2 for n in range(count)]
+    q = q_of_vtilde(v0, BranchSign.PLUS)
+    predicted = [angular_spectrum(q, n)[0] for n in range(count)]
+    printed = [angular_spectrum(q, n)[1] for n in range(count)]
     import numpy as np
     computed = fd_eigenvalues(
         lambda t: v0 * (np.cos(t) / np.sin(t)) ** 2, grid, count)

@@ -128,16 +128,16 @@ def radial_ansatz(E, M: float, K: float, A: float, lam,
     big_delta = sqrt(stiff)
     return RadialSolution(delta=delta, delta_prime=delta_prime,
                           big_delta=big_delta,
-                          e0_tilde=big_delta * (1.0 - 2.0 * delta), n_r=n_r)
+                          e0_tilde=radial_spectrum(big_delta, delta, 0), n_r=n_r)
 
 
 def radial_spectrum(big_delta: float, delta: float, n_r: int) -> float:
-    """n-th eigenvalue of the effective operator: Et_0 + 4*n*big_delta.
+    """n-th eigenvalue of the effective operator: big_delta*(4n + 1 - 2*delta).
 
-    Equivalently 2*big_delta*(2n + 1 + sqrt(1/4 + delta')) with
-    delta' = delta^2 + delta.
+    Equivalently Et_0 + 4*n*big_delta, Et_0 = big_delta*(1 - 2*delta), or
+    2*big_delta*(2n + 1 + sqrt(1/4 + delta')) with delta' = delta^2 + delta.
     """
-    return big_delta * (1.0 - 2.0 * delta) + 4.0 * n_r * big_delta
+    return big_delta * (4.0 * n_r + 1.0 - 2.0 * delta)
 
 
 def partner_potentials_radial(delta: float, big_delta: float,
@@ -150,7 +150,7 @@ def partner_potentials_radial(delta: float, big_delta: float,
     Shape invariance: v_plus(delta) - v_minus(delta - 1) = 4*big_delta,
     independent of r.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"r must be positive (got {r})")
     common = big_delta**2 * r**2 + 2.0 * delta * big_delta
     v_plus = delta * (delta - 1.0) / r**2 + common + big_delta
@@ -204,8 +204,8 @@ def default_r_grid(n_r: int, L: float, delta_eff: float,
     if points < 3:
         raise DomainError(f"grid needs at least 3 points (got {points})")
     if r_max is None:
-        delta_prime = L * (L + 1.0)
-        et = 2.0 * delta_eff * (2.0 * n_r + 1.0 + math.sqrt(0.25 + delta_prime))
+        delta = -0.5 - math.sqrt(0.25 + L * (L + 1.0))
+        et = radial_spectrum(delta_eff, delta, n_r)
         r_max = math.sqrt(et) / delta_eff + 4.0 / math.sqrt(delta_eff)
     import numpy as np
     h = r_max / points

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rspho.angular import (angular_ground_state, angular_spectrum,
-                           default_theta_grid, lambda_from_coupling,
+                           default_theta_grid, lambda_from_terms,
                            lambda_from_root, lambda_separation,
                            partner_potentials_angular, q_of_vtilde,
                            separation_root, shape_invariance_chain,
@@ -57,6 +59,10 @@ class TestQOfVtilde:
     def test_complex_q_rejected(self):
         with pytest.raises(DomainError, match="complex"):
             q_of_vtilde(-0.26, BranchSign.PLUS)
+
+    def test_nan_barrier_rejected(self):
+        with pytest.raises(DomainError, match=r"^q is complex: 1/4 \+ v_tilde = nan"):
+            q_of_vtilde(math.nan, BranchSign.PLUS)
 
 
 class TestAngularSpectrum:
@@ -128,7 +134,7 @@ class TestLambdaSeparation:
 
     def test_zero_coupling_closed_form(self):
         # (1/2 + sqrt(1/2))^2 - 1/2
-        lam = lambda_from_coupling(0.0, 0, 0, BranchSign.PLUS)
+        lam = lambda_from_terms(0.0, 0, 0.5, BranchSign.PLUS.sign)
         assert lam == pytest.approx(0.9571067811865475, abs=1e-14)
 
     @pytest.mark.parametrize("m,ntheta", [(0, 0), (1, 2), (0, 3)])
@@ -155,10 +161,10 @@ class TestLambdaSeparation:
         assert np.isnan(root[-1]) and np.all(np.isfinite(root[:-1]))
         for n_theta in range(3):
             lam = lambda_from_root(w, 1, n_theta + 0.5, root)
-            assert lam[:-1].tobytes() == lambda_from_coupling(
-                w[:-1], 1, n_theta, branch).tobytes()
+            assert lam[:-1].tobytes() == lambda_from_terms(
+                w[:-1], 1, n_theta + 0.5, branch.sign).tobytes()
             assert lambda_from_root(-1.2, 1, n_theta + 0.5, float(root[1])) == float(
-                lambda_from_coupling(-1.2, 1, n_theta, branch))
+                lambda_from_terms(-1.2, 1, n_theta + 0.5, branch.sign))
         with pytest.raises(DomainError, match=r"^separation-constant radicand negative: "
                                               r"1/2 - w - m\^2 = -2.5$"):
             separation_root(2.0, 1, branch.sign)
@@ -202,6 +208,29 @@ class TestPartnerPotentials:
     def test_singular_angles_rejected(self, theta):
         with pytest.raises(DomainError):
             partner_potentials_angular(1.0, theta)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(q=st.integers(-10 * 2**40, 20 * 2**40).map(lambda k: k / 2**40),
+       theta=st.floats(0.01, math.pi - 0.01))
+def test_angular_partners_are_shape_invariant(q, theta):
+    """v+(q) - v-(q + 1) = 2q + 1 at every theta, to a few ulps of the
+    largest term of the two potentials.  q is a multiple of 2^-40, so
+    q + 1 is exact: the partner is the one shifted exactly by 1."""
+    v_plus, _ = partner_potentials_angular(q, theta)
+    _, v_minus_next = partner_potentials_angular(q + 1.0, theta)
+    cot2 = (math.cos(theta) / math.sin(theta)) ** 2
+    largest = max(q * q, (q + 1.0) ** 2, abs(q) + 1.0) * cot2 + abs(q) + 1.0
+    assert abs(v_plus - v_minus_next - (2.0 * q + 1.0)) <= 8.0 * math.ulp(largest)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(q=st.floats(0.0, 50.0), n=st.integers(0, 10))
+def test_chain_remainders_telescope_to_the_sum_form(q, n):
+    """q plus the chain's remainders is the n-th level n^2 + 2nq + q, to a
+    few ulps of the largest term, a_n^2."""
+    level = q + sum(shape_invariance_chain(q, n).remainders)
+    assert abs(level - angular_spectrum(q, n)[0]) <= 8.0 * math.ulp((q + n) ** 2)
 
 
 class TestAngularGroundState:

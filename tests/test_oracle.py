@@ -1,8 +1,10 @@
 """Tests for the finite-difference verification oracle."""
 
+import io
 import math
 import re
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.oracle as oracle
+from rspho.cli import main
 from rspho.errors import DomainError
 from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
                           fd_eigenvalues, verify_angular, verify_radial)
@@ -399,3 +402,29 @@ class TestVerifyAngular:
 def test_angular_sum_form_matches_the_oracle(v0):
     report = verify_angular(v0)
     assert report.converged, report
+
+
+class TestVerifyChecksTheLibrary:
+    """verify predicts with the library's closed forms, so a fault in them
+    is a fault that verify reports: with a level 1% off, every case fails."""
+
+    @staticmethod
+    def verify_rows(suite):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", "--suite", suite, "--points", "400"])
+        return code, [row.rsplit(",", 1)[-1] for row in out.getvalue().splitlines()[1:]]
+
+    def test_a_wrong_radial_ladder_fails_verify(self, monkeypatch):
+        true_spectrum = oracle.radial_spectrum
+        monkeypatch.setattr(oracle, "radial_spectrum",
+                            lambda *args: 1.01 * true_spectrum(*args))
+        assert not verify_radial(2.0, 3.0).converged
+        assert self.verify_rows("radial") == (3, ["false"] * 12)
+
+    def test_a_wrong_angular_form_fails_verify(self, monkeypatch):
+        true_spectrum = oracle.angular_spectrum
+        monkeypatch.setattr(oracle, "angular_spectrum",
+                            lambda *args: tuple(1.01 * e for e in true_spectrum(*args)))
+        assert not verify_angular(2.0).converged
+        assert self.verify_rows("angular") == (3, ["false"] * 9)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.special import hyp1f1
 
@@ -97,6 +99,34 @@ class TestPartnerPotentialsRadial:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(DomainError):
             partner_potentials_radial(-2.0, 1.0, 0.0)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(DomainError, match=r"^r must be positive \(got nan\)$"):
+            partner_potentials_radial(-2.0, 1.0, math.nan)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(delta=st.integers(-30 * 2**40, 0).map(lambda k: k / 2**40),
+       big_delta=st.floats(0.1, 30.0), r=st.floats(0.05, 10.0))
+def test_radial_partners_are_shape_invariant(delta, big_delta, r):
+    """V+(delta) - V-(delta - 1) = 4*big_delta at every r, to a few ulps of
+    the largest term of the two potentials.  delta is a multiple of 2^-40,
+    so delta - 1 is exact: the partner is the one shifted exactly by 1."""
+    v_plus, _ = partner_potentials_radial(delta, big_delta, r)
+    _, v_minus_next = partner_potentials_radial(delta - 1.0, big_delta, r)
+    largest = max(abs(delta * (delta - 1.0)) / r**2, big_delta**2 * r**2,
+                  abs(2.0 * (delta - 1.0) * big_delta))
+    assert abs(v_plus - v_minus_next - 4.0 * big_delta) <= 8.0 * math.ulp(largest)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.1, 30.0),
+       n=st.integers(0, 50))
+def test_radial_levels_are_spaced_by_four_big_delta(delta_prime, big_delta, n):
+    delta = -0.5 - math.sqrt(0.25 + delta_prime)
+    upper = radial_spectrum(big_delta, delta, n + 1)
+    assert abs(upper - radial_spectrum(big_delta, delta, n) - 4.0 * big_delta) <= (
+        4.0 * math.ulp(upper))
 
 
 class TestKummer:

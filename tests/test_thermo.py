@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.thermo as thermo
-from rspho.angular import lambda_from_coupling
+from rspho.angular import lambda_from_terms
 from rspho.errors import ConvergenceError, DomainError
 from rspho.model import BranchSign, Convention, PotentialParams, QuantumNumbers
 from rspho.thermo import (nonrelativistic_energy, nonrelativistic_ladder,
@@ -334,10 +334,38 @@ def test_ladder_levels_have_the_bits_of_nonrelativistic_energy(K, A, B, C, mu, m
         assert got == reference_energy(params, mu, n, m, branch, convention).hex()
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(K=st.floats(2.0, 8.0), A=st.floats(2.0, 8.0), B=st.floats(-0.1, 0.0),
+       C=st.floats(0.0, 0.01), mu=st.floats(2.0, 8.0), m=st.integers(0, 2),
+       convention=st.sampled_from(Convention),
+       log_T=st.floats(math.log(0.1), math.log(30.0)))
+def test_thermodynamic_identities(K, A, B, C, mu, m, convention, log_T):
+    """F = U - T*S, S >= 0, Z > 0, and C is dU/dT (a central difference;
+    thermo_point clamps C at 0, so C >= 0 alone proves nothing).  Where
+    1/2 - w - m^2 < 0 there is no ladder to sum (m = 2 always, here), and
+    the separation root is what fails."""
+    params = PotentialParams(K=K, A=A, B=B, C=C)
+    T = math.exp(log_T)
+    ladder = nonrelativistic_ladder(params, mu, m, BranchSign.PLUS, convention)
+    if 0.5 - 4.0 * mu * (B + C) - m * m < 0.0:
+        with pytest.raises(DomainError, match="^separation-constant radicand negative"):
+            thermo_point(ladder, T)
+        return
+    point = thermo_point(ladder, T)
+    assert point.Z > 0.0
+    assert point.S >= 0.0
+    assert abs(point.F - (point.U - T * point.S)) <= 1e-12 * max(
+        abs(point.F), abs(point.U), T * point.S)
+    h = 1e-4 * T
+    slope = (thermo_point(ladder, T + h).U - thermo_point(ladder, T - h).U) / (2.0 * h)
+    # Truncation error relative to C, and the rounding of U divided by h.
+    assert abs(point.C - slope) <= 1e-6 * point.C + 16.0 * math.ulp(point.U) / h
+
+
 def reference_energy(params, mu, n, m, branch, convention):
-    """E_NR at n_r = n_theta = n through angular.lambda_from_coupling, in
+    """E_NR at n_r = n_theta = n through angular.lambda_from_terms, in
     the order of operations that the ladder's prepared terms must keep."""
-    lam = lambda_from_coupling(4.0 * mu * (params.B + params.C), m, n, branch)
+    lam = lambda_from_terms(4.0 * mu * (params.B + params.C), m * m, n + 0.5, branch.sign)
     return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
             * (2.0 * n + 1.0 + math.sqrt(0.25 + 4.0 * params.A * mu + lam)))
 
