@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import BranchSign, PotentialParams, Symmetry
-from .numerics import nonnegative, simpson, sqrt
+from .numerics import nonnegative, require_finite, simpson, sqrt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,7 +111,9 @@ def angular_spectrum(q: float, n_theta: int) -> tuple[float, float]:
 
 
 def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
-    """Build the ladder a_k = q + k, k = 0..n, with its telescoping remainders."""
+    """Build the ladder a_k = q + k, k = 0..n, with its telescoping
+    remainders.  A q that is not finite, or a negative n, raises DomainError."""
+    require_finite(q=q)
     if n < 0:
         raise DomainError(f"chain length must be >= 0 (got {n})")
     a = [q + k for k in range(n + 1)]
@@ -171,8 +173,10 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
     v_plus  = W^2 + W' = (q^2 + q) cot^2 theta + q
 
     Shape invariance: v_plus(q, theta) - v_minus(q+1, theta) = 2q + 1 for
-    every theta.
+    every theta.  A q that is not finite, or a theta outside (0, pi), raises
+    DomainError.
     """
+    require_finite(q=q)
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi) (got {theta})")
     cot2 = (math.cos(theta) / math.sin(theta)) ** 2

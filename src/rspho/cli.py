@@ -14,9 +14,18 @@ from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  potential and thermo need no arrays: their grids
 are lists of floats with np.linspace's bits (_linspace), so these two
-commands run without importing numpy.  Non-finite grid bounds (sweep's
---from and --to, potential's radii, thermo's temperatures, wavefunction's
---r-max) and bounds whose span overflows are usage errors.
+commands run without importing numpy.
+
+Each check that concerns one flag (a count's lower bound, a grid bound's
+finiteness, a positive tolerance, the integers of --series-values) is that
+flag's argparse type, so argparse reports it ("argument --X: must be ...")
+and checks a config value as it checks the flag.  The commands check only
+what spans several flags: a grid whose span overflows, a sweep from a
+value to itself, and the coefficients and --n that a sweep needs.  The
+parsers read a token that starts with a minus sign and a digit, or with
+-inf, -infinity or -nan in any case, as a value (``--series-values
+-3,0,5``, ``--r-min -inf``), where argparse reads only a plain negative
+number so.
 
 This module imports only errors and model from the package.  Each command
 imports the modules it runs when it runs: potential imports no other,
@@ -26,11 +35,6 @@ and radial).  The public functions that a command calls (solve_energy,
 radial_wavefunction, thermo_point, verify_radial and verify_angular) are
 taken from the package, rspho, so a wrapper set there, as perfbench's span
 tracer sets one, sees each call; the helpers come from their own modules.
-
-A flag's value may start with a minus sign, as in ``--series-values
--3,0,5`` or ``--r-min -inf``: argparse would read it as an unknown flag,
-so a token that starts with a minus sign and a digit, or with -inf,
--infinity or -nan in any case, is joined to the flag before it.
 
 Exit codes: 0 success, 1 usage error (including an --output file that
 cannot be written), 2 domain or convergence failure, 3 verification
@@ -78,9 +82,48 @@ class UsageError(Exception):
     """A command-line or config-file problem; maps to exit code 1."""
 
 
+# A minus sign, then a digit, a point and a digit, or a whole inf,
+# infinity or nan (any case) before the end or a comma.
+_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # What argparse reads as a value rather than a flag (by default
+        # only "-3" or "-0.5"); no flag of rspho looks like one.
+        self._negative_number_matcher = _NEGATIVE
+
     def error(self, message):
         raise UsageError(message)
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert`` of the flag's text, which must pass
+    ``ok``.  A text that convert rejects is an "invalid <its name> value"."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what} (got {value})")
+        return value
+    check.__name__ = convert.__name__
+    return check
+
+
+def _int_at_least(k: int):
+    return _checked(int, lambda n: n >= k, f">= {k}")
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_positive_finite = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers (got {text!r})") from None
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -99,13 +142,6 @@ def _read_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         entries[key.strip()] = raw.strip()
     return entries
-
-
-def _precision(args: argparse.Namespace) -> int:
-    """The --precision option, which must be >= 0."""
-    if args.precision < 0:
-        raise UsageError(f"--precision must be >= 0 (got {args.precision})")
-    return args.precision
 
 
 def _fixed(x: float, prec: int) -> str:
@@ -136,26 +172,13 @@ def _emit(lines: list[str], path: str | None) -> None:
         raise UsageError(f"cannot write output file {path}: {exc}")
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _finite(args: argparse.Namespace, *names: str) -> None:
-    """Check that the options ``names`` (attributes of args) are finite."""
-    for name in names:
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise UsageError(f"{_flag(name)} must be finite (got {value})")
-
-
-def _finite_range(args: argparse.Namespace, first: str, last: str) -> None:
-    """Check that a grid's bounds, the options ``first`` and ``last``, and
-    its span, last - first, are finite."""
-    _finite(args, first, last)
+def _finite_span(args: argparse.Namespace, first: str, last: str) -> None:
+    """Check that the span of a grid from the option ``first`` to the
+    option ``last`` is finite; each bound is finite by its flag's type."""
     span = getattr(args, last) - getattr(args, first)
     if not math.isfinite(span):
-        raise UsageError(f"the span from {_flag(first)} to {_flag(last)} "
-                         f"must be finite (got {span})")
+        first, last = ("--" + name.replace("_", "-") for name in (first, last))
+        raise UsageError(f"the span from {first} to {last} must be finite (got {span})")
 
 
 def _linspace(first: float, last: float, n: int) -> list[float]:
@@ -188,12 +211,6 @@ def _build_request(args: argparse.Namespace) -> SolveRequest:
                         convention=Convention(args.convention))
 
 
-def _tol(args: argparse.Namespace) -> float:
-    if not 0.0 < args.tol < math.inf:
-        raise UsageError(f"--tol must be positive and finite (got {args.tol})")
-    return args.tol
-
-
 def _solve_row(req: SolveRequest, res, prec: int) -> str:
     p = req.params
     return ",".join([
@@ -207,10 +224,9 @@ def _solve_row(req: SolveRequest, res, prec: int) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     from . import solve_energy
-    prec = _precision(args)
     req = _build_request(args)
-    res = solve_energy(req, _tol(args))
-    _emit([SOLVE_HEADER, _solve_row(req, res, prec)], args.output)
+    res = solve_energy(req, args.tol)
+    _emit([SOLVE_HEADER, _solve_row(req, res, args.precision)], args.output)
     return EXIT_OK
 
 
@@ -219,7 +235,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     from . import solve_energy
     from .spectrum import request_columns, solve_columns
     spec = _REFERENCE_SETS[args.which]
-    prec = _precision(args)
     lines: list[str] = []
     if args.which == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
@@ -241,7 +256,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     fixed = [_param(spec[name]) for name in ("B", "C", "K", "M")]
     for (n_r, a, m_r), e in zip(rows, E.tolist()):
         lines.append(",".join([str(n_r), str(m_r), str(n_r), _param(a), *fixed,
-                               _fixed(e, prec)]))
+                               _fixed(e, args.precision)]))
     _emit(lines, args.output)
     return EXIT_OK
 
@@ -250,23 +265,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
     from .spectrum import request_columns, solve_columns
     vary = args.vary
-    if args.steps < 2:
-        raise UsageError(f"--steps must be >= 2 (got {args.steps})")
-    _finite_range(args, "from", "to")
+    _finite_span(args, "from", "to")
     if getattr(args, "from") == args.to:
         raise UsageError("degenerate sweep range: --from equals --to")
     for name in ("A", "B", "K"):
         if name != vary and getattr(args, name) is None:
             raise UsageError(f"--{name} is required when sweeping {vary}")
-    try:
-        series_values = tuple(int(tok) for tok in args.series_values.split(","))
-    except ValueError:
-        raise UsageError(f"--series-values must be comma-separated integers "
-                         f"(got {args.series_values!r})")
     if args.series == "m" and args.n is None:
         raise UsageError("--n is required when the series runs over m")
 
-    prec = _precision(args)
+    prec = args.precision
+    series_values = args.series_values
     xs = np.linspace(getattr(args, "from"), args.to, args.steps)
     # One request per cell, row by row: x repeats across the series.
     series = np.tile(np.array(series_values, dtype=float), len(xs))
@@ -279,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            symmetry=Symmetry(args.symmetry),
                            branch=BranchSign(args.branch),
                            convention=Convention(args.convention))
-    E = solve_columns(cols, _tol(args))
+    E = solve_columns(cols, args.tol)
     cells = ["" if math.isnan(e) else _fixed(e, prec) for e in E.tolist()]
     width = len(series_values)
     lines = ["x," + ",".join(f"{args.series}={sv}" for sv in series_values)]
@@ -292,13 +301,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     from . import radial_wavefunction, solve_energy
     from .radial import default_r_grid, effective_scale, wavefunction_scales
-    if args.points < 3:
-        raise UsageError(f"--points must be >= 3 (got {args.points})")
-    if args.r_max is not None:
-        _finite(args, "r_max")
-    prec = _precision(args)
+    prec = args.precision
     req = _build_request(args)
-    res = solve_energy(req, _tol(args))
+    res = solve_energy(req, args.tol)
     L, big_delta = wavefunction_scales(req, res.E, res.lam, args.mass_factor)
     delta_eff = effective_scale(big_delta, req.convention)
     grid = default_r_grid(req.qn.n_r, L, delta_eff,
@@ -312,10 +317,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def cmd_potential(args: argparse.Namespace) -> int:
-    if args.r_steps < 1 or args.theta_steps < 1:
-        raise UsageError("--r-steps and --theta-steps must be >= 1")
-    prec = _precision(args)
-    _finite_range(args, "r_min", "r_max")
+    _finite_span(args, "r_min", "r_max")
+    prec = args.precision
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     k = args.theta_steps
     thetas = [(t, _compact(t, prec)) for t in (math.pi * i / (k + 1) for i in range(1, k + 1))]
@@ -331,10 +334,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
 def cmd_thermo(args: argparse.Namespace) -> int:
     from . import thermo_point
     from .thermo import nonrelativistic_ladder
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1 (got {args.steps})")
-    prec = _precision(args)
-    _finite_range(args, "T_min", "T_max")
+    _finite_span(args, "T_min", "T_max")
+    prec = args.precision
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     branch = BranchSign(args.branch)
     convention = Convention(args.convention)
@@ -365,9 +366,7 @@ def _oracle_reports(suite: str, points: int):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.points < 16:
-        raise UsageError(f"--points must be >= 16 (got {args.points})")
-    prec = _precision(args)
+    prec = args.precision
     converged = True
     lines = ["suite,case,level,computed,predicted,rel_error,converged"]
     for suite, case, rep in _oracle_reports(args.suite, args.points):
@@ -381,22 +380,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if converged else EXIT_VERIFY
 
 
-def _add_request_flags(p: argparse.ArgumentParser) -> None:
+def _add_request_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
+    """The flags of one solve request.  A sweep needs --A, --B and --K only
+    where it does not sweep them, and --n only for an m series, so there
+    they are optional and cmd_sweep requires them."""
+    unless_swept = " (unless swept)" if sweep else ""
     p.add_argument("--symmetry", required=True, choices=("spin", "pseudospin"),
                    help="relativistic symmetry regime")
-    p.add_argument("--n", type=int, required=True, help="radial quantum number n_r >= 0")
+    p.add_argument("--n", type=int, required=not sweep,
+                   help="radial quantum number n_r >= 0"
+                        + (" (needed when the series runs over m)" if sweep else ""))
     p.add_argument("--ntheta", type=int, help="angular quantum number (default: same as --n)")
     p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
-    p.add_argument("--A", type=float, required=True, help="inverse-square coefficient")
-    p.add_argument("--B", type=float, required=True, help="ring coefficient")
+    p.add_argument("--A", type=float, required=not sweep,
+                   help="inverse-square coefficient" + unless_swept)
+    p.add_argument("--B", type=float, required=not sweep, help="ring coefficient" + unless_swept)
     p.add_argument("--C", type=float, required=True, help="angular-ring coefficient")
-    p.add_argument("--K", type=float, required=True, help="harmonic coefficient")
+    p.add_argument("--K", type=float, required=not sweep,
+                   help="harmonic coefficient" + unless_swept)
     p.add_argument("--M", type=float, required=True, help="fermion mass (inverse fm)")
     p.add_argument("--branch", default="plus", choices=("plus", "minus"),
                    help="sign branch of the angular square root (default plus)")
     p.add_argument("--convention", default="table", choices=("table", "equation"),
                    help="leading coefficient: table (c=1) or equation (c=2)")
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=_positive_finite, default=1e-12,
                    help="absolute energy tolerance (default 1e-12)")
 
 
@@ -406,7 +413,7 @@ def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=int, default=8,
+    p.add_argument("--precision", type=_int_at_least(0), default=8,
                    help="decimals in CSV output (default 8)")
     p.add_argument("--output", help="write CSV here instead of standard output")
     p.add_argument("--config",
@@ -423,7 +430,7 @@ def _build_parser() -> _Parser:
         description="Bound-state energies, wavefunctions, and thermodynamics of a "
                     "ring-shaped pseudo-harmonic oscillator potential in spin- and "
                     "pseudo-spin-symmetric relativistic regimes.")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("solve", help="solve one bound-state energy")
     _add_request_flags(p)
@@ -439,34 +446,23 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="sweep one coefficient, one CSV column per series member")
     p.add_argument("--vary", required=True, choices=("A", "B", "K"),
                    help="which coefficient to sweep")
-    p.add_argument("--from", type=float, required=True, help="sweep start")
-    p.add_argument("--to", type=float, required=True, help="sweep end")
-    p.add_argument("--steps", type=int, default=50, help="number of sweep points (default 50)")
+    p.add_argument("--from", type=_finite, required=True, help="sweep start")
+    p.add_argument("--to", type=_finite, required=True, help="sweep end")
+    p.add_argument("--steps", type=_int_at_least(2), default=50,
+                   help="number of sweep points (default 50)")
     p.add_argument("--series", default="n", choices=("n", "m"),
                    help="quantum number labelling the columns (default n)")
-    p.add_argument("--series-values", default="1,2,3",
+    p.add_argument("--series-values", type=_int_list, default="1,2,3",
                    help="comma-separated series values (default 1,2,3)")
-    p.add_argument("--symmetry", required=True, choices=("spin", "pseudospin"))
-    p.add_argument("--n", type=int,
-                   help="radial quantum number (needed when series runs over m)")
-    p.add_argument("--ntheta", type=int, help="angular quantum number (default: follows n)")
-    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
-    p.add_argument("--A", type=float, help="fixed A (unless swept)")
-    p.add_argument("--B", type=float, help="fixed B (unless swept)")
-    p.add_argument("--C", type=float, required=True, help="angular-ring coefficient")
-    p.add_argument("--K", type=float, help="fixed K (unless swept)")
-    p.add_argument("--M", type=float, required=True, help="fermion mass")
-    p.add_argument("--branch", default="plus", choices=("plus", "minus"))
-    p.add_argument("--convention", default="table", choices=("table", "equation"))
-    p.add_argument("--tol", type=float, default=1e-12)
+    _add_request_flags(p, sweep=True)
     _add_io_flags(p)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("wavefunction", help="sample the normalized radial eigenfunction")
     _add_request_flags(p)
-    p.add_argument("--points", type=int, default=4000,
+    p.add_argument("--points", type=_int_at_least(3), default=4000,
                    help="number of radial samples (default 4000)")
-    p.add_argument("--r-max", type=float,
+    p.add_argument("--r-max", type=_finite,
                    help="outer radius (default: turning point + 4 widths)")
     p.add_argument("--mass-factor", default="eplus", choices=("eplus", "eminus"),
                    help="mass combination in the wavefunction scales (default eplus)")
@@ -475,10 +471,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("potential", help="sample V(r, theta) on a grid")
     _add_coefficient_flags(p)
-    p.add_argument("--r-min", type=float, default=0.1, help="inner radius (default 0.1)")
-    p.add_argument("--r-max", type=float, default=5.0, help="outer radius (default 5)")
-    p.add_argument("--r-steps", type=int, default=64, help="radial samples (default 64)")
-    p.add_argument("--theta-steps", type=int, default=64, help="polar samples (default 64)")
+    p.add_argument("--r-min", type=_finite, default=0.1, help="inner radius (default 0.1)")
+    p.add_argument("--r-max", type=_finite, default=5.0, help="outer radius (default 5)")
+    p.add_argument("--r-steps", type=_int_at_least(1), default=64,
+                   help="radial samples (default 64)")
+    p.add_argument("--theta-steps", type=_int_at_least(1), default=64,
+                   help="polar samples (default 64)")
     _add_io_flags(p)
     p.set_defaults(handler=cmd_potential)
 
@@ -489,9 +487,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
     p.add_argument("--branch", default="plus", choices=("plus", "minus"))
     p.add_argument("--convention", default="table", choices=("table", "equation"))
-    p.add_argument("--T-min", type=float, default=0.1, help="lowest temperature (default 0.1)")
-    p.add_argument("--T-max", type=float, default=5.0, help="highest temperature (default 5)")
-    p.add_argument("--steps", type=int, default=50, help="temperature samples (default 50)")
+    p.add_argument("--T-min", type=_finite, default=0.1,
+                   help="lowest temperature (default 0.1)")
+    p.add_argument("--T-max", type=_finite, default=5.0,
+                   help="highest temperature (default 5)")
+    p.add_argument("--steps", type=_int_at_least(1), default=50,
+                   help="temperature samples (default 50)")
     p.add_argument("--N", type=int, default=1, help="particle count in F and S (default 1)")
     p.add_argument("--kB", type=float, default=1.0, help="Boltzmann constant (default 1)")
     p.add_argument("--tail-tol", type=float, default=1e-14,
@@ -502,7 +503,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the finite-difference oracle suites")
     p.add_argument("--suite", default="all", choices=("radial", "angular", "all"),
                    help="which oracle suite to run (default all)")
-    p.add_argument("--points", type=int, default=4000,
+    p.add_argument("--points", type=_int_at_least(16), default=4000,
                    help="grid points per case (default 4000)")
     _add_io_flags(p)
     p.set_defaults(handler=cmd_verify)
@@ -543,40 +544,10 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv[:1] + flags + argv[1:]
 
 
-# A minus sign, then a digit, a point and a digit, or a whole inf,
-# infinity or nan (any case) before the end or a comma.
-_NEGATIVE = re.compile(r"-(\.?\d|(inf|infinity|nan)(,|$))", re.IGNORECASE)
-_FLAG_WITHOUT_VALUE = re.compile(r"--[^=]+")
-
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """argv with each token that starts like a negative number ("-3,0,5",
-    "-1e5", "-inf") joined to the flag before it as ``--flag=token``.
-
-    argparse takes only a plain negative number ("-3", "-0.5") for a
-    value; any other token that starts with a minus sign it reads as a
-    flag, and the flag before it then lacks its argument.
-    """
-    out: list[str] = []
-    for token in argv:
-        if out and _NEGATIVE.match(token) and _FLAG_WITHOUT_VALUE.fullmatch(out[-1]):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_with_config(_join_negative_values(argv)))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "handler", None) is None:
-        print("error: a subcommand is required (try --help)", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(_with_config(argv))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

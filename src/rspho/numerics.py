@@ -29,7 +29,7 @@ import sys
 
 from .errors import DomainError
 
-__all__ = ["is_array", "positive", "nonnegative", "sqrt", "simpson"]
+__all__ = ["is_array", "require_finite", "positive", "nonnegative", "sqrt", "simpson"]
 
 
 def is_array(x) -> bool:
@@ -40,6 +40,13 @@ def is_array(x) -> bool:
         return False
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
+
+
+def require_finite(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite (got {value})")
 
 
 def positive(x, what: str):

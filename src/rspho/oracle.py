@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 from .angular import angular_spectrum, q_of_vtilde
 from .errors import DomainError
 from .model import BranchSign
+from .numerics import require_finite
 from .radial import radial_spectrum
 
 if TYPE_CHECKING:
@@ -327,20 +328,13 @@ def default_angular_grid(points: int = 4000) -> GridSpec:
     return GridSpec(lower=eps, upper=math.pi - eps, points=points)
 
 
-def _require_finite(**values: float) -> None:
-    """Raise DomainError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite (got {value})")
-
-
 def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                   grid: GridSpec | None = None) -> OracleReport:
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
     Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
     """
-    _require_finite(delta_prime=delta_prime, big_delta=big_delta)
+    require_finite(delta_prime=delta_prime, big_delta=big_delta)
     if delta_prime < 0.0:
         raise DomainError(f"delta_prime must be >= 0 for the Dirichlet emulation "
                           f"(got {delta_prime})")
@@ -369,7 +363,7 @@ def verify_angular(v0: float, count: int = 3,
     Prediction: angular_spectrum's sum form at q = q_of_vtilde(v0, PLUS),
     with its perfect-square rival alongside, which the operator rejects.
     """
-    _require_finite(v0=v0)
+    require_finite(v0=v0)
     if v0 < 0.0:
         raise DomainError(f"v0 must be >= 0 for the Dirichlet emulation (got {v0})")
     if grid is None:

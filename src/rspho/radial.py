@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import Convention, SolveRequest
-from .numerics import nonnegative, positive, simpson, sqrt
+from .numerics import nonnegative, positive, require_finite, simpson, sqrt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,9 +121,18 @@ def radial_ansatz(E, M: float, K: float, A: float, lam,
 
     Requires s*K*(E + M) > 0 so the oscillator stiffness is real, and
     1/4 + delta_prime >= 0 so delta = -1/2 - sqrt(1/4 + delta_prime) is
-    real; radial_terms raises DomainError otherwise.
+    real; radial_terms raises DomainError otherwise.  A stiffness or a
+    delta_prime that overflows to inf raises DomainError too: the solver's
+    residual, which calls radial_terms_from_terms, leaves that check to
+    the callers.
     """
     delta_prime, root, stiff = radial_terms(E, M, K, A, lam, symmetry)
+    if stiff == math.inf:
+        raise DomainError(f"oscillator stiffness overflows: s*K*(E+M) = inf "
+                          f"(K = {K}, E + M = {E + M})")
+    if delta_prime == math.inf:
+        raise DomainError(f"inverse-square strength overflows: s*2*A*(E+M) + lambda = inf "
+                          f"(A = {A}, E + M = {E + M}, lambda = {lam})")
     delta = -0.5 - root
     big_delta = sqrt(stiff)
     return RadialSolution(delta=delta, delta_prime=delta_prime,
@@ -136,7 +145,10 @@ def radial_spectrum(big_delta: float, delta: float, n_r: int) -> float:
 
     Equivalently Et_0 + 4*n*big_delta, Et_0 = big_delta*(1 - 2*delta), or
     2*big_delta*(2n + 1 + sqrt(1/4 + delta')) with delta' = delta^2 + delta.
+    A negative n_r raises DomainError.
     """
+    if n_r < 0:
+        raise DomainError(f"n_r must be >= 0 (got {n_r})")
     return big_delta * (4.0 * n_r + 1.0 - 2.0 * delta)
 
 
@@ -148,8 +160,10 @@ def partner_potentials_radial(delta: float, big_delta: float,
     v_plus  = W^2 + W' = delta(delta-1)/r^2 + big_delta^2 r^2 + 2*delta*big_delta + big_delta
 
     Shape invariance: v_plus(delta) - v_minus(delta - 1) = 4*big_delta,
-    independent of r.
+    independent of r.  A delta or big_delta that is not finite, or an r
+    that is not positive, raises DomainError.
     """
+    require_finite(delta=delta, big_delta=big_delta)
     if not r > 0.0:
         raise DomainError(f"r must be positive (got {r})")
     common = big_delta**2 * r**2 + 2.0 * delta * big_delta
@@ -260,17 +274,13 @@ def wavefunction_scales(request: SolveRequest, E: float, lam: float,
     p = request.params
     if mass_factor == "eplus":
         _, root, stiff = radial_terms(E, request.M, p.K, p.A, lam, request.symmetry)
-        return -0.5 + root, math.sqrt(stiff)
-    if mass_factor != "eminus":
+    elif mass_factor == "eminus":
+        # The couplings multiply E - M, with no symmetry sign.
+        try:
+            _, root, stiff = radial_terms_from_terms(E - request.M, p.K, 2.0 * p.A, lam)
+        except DomainError as exc:
+            raise DomainError(f"under mass_factor='eminus', which reads E + M as "
+                              f"E - M with s = +1: {exc}") from None
+    else:
         raise ValueError(f"mass_factor must be 'eplus' or 'eminus' (got {mass_factor!r})")
-    fac = E - request.M
-    stiff = p.K * fac
-    if stiff <= 0.0:
-        raise DomainError(
-            f"oscillator stiffness imaginary under mass_factor='eminus': "
-            f"K*factor = {stiff} must be positive")
-    # Not radial_terms' delta': the couplings multiply E - M here.
-    disc = 0.25 + (2.0 * p.A * fac + lam)
-    if disc < 0.0:
-        raise DomainError(f"L is complex: 1/4 + delta' = {disc} < 0")
-    return -0.5 + math.sqrt(disc), math.sqrt(stiff)
+    return -0.5 + root, math.sqrt(stiff)

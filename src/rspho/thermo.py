@@ -28,6 +28,7 @@ from itertools import count as _count
 from .angular import lambda_from_root, separation_root
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
+from .numerics import require_finite
 
 __all__ = [
     "CachedLevels",
@@ -186,10 +187,7 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     # them is not (or when finite ones overflow), and only then is each
     # input tested, to name it.
     if not math.isfinite(params.K + params.A + params.B + params.C + mu):
-        for name, value in (("K", params.K), ("A", params.A), ("B", params.B),
-                            ("C", params.C), ("mu", mu)):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite (got {value})")
+        require_finite(K=params.K, A=params.A, B=params.B, C=params.C, mu=mu)
     w = 4.0 * mu * (params.B + params.C)
     if not math.isfinite(w):
         raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")

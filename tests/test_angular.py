@@ -120,6 +120,11 @@ class TestShapeInvarianceChain:
         with pytest.raises(DomainError):
             shape_invariance_chain(1.0, -1)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_q_that_is_not_finite_rejected(self, q):
+        with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
+            shape_invariance_chain(q, 2)
+
 
 class TestLambdaSeparation:
     def test_spin_reference_value(self):
@@ -208,6 +213,11 @@ class TestPartnerPotentials:
     def test_singular_angles_rejected(self, theta):
         with pytest.raises(DomainError):
             partner_potentials_angular(1.0, theta)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_q_that_is_not_finite_rejected(self, q):
+        with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
+            partner_potentials_angular(q, 1.0)
 
 
 @settings(derandomize=True, max_examples=200)

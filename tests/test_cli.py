@@ -392,7 +392,8 @@ class TestSweep:
     def test_nonfinite_bound_is_usage_error(self, flag, value):
         # Before np.linspace runs, which would warn and give NaN rows.
         code, out, err = run_cli(SWEEP_ARGS + [f"{flag}={value}"])
-        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+        assert (code, out, err) == (
+            1, "", f"error: argument {flag}: must be finite (got {value})\n")
 
     @pytest.mark.parametrize("flag", ["--from", "--to"])
     @pytest.mark.parametrize("value", ["-inf", "-NaN", "-Infinity"])
@@ -426,7 +427,8 @@ class TestWavefunction:
     def test_nonfinite_r_max_is_usage_error(self, value):
         # Before the solve: the grid would warn and fail the quadrature.
         code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + [f"--r-max={value}"])
-        assert (code, out, err) == (1, "", f"error: --r-max must be finite (got {value})\n")
+        assert (code, out, err) == (
+            1, "", f"error: argument --r-max: must be finite (got {value})\n")
 
     @pytest.mark.parametrize("n", ["1", "2"])
     @pytest.mark.parametrize("r_max", ["1e120", "1e200"])
@@ -486,7 +488,8 @@ class TestPotential:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_nonfinite_radius_is_usage_error(self, flag, value):
         code, out, err = run_cli(POTENTIAL_ARGS + [f"{flag}={value}"])
-        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+        assert (code, out, err) == (
+            1, "", f"error: argument {flag}: must be finite (got {value})\n")
 
 
     @pytest.mark.parametrize("flag", ["--r-min", "--r-max"])
@@ -581,7 +584,8 @@ class TestThermo:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_nonfinite_temperature_is_usage_error(self, flag, value):
         code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
-        assert (code, out, err) == (1, "", f"error: {flag} must be finite (got {value})\n")
+        assert (code, out, err) == (
+            1, "", f"error: argument {flag}: must be finite (got {value})\n")
 
     @pytest.mark.parametrize("flag", ["--T-min", "--T-max"])
     @pytest.mark.parametrize("value", ["-inf", "-nan", "-INFINITY"])
@@ -674,7 +678,7 @@ class TestVerify:
     def test_too_few_points_is_usage_error(self, points):
         code, out, err = run_cli(["verify", "--suite", "radial", "--points", points])
         assert (code, out) == (1, "")
-        assert err == f"error: --points must be >= 16 (got {points})\n"
+        assert err == f"error: argument --points: must be >= 16 (got {points})\n"
 
     def test_coarse_grid_fails_verification(self):
         code, out, _ = run_cli(["verify", "--suite", "radial", "--points", "16"])
@@ -810,9 +814,49 @@ COEFFS = ["--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"]
 def test_negative_precision_is_usage_error(argv):
     code, out, err = run_cli(argv + ["--precision", "-2"])
     assert (code, out) == (1, "")
-    assert err == "error: --precision must be >= 0 (got -2)\n"
+    assert err == "error: argument --precision: must be >= 0 (got -2)\n"
     code, _, _ = run_cli(argv + ["--precision", "0"])
     assert code == 0
+
+
+WAVEFUNCTION_ARGS = ["wavefunction"] + SPIN_ARGS + ["--points", "50"]
+
+
+RANGE_CHECKED = [
+    (["solve"] + SPIN_ARGS, "tol", "0", "must be positive and finite (got 0.0)"),
+    (["solve"] + SPIN_ARGS, "tol", "inf", "must be positive and finite (got inf)"),
+    (["solve"] + SPIN_ARGS, "precision", "-1", "must be >= 0 (got -1)"),
+    (SWEEP_ARGS, "steps", "1", "must be >= 2 (got 1)"),
+    (SWEEP_ARGS, "from", "nan", "must be finite (got nan)"),
+    (SWEEP_ARGS, "to", "-inf", "must be finite (got -inf)"),
+    (SWEEP_ARGS, "series-values", "1,x", "must be comma-separated integers (got '1,x')"),
+    (SWEEP_ARGS, "tol", "-1e-12", "must be positive and finite (got -1e-12)"),
+    (WAVEFUNCTION_ARGS, "points", "2", "must be >= 3 (got 2)"),
+    (WAVEFUNCTION_ARGS, "r-max", "inf", "must be finite (got inf)"),
+    (WAVEFUNCTION_ARGS, "tol", "nan", "must be positive and finite (got nan)"),
+    (POTENTIAL_ARGS, "r-min", "-inf", "must be finite (got -inf)"),
+    (POTENTIAL_ARGS, "r-max", "nan", "must be finite (got nan)"),
+    (POTENTIAL_ARGS, "r-steps", "0", "must be >= 1 (got 0)"),
+    (POTENTIAL_ARGS, "theta-steps", "-2", "must be >= 1 (got -2)"),
+    (THERMO_ARGS, "T-min", "-Infinity", "must be finite (got -inf)"),
+    (THERMO_ARGS, "T-max", "inf", "must be finite (got inf)"),
+    (THERMO_ARGS, "steps", "0", "must be >= 1 (got 0)"),
+    (["verify", "--suite", "angular"], "points", "15", "must be >= 16 (got 15)"),
+]
+
+
+@pytest.mark.parametrize("argv, key, value, message", RANGE_CHECKED,
+                         ids=[f"{argv[0]}-{key}={value}" for argv, key, value, _ in RANGE_CHECKED])
+def test_range_checked_flag_is_usage_error_as_flag_and_as_config(tmp_path, argv, key, value,
+                                                                 message):
+    """Each flag whose argparse type checks a range rejects a value outside
+    it, given as a flag or as a config entry, before the command runs.  A
+    config entry is checked even where a flag of argv overrides it."""
+    expected = (1, "", f"error: argument --{key}: {message}\n")
+    assert run_cli(argv + [f"--{key}", value]) == expected
+    path = tmp_path / "bad.conf"
+    path.write_text(f"{key} = {value}\n")
+    assert run_cli(argv + ["--config", str(path)]) == expected
 
 
 class TestParserReuse:

@@ -61,6 +61,19 @@ class TestRadialAnsatz:
         with pytest.raises(DomainError, match="radial radicand"):
             radial_ansatz(E=1.0, M=1.0, K=1.0, A=0.0, lam=-10.0, symmetry=Symmetry.SPIN)
 
+    @pytest.mark.parametrize("K, A, lam, symmetry, message", [
+        (1e10, 1.0, 1.0, Symmetry.SPIN, r"oscillator stiffness overflows: s\*K\*\(E\+M\) = inf"),
+        (-1e10, -1.0, 1.0, Symmetry.PSEUDOSPIN,
+         r"oscillator stiffness overflows: s\*K\*\(E\+M\) = inf"),
+        (1e-10, 1e10, 1.0, Symmetry.SPIN, r"inverse-square strength overflows: "),
+        (1e-10, 0.0, math.inf, Symmetry.SPIN, r"inverse-square strength overflows: "),
+    ])
+    def test_term_that_overflows_rejected(self, K, A, lam, symmetry, message):
+        # s*K*(E + M) or delta' is inf though E, M, K and A are finite;
+        # big_delta, delta or e0_tilde would be infinite.
+        with pytest.raises(DomainError, match="^" + message):
+            radial_ansatz(1e300, 1.0, K, A, lam, symmetry)
+
 
 class TestRadialSpectrum:
     def test_ladder_values(self):
@@ -76,6 +89,11 @@ class TestRadialSpectrum:
         ladder = radial_spectrum(big_delta, delta, n)
         direct = 2.0 * big_delta * (2.0 * n + 1.0 + math.sqrt(0.25 + delta_prime))
         assert ladder == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_level_rejected(self, n):
+        with pytest.raises(DomainError, match=rf"^n_r must be >= 0 \(got {n}\)$"):
+            radial_spectrum(1.0, -1.0, n)
 
 
 class TestPartnerPotentialsRadial:
@@ -103,6 +121,15 @@ class TestPartnerPotentialsRadial:
     def test_nan_radius_rejected(self):
         with pytest.raises(DomainError, match=r"^r must be positive \(got nan\)$"):
             partner_potentials_radial(-2.0, 1.0, math.nan)
+
+    @pytest.mark.parametrize("name, delta, big_delta", [
+        ("delta", math.nan, 1.0), ("delta", -math.inf, 1.0),
+        ("big_delta", -2.0, math.nan), ("big_delta", -2.0, math.inf),
+    ])
+    def test_scale_that_is_not_finite_rejected(self, name, delta, big_delta):
+        value = delta if name == "delta" else big_delta
+        with pytest.raises(DomainError, match=rf"^{name} must be finite \(got {value}\)$"):
+            partner_potentials_radial(delta, big_delta, 1.0)
 
 
 @settings(derandomize=True, max_examples=200)
@@ -257,6 +284,13 @@ class TestWavefunctionScales:
         # L(L+1) must reproduce the inverse-square strength delta'
         delta_prime = res.delta * (res.delta + 1.0)
         assert L * (L + 1.0) == pytest.approx(delta_prime, rel=1e-10)
+
+    def test_eminus_variant_has_the_bits_of_its_closed_forms(self):
+        # E - M > 0 and K > 0: L and big_delta from the couplings times E - M.
+        req, res = self._solved_spin()
+        p, fac = req.params, res.E - req.M
+        assert wavefunction_scales(req, res.E, res.lam, mass_factor="eminus") == (
+            -0.5 + math.sqrt(0.25 + (2.0 * p.A * fac + res.lam)), math.sqrt(p.K * fac))
 
     def test_eminus_variant_rejected_in_pseudospin_regime(self):
         req = SolveRequest(params=PotentialParams(K=-5.0, A=-5.0, B=0.5, C=0.005),
