@@ -112,12 +112,17 @@ def angular_spectrum(q: float, n_theta: int) -> tuple[float, float]:
 
 def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
     """Build the ladder a_k = q + k, k = 0..n, with its telescoping
-    remainders.  A q that is not finite, or a negative n, raises DomainError."""
+    remainders.  A q that is not finite, a negative n, or an a_k whose
+    square overflows raises DomainError."""
     require_finite(q=q)
     if n < 0:
         raise DomainError(f"chain length must be >= 0 (got {n})")
     a = [q + k for k in range(n + 1)]
-    remainders = [a[k] ** 2 - a[k - 1] ** 2 for k in range(1, n + 1)]
+    try:
+        remainders = [a[k] ** 2 - a[k - 1] ** 2 for k in range(1, n + 1)]
+    except OverflowError:
+        raise DomainError(f"shape-invariance chain overflows: a_k^2 is not finite "
+                          f"for q = {q}, n = {n}") from None
     return ShapeInvarianceChain(a=a, remainders=remainders)
 
 
@@ -173,15 +178,20 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
     v_plus  = W^2 + W' = (q^2 + q) cot^2 theta + q
 
     Shape invariance: v_plus(q, theta) - v_minus(q+1, theta) = 2q + 1 for
-    every theta.  A q that is not finite, or a theta outside (0, pi), raises
-    DomainError.
+    every theta.  A q that is not finite, a theta outside (0, pi), or a
+    finite q and theta whose potentials overflow raise DomainError.
     """
     require_finite(q=q)
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi) (got {theta})")
-    cot2 = (math.cos(theta) / math.sin(theta)) ** 2
+    try:
+        cot2 = (math.cos(theta) / math.sin(theta)) ** 2
+    except OverflowError:
+        cot2 = math.inf
     v_plus = (q * q + q) * cot2 + q
     v_minus = (q * q - q) * cot2 - q
+    if not (math.isfinite(v_plus) and math.isfinite(v_minus)):
+        raise DomainError(f"partner potentials overflow at q = {q}, theta = {theta}")
     return v_plus, v_minus
 
 
@@ -196,8 +206,12 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
 
     Normalization uses composite Simpson quadrature of |G0|^2 sin(theta)
     over the supplied grid.  The sin(theta) weight is the surface measure
-    of the polar coordinate.  Requires q > 1/2 for normalizability.
+    of the polar coordinate.  Requires a finite q > 1/2 for
+    normalizability and a strictly ascending grid inside (0, pi).  A norm
+    that is not finite and positive (a grid that misses the state) raises
+    DomainError ("quadrature collapsed"), as in radial_wavefunction.
     """
+    require_finite(q=q)
     if q <= 0.5:
         raise DomainError(f"ground state not normalizable: requires q > 1/2 (got q = {q})")
     import numpy as np
@@ -206,9 +220,13 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
         raise DomainError("theta grid needs at least 3 points for quadrature")
     if np.any(theta_grid <= 0.0) or np.any(theta_grid >= math.pi):
         raise DomainError("theta grid must lie strictly inside (0, pi)")
+    if np.any(np.diff(theta_grid) <= 0.0):
+        raise DomainError("theta grid must be strictly ascending")
     sin_theta = np.sin(theta_grid)
     profile = sin_theta ** (q - 0.5)
     norm_sq = simpson(profile**2 * sin_theta, x=theta_grid)
+    if not 0.0 < norm_sq < math.inf:
+        raise DomainError("angular quadrature collapsed; grid does not resolve the state")
     return profile / math.sqrt(norm_sq)
 
 

@@ -332,16 +332,15 @@ def cmd_potential(args: argparse.Namespace) -> int:
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
-    from . import thermo_point
-    from .thermo import nonrelativistic_ladder
+    from . import nonrelativistic_levels, thermo_point
     _finite_span(args, "T_min", "T_max")
     prec = args.precision
     params = PotentialParams(K=args.K, A=args.A, B=args.B, C=args.C)
     branch = BranchSign(args.branch)
     convention = Convention(args.convention)
-    levels = nonrelativistic_ladder(params, args.mu, args.m, branch, convention)
     lines = ["T,Z,F,U,S,C"]
     for t in _linspace(args.T_min, args.T_max, args.steps):
+        levels = nonrelativistic_levels(params, args.mu, args.m, branch, convention)
         pt = thermo_point(levels, t, N=args.N, k_B=args.kB,
                           rel_tail_tol=args.tail_tol)
         lines.append(",".join(_compact(val, prec)

@@ -160,15 +160,22 @@ def partner_potentials_radial(delta: float, big_delta: float,
     v_plus  = W^2 + W' = delta(delta-1)/r^2 + big_delta^2 r^2 + 2*delta*big_delta + big_delta
 
     Shape invariance: v_plus(delta) - v_minus(delta - 1) = 4*big_delta,
-    independent of r.  A delta or big_delta that is not finite, or an r
-    that is not positive, raises DomainError.
+    independent of r.  A delta or big_delta that is not finite, an r that
+    is not positive, or finite ones whose potentials overflow raise
+    DomainError.
     """
     require_finite(delta=delta, big_delta=big_delta)
     if not r > 0.0:
         raise DomainError(f"r must be positive (got {r})")
-    common = big_delta**2 * r**2 + 2.0 * delta * big_delta
-    v_plus = delta * (delta - 1.0) / r**2 + common + big_delta
-    v_minus = delta * (delta + 1.0) / r**2 + common - big_delta
+    try:
+        common = big_delta**2 * r**2 + 2.0 * delta * big_delta
+        v_plus = delta * (delta - 1.0) / r**2 + common + big_delta
+        v_minus = delta * (delta + 1.0) / r**2 + common - big_delta
+    except (OverflowError, ZeroDivisionError):      # a square overflows, or r^2 is 0
+        v_plus = v_minus = math.inf
+    if not (math.isfinite(v_plus) and math.isfinite(v_minus)):
+        raise DomainError(f"partner potentials overflow at delta = {delta}, "
+                          f"big_delta = {big_delta}, r = {r}")
     return v_plus, v_minus
 
 

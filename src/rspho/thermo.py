@@ -12,11 +12,12 @@ Energies are shifted by the ground level before exponentiation so large
 beta cannot underflow the sums; the shift cancels identically in U, S, C
 and is restored in F and Z.
 
-The ladder's levels are the explicit oscillator-limit closed form of
-nonrelativistic_energy, with the terms that do not depend on the level
-computed once per ladder; lambda comes from angular, as for the solver.
-It needs no energy solver: this module imports neither spectrum nor
-radial.
+The ladder (nonrelativistic_levels) is a generator over the explicit
+oscillator-limit closed form of nonrelativistic_energy, with the terms
+that do not depend on the level computed once per generator; a sum at
+each temperature takes a fresh one.  lambda comes from angular, as for
+the solver.  It needs no energy solver: this module imports neither
+spectrum nor radial.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
 from .numerics import require_finite
 
 __all__ = [
-    "CachedLevels",
     "ThermoPoint",
     "partition_function",
     "thermo_point",
     "nonrelativistic_energy",
-    "nonrelativistic_ladder",
     "nonrelativistic_levels",
 ]
 
@@ -57,26 +56,6 @@ class ThermoPoint:
     S: float
     C: float
     levels_used: int
-
-
-class CachedLevels:
-    """A level sequence that every iteration replays from its first level.
-
-    ``level(n)`` computes level n.  It is called once for each n, when an
-    iteration first reaches it, so sums at many temperatures compute each
-    level once.  A level that raises is not kept and raises again when an
-    iteration next reaches it.
-    """
-
-    def __init__(self, level):
-        self._level = level
-        self._levels: list = []
-
-    def __iter__(self):
-        for n in _count():
-            if n == len(self._levels):
-                self._levels.append(self._level(n))
-            yield self._levels[n]
 
 
 def _moments(levels, beta: float, rel_tail_tol: float,
@@ -237,36 +216,17 @@ def nonrelativistic_energy(params: PotentialParams, mu: float,
                   qn.n_r, qn.n_theta)
 
 
-def _ladder_level(n: int, inputs: tuple, terms: list) -> float:
-    """Level n of the ladder on ``inputs``, at n_r = n_theta = n.
-
-    Level 0 checks the inputs and stores their n-independent terms in
-    ``terms``, where every later level reads them.
-    """
-    if n == 0:
-        terms[:] = [_ladder_terms(*inputs)]
-    return _level(terms[0], n, n)
-
-
-def nonrelativistic_ladder(params: PotentialParams, mu: float, m: int = 0,
-                           branch: BranchSign = BranchSign.PLUS,
-                           convention: Convention = Convention.TABLE_CONSISTENT
-                           ) -> CachedLevels:
-    """The oscillator-limit ladder at fixed m, replayable and computed once.
-
-    Every iteration yields E_NR(n) for n = 0, 1, 2, ... with n_theta locked
-    to n, the same pairing used by the reference energy tables.  The inputs
-    are checked, and the terms that do not depend on n computed, when an
-    iteration first reaches level 0 (_ladder_level); each level then has
-    the bits of nonrelativistic_energy at n_r = n_theta = n.
-    """
-    inputs = (params, mu, m, branch, convention)
-    terms: list = []
-    return CachedLevels(lambda n: _ladder_level(n, inputs, terms))
-
-
 def nonrelativistic_levels(params: PotentialParams, mu: float, m: int = 0,
                            branch: BranchSign = BranchSign.PLUS,
                            convention: Convention = Convention.TABLE_CONSISTENT):
-    """Unbounded iterator over the oscillator-limit ladder at fixed m."""
-    return iter(nonrelativistic_ladder(params, mu, m, branch, convention))
+    """Unbounded generator over the oscillator-limit ladder at fixed m.
+
+    Yields E_NR(n) for n = 0, 1, 2, ... with n_theta locked to n, the same
+    pairing used by the reference energy tables.  Like every generator it
+    does no work until its first next(): that call checks the inputs and
+    computes the terms that do not depend on n (_ladder_terms), and each
+    level then has the bits of nonrelativistic_energy at n_r = n_theta = n.
+    """
+    terms = _ladder_terms(params, mu, m, branch, convention)
+    for n in _count():
+        yield _level(terms, n, n)

@@ -125,6 +125,13 @@ class TestShapeInvarianceChain:
         with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
             shape_invariance_chain(q, 2)
 
+    @pytest.mark.parametrize("q", [1e308, -1e200])
+    def test_square_that_overflows_is_named(self, q):
+        with pytest.raises(DomainError) as info:
+            shape_invariance_chain(q, 2)
+        assert str(info.value) == (f"shape-invariance chain overflows: a_k^2 is not finite "
+                                   f"for q = {q}, n = 2")
+
 
 class TestLambdaSeparation:
     def test_spin_reference_value(self):
@@ -219,6 +226,15 @@ class TestPartnerPotentials:
         with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
             partner_potentials_angular(q, 1.0)
 
+    @pytest.mark.parametrize("q, theta", [
+        (1e200, 1.0),       # q^2 overflows
+        (1.0, 1e-200),      # cot^2(theta) overflows
+    ])
+    def test_overflowing_potentials_are_named(self, q, theta):
+        with pytest.raises(DomainError) as info:
+            partner_potentials_angular(q, theta)
+        assert str(info.value) == f"partner potentials overflow at q = {q}, theta = {theta}"
+
 
 @settings(derandomize=True, max_examples=200)
 @given(q=st.integers(-10 * 2**40, 20 * 2**40).map(lambda k: k / 2**40),
@@ -270,6 +286,27 @@ class TestAngularGroundState:
     def test_grid_outside_domain_rejected(self):
         with pytest.raises(DomainError):
             angular_ground_state(2.0, np.linspace(-0.1, 1.0, 50))
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_q_that_is_not_finite_rejected(self, q):
+        with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
+            angular_ground_state(q, default_theta_grid(101))
+
+    @pytest.mark.parametrize("grid", [
+        default_theta_grid(101)[::-1],
+        np.array([0.5, 1.0, 1.0, 1.5]),
+    ], ids=["descending", "repeated"])
+    def test_grid_that_is_not_strictly_ascending_rejected(self, grid):
+        with pytest.raises(DomainError, match="^theta grid must be strictly ascending$"):
+            angular_ground_state(2.0, grid)
+
+    @pytest.mark.parametrize("q, grid", [
+        (1e5, np.linspace(1e-3, 3e-3, 3)),      # every sample underflows to 0
+        (2.0, np.array([0.5, math.nan, 1.5])),
+    ], ids=["underflow", "nan"])
+    def test_collapsed_quadrature_is_named(self, q, grid):
+        with pytest.raises(DomainError, match="^angular quadrature collapsed"):
+            angular_ground_state(q, grid)
 
 
 class TestSolveAngular:

@@ -562,7 +562,7 @@ class TestThermo:
         assert parsed[0][0] == pytest.approx(0.2)
         assert parsed[-1][0] == pytest.approx(2.0)
 
-    def test_ladder_is_computed_once_per_command(self, monkeypatch):
+    def test_each_temperature_sums_a_fresh_ladder(self, record_levels):
         argv = ["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
                 "--mu", "5", "--T-min", "0.1", "--T-max", "5"]
         params = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
@@ -571,14 +571,15 @@ class TestThermo:
             pt = thermo_point(nonrelativistic_levels(params, 5.0), float(t))
             expected.append(",".join(rspho.cli._compact(val, 8)
                                      for val in (pt.T, pt.Z, pt.F, pt.U, pt.S, pt.C)))
-        calls = []
-        level = rspho.thermo._ladder_level
-        monkeypatch.setattr(rspho.thermo, "_ladder_level",
-                            lambda *args: calls.append(args[0]) or level(*args))
+        taken = record_levels()
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
         assert out == "\n".join(expected) + "\n"
-        assert calls == list(range(77))       # the T = 5 sum needs 77 levels
+        # One ladder per temperature, each from level 0.
+        lengths = [n_r + 1 for n_r, nxt in zip(taken, taken[1:] + [0]) if nxt == 0]
+        assert taken == [n_r for length in lengths for n_r in range(length)]
+        assert len(lengths) == 50
+        assert lengths[-1] == 77              # the T = 5 sum needs 77 levels
 
     @pytest.mark.parametrize("flag", ["--T-min", "--T-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -605,8 +606,9 @@ class TestThermo:
         ("--tail-tol", "rel_tail_tol must be positive and finite (got inf)"),
     ])
     def test_infinite_constant_fails_before_any_level(self, flag, message, monkeypatch):
-        monkeypatch.setattr(rspho.thermo, "_ladder_level",
-                            lambda *args: pytest.fail("a level was taken"))
+        for name in ("_ladder_terms", "_level"):
+            monkeypatch.setattr(rspho.thermo, name,
+                                lambda *args: pytest.fail("a level was taken"))
         code, out, err = run_cli(THERMO_ARGS + [flag, "inf"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -614,14 +616,11 @@ class TestThermo:
         ("--K", "nan"), ("--K", "inf"), ("--A", "nan"), ("--A", "-inf"),
         ("--B", "inf"), ("--C", "nan"), ("--mu", "nan"), ("--mu", "inf"),
     ])
-    def test_nonfinite_coefficient_fails_at_the_first_level(self, flag, value, monkeypatch):
-        calls = []
-        level = rspho.thermo._ladder_level
-        monkeypatch.setattr(rspho.thermo, "_ladder_level",
-                            lambda *args: calls.append(args[0]) or level(*args))
+    def test_nonfinite_coefficient_fails_at_the_first_level(self, flag, value, record_levels):
+        taken = record_levels()
         code, out, err = run_cli(THERMO_ARGS + [f"{flag}={value}"])
         assert (code, out, err) == (2, "", f"error: {flag[2:]} must be finite (got {value})\n")
-        assert calls == [0]
+        assert taken == []      # the first next() checks the inputs, before level 0
 
     @pytest.mark.parametrize("coefficients, terms", [
         (["--K", "1e308", "--A", "1e308"],
@@ -629,17 +628,14 @@ class TestThermo:
         (["--mu", "1e-310"], "(c/2)*sqrt(2K/mu) = inf, 1/4 + 4*A*mu + lambda = 1.2"),
     ], ids=["K-and-A", "mu"])
     def test_overflowing_ladder_fails_at_the_first_level(self, coefficients, terms,
-                                                         monkeypatch):
+                                                         record_levels):
         # Every coefficient is finite, but level 0 overflows.
-        calls = []
-        level = rspho.thermo._ladder_level
-        monkeypatch.setattr(rspho.thermo, "_ladder_level",
-                            lambda *args: calls.append(args[0]) or level(*args))
+        taken = record_levels()
         code, out, err = run_cli(THERMO_ARGS + coefficients)
         assert (code, out) == (2, "")
         assert err.startswith("error: oscillator-limit energy overflows at n_r = 0, "
                               f"n_theta = 0: {terms}")
-        assert calls == [0]
+        assert taken == [0]
 
     def test_swamped_level_spacing_is_named(self):
         # Every level would round to one value; the error names the precision,

@@ -131,6 +131,18 @@ class TestPartnerPotentialsRadial:
         with pytest.raises(DomainError, match=rf"^{name} must be finite \(got {value}\)$"):
             partner_potentials_radial(delta, big_delta, 1.0)
 
+    @pytest.mark.parametrize("delta, big_delta, r", [
+        (-1e200, 1.0, 1.0),     # delta^2 overflows
+        (1.0, 1e200, 1.0),      # big_delta^2 overflows
+        (1.0, 1.0, 1e200),      # r^2 overflows
+        (1.0, 1.0, 1e-200),     # r^2 is 0, so 1/r^2 overflows
+    ])
+    def test_overflowing_potentials_are_named(self, delta, big_delta, r):
+        with pytest.raises(DomainError) as info:
+            partner_potentials_radial(delta, big_delta, r)
+        assert str(info.value) == (f"partner potentials overflow at delta = {delta}, "
+                                   f"big_delta = {big_delta}, r = {r}")
+
 
 @settings(derandomize=True, max_examples=200)
 @given(delta=st.integers(-30 * 2**40, 0).map(lambda k: k / 2**40),

@@ -13,8 +13,8 @@ import rspho.thermo as thermo
 from rspho.angular import lambda_from_terms
 from rspho.errors import ConvergenceError, DomainError
 from rspho.model import BranchSign, Convention, PotentialParams, QuantumNumbers
-from rspho.thermo import (nonrelativistic_energy, nonrelativistic_ladder,
-                          nonrelativistic_levels, partition_function, thermo_point)
+from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
+                          partition_function, thermo_point)
 
 REFERENCE_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 REFERENCE_MU = 5.0
@@ -194,7 +194,7 @@ class TestNonrelativisticLevels:
         ("K", math.nan), ("K", math.inf), ("A", math.nan), ("A", -math.inf),
         ("B", math.inf), ("C", math.nan), ("mu", math.nan), ("mu", math.inf),
     ])
-    def test_nonfinite_input_fails_at_the_first_level(self, name, value, monkeypatch):
+    def test_nonfinite_input_fails_at_the_first_level(self, name, value, record_levels):
         # A NaN or infinite level would make the sum run to its level cap.
         mu = value if name == "mu" else REFERENCE_MU
         params = (REFERENCE_PARAMS if name == "mu"
@@ -202,13 +202,10 @@ class TestNonrelativisticLevels:
         message = f"{name} must be finite (got {value})"
         with pytest.raises(DomainError, match=re.escape(message)):
             nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
-        taken = []
-        level = thermo._ladder_level
-        monkeypatch.setattr(thermo, "_ladder_level",
-                            lambda *args: taken.append(args[0]) or level(*args))
+        taken = record_levels()
         with pytest.raises(DomainError, match=re.escape(message)):
             thermo_point(nonrelativistic_levels(params, mu), T=1.0)
-        assert taken == [0]
+        assert taken == []      # the first next() checks the inputs, before level 0
 
     def test_terms_are_computed_once_per_ladder(self, monkeypatch):
         expected = list(islice(reference_levels(), 12))
@@ -216,10 +213,11 @@ class TestNonrelativisticLevels:
         terms = thermo._ladder_terms
         monkeypatch.setattr(thermo, "_ladder_terms",
                             lambda *args: prepared.append(args) or terms(*args))
-        ladder = thermo.nonrelativistic_ladder(REFERENCE_PARAMS, REFERENCE_MU)
-        for count in (5, 12, 3):
-            assert list(islice(ladder, count)) == expected[:count]
+        assert list(islice(reference_levels(), 12)) == expected
         assert len(prepared) == 1
+        for T in (5.0, 0.1, 2.0):
+            thermo_point(reference_levels(), T)
+        assert len(prepared) == 4
 
     @pytest.mark.parametrize("params, mu, message", [
         (PotentialParams(K=1e308, A=1e308, B=-0.05, C=0.005), 5.0,
@@ -229,16 +227,13 @@ class TestNonrelativisticLevels:
          "1/4 + 4*A*mu + lambda = inf"),
     ])
     def test_overflowing_ladder_fails_at_the_first_level(self, params, mu, message,
-                                                         monkeypatch):
+                                                         record_levels):
         # Each input is finite, but a term of level 0 overflows.
         expected = "oscillator-limit energy overflows at n_r = 0, n_theta = 0: "
         with pytest.raises(DomainError, match=re.escape(expected)) as info:
             nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
         assert message in str(info.value)
-        taken = []
-        level = thermo._ladder_level
-        monkeypatch.setattr(thermo, "_ladder_level",
-                            lambda *args: taken.append(args[0]) or level(*args))
+        taken = record_levels()
         with pytest.raises(DomainError, match=re.escape(str(info.value))):
             thermo_point(nonrelativistic_levels(params, mu), T=1.0)
         assert taken == [0]
@@ -253,7 +248,7 @@ class TestNonrelativisticLevels:
         with pytest.raises(DomainError, match=re.escape(message)):
             thermo_point(nonrelativistic_levels(params, REFERENCE_MU), T=1.0)
 
-    def test_separation_root_that_swamps_n_theta_is_named(self, monkeypatch):
+    def test_separation_root_that_swamps_n_theta_is_named(self, record_levels):
         # w = 4*mu*(B+C) = -1.8e299: beside sqrt(1/2 - w) = 4.2e149,
         # n_theta + 1/2 is lost and every level rounds to the same value.
         message = ("ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
@@ -262,13 +257,10 @@ class TestNonrelativisticLevels:
                    "of its 53 bits")
         with pytest.raises(DomainError, match=re.escape(message)):
             nonrelativistic_energy(REFERENCE_PARAMS, 1e300, QuantumNumbers(n_r=0))
-        taken = []
-        level = thermo._ladder_level
-        monkeypatch.setattr(thermo, "_ladder_level",
-                            lambda *args: taken.append(args[0]) or level(*args))
+        taken = record_levels()
         with pytest.raises(DomainError, match=re.escape(message)):
             thermo_point(nonrelativistic_levels(REFERENCE_PARAMS, 1e300), T=1.0)
-        assert taken == [0]
+        assert taken == []      # the first next() checks the root, before level 0
 
     def test_largest_separation_root_kept_is_2_to_the_26(self):
         # With mu = 1 and C = 0, w = 4B: 1/2 - w = 2^52 gives the root
@@ -324,7 +316,7 @@ def test_ladder_levels_have_the_bits_of_nonrelativistic_energy(K, A, B, C, mu, m
         except Exception as exc:
             return type(exc), str(exc)
 
-    ladder = iter(nonrelativistic_ladder(params, mu, m, branch, convention))
+    ladder = nonrelativistic_levels(params, mu, m, branch, convention)
     for n in range(40):
         got = outcome(lambda: next(ladder))
         assert got == outcome(lambda: nonrelativistic_energy(
@@ -346,18 +338,21 @@ def test_thermodynamic_identities(K, A, B, C, mu, m, convention, log_T):
     the separation root is what fails."""
     params = PotentialParams(K=K, A=A, B=B, C=C)
     T = math.exp(log_T)
-    ladder = nonrelativistic_ladder(params, mu, m, BranchSign.PLUS, convention)
+
+    def ladder():
+        return nonrelativistic_levels(params, mu, m, BranchSign.PLUS, convention)
+
     if 0.5 - 4.0 * mu * (B + C) - m * m < 0.0:
         with pytest.raises(DomainError, match="^separation-constant radicand negative"):
-            thermo_point(ladder, T)
+            thermo_point(ladder(), T)
         return
-    point = thermo_point(ladder, T)
+    point = thermo_point(ladder(), T)
     assert point.Z > 0.0
     assert point.S >= 0.0
     assert abs(point.F - (point.U - T * point.S)) <= 1e-12 * max(
         abs(point.F), abs(point.U), T * point.S)
     h = 1e-4 * T
-    slope = (thermo_point(ladder, T + h).U - thermo_point(ladder, T - h).U) / (2.0 * h)
+    slope = (thermo_point(ladder(), T + h).U - thermo_point(ladder(), T - h).U) / (2.0 * h)
     # Truncation error relative to C, and the rounding of U divided by h.
     assert abs(point.C - slope) <= 1e-6 * point.C + 16.0 * math.ulp(point.U) / h
 
@@ -370,27 +365,44 @@ def reference_energy(params, mu, n, m, branch, convention):
             * (2.0 * n + 1.0 + math.sqrt(0.25 + 4.0 * params.A * mu + lam)))
 
 
-class TestCachedLevels:
-    def test_replays_and_computes_each_level_once(self):
-        calls = []
-        ladder = thermo.CachedLevels(lambda n: calls.append(n) or 0.5 * n)
-        assert list(islice(ladder, 3)) == [0.0, 0.5, 1.0]
-        assert list(islice(ladder, 5)) == [0.0, 0.5, 1.0, 1.5, 2.0]
-        assert list(islice(ladder, 2)) == [0.0, 0.5]
-        assert calls == [0, 1, 2, 3, 4]
+class TestLadderGenerator:
+    """Each nonrelativistic_levels(...) is a fresh generator: it does no
+    work until its first next(), and then fails, or yields the closed
+    form's bits, the same way as every other generator on its inputs."""
 
-    def test_failing_level_raises_on_every_pass(self):
-        def level(n):
-            if n == 2:
-                raise DomainError("level 2 is undefined")
-            return float(n)
-        ladder = thermo.CachedLevels(level)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="level 2"):
-                list(islice(ladder, 3))
-        assert list(islice(ladder, 2)) == [0.0, 1.0]
+    def test_no_work_before_the_first_next(self, monkeypatch):
+        for name in ("_ladder_terms", "_level"):
+            monkeypatch.setattr(thermo, name, lambda *args: pytest.fail("work was done"))
+        invalid = nonrelativistic_levels(replace(REFERENCE_PARAMS, K=math.nan), REFERENCE_MU)
+        ladder = nonrelativistic_levels(REFERENCE_PARAMS, REFERENCE_MU, 1, BranchSign.MINUS,
+                                        Convention.EQUATION_CONSISTENT)
+        monkeypatch.undo()
+        with pytest.raises(DomainError, match=re.escape("K must be finite (got nan)")):
+            next(invalid)
+        for n, energy in enumerate(islice(ladder, 80)):
+            assert energy.hex() == nonrelativistic_energy(
+                REFERENCE_PARAMS, REFERENCE_MU, QuantumNumbers(n_r=n, m=1),
+                BranchSign.MINUS, Convention.EQUATION_CONSISTENT).hex()
 
-    def test_sums_over_a_shared_ladder_match_fresh_ladders(self):
-        ladder = thermo.nonrelativistic_ladder(REFERENCE_PARAMS, REFERENCE_MU)
-        for T in (5.0, 0.1, 2.0, 30.0):
-            assert thermo_point(ladder, T) == thermo_point(reference_levels(), T)
+    @pytest.mark.parametrize("params, mu, branch, failing, message", [
+        (replace(REFERENCE_PARAMS, K=math.nan), REFERENCE_MU, BranchSign.PLUS, 0,
+         "K must be finite (got nan)"),
+        (PotentialParams(K=1e308, A=1e308, B=-0.05, C=0.005), 5.0, BranchSign.PLUS, 0,
+         "oscillator-limit energy overflows at n_r = 0, n_theta = 0: "),
+        (REFERENCE_PARAMS, 1e300, BranchSign.PLUS, 0,
+         "ring coupling too strong for double precision: "),
+        (PotentialParams(K=5.0, A=0.5, B=-0.95, C=-0.05), 5.0, BranchSign.MINUS, 1,
+         "radial radicand negative: "),
+    ], ids=["non-finite", "overflow", "swamped-root", "radicand-at-level-1"])
+    def test_failing_ladder_raises_at_the_same_level_on_every_generator(
+            self, params, mu, branch, failing, message):
+        errors = set()
+        for _ in range(3):
+            ladder = nonrelativistic_levels(params, mu, 0, branch)
+            assert [e.hex() for e in islice(ladder, failing)] == [
+                nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n), branch).hex()
+                for n in range(failing)]
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:
+                next(ladder)
+            errors.add(str(info.value))
+        assert len(errors) == 1
