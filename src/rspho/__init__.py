@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # The public names, by defining module.
 _EXPORTS = {
     "angular": ("AngularSolution", "ShapeInvarianceChain", "angular_ground_state",
-                "angular_spectrum", "lambda_separation",
+                "angular_level", "angular_spectrum", "lambda_separation",
                 "partner_potentials_angular", "q_of_vtilde", "shape_invariance_chain",
                 "solve_angular", "v_tilde"),
     "errors": ("ConvergenceError", "DomainError", "NoRootError", "RsphoError"),

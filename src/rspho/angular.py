@@ -6,7 +6,10 @@ The superpotential W(theta) = -q*cot(theta) factorizes it; its partner
 potentials are shape invariant with remainder R(a_k) = a_k^2 - a_{k-1}^2,
 so the whole spectrum telescopes in closed form.  The outputs feeding the
 radial sector are the barrier strength parameter q and the separation
-constant lambda.
+constant lambda.  Each has one formula, which the verify suite checks:
+q is q_of_vtilde's, and lambda = angular_level(q, n_theta) - 1/4, the sum
+form of the telescoped spectrum.  The solver's residual and the
+oscillator-limit ladder call both, with floats or arrays.
 
 Every function here is pure; grids are numpy arrays, and numpy is
 imported only by the functions that take or make them.
@@ -30,13 +33,11 @@ __all__ = [
     "ShapeInvarianceChain",
     "v_tilde",
     "q_of_vtilde",
+    "angular_level",
     "angular_spectrum",
     "shape_invariance_chain",
     "lambda_separation",
     "coupling_from_terms",
-    "lambda_from_terms",
-    "separation_root",
-    "lambda_from_root",
     "angular_ground_state",
     "partner_potentials_angular",
     "default_theta_grid",
@@ -78,36 +79,51 @@ def coupling_from_terms(s2, fac, bc):
     return s2 * fac * bc
 
 
-def _coupling(E, M: float, params: PotentialParams, symmetry: Symmetry):
-    """coupling_from_terms at E."""
-    return coupling_from_terms(symmetry.coupling_sign * 2.0, E + M, params.B + params.C)
-
-
-def v_tilde(E: float, M: float, params: PotentialParams, m: int,
-            symmetry: Symmetry) -> float:
-    """Effective cot^2 barrier strength of the polar equation.
+def v_tilde(E, M: float, params: PotentialParams, m: int,
+            symmetry: Symmetry):
+    """Effective cot^2 barrier strength of the polar equation,
+    Vt = 1/4 - m^2 - w with w the ring coupling (coupling_from_terms):
 
     Spin:        Vt = -2(E+M)(B+C) - m^2 + 1/4
     Pseudo-spin: Vt = +2(E+M)(B+C) - m^2 + 1/4
+
+    E may be a float or an array.
     """
-    return 0.25 - _coupling(E, M, params, symmetry) - m * m
+    return 0.25 - m * m - coupling_from_terms(symmetry.coupling_sign * 2.0, E + M,
+                                              params.B + params.C)
 
 
-def q_of_vtilde(vt: float, branch: BranchSign) -> float:
-    """Solve q^2 - q = Vt for the superpotential strength q = 1/2 +/- sqrt(1/4 + Vt);
-    a radicand 1/4 + Vt that is negative or NaN raises DomainError."""
-    radicand = nonnegative(0.25 + vt, "q is complex: 1/4 + v_tilde = {} < 0")
-    return 0.5 + branch.sign * math.sqrt(radicand)
+def q_of_vtilde(vt, branch):
+    """Solve q^2 - q = Vt for the superpotential strength q = 1/2 +/- sqrt(1/4 + Vt).
+
+    ``branch`` is a BranchSign or its numeric sign, which may be a column
+    of signs.  vt may be a float or an array.  The radicand 1/4 + Vt is
+    the separation constant's, 1/2 - w - m^2: a float one that is negative
+    or NaN raises DomainError, and an array gets NaN there.
+    """
+    sign = branch.sign if isinstance(branch, BranchSign) else branch
+    return 0.5 + sign * sqrt(nonnegative(
+        0.25 + vt, "separation-constant radicand negative: "
+                   "1/4 + v_tilde = 1/2 - w - m^2 = {}"))
+
+
+def angular_level(q, n_theta):
+    """The n-th angular eigenvalue in the sum form n^2 + 2nq + q, which
+    telescoping the shape-invariance remainders gives; the separation
+    constant is lambda = angular_level(q, n_theta) - 1/4.  q and n_theta
+    may be floats or arrays."""
+    n = n_theta
+    return n * n + 2.0 * n * q + q
 
 
 def angular_spectrum(q: float, n_theta: int) -> tuple[float, float]:
     """Both closed forms of the n-th angular eigenvalue.
 
-    Returns (sum form n^2 + 2nq + q, squared form (n + q)^2).  They agree
-    only for q in {0, 1}; the sum form is the one the operator actually has.
+    Returns (sum form angular_level(q, n_theta), squared form (n + q)^2).
+    They agree only for q in {0, 1}; the sum form is the one the operator
+    actually has.
     """
-    n = n_theta
-    return (n * n + 2.0 * n * q + q, (n + q) ** 2)
+    return (angular_level(q, n_theta), (n_theta + q) ** 2)
 
 
 def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
@@ -126,49 +142,18 @@ def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
     return ShapeInvarianceChain(a=a, remainders=remainders)
 
 
-def lambda_from_terms(w, mm, half_nt, sign):
-    """Separation constant as a function of the signed ring coupling w:
-
-        lambda = [half_nt + sign*sqrt(1/2 - w - mm)]^2 + w + mm - 1/2
-
-    with mm = m^2, half_nt = n_theta + 1/2 and the branch's sign.  The spin,
-    pseudo-spin and non-relativistic variants differ only in w, which may be
-    a float (a negative radicand raises DomainError) or an array (NaN where
-    it is negative).
-    """
-    return lambda_from_root(w, mm, half_nt, separation_root(w, mm, sign))
-
-
-def separation_root(w, mm, sign):
-    """The signed root sign*sqrt(1/2 - w - m^2) of lambda, from mm = m^2.
-
-    A float radicand that is negative raises DomainError; an array gets
-    NaN there.  A caller whose w and m stay fixed over many n_theta (the
-    oscillator-limit ladder) computes it once and passes it to
-    lambda_from_root.
-    """
-    return sign * sqrt(nonnegative(
-        0.5 - w - mm, "separation-constant radicand negative: 1/2 - w - m^2 = {}"))
-
-
-def lambda_from_root(w, mm, half_nt, signed_root):
-    """lambda = (half_nt + signed_root)^2 + w + mm - 1/2, with signed_root
-    from separation_root and half_nt = n_theta + 1/2."""
-    bracket = half_nt + signed_root
-    return bracket * bracket + w + mm - 0.5
-
-
 def lambda_separation(E, M: float, params: PotentialParams, m: int,
                       n_theta: int, branch: BranchSign, symmetry: Symmetry):
-    """Separation constant linking the angular and radial equations.
+    """Separation constant linking the angular and radial equations,
+    lambda = angular_level(q, n_theta) - 1/4 at q = q_of_vtilde(v_tilde).
 
     Energy-dependent because the ring coupling scales with (E + M); the
     radial solver therefore treats lambda as part of its self-consistency
     loop rather than a fixed input.  E may be a float or an array, as in
-    lambda_from_terms.
+    q_of_vtilde.
     """
-    return lambda_from_terms(_coupling(E, M, params, symmetry), m * m, n_theta + 0.5,
-                             branch.sign)
+    q = q_of_vtilde(v_tilde(E, M, params, m, symmetry), branch)
+    return angular_level(q, n_theta) - 0.25
 
 
 def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
@@ -237,6 +222,6 @@ def solve_angular(E: float, M: float, params: PotentialParams, m: int,
     vt = v_tilde(E, M, params, m, symmetry)
     q = q_of_vtilde(vt, branch)
     e_sum, e_printed = angular_spectrum(q, n_theta)
-    lam = lambda_separation(E, M, params, m, n_theta, branch, symmetry)
     return AngularSolution(v_tilde=vt, q=q, e_tilde_sum=e_sum,
-                           e_tilde_printed=e_printed, lam=lam, m=m, n_theta=n_theta)
+                           e_tilde_printed=e_printed, lam=e_sum - 0.25, m=m,
+                           n_theta=n_theta)

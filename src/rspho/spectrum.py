@@ -23,12 +23,12 @@ chord points at one of its ends.  That tolerance, abs_tol_E, is the one
 setting a caller passes; the grid and the ceiling are constants.
 
 Both solvers compute the residual's terms that depend on the request
-alone (s*2, B + C, m^2, n_theta + 1/2, s*K, s*2*A, 2*n_r + 1, see _terms)
+alone (s*2, B + C, 1/4 - m^2, n_theta, s*K, s*2*A, 2*n_r + 1, see _terms)
 once per request, and energy_residual takes that tuple in place of a
-request; angular and radial take the terms through lambda_from_terms,
-coupling_from_terms and radial_terms_from_terms, the same functions
-their float forms call.  Both scan the grid that _grid computes, with
-the bits of np.linspace.
+request.  lambda is angular's, lambda = angular_level(q, n_theta) - 1/4
+with q from q_of_vtilde, the forms that verify checks; the radial terms
+come from radial_terms_from_terms.  Both scan the grid that _grid
+computes, with the bits of np.linspace.
 
 solve_energy does this for one request and returns the energy with its
 diagnostics, or raises: the scan, every polish step and the result's
@@ -59,7 +59,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .angular import coupling_from_terms, lambda_from_terms
+from .angular import angular_level, coupling_from_terms, q_of_vtilde
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, SolveRequest, Symmetry,
                     numeric_checks, validate)
@@ -115,13 +115,13 @@ class SolveResult:
 
 def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
     """The numbers of the residual that depend on the request alone, each
-    computed as the closed forms compute it: M, s*2, B + C, m^2,
-    n_theta + 1/2, the branch sign, s*K, s*2*A, 2*n_r + 1 and the
-    convention coefficient c.  The numbers may be floats or (R, 1)
-    columns, row r for request r (s, sign and c being the enums' numeric
-    properties)."""
+    computed as the closed forms compute it: M, s*2, B + C, 1/4 - m^2
+    (the part of v_tilde free of E), n_theta, the branch sign, s*K,
+    s*2*A, 2*n_r + 1 and the convention coefficient c.  The numbers may
+    be floats or (R, 1) columns, row r for request r (s, sign and c being
+    the enums' numeric properties)."""
     s2 = s * 2.0
-    return (M, s2, B + C, m * m, n_theta + 0.5, sign, s * K, s2 * A,
+    return (M, s2, B + C, 0.25 - m * m, n_theta, sign, s * K, s2 * A,
             2.0 * n_r + 1.0, c)
 
 
@@ -162,9 +162,10 @@ def _residual(E, terms: tuple):
     """energy_residual's f with what it computes on the way: (f, E + M,
     lambda, sqrt(1/4 + delta'), big_delta^2).  The array form masks E + M
     and the stiffness; solve_energy builds its result from the rest."""
-    M, s2, bc, mm, half_nt, sign, sK, s2A, nr21, c = terms
+    M, s2, bc, vt_m, n_theta, sign, sK, s2A, nr21, c = terms
     fac = positive(E + M, "E + M must be positive (got {})")
-    lam = lambda_from_terms(coupling_from_terms(s2, fac, bc), mm, half_nt, sign)
+    q = q_of_vtilde(vt_m - coupling_from_terms(s2, fac, bc), sign)
+    lam = angular_level(q, n_theta) - 0.25
     _, root, stiff = radial_terms_from_terms(fac, sK, s2A, lam)
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)
     rhs = c * sqrt(stiff) / fac * (nr21 + root)

@@ -16,7 +16,9 @@ The ladder (nonrelativistic_levels) is a generator over the explicit
 oscillator-limit closed form of nonrelativistic_energy, with the terms
 that do not depend on the level computed once per generator; a sum at
 each temperature takes a fresh one.  lambda comes from angular, as for
-the solver.  It needs no energy solver: this module imports neither
+the solver: q from q_of_vtilde once per ladder, and the sum form
+angular_level, lambda = angular_level(q, n_theta) - 1/4, once per
+level.  It needs no energy solver: this module imports neither
 spectrum nor radial.
 """
 
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import count as _count
 
-from .angular import lambda_from_root, separation_root
+from .angular import angular_level, q_of_vtilde
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
 from .numerics import require_finite
@@ -148,14 +150,14 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
                   branch: BranchSign, convention: Convention) -> tuple:
     """The terms of E_NR that do not depend on n_r or n_theta, inputs checked.
 
-    Returns (w, angular.separation_root at w, m^2, 1/4 + 4*A*mu,
-    (c/2)*sqrt(2K/mu)) with w = 4*mu*(B+C), the static ring coupling.
+    Returns (q, 1/4 + 4*A*mu, (c/2)*sqrt(2K/mu)), with q =
+    angular.q_of_vtilde(1/4 - m^2 - w) at w = 4*mu*(B+C), the static ring
+    coupling.
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
     level of a ladder NaN or infinite, and no partition sum over it ends.
-    The separation root sqrt(1/2 - w - m^2) must be at most 2^26: beyond
-    that lambda, and the spacing of the levels, keep less than half of
-    float64's precision, and far beyond it the spacing rounds away.
+    The separation root sqrt(1/2 - w - m^2) = |q - 1/2| must be at most
+    2^26 (_MAX_SEPARATION_ROOT).
     """
     if mu <= 0.0:
         raise DomainError(f"reduced mass must be positive (got {mu})")
@@ -170,25 +172,26 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     w = 4.0 * mu * (params.B + params.C)
     if not math.isfinite(w):
         raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")
-    mm = m * m
-    root = separation_root(w, mm, branch.sign)
-    # lambda = (n_theta + 1/2 + root)^2 + w + m^2 - 1/2 cancels terms near
-    # root^2 down to about (2*n_theta + 1)*root, so its relative rounding
-    # error grows like eps*|root|.
-    if abs(root) > _MAX_SEPARATION_ROOT:
+    q = q_of_vtilde(0.25 - m * m - w, branch)
+    # lambda's sum form keeps its relative precision at any root (ladders
+    # with roots up to 2^490 stay ascending, within 3e-16 of 60-digit
+    # values), so this guard protects no precision: it only keeps the
+    # ladder to the couplings that its tests cover.
+    if abs(root := q - 0.5) > _MAX_SEPARATION_ROOT:
         raise DomainError(
             f"ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
             f"{abs(root)} swamps n_theta + 1/2 (w = 4*mu*(B+C) = {w}), so lambda "
             f"would keep fewer than half of its 53 bits")
-    return (w, root, mm, 0.25 + 4.0 * params.A * mu,
+    return (q, 0.25 + 4.0 * params.A * mu,
             0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu))
 
 
 def _level(terms: tuple, n_r: int, n_theta: int) -> float:
     """E_NR at (n_r, n_theta) from the terms of _ladder_terms:
-    (c/2)*sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR))."""
-    w, signed_root, mm, radial, scale = terms
-    inner = radial + lambda_from_root(w, mm, n_theta + 0.5, signed_root)
+    (c/2)*sqrt(2K/mu) * (2*n_r + 1 + sqrt(1/4 + 4*A*mu + lambda_NR)), with
+    lambda_NR = angular_level(q, n_theta) - 1/4."""
+    q, radial, scale = terms
+    inner = radial + (angular_level(q, n_theta) - 0.25)
     if inner < 0.0:
         raise DomainError(f"radial radicand negative: 1/4 + 4*A*mu + lambda = {inner}")
     energy = scale * (2.0 * n_r + 1.0 + math.sqrt(inner))

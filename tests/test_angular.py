@@ -5,21 +5,31 @@ Frozen numeric expectations were computed by independent arithmetic on the
 reference energies before this module was written.
 """
 
+import io
 import math
+from contextlib import redirect_stdout
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rspho.angular import (angular_ground_state, angular_spectrum,
-                           default_theta_grid, lambda_from_terms,
-                           lambda_from_root, lambda_separation,
-                           partner_potentials_angular, q_of_vtilde,
-                           separation_root, shape_invariance_chain,
-                           solve_angular, v_tilde)
+import rspho.angular
+import rspho.oracle
+import rspho.spectrum
+import rspho.thermo
+from rspho.angular import (angular_ground_state, angular_level, angular_spectrum,
+                           coupling_from_terms, default_theta_grid,
+                           lambda_separation, partner_potentials_angular,
+                           q_of_vtilde, shape_invariance_chain, solve_angular,
+                           v_tilde)
+from rspho.cli import main
 from rspho.errors import DomainError
-from rspho.model import BranchSign, PotentialParams, Symmetry
+from rspho.model import (BranchSign, PotentialParams, QuantumNumbers, SolveRequest,
+                         Symmetry)
+from rspho.spectrum import solve_energy
+from rspho.thermo import nonrelativistic_energy
 
 SPIN_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 PSEUDO_PARAMS = PotentialParams(K=-5.0, A=-5.0, B=0.5, C=0.005)
@@ -57,12 +67,17 @@ class TestQOfVtilde:
         assert q * q - q == pytest.approx(vt, abs=1e-12)
 
     def test_complex_q_rejected(self):
-        with pytest.raises(DomainError, match="complex"):
+        with pytest.raises(DomainError, match="radicand negative"):
             q_of_vtilde(-0.26, BranchSign.PLUS)
 
     def test_nan_barrier_rejected(self):
-        with pytest.raises(DomainError, match=r"^q is complex: 1/4 \+ v_tilde = nan"):
+        with pytest.raises(DomainError, match=r"^separation-constant radicand negative: "
+                                              r"1/4 \+ v_tilde = 1/2 - w - m\^2 = nan$"):
             q_of_vtilde(math.nan, BranchSign.PLUS)
+
+    def test_numeric_sign_is_the_branch(self):
+        for branch in BranchSign:
+            assert q_of_vtilde(1.994664, branch.sign) == q_of_vtilde(1.994664, branch)
 
 
 class TestAngularSpectrum:
@@ -145,8 +160,8 @@ class TestLambdaSeparation:
         assert lam == pytest.approx(13.77889704915002, abs=1e-9)
 
     def test_zero_coupling_closed_form(self):
-        # (1/2 + sqrt(1/2))^2 - 1/2
-        lam = lambda_from_terms(0.0, 0, 0.5, BranchSign.PLUS.sign)
+        # w = m = n_theta = 0: q = 1/2 + sqrt(1/2), lambda = q - 1/4
+        lam = angular_level(q_of_vtilde(0.25, BranchSign.PLUS.sign), 0) - 0.25
         assert lam == pytest.approx(0.9571067811865475, abs=1e-14)
 
     @pytest.mark.parametrize("m,ntheta", [(0, 0), (1, 2), (0, 3)])
@@ -165,21 +180,31 @@ class TestLambdaSeparation:
             lambda_separation(10.0, 5.0, hot, 1, 0, BranchSign.PLUS, Symmetry.SPIN)
 
     @pytest.mark.parametrize("branch", list(BranchSign))
-    def test_signed_root_then_bracket(self, branch):
-        # The ladder's split: the root once, the bracket per n_theta.
+    def test_q_once_then_sum_form_per_level(self, branch):
+        # The ladder's split: q once, the sum form per n_theta.  Arrays get
+        # NaN where the radicand is negative, and the float form's bits
+        # elsewhere.
         w = np.array([-3.7, -1.2, -0.6, -0.5, 2.0])
         with np.errstate(invalid="ignore"):
-            root = separation_root(w, 1, branch.sign)
-        assert np.isnan(root[-1]) and np.all(np.isfinite(root[:-1]))
+            q = q_of_vtilde(0.25 - 1 - w, branch.sign)
+        assert np.isnan(q[-1]) and np.all(np.isfinite(q[:-1]))
         for n_theta in range(3):
-            lam = lambda_from_root(w, 1, n_theta + 0.5, root)
-            assert lam[:-1].tobytes() == lambda_from_terms(
-                w[:-1], 1, n_theta + 0.5, branch.sign).tobytes()
-            assert lambda_from_root(-1.2, 1, n_theta + 0.5, float(root[1])) == float(
-                lambda_from_terms(-1.2, 1, n_theta + 0.5, branch.sign))
+            lam = angular_level(q, n_theta) - 0.25
+            assert lam[:-1].tobytes() == np.array(
+                [angular_level(q_of_vtilde(0.25 - 1 - x, branch.sign), n_theta) - 0.25
+                 for x in w[:-1].tolist()]).tobytes()
         with pytest.raises(DomainError, match=r"^separation-constant radicand negative: "
-                                              r"1/2 - w - m\^2 = -2.5$"):
-            separation_root(2.0, 1, branch.sign)
+                                              r"1/4 \+ v_tilde = 1/2 - w - m\^2 = -2.5$"):
+            q_of_vtilde(0.25 - 1 - 2.0, branch.sign)
+
+    def test_large_coupling_keeps_the_sum_form(self):
+        # w = -9e298: lambda is the sum form less 1/4, which no squared
+        # form (n_theta + q)^2 = 9e298 and its cancellation come near.
+        sol = solve_angular(1e300, 5.0, PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005),
+                            0, 1, BranchSign.PLUS, Symmetry.SPIN)
+        assert sol.lam == sol.e_tilde_sum - 0.25
+        assert sol.lam == lambda_separation(1e300, 5.0, SPIN_PARAMS, 0, 1,
+                                            BranchSign.PLUS, Symmetry.SPIN)
 
     def test_orbital_number_real_at_reference_energies(self):
         # l(l+1) = lambda must give a real l for the reference regimes
@@ -319,3 +344,55 @@ class TestSolveAngular:
         assert sol.e_tilde_printed == pytest.approx((n + sol.q) ** 2, rel=1e-14)
         assert sol.lam == pytest.approx(6.744661425891834, abs=1e-9)
         assert sol.m == 0 and sol.n_theta == 1
+
+
+@settings(derandomize=True, max_examples=300)
+@given(log_x=st.floats(-3.0, 298.0), m=st.integers(0, 2), n_theta=st.integers(0, 50),
+       branch=st.sampled_from(BranchSign))
+def test_lambda_separation_matches_fifty_digits(log_x, m, n_theta, branch):
+    """lambda_separation is n^2 + 2nq + q - 1/4 at q = 1/2 +/- sqrt(1/2 - w - m^2)
+    evaluated at 50 digits from the same coupling w, to a few ulps of its
+    largest term, for |w| up to 1e298.  E + M = 1 and C = 0 make w = 2B
+    exact; w <= -m^2 keeps the radicand at least 1/2."""
+    w = -(m * m + 10.0 ** log_x)
+    params = PotentialParams(K=1.0, A=0.0, B=0.5 * w, C=0.0)
+    assert coupling_from_terms(2.0, 1.0, params.B + params.C) == w
+    lam = lambda_separation(1.0, 0.0, params, m, n_theta, branch, Symmetry.SPIN)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(0.5) + int(branch.sign) * (Decimal(0.5) - Decimal(w) - m * m).sqrt()
+        exact = n_theta * n_theta + 2 * n_theta * q + q - Decimal(0.25)
+        largest = float(n_theta * n_theta + (2 * n_theta + 1) * abs(q) + Decimal(0.25))
+        assert abs(Decimal(lam) - exact) <= Decimal(4.0 * math.ulp(largest))
+
+
+class TestOneHomeForQAndLambda:
+    """q_of_vtilde and the sum form angular_level are the only place q and
+    lambda are written: a fault in either moves every solve's lambda,
+    every thermo level and the angular verify suite, which then fails."""
+
+    REQUEST = SolveRequest(params=SPIN_PARAMS, M=5.0, qn=QuantumNumbers(n_r=1),
+                           symmetry=Symmetry.SPIN)
+
+    def outputs(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["verify", "--suite", "angular", "--points", "400"])
+        return (solve_energy(self.REQUEST).lam,
+                nonrelativistic_energy(SPIN_PARAMS, 5.0, QuantumNumbers(n_r=2, n_theta=2)),
+                code)
+
+    @pytest.mark.parametrize("name", ["angular_level", "q_of_vtilde"])
+    def test_a_wrong_form_moves_every_caller(self, monkeypatch, name):
+        lam, level, code = self.outputs()
+        assert code == 0
+        true_form = getattr(rspho.angular, name)
+        # Wherever the form is bound, so a caller holding its own copy of
+        # the algebra would keep the true values.
+        for module in (rspho.angular, rspho.spectrum, rspho.thermo, rspho.oracle):
+            if getattr(module, name, None) is true_form:
+                monkeypatch.setattr(module, name, lambda *args: 1.01 * true_form(*args))
+        wrong_lam, wrong_level, wrong_code = self.outputs()
+        assert wrong_lam != lam
+        assert wrong_level != level
+        assert wrong_code == 3

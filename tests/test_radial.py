@@ -5,19 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.special import hyp1f1
 
+import rspho.spectrum
+from rspho.angular import lambda_separation
 from rspho.errors import DomainError
-from rspho.model import (Convention, PotentialParams, QuantumNumbers,
+from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                          SolveRequest, Symmetry)
 from rspho.radial import (default_r_grid, effective_scale,
                           kummer_1f1_terminating, partner_potentials_radial,
                           radial_ansatz, radial_spectrum, radial_wavefunction,
                           wavefunction_scales)
 from rspho.spectrum import solve_energy
+from rspho.thermo import nonrelativistic_energy
 
 
 class TestRadialAnsatz:
@@ -166,6 +169,59 @@ def test_radial_levels_are_spaced_by_four_big_delta(delta_prime, big_delta, n):
     upper = radial_spectrum(big_delta, delta, n + 1)
     assert abs(upper - radial_spectrum(big_delta, delta, n) - 4.0 * big_delta) <= (
         4.0 * math.ulp(upper))
+
+
+# The solver's residual and the oscillator-limit ladder each write the
+# radial ladder in their own order of operations, which keeps today's
+# bits; these properties pin both to radial_spectrum.
+LADDER_INPUTS = dict(
+    K=st.floats(0.5, 20.0), A=st.floats(0.0, 10.0), B=st.floats(-1.0, 0.0),
+    C=st.floats(-0.1, 0.1), n_r=st.integers(0, 30), n_theta=st.integers(0, 5),
+    m=st.integers(0, 2), branch=st.sampled_from(BranchSign),
+    convention=st.sampled_from(Convention))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(**LADDER_INPUTS, symmetry=st.sampled_from(Symmetry), M=st.floats(0.1, 10.0),
+       fac=st.floats(0.01, 50.0))
+def test_residual_right_side_is_the_radial_ladder(K, A, B, C, n_r, n_theta, m, branch,
+                                                  convention, symmetry, M, fac):
+    """f(E) = (E - M) - (c/2)*radial_spectrum(big_delta, delta, n_r)/(E + M),
+    with delta = -1/2 - sqrt(1/4 + delta'), to a few ulps of the larger side.
+    Pseudo-spin flips the signs of K, A, B and C, so that s*K and the ring
+    coupling have the spin case's signs."""
+    s = symmetry.coupling_sign
+    request = SolveRequest(params=PotentialParams(K=s * K, A=s * A, B=s * B, C=s * C),
+                           M=M, qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
+                           symmetry=symmetry, branch=branch, convention=convention)
+    E = fac - M
+    try:
+        f, fac, _, root, stiff = rspho.spectrum._residual(
+            E, rspho.spectrum._request_terms(request))
+    except DomainError:
+        assume(False)
+    rhs = 0.5 * convention.coefficient * radial_spectrum(
+        math.sqrt(stiff), -0.5 - root, n_r) / fac
+    assert abs(f - ((E - M) - rhs)) <= 4.0 * math.ulp(max(abs(E - M), rhs))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(**LADDER_INPUTS, mu=st.floats(0.1, 10.0))
+def test_oscillator_limit_level_is_the_radial_ladder(K, A, B, C, n_r, n_theta, m,
+                                                     branch, convention, mu):
+    """E_NR = (c/2)*radial_spectrum(big_delta, delta, n_r)/(E + M) with
+    E + M = 2*mu, big_delta = sqrt(2*K*mu) and lambda the solver's at the
+    static coupling 4*mu*(B+C), to a few ulps."""
+    params = PotentialParams(K=K, A=A, B=B, C=C)
+    try:
+        level = nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n_r, n_theta=n_theta,
+                                                                  m=m), branch, convention)
+    except DomainError:
+        assume(False)
+    lam = lambda_separation(2.0 * mu, 0.0, params, m, n_theta, branch, Symmetry.SPIN)
+    expected = 0.5 * convention.coefficient * radial_spectrum(
+        math.sqrt(2.0 * K * mu), -0.5 - math.sqrt(0.25 + 4.0 * A * mu + lam), n_r) / (2.0 * mu)
+    assert abs(level - expected) <= 4.0 * math.ulp(expected)
 
 
 class TestKummer:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.thermo as thermo
-from rspho.angular import lambda_from_terms
+from rspho.angular import angular_level, q_of_vtilde
 from rspho.errors import ConvergenceError, DomainError
 from rspho.model import BranchSign, Convention, PotentialParams, QuantumNumbers
 from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
@@ -358,9 +358,11 @@ def test_thermodynamic_identities(K, A, B, C, mu, m, convention, log_T):
 
 
 def reference_energy(params, mu, n, m, branch, convention):
-    """E_NR at n_r = n_theta = n through angular.lambda_from_terms, in
-    the order of operations that the ladder's prepared terms must keep."""
-    lam = lambda_from_terms(4.0 * mu * (params.B + params.C), m * m, n + 0.5, branch.sign)
+    """E_NR at n_r = n_theta = n through angular.q_of_vtilde and the sum
+    form angular_level, in the order of operations that the ladder's
+    prepared terms must keep."""
+    q = q_of_vtilde(0.25 - m * m - 4.0 * mu * (params.B + params.C), branch.sign)
+    lam = angular_level(q, n) - 0.25
     return (0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu)
             * (2.0 * n + 1.0 + math.sqrt(0.25 + 4.0 * params.A * mu + lam)))
 
