@@ -180,10 +180,10 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
     return v_plus, v_minus
 
 
-def default_theta_grid(points: int = 2001, endpoint_margin: float = 1e-9) -> np.ndarray:
-    """Uniform grid on (0, pi) with a small exclusion at the singular ends."""
+def default_theta_grid(points: int = 2001) -> np.ndarray:
+    """Uniform grid on [1e-9, pi - 1e-9], inside the singular ends of (0, pi)."""
     import numpy as np
-    return np.linspace(endpoint_margin, math.pi - endpoint_margin, points)
+    return np.linspace(1e-9, math.pi - 1e-9, points)
 
 
 def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:

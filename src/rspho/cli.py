@@ -352,16 +352,13 @@ def cmd_thermo(args: argparse.Namespace) -> int:
 def _oracle_reports(suite: str, points: int):
     """(suite, case label, OracleReport) for every oracle case of ``suite``."""
     from . import verify_angular, verify_radial
-    from .oracle import default_angular_grid, default_radial_grid
     if suite in ("radial", "all"):
         for delta_prime, big_delta in _VERIFY_RADIAL_CASES:
-            grid = default_radial_grid(delta_prime, big_delta, 3, points=points)
             yield ("radial", f"dp={_param(delta_prime)} bd={_param(big_delta)}",
-                   verify_radial(delta_prime, big_delta, count=3, grid=grid))
+                   verify_radial(delta_prime, big_delta, count=3, points=points))
     if suite in ("angular", "all"):
         for v0 in _VERIFY_ANGULAR_CASES:
-            grid = default_angular_grid(points=points)
-            yield "angular", f"v0={_param(v0)}", verify_angular(v0, count=3, grid=grid)
+            yield "angular", f"v0={_param(v0)}", verify_angular(v0, count=3, points=points)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

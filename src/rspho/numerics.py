@@ -16,10 +16,10 @@ code that works on arrays, when it runs.
 ``simpson`` is plain numpy: the composite rule for irregular spacing with
 Cartwright's correction of the last interval for an even sample count,
 computed in the order of operations of SciPy's ``integrate.simpson`` so
-that it returns the same bits (the tests compare the two).  The
-wavefunction and angular normalizations therefore load no SciPy, whose
-import costs more start-up time and memory than the rest of the package
-together.
+that it returns the same bits on strictly ascending abscissae (the tests
+compare the two).  The wavefunction and angular normalizations therefore
+load no SciPy, whose import costs more start-up time and memory than the
+rest of the package together.
 """
 
 from __future__ import annotations
@@ -87,18 +87,6 @@ def sqrt(x):
     return math.sqrt(x)
 
 
-def _divide(num, den):
-    """num / den, and 0 wherever den is 0.
-
-    The masked division runs only when some denominator is 0: it costs
-    several plain divisions, which give the same bits everywhere else.
-    """
-    import numpy as np
-    if den.all():
-        return np.true_divide(num, den)
-    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
-
-
 def _simpson_panels(y, h, stop):
     """Simpson sum over the panels [x_i, x_i+2] for even i < stop."""
     import numpy as np
@@ -106,20 +94,23 @@ def _simpson_panels(y, h, stop):
     h1 = h[1:stop + 1:2]
     hsum = h0 + h1
     hprod = h0 * h1
-    h0divh1 = _divide(h0, h1)
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - _divide(1.0, h0divh1))
-                        + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
                         + y[2:stop + 2:2] * (2.0 - h0divh1))
     return np.sum(tmp)
 
 
 def simpson(y, *, x):
-    """Composite Simpson quadrature of samples ``y`` at ascending abscissae ``x``.
+    """Composite Simpson quadrature of samples ``y`` at strictly ascending
+    abscissae ``x``.
 
     An odd sample count is a sum of parabolic panels.  An even count
     covers all but the last interval with panels and adds Cartwright's
     (2017) three-point correction for the last one; two samples fall back
-    to the trapezoid.
+    to the trapezoid.  The weights divide by the steps plainly, as no step
+    is 0: the callers (radial_wavefunction, angular_ground_state) reject a
+    grid that is not strictly ascending.
     """
     import numpy as np
     y = np.asarray(y)
@@ -137,8 +128,8 @@ def simpson(y, *, x):
     # 0-d arrays, so that the powers and divisions run the same numpy loops
     # as the reference implementation.
     h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-    alpha = _divide(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _divide(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _divide(h1 ** 3, 6 * h0 * (h0 + h1))
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
     last = alpha * y[-1] + beta * y[-2] - eta * y[-3]
     return 0.0 + (_simpson_panels(y, h, n - 3) + last)

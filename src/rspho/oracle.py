@@ -329,10 +329,12 @@ def default_angular_grid(points: int = 4000) -> GridSpec:
 
 
 def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
-                  grid: GridSpec | None = None) -> OracleReport:
+                  points: int = 4000) -> OracleReport:
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
-    Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
+    The grid is default_radial_grid(delta_prime, big_delta, count, points),
+    built once the inputs pass their checks.  Prediction: radial_spectrum
+    at delta = -1/2 - sqrt(1/4 + delta').
     """
     require_finite(delta_prime=delta_prime, big_delta=big_delta)
     if delta_prime < 0.0:
@@ -344,8 +346,7 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
         stiffness = big_delta**2
     except OverflowError:
         raise DomainError(f"big_delta^2 overflows (big_delta = {big_delta})") from None
-    if grid is None:
-        grid = default_radial_grid(delta_prime, big_delta, count)
+    grid = default_radial_grid(delta_prime, big_delta, count, points)
     delta = -0.5 - math.sqrt(0.25 + delta_prime)
     predicted = [radial_spectrum(big_delta, delta, n) for n in range(count)]
     computed = fd_eigenvalues(
@@ -356,18 +357,18 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                         converged=rel <= _REL_TOL)
 
 
-def verify_angular(v0: float, count: int = 3,
-                   grid: GridSpec | None = None) -> OracleReport:
+def verify_angular(v0: float, count: int = 3, points: int = 4000) -> OracleReport:
     """Compare FD eigenvalues of v0*cot^2(theta) with the two closed forms.
 
-    Prediction: angular_spectrum's sum form at q = q_of_vtilde(v0, PLUS),
-    with its perfect-square rival alongside, which the operator rejects.
+    The grid is default_angular_grid(points), built once v0 passes its
+    checks.  Prediction: angular_spectrum's sum form at q =
+    q_of_vtilde(v0, PLUS), with its perfect-square rival alongside, which
+    the operator rejects.
     """
     require_finite(v0=v0)
     if v0 < 0.0:
         raise DomainError(f"v0 must be >= 0 for the Dirichlet emulation (got {v0})")
-    if grid is None:
-        grid = default_angular_grid()
+    grid = default_angular_grid(points)
     q = q_of_vtilde(v0, BranchSign.PLUS)
     predicted = [angular_spectrum(q, n)[0] for n in range(count)]
     printed = [angular_spectrum(q, n)[1] for n in range(count)]

@@ -49,14 +49,14 @@ class RadialSolution:
 
     ``delta`` is the negative root of delta^2 + delta = delta_prime (the
     normalizable choice); ``e0_tilde`` = big_delta*(1 - 2*delta) is the
-    ground eigenvalue of the effective operator.
+    ground eigenvalue of the effective operator, radial_spectrum(big_delta,
+    delta, 0); radial_spectrum gives the other levels from the same pair.
     """
 
     delta: float
     delta_prime: float
     big_delta: float
     e0_tilde: float
-    n_r: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ class WavefunctionSamples:
     eta_scale: float
     norm_constant: float
 
-    def node_count(self, rel_threshold: float = 1e-9) -> int:
-        """Count interior sign changes, ignoring samples that are
-        numerically zero relative to the peak."""
+    def node_count(self) -> int:
+        """Count interior sign changes, ignoring samples at or below 1e-9
+        of the peak magnitude, which are numerically zero."""
         import numpy as np
         mag = np.abs(self.values)
-        keep = mag > rel_threshold * mag.max()
+        keep = mag > 1e-9 * mag.max()
         signs = np.sign(self.values[keep])
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
@@ -115,9 +115,11 @@ def radial_terms_from_terms(fac, sK, s2A, lam):
     return delta_prime, root, stiff
 
 
-def radial_ansatz(E, M: float, K: float, A: float, lam,
-                  symmetry, n_r: int = 0) -> RadialSolution:
+def radial_ansatz(E, M: float, K: float, A: float, lam, symmetry) -> RadialSolution:
     """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
+
+    The conditions do not involve n_r: e0_tilde is level 0 of the ladder
+    for every state, and radial_spectrum gives the others.
 
     Requires s*K*(E + M) > 0 so the oscillator stiffness is real, and
     1/4 + delta_prime >= 0 so delta = -1/2 - sqrt(1/4 + delta_prime) is
@@ -137,7 +139,7 @@ def radial_ansatz(E, M: float, K: float, A: float, lam,
     big_delta = sqrt(stiff)
     return RadialSolution(delta=delta, delta_prime=delta_prime,
                           big_delta=big_delta,
-                          e0_tilde=radial_spectrum(big_delta, delta, 0), n_r=n_r)
+                          e0_tilde=radial_spectrum(big_delta, delta, 0))
 
 
 def radial_spectrum(big_delta: float, delta: float, n_r: int) -> float:

@@ -20,6 +20,10 @@ the solver: q from q_of_vtilde once per ladder, and the sum form
 angular_level, lambda = angular_level(q, n_theta) - 1/4, once per
 level.  It needs no energy solver: this module imports neither
 spectrum nor radial.
+
+The sums need strictly ascending levels.  Where a term of the closed
+form swamps its level spacing (a huge 4*A*mu, say), the ladder repeats a
+level, and the sum raises DomainError naming the two equal levels.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
 ]
 
 _MAX_LEVELS = 10**6
-_MAX_SEPARATION_ROOT = 2.0**26
 _DEFAULT_TAIL_TOL = 1e-14
 
 
@@ -60,17 +63,19 @@ class ThermoPoint:
     levels_used: int
 
 
-def _moments(levels, beta: float, rel_tail_tol: float,
-             max_levels: int = _MAX_LEVELS):
-    """Shifted Boltzmann moment sums over an ascending level sequence.
+def _moments(levels, beta: float, rel_tail_tol: float):
+    """Shifted Boltzmann moment sums over a strictly ascending level sequence.
 
     Returns (E0, s0, s1, s2, used) with s_k = sum (E - E0)^k exp(-beta (E - E0)),
     truncated once a term drops below rel_tail_tol times the running s0.
-    Raises ConvergenceError if max_levels levels never satisfy the tail test,
-    and DomainError, before taking a level, if beta or rel_tail_tol is not
-    positive and finite: at beta = 0 no truncation passes the tail test,
-    at beta = inf every term is NaN, and an infinite rel_tail_tol would
-    end the sum at the ground level.
+    Raises ConvergenceError if _MAX_LEVELS levels never satisfy the tail
+    test, and DomainError, before taking a level, if beta or rel_tail_tol
+    is not positive and finite: at beta = 0 no truncation passes the tail
+    test, at beta = inf every term is NaN, and an infinite rel_tail_tol
+    would end the sum at the ground level.  A level equal to the one
+    before it raises DomainError naming both indices (a degenerate
+    spectrum, or a spacing lost to rounding); a lower one names both
+    energies.
     """
     if not 0.0 < beta < math.inf:
         raise DomainError(f"beta must be positive and finite (got {beta})")
@@ -83,6 +88,10 @@ def _moments(levels, beta: float, rel_tail_tol: float,
     for energy in levels:
         energy = float(energy)
         if prev is not None and energy <= prev:
+            if energy == prev:
+                raise DomainError(
+                    f"levels {used - 1} and {used} are both {energy}: a degenerate "
+                    "spectrum, or a level spacing lost to rounding")
             raise DomainError(
                 f"levels must be strictly ascending (got {energy} after {prev})")
         prev = energy
@@ -96,9 +105,9 @@ def _moments(levels, beta: float, rel_tail_tol: float,
         used += 1
         if t < rel_tail_tol * s0:
             break
-        if used >= max_levels:
+        if used >= _MAX_LEVELS:
             raise ConvergenceError(
-                f"partition sum failed the tail test after {max_levels} levels; "
+                f"partition sum failed the tail test after {_MAX_LEVELS} levels; "
                 "the spectrum is growing too slowly for these inputs")
     if e0 is None:
         raise DomainError("level sequence is empty")
@@ -156,8 +165,8 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     Requires K > 0: the mapping descends from the spin-symmetric regime.
     K, A, B, C and mu must be finite: a NaN or infinite one makes every
     level of a ladder NaN or infinite, and no partition sum over it ends.
-    The separation root sqrt(1/2 - w - m^2) = |q - 1/2| must be at most
-    2^26 (_MAX_SEPARATION_ROOT).
+    The separation root sqrt(1/2 - w - m^2) = |q - 1/2| has no bound: the
+    sum form keeps lambda's relative precision at any root.
     """
     if mu <= 0.0:
         raise DomainError(f"reduced mass must be positive (got {mu})")
@@ -173,15 +182,6 @@ def _ladder_terms(params: PotentialParams, mu: float, m: int,
     if not math.isfinite(w):
         raise DomainError(f"ring coupling overflows: w = 4*mu*(B+C) = {w}")
     q = q_of_vtilde(0.25 - m * m - w, branch)
-    # lambda's sum form keeps its relative precision at any root (ladders
-    # with roots up to 2^490 stay ascending, within 3e-16 of 60-digit
-    # values), so this guard protects no precision: it only keeps the
-    # ladder to the couplings that its tests cover.
-    if abs(root := q - 0.5) > _MAX_SEPARATION_ROOT:
-        raise DomainError(
-            f"ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
-            f"{abs(root)} swamps n_theta + 1/2 (w = 4*mu*(B+C) = {w}), so lambda "
-            f"would keep fewer than half of its 53 bits")
     return (q, 0.25 + 4.0 * params.A * mu,
             0.5 * convention.coefficient * math.sqrt(2.0 * params.K / mu))
 

@@ -638,14 +638,13 @@ class TestThermo:
         assert taken == [0]
 
     def test_swamped_level_spacing_is_named(self):
-        # Every level would round to one value; the error names the precision,
-        # not the spectrum ("levels must be strictly ascending").
+        # 4*A*mu = 2.4e301 swamps 2n + 1, so every level rounds to one value;
+        # the error names the first two equal levels, not a descent.
         code, out, err = run_cli(["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005",
                                   "--K", "5", "--mu", "1e300", "--steps", "2"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ring coupling too strong for double precision: "
-                              "sqrt(1/2 - w - m^2) = 4.242640687119286e+149 swamps "
-                              "n_theta + 1/2")
+        assert err == ("error: levels 0 and 1 are both 7.745966692414835: a degenerate "
+                       "spectrum, or a level spacing lost to rounding\n")
 
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([

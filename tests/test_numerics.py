@@ -1,7 +1,6 @@
 """Tests for the shared numerical building blocks."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,17 +37,6 @@ class TestSimpson:
         ours = simpson(y, x=x)
         reference = scipy.integrate.simpson(y, x=x)
         assert type(ours) is type(reference)
-        assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
-
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_repeated_abscissa_equals_scipy_bit_for_bit(self, n):
-        # A zero step makes a Simpson weight 0/0 or x/0, which both rules set to 0.
-        x = np.array([0.0, 0.5, 0.5, 1.0, 1.7, 2.0, 2.0, 3.1][:n])
-        y = np.cos(x) + x
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ours = simpson(y, x=x)
-        reference = scipy.integrate.simpson(y, x=x)
         assert np.float64(ours).tobytes() == np.float64(reference).tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

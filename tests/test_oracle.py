@@ -308,6 +308,11 @@ class TestVerifyRadial:
         report = verify_radial(239.36660968, 9.845090690288231, count=2)
         assert report.converged
 
+    @pytest.mark.parametrize("points", [16, 100, 4000])
+    def test_grid_is_the_default_radial_grid(self, points):
+        report = verify_radial(2.0, 3.0, points=points)
+        assert report.grid == default_radial_grid(2.0, 3.0, 3, points=points)
+
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
             verify_radial(-1.0, 1.0)
@@ -384,6 +389,10 @@ class TestVerifyAngular:
         closest = min(abs(c - p) / p for c, p in
                       zip(report.computed, report.predicted_printed))
         assert closest > 0.10
+
+    @pytest.mark.parametrize("points", [16, 100, 4000])
+    def test_grid_is_the_default_angular_grid(self, points):
+        assert verify_angular(2.0, points=points).grid == default_angular_grid(points)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):

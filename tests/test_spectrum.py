@@ -545,7 +545,7 @@ class TestPolish:
         lam = lambda_separation(res.E, req.M, req.params, req.qn.m, req.qn.n_theta,
                                 req.branch, req.symmetry)
         ansatz = radial_ansatz(res.E, req.M, req.params.K, req.params.A, lam,
-                               req.symmetry, n_r=req.qn.n_r)
+                               req.symmetry)
         assert (repr(res.lam), repr(res.delta), repr(res.big_delta)) == (
             repr(lam), repr(ansatz.delta), repr(ansatz.big_delta))
 

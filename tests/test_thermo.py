@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from itertools import islice
 
 import pytest
@@ -56,17 +57,25 @@ class TestPartitionFunction:
                 partition_function(untouchable_levels(), beta=beta)
 
     def test_rejects_unsorted_levels(self):
-        with pytest.raises(DomainError, match="ascending"):
+        with pytest.raises(DomainError, match=re.escape(
+                "levels must be strictly ascending (got 1.0 after 2.0)")):
             partition_function([0.0, 2.0, 1.0], beta=1.0)
+
+    def test_rejects_equal_neighbouring_levels(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "levels 1 and 2 are both 1.0: a degenerate spectrum, or a level "
+                "spacing lost to rounding")):
+            partition_function([0.0, 1.0, 1.0], beta=1.0)
 
     def test_rejects_empty_levels(self):
         with pytest.raises(DomainError, match="empty"):
             partition_function([], beta=1.0)
 
-    def test_slowly_growing_spectrum_fails_tail_test(self):
+    def test_slowly_growing_spectrum_fails_tail_test(self, monkeypatch):
+        monkeypatch.setattr(thermo, "_MAX_LEVELS", 2000)
         levels = (1.0 - 1.0 / (n + 1) for n in range(10**7))
-        with pytest.raises(ConvergenceError, match="tail test"):
-            thermo._moments(levels, 1.0, 1e-14, max_levels=2000)
+        with pytest.raises(ConvergenceError, match="tail test after 2000 levels"):
+            thermo._moments(levels, 1.0, 1e-14)
 
 
 def untouchable_levels():
@@ -249,31 +258,32 @@ class TestNonrelativisticLevels:
             thermo_point(nonrelativistic_levels(params, REFERENCE_MU), T=1.0)
 
     def test_separation_root_that_swamps_n_theta_is_named(self, record_levels):
-        # w = 4*mu*(B+C) = -1.8e299: beside sqrt(1/2 - w) = 4.2e149,
-        # n_theta + 1/2 is lost and every level rounds to the same value.
-        message = ("ring coupling too strong for double precision: sqrt(1/2 - w - m^2) = "
-                   "4.242640687119286e+149 swamps n_theta + 1/2 (w = 4*mu*(B+C) = "
-                   "-1.8000000000000004e+299), so lambda would keep fewer than half "
-                   "of its 53 bits")
-        with pytest.raises(DomainError, match=re.escape(message)):
-            nonrelativistic_energy(REFERENCE_PARAMS, 1e300, QuantumNumbers(n_r=0))
+        # w = 4*mu*(B+C) = -1.8e299 and 4*A*mu = 2.4e301: beside them
+        # 2n + 1 is lost, and every level rounds to the same value.
+        level = nonrelativistic_energy(REFERENCE_PARAMS, 1e300, QuantumNumbers(n_r=0))
+        assert level == 7.745966692414835
         taken = record_levels()
-        with pytest.raises(DomainError, match=re.escape(message)):
-            thermo_point(nonrelativistic_levels(REFERENCE_PARAMS, 1e300), T=1.0)
-        assert taken == []      # the first next() checks the root, before level 0
-
-    def test_largest_separation_root_kept_is_2_to_the_26(self):
-        # With mu = 1 and C = 0, w = 4B: 1/2 - w = 2^52 gives the root
-        # 2^26, and about 2^52 + 2^30 the root 2^26 + 8.
-        kept = replace(REFERENCE_PARAMS, B=(0.5 - 2.0**52) / 4.0, C=0.0)
-        swamped = replace(kept, B=(0.5 - 2.0**52 - 2.0**30) / 4.0)
-        levels = list(islice(nonrelativistic_levels(kept, 1.0), 40))
-        assert all(a < b for a, b in zip(levels, levels[1:]))
-        root = math.sqrt(0.5 - 4.0 * swamped.B)
-        assert root > 2.0**26
         with pytest.raises(DomainError, match=re.escape(
-                f"sqrt(1/2 - w - m^2) = {root} swamps n_theta + 1/2")):
-            nonrelativistic_energy(swamped, 1.0, QuantumNumbers(n_r=0))
+                "levels 0 and 1 are both 7.745966692414835: a degenerate spectrum, "
+                "or a level spacing lost to rounding")):
+            thermo_point(nonrelativistic_levels(REFERENCE_PARAMS, 1e300), T=1.0)
+        assert taken == [0, 1]
+
+    def test_separation_root_above_2_to_the_26_keeps_its_precision(self):
+        # With mu = 1 and C = 0, w = 4B: 1/2 - w = 2^52 + 2^30 gives a root
+        # just above 2^26, where the sum form of lambda keeps its bits.
+        params = replace(REFERENCE_PARAMS, B=(0.5 - 2.0**52 - 2.0**30) / 4.0, C=0.0)
+        assert math.sqrt(0.5 - 4.0 * params.B) > 2.0**26
+        levels = list(islice(nonrelativistic_levels(params, 1.0), 40))
+        assert all(a < b for a, b in zip(levels, levels[1:]))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            A, B, K = (Decimal(v) for v in (params.A, params.B, params.K))
+            q = Decimal(0.5) + (Decimal(0.5) - 4 * B).sqrt()
+            for n, level in enumerate(levels):
+                lam = n * n + 2 * n * q + q - Decimal(0.25)
+                exact = (2 * K).sqrt() / 2 * (2 * n + 1 + (Decimal(0.25) + 4 * A + lam).sqrt())
+                assert abs(Decimal(level) - exact) <= Decimal(4.0 * math.ulp(level))
 
     def test_energy_overflows_at_the_level_that_overflows(self):
         # (c/2)*sqrt(2K/mu) = 1e150: finite up to n_r near 1e158.
@@ -391,20 +401,24 @@ class TestLadderGenerator:
          "K must be finite (got nan)"),
         (PotentialParams(K=1e308, A=1e308, B=-0.05, C=0.005), 5.0, BranchSign.PLUS, 0,
          "oscillator-limit energy overflows at n_r = 0, n_theta = 0: "),
-        (REFERENCE_PARAMS, 1e300, BranchSign.PLUS, 0,
-         "ring coupling too strong for double precision: "),
+        (REFERENCE_PARAMS, 1e300, BranchSign.PLUS, 2,
+         "levels 0 and 1 are both 7.745966692414835: a degenerate spectrum, "),
         (PotentialParams(K=5.0, A=0.5, B=-0.95, C=-0.05), 5.0, BranchSign.MINUS, 1,
          "radial radicand negative: "),
     ], ids=["non-finite", "overflow", "swamped-root", "radicand-at-level-1"])
     def test_failing_ladder_raises_at_the_same_level_on_every_generator(
             self, params, mu, branch, failing, message):
+        # ``failing`` levels are yielded, with the closed form's bits,
+        # before the ladder or the sum over it raises.
         errors = set()
         for _ in range(3):
-            ladder = nonrelativistic_levels(params, mu, 0, branch)
-            assert [e.hex() for e in islice(ladder, failing)] == [
+            yielded = []
+            ladder = (yielded.append(e) or e
+                      for e in nonrelativistic_levels(params, mu, 0, branch))
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:
+                partition_function(ladder, beta=1.0)
+            assert [e.hex() for e in yielded] == [
                 nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n), branch).hex()
                 for n in range(failing)]
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:
-                next(ladder)
             errors.add(str(info.value))
         assert len(errors) == 1
