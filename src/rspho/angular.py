@@ -40,7 +40,6 @@ __all__ = [
     "coupling_from_terms",
     "angular_ground_state",
     "partner_potentials_angular",
-    "default_theta_grid",
     "solve_angular",
 ]
 
@@ -178,12 +177,6 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
     if not (math.isfinite(v_plus) and math.isfinite(v_minus)):
         raise DomainError(f"partner potentials overflow at q = {q}, theta = {theta}")
     return v_plus, v_minus
-
-
-def default_theta_grid(points: int = 2001) -> np.ndarray:
-    """Uniform grid on [1e-9, pi - 1e-9], inside the singular ends of (0, pi)."""
-    import numpy as np
-    return np.linspace(1e-9, math.pi - 1e-9, points)
 
 
 def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:

@@ -7,14 +7,16 @@ of the subcommand's flags without its dashes, and argparse checks its
 value as it checks that flag's; explicit flags override file values, and
 any other key is an error.
 
-table and sweep build one array per number of their cells (the swept
-values repeated across the series, the series tiled across the sweep)
-and solve them together with spectrum.solve_columns, formatting the CSV
+table and sweep build one list per number of their cells (the swept
+values repeated across the series, the series repeated across the sweep)
+and solve them together with spectrum.solve_cells, formatting the CSV
 from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
-its first failed row.  potential and thermo need no arrays: their grids
-are lists of floats with np.linspace's bits (_linspace), so these two
-commands run without importing numpy.
+its first failed row.  The sweep, potential and thermo grids are lists
+of floats with np.linspace's bits (_linspace).  This module imports numpy
+nowhere: solve, table, sweep, potential and thermo run without it, and
+only wavefunction (its grid and quadrature) and verify (the oracle) load
+it.
 
 Each check that concerns one flag (a count's lower bound, a grid bound's
 finiteness, a positive tolerance, the integers of --series-values) is that
@@ -231,30 +233,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    import numpy as np
     from . import solve_energy
-    from .spectrum import request_columns, solve_columns
+    from .spectrum import solve_cells
     spec = _REFERENCE_SETS[args.which]
     lines: list[str] = []
     if args.which == "pseudospin2":
         lines.append("# third energy series interpreted as m = 2")
     lines.append(TABLE_HEADER)
     rows = list(itertools.product(spec["n_values"], spec["A_values"], spec["m_values"]))
-    n, A, m = np.array(rows, dtype=float).T
+    n, A, m = (list(column) for column in zip(*rows))
     symmetry = Symmetry(spec["symmetry"])
-    E = solve_columns(request_columns(K=spec["K"], A=A, B=spec["B"], C=spec["C"],
-                                      M=spec["M"], n_r=n, n_theta=n, m=m,
-                                      symmetry=symmetry))
-    failed = np.isnan(E)
-    if failed.any():
+    E = solve_cells(K=spec["K"], A=A, B=spec["B"], C=spec["C"], M=spec["M"],
+                    n_r=n, n_theta=n, m=m, symmetry=symmetry)
+    failed = [math.isnan(e) for e in E]
+    if any(failed):
         # solve_energy raises on exactly the rows that failed; the first
         # one in row order gives the command its error.
-        n_r, a, m_r = rows[failed.argmax()]
+        n_r, a, m_r = rows[failed.index(True)]
         solve_energy(SolveRequest(
             params=PotentialParams(K=spec["K"], A=a, B=spec["B"], C=spec["C"]),
             M=spec["M"], qn=QuantumNumbers(n_r=n_r, m=m_r), symmetry=symmetry))
     fixed = [_param(spec[name]) for name in ("B", "C", "K", "M")]
-    for (n_r, a, m_r), e in zip(rows, E.tolist()):
+    for (n_r, a, m_r), e in zip(rows, E):
         lines.append(",".join([str(n_r), str(m_r), str(n_r), _param(a), *fixed,
                                _fixed(e, args.precision)]))
     _emit(lines, args.output)
@@ -262,8 +262,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import numpy as np
-    from .spectrum import request_columns, solve_columns
+    from .spectrum import solve_cells
     vary = args.vary
     _finite_span(args, "from", "to")
     if getattr(args, "from") == args.to:
@@ -276,23 +275,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     prec = args.precision
     series_values = args.series_values
-    xs = np.linspace(getattr(args, "from"), args.to, args.steps)
+    xs = _linspace(getattr(args, "from"), args.to, args.steps)
     # One request per cell, row by row: x repeats across the series.
-    series = np.tile(np.array(series_values, dtype=float), len(xs))
+    series = list(series_values) * len(xs)
     coeffs = {name: getattr(args, name) for name in ("A", "B", "C", "K")}
-    coeffs[vary] = np.repeat(xs, len(series_values))
+    coeffs[vary] = [x for x in xs for _ in series_values]
     n_r = series if args.series == "n" else args.n
     m = series if args.series == "m" else args.m
-    cols = request_columns(**coeffs, M=args.M, n_r=n_r,
-                           n_theta=n_r if args.ntheta is None else args.ntheta, m=m,
-                           symmetry=Symmetry(args.symmetry),
-                           branch=BranchSign(args.branch),
-                           convention=Convention(args.convention))
-    E = solve_columns(cols, args.tol)
-    cells = ["" if math.isnan(e) else _fixed(e, prec) for e in E.tolist()]
+    E = solve_cells(**coeffs, M=args.M, n_r=n_r,
+                    n_theta=n_r if args.ntheta is None else args.ntheta, m=m,
+                    symmetry=Symmetry(args.symmetry), branch=BranchSign(args.branch),
+                    convention=Convention(args.convention), abs_tol_E=args.tol)
+    cells = ["" if math.isnan(e) else _fixed(e, prec) for e in E]
     width = len(series_values)
     lines = ["x," + ",".join(f"{args.series}={sv}" for sv in series_values)]
-    for i, x in enumerate(xs.tolist()):
+    for i, x in enumerate(xs):
         lines.append(",".join([_compact(x, prec), *cells[i * width:(i + 1) * width]]))
     _emit(lines, args.output)
     return EXIT_OK

@@ -11,7 +11,9 @@ scan makes no copy per check.
 
 ``is_array`` tells the two apart without importing numpy, so the float
 forms run in a process that has not loaded it; numpy is imported by the
-code that works on arrays, when it runs.
+code that works on arrays, when it runs.  ``numpy_loaded`` says whether
+a process has paid for that import: the energy solver scans on floats
+where it has not (see spectrum).
 
 ``simpson`` is plain numpy: the composite rule for irregular spacing with
 Cartwright's correction of the last interval for an even sample count,
@@ -29,7 +31,8 @@ import sys
 
 from .errors import DomainError
 
-__all__ = ["is_array", "require_finite", "positive", "nonnegative", "sqrt", "simpson"]
+__all__ = ["is_array", "numpy_loaded", "require_finite", "positive", "nonnegative",
+           "sqrt", "simpson"]
 
 
 def is_array(x) -> bool:
@@ -40,6 +43,12 @@ def is_array(x) -> bool:
         return False
     np = sys.modules.get("numpy")
     return np is not None and isinstance(x, np.ndarray)
+
+
+def numpy_loaded() -> bool:
+    """Whether this process has imported numpy, an import that costs more
+    than the float forms of a few hundred residual evaluations."""
+    return "numpy" in sys.modules
 
 
 def require_finite(**values: float) -> None:

@@ -11,11 +11,11 @@ model.Convention).
 
 The relation is solved in two steps.  A scan evaluates the residual on a
 grid of _SCAN_POINTS points over the analytic validity interval, up to
-M + _SCAN_CEILING*sqrt(|K|), in one array call and records every sign
-change: every radicand except the radial one is affine in E, so the
-interval endpoints are available in closed form (_scan_ends), and grid
-points where the radial radicand fails are skipped.  The first bracket,
-the lowest root, is then polished by the Illinois variant of regula falsi
+M + _SCAN_CEILING*sqrt(|K|), and takes its first sign change: every
+radicand except the radial one is affine in E, so the interval endpoints
+are available in closed form (_scan_ends), and grid points where the
+radial radicand fails are skipped.  That first bracket, the lowest root,
+is then polished by the Illinois variant of regula falsi
 (Dowell & Jarratt, BIT 11 (1971) 168), which keeps the root bracketed at
 every step and converges superlinearly; every step lands at least half
 the tolerance inside the bracket, so the bracket shrinks even where the
@@ -33,6 +33,9 @@ computes, with the bits of np.linspace.
 solve_energy does this for one request and returns the energy with its
 diagnostics, or raises: the scan, every polish step and the result's
 lambda, delta and big_delta at E share the request's one terms tuple.
+Its scan has two forms with the same result: one array call over the
+whole grid (_scan_one), or, in a process that has not loaded numpy, one
+float call per point up to the first bracket (_scan_floats).
 solve_columns does it for many, column-wise: it takes the requests'
 numbers as an (11, requests) array (request_columns builds one),
 validates them and computes their scan intervals with the same formulas
@@ -47,9 +50,15 @@ row at once, one residual call per step.  An energy is NaN exactly where
 solve_energy raises for that request, and has solve_energy's bits
 everywhere else.
 
-numpy is imported by the array code only (solve_energy's scan, the
-column solver, the array forms of the residual and of the scan
-ends), so the float forms run in a process that has not loaded it.
+solve_cells solves the cells of a table or a sweep: with solve_columns,
+or, in a process that has not loaded numpy, with solve_energy one cell
+at a time.  numpy is imported by the array code only (_scan_one, the
+column solver, the array forms of the residual and of the scan ends),
+so solve_energy and solve_cells run on floats alone where numpy is not
+loaded.  numerics.numpy_loaded makes that choice: importing numpy costs a
+cold process more than the float residual calls of a table, while in a
+process that has loaded it one array call over a grid costs a small
+fraction of 512 float calls.
 """
 
 from __future__ import annotations
@@ -61,9 +70,9 @@ from typing import TYPE_CHECKING
 
 from .angular import angular_level, coupling_from_terms, q_of_vtilde
 from .errors import ConvergenceError, DomainError, NoRootError
-from .model import (BranchSign, Convention, SolveRequest, Symmetry,
-                    numeric_checks, validate)
-from .numerics import is_array, positive, sqrt
+from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
+                    SolveRequest, Symmetry, numeric_checks, validate)
+from .numerics import is_array, numpy_loaded, positive, sqrt
 from .radial import radial_terms_from_terms
 
 if TYPE_CHECKING:
@@ -75,6 +84,7 @@ __all__ = [
     "solve_energy",
     "request_columns",
     "solve_columns",
+    "solve_cells",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -95,12 +105,11 @@ class SolveResult:
     """A converged bound-state energy with its diagnostics.
 
     ``bracket`` is the interval between two neighbouring points of the
-    scan's grid (see _scan_ends) that contained the root, the first the
-    scan found, or (E, E) for an exact zero on the grid;
-    ``root_count_in_scan`` reports how many sign changes the scan saw in
-    total, so callers can detect parameter regimes with several candidate
-    roots.  ``iterations`` counts the polish steps, each one residual
-    evaluation, and ``residual`` is the residual at E.
+    scan's grid (see _scan_ends) that contained the root, the first
+    bracket on the grid, or (E, E) for an exact zero on the grid; the scan
+    does not look for brackets above it.  ``iterations`` counts the polish
+    steps, each one residual evaluation, and ``residual`` is the residual
+    at E.
     """
 
     E: float
@@ -110,7 +119,6 @@ class SolveResult:
     residual: float
     iterations: int
     bracket: tuple[float, float]
-    root_count_in_scan: int
 
 
 def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
@@ -369,29 +377,56 @@ def _scan(terms: tuple, first, last):
     return bracket
 
 
-def _scan_one(terms: tuple, first: float, last: float) -> tuple:
-    """_scan for the _terms of one request, picking the first bracket from
-    a list of starts, which costs fewer numpy calls than _scan's row-wise
-    picking.
+def _scan_one(terms: tuple, first: float, last: float) -> tuple | int:
+    """_scan for the _terms of one request, in one residual call over the
+    whole grid, which costs fewer numpy calls than _scan's windows.
 
-    Returns (count, a, b, fa, fb) as floats: count is the number of
-    brackets on the whole grid, and the bracket is the first one.  A grid
-    without a bracket returns (0, inside), inside being the number of its
-    points inside the domain (a residual that is not NaN).  Only these
-    numbers leave this frame, so an exception raised about the scan does
-    not keep its arrays alive.
+    Returns the first bracket (a, b, fa, fb) as floats, as _scan picks it.
+    A grid without a bracket returns the number of its points inside the
+    domain (a residual that is not NaN), an int.  Only these numbers leave
+    this frame, so an exception raised about the scan does not keep its
+    arrays alive.
     """
     import numpy as np
     grid = _grid(first, (last - first) / (_SCAN_POINTS - 1), last, 0, _SCAN_POINTS)
     values = energy_residual(grid, terms)
-    starts = np.flatnonzero(_bracket_starts(values)).tolist()
-    if not starts:
-        return 0, int(np.count_nonzero(~np.isnan(values)))
-    i = starts[0]
+    starts = _bracket_starts(values)
+    i = int(starts.argmax())
+    if not starts[i]:
+        return int(np.count_nonzero(~np.isnan(values)))
     a, fa = grid.item(i), values.item(i)
     if fa == 0.0:
-        return len(starts), a, a, 0.0, 0.0
-    return len(starts), a, grid.item(i + 1), fa, values.item(i + 1)
+        return a, a, 0.0, 0.0
+    return a, grid.item(i + 1), fa, values.item(i + 1)
+
+
+def _scan_floats(terms: tuple, first: float, last: float) -> tuple | int:
+    """_scan_one on floats, one residual call per grid point, for a process
+    that has not loaded numpy.
+
+    Walks _grid's points in ascending order, with its bits (point i is
+    i*step + first, the last point is last), and stops at the first
+    bracket by _bracket_starts' rule: a point outside the domain
+    (DomainError) counts as NaN, which starts none.  Returns what _scan_one
+    returns, bit for bit.
+    """
+    step = (last - first) / (_SCAN_POINTS - 1)
+    inside = 0
+    a = fa = math.nan                           # the point before b
+    for i in range(_SCAN_POINTS):
+        b = i * step + first if i < _SCAN_POINTS - 1 else last
+        try:
+            fb = energy_residual(b, terms)
+        except DomainError:
+            fb = math.nan
+        if fa * fb < 0.0:
+            return a, b, fa, fb
+        if fb == 0.0:
+            return b, b, 0.0, 0.0
+        if not math.isnan(fb):
+            inside += 1
+        a, fa = b, fb
+    return inside
 
 
 def _polish(terms: tuple, a: float, b: float, fa: float, fb: float,
@@ -501,10 +536,11 @@ def solve_energy(request: SolveRequest, abs_tol_E: float = 1e-12) -> SolveResult
     Computes the request's _terms once, for every residual call and for
     the result.  Scans _SCAN_POINTS abscissae over the scan interval (see
     _scan_ends), on the grid that solve_columns' scan computes (see
-    _grid), in one array evaluation of the residual, counts the sign
-    changes, and polishes the first bracket with Illinois steps until it
-    is narrower than ``abs_tol_E`` plus a few ulps of E, so large energies
-    converge too.  lambda, delta = -1/2 - sqrt(1/4 + delta') and big_delta
+    _grid): in one array evaluation of the residual where numpy is loaded
+    (_scan_one), and otherwise on floats up to the first sign change
+    (_scan_floats), which finds the same bracket.  Polishes that bracket
+    with Illinois steps until it is narrower than ``abs_tol_E`` plus a few
+    ulps of E, so large energies converge too.  lambda, delta = -1/2 - sqrt(1/4 + delta') and big_delta
     at E come from the residual's own arithmetic (_residual).  A scan
     without a bracket raises NoRootError that says how many grid points
     lay inside the domain.  ``abs_tol_E`` must be positive and finite
@@ -513,19 +549,18 @@ def solve_energy(request: SolveRequest, abs_tol_E: float = 1e-12) -> SolveResult
     _check_tolerance(abs_tol_E)
     first, last = _scan_ends(request)
     terms = _request_terms(request)
-    scan = _scan_one(terms, first, last)
-    if scan[0] == 0:
+    scan = (_scan_one if numpy_loaded() else _scan_floats)(terms, first, last)
+    if type(scan) is int:
         raise NoRootError(
             f"no sign change of the energy residual on [{first}, {last}] "
-            f"with {_SCAN_POINTS} scan points ({scan[1]} of {_SCAN_POINTS} "
+            f"with {_SCAN_POINTS} scan points ({scan} of {_SCAN_POINTS} "
             "points inside the domain)")
-    count, a, b, fa, fb = scan
+    a, b, fa, fb = scan
     energy, residual, iterations = _polish(terms, a, b, fa, fb, abs_tol_E)
     _, _, lam, root, stiff = _residual(energy, terms)
     return SolveResult(E=energy, lam=lam, delta=-0.5 - root,
                        big_delta=sqrt(stiff), residual=residual,
-                       iterations=iterations, bracket=(a, b),
-                       root_count_in_scan=count)
+                       iterations=iterations, bracket=(a, b))
 
 
 def solve_columns(cols: np.ndarray, abs_tol_E: float = 1e-12) -> np.ndarray:
@@ -562,3 +597,33 @@ def solve_columns(cols: np.ndarray, abs_tol_E: float = 1e-12) -> np.ndarray:
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)
     return E
 
+
+def solve_cells(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
+                branch: BranchSign = BranchSign.PLUS,
+                convention: Convention = Convention.TABLE_CONSISTENT,
+                abs_tol_E: float = 1e-12) -> list[float]:
+    """The energies of the cells of a table or a sweep, as a list:
+    solve_columns(request_columns(...), abs_tol_E).
+
+    The numbers are request_columns', each a float or a list of one value
+    per cell (at least one a list); the quantum numbers are ints.  In a
+    process that has not loaded numpy, each cell is solved by solve_energy
+    instead, NaN where it raises DomainError, NoRootError or
+    ConvergenceError: the same energies, without the import.
+    """
+    numbers = (K, A, B, C, M, n_r, n_theta, m)
+    if numpy_loaded():
+        return solve_columns(request_columns(*numbers, symmetry, branch, convention),
+                             abs_tol_E).tolist()
+    cells = max(len(x) for x in numbers if type(x) is list)
+    energies = []
+    for K, A, B, C, M, n_r, n_theta, m in zip(
+            *(x if type(x) is list else [x] * cells for x in numbers)):
+        request = SolveRequest(params=PotentialParams(K=K, A=A, B=B, C=C), M=M,
+                               qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
+                               symmetry=symmetry, branch=branch, convention=convention)
+        try:
+            energies.append(solve_energy(request, abs_tol_E).E)
+        except (DomainError, NoRootError, ConvergenceError):
+            energies.append(math.nan)
+    return energies

@@ -20,10 +20,9 @@ import rspho.oracle
 import rspho.spectrum
 import rspho.thermo
 from rspho.angular import (angular_ground_state, angular_level, angular_spectrum,
-                           coupling_from_terms, default_theta_grid,
-                           lambda_separation, partner_potentials_angular,
-                           q_of_vtilde, shape_invariance_chain, solve_angular,
-                           v_tilde)
+                           coupling_from_terms, lambda_separation,
+                           partner_potentials_angular, q_of_vtilde,
+                           shape_invariance_chain, solve_angular, v_tilde)
 from rspho.cli import main
 from rspho.errors import DomainError
 from rspho.model import (BranchSign, PotentialParams, QuantumNumbers, SolveRequest,
@@ -287,18 +286,18 @@ def test_chain_remainders_telescope_to_the_sum_form(q, n):
 class TestAngularGroundState:
     def test_sine_profile_midpoint(self):
         # q = 3/2: G0 ~ sin(theta), norm integral 4/3, peak sqrt(3)/2
-        grid = default_theta_grid(2001)
+        grid = np.linspace(1e-9, math.pi - 1e-9, 2001)
         g = angular_ground_state(1.5, grid)
         assert g[1000] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-7)
 
     def test_sine_squared_profile_midpoint(self):
         # q = 5/2: norm integral 16/15, peak sqrt(15)/4
-        grid = default_theta_grid(2001)
+        grid = np.linspace(1e-9, math.pi - 1e-9, 2001)
         g = angular_ground_state(2.5, grid)
         assert g[1000] == pytest.approx(math.sqrt(15.0) / 4.0, abs=1e-7)
 
     def test_unit_quadrature(self):
-        grid = default_theta_grid(2001)
+        grid = np.linspace(1e-9, math.pi - 1e-9, 2001)
         g = angular_ground_state(2.0, grid)
         integral = np.trapezoid(g**2 * np.sin(grid), grid)
         assert integral == pytest.approx(1.0, abs=1e-8)
@@ -306,7 +305,7 @@ class TestAngularGroundState:
     @pytest.mark.parametrize("q", [0.5, 0.3, -1.0])
     def test_non_normalizable_rejected(self, q):
         with pytest.raises(DomainError, match="q > 1/2"):
-            angular_ground_state(q, default_theta_grid(101))
+            angular_ground_state(q, np.linspace(1e-9, math.pi - 1e-9, 101))
 
     def test_grid_outside_domain_rejected(self):
         with pytest.raises(DomainError):
@@ -315,10 +314,10 @@ class TestAngularGroundState:
     @pytest.mark.parametrize("q", [math.nan, math.inf])
     def test_q_that_is_not_finite_rejected(self, q):
         with pytest.raises(DomainError, match=rf"^q must be finite \(got {q}\)$"):
-            angular_ground_state(q, default_theta_grid(101))
+            angular_ground_state(q, np.linspace(1e-9, math.pi - 1e-9, 101))
 
     @pytest.mark.parametrize("grid", [
-        default_theta_grid(101)[::-1],
+        np.linspace(1e-9, math.pi - 1e-9, 101)[::-1],
         np.array([0.5, 1.0, 1.0, 1.5]),
     ], ids=["descending", "repeated"])
     def test_grid_that_is_not_strictly_ascending_rejected(self, grid):

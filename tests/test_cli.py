@@ -686,13 +686,13 @@ class TestImports:
         """The wavefunction and angular quadratures run without SciPy; the
         finite-difference oracle imports it on first use."""
         script = """
-import contextlib, io, json, sys
+import contextlib, io, json, math, sys
+import numpy as np
 import rspho.cli
 from rspho import angular_ground_state
-from rspho.angular import default_theta_grid
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [rspho.cli.main(sys.argv[1:])]
-    angular_ground_state(2.0, default_theta_grid())
+    angular_ground_state(2.0, np.linspace(1e-9, math.pi - 1e-9, 2001))
     loaded = ["scipy" in sys.modules]
     codes.append(rspho.cli.main(["verify", "--suite", "angular"]))
     loaded.append("scipy" in sys.modules)
@@ -706,8 +706,11 @@ print(json.dumps([codes, loaded]))
 
     @pytest.mark.parametrize("launch", [["-m", "rspho"], ["-c", ENTRY_CODE]],
                              ids=["python-m", "console-script"])
-    @pytest.mark.parametrize("argv", [POTENTIAL_ARGS, THERMO_ARGS], ids=lambda argv: argv[0])
-    def test_thermo_and_potential_load_neither_numpy_nor_scipy(self, launch, argv):
+    @pytest.mark.parametrize("argv", [
+        POTENTIAL_ARGS, THERMO_ARGS, ["solve"] + SPIN_ARGS, ["table", "--which", "spin1"],
+        ["table", "--which", "pseudospin2"], SWEEP_ARGS,
+    ], ids=["potential", "thermo", "solve", "table-spin1", "table-pseudospin2", "sweep"])
+    def test_loads_neither_numpy_nor_scipy(self, launch, argv):
         # -X importtime lists every module the process imports.
         done = subprocess.run([sys.executable, "-X", "importtime"] + launch + argv,
                               env=src_env(), capture_output=True, text=True)
@@ -716,6 +719,36 @@ print(json.dumps([codes, loaded]))
         assert (done.returncode, done.stdout) == (0, run_cli(argv)[1])
         assert "rspho" in imported
         assert not imported & {"numpy", "scipy"}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"] + SPIN_ARGS,
+        ["table", "--which", "spin1"],
+        ["table", "--which", "pseudospin2"],
+        # B crosses into the region with no bound state: empty cells.
+        ["sweep", "--steps", "24", "--precision", "12", "--vary", "B", "--from", "-0.15",
+         "--to", "0.25", "--series", "m", "--series-values", "0,1,2", "--n", "0",
+         "--symmetry", "spin", "--C", "0.005", "--M", "5", "--A", "6", "--K", "5"],
+        ["sweep", "--vary", "A", "--from", "-6", "--to", "-2", "--steps", "3", "--series", "m",
+         "--n", "1", "--series-values", "-1,0,2", "--symmetry", "pseudospin", "--B", "0.5",
+         "--C", "0.005", "--K", "-5", "--M", "3"],
+        # The scan ceiling empties the scan interval.
+        ["solve", "--symmetry", "spin", "--n", "1", "--m", "5", "--A", "6", "--B", "-0.05",
+         "--C", "0.005", "--K", "5", "--M", "5"],
+        # Four grid points inside the domain, no sign change.
+        ["solve", "--symmetry", "spin", "--n", "0", "--ntheta", "3", "--m", "1", "--K", "16.97",
+         "--A", "-2.887", "--B", "-0.3846", "--C", "0.0781", "--M", "0.3585"],
+    ], ids=["solve", "table-spin1", "table-pseudospin2", "sweep-no-bound-state",
+            "sweep-negative-series", "solve-ceiling", "solve-no-sign-change"])
+    def test_fresh_process_prints_what_main_prints_with_numpy_loaded(self, argv):
+        # A fresh process has not loaded numpy, so it scans on floats and
+        # solves a table's or a sweep's cells one by one; main in this
+        # process, which has, scans and solves them with arrays.  Both give
+        # the same bytes and exit code.
+        assert "numpy" in sys.modules
+        done = subprocess.run([sys.executable, "-m", "rspho"] + argv, env=src_env(),
+                              capture_output=True)
+        code, out, err = run_cli(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
 
     def test_import_rspho_loads_no_submodule(self):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.spectrum
@@ -16,8 +16,8 @@ from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.radial import radial_ansatz
-from rspho.spectrum import (energy_residual, request_columns, solve_columns,
-                            solve_energy)
+from rspho.spectrum import (energy_residual, request_columns, solve_cells,
+                            solve_columns, solve_energy)
 from rspho.thermo import nonrelativistic_energy
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
@@ -174,6 +174,40 @@ def grouped_requests(draw):
         params = dataclasses.replace(base.params, A=base.params.A + draw(st.floats(-1.0, 1.0)))
         rows.append(dataclasses.replace(base, params=params, qn=qn))
     return rows
+
+
+@st.composite
+def scan_edge_requests(draw):
+    """Valid requests moved to the edges of the scan: a tiny K or M, a
+    B + C that is 0 or tiny (a separation edge far away, or none), or an
+    n_r whose root lies above the scan ceiling."""
+    req = draw(valid_requests())
+    p = req.params
+    edge = draw(st.sampled_from(["K", "M", "B + C", "n_r"]))
+    tiny = draw(st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6]))
+    if edge == "K":
+        return dataclasses.replace(req, params=dataclasses.replace(
+            p, K=math.copysign(tiny, p.K)))
+    if edge == "M":
+        return dataclasses.replace(req, M=tiny)
+    if edge == "B + C":
+        return dataclasses.replace(req, params=dataclasses.replace(
+            p, B=-p.C + draw(st.sampled_from([0.0, tiny, -tiny]))))
+    return dataclasses.replace(req, qn=QuantumNumbers(
+        n_r=draw(st.integers(1000, 2500)), n_theta=req.qn.n_theta, m=req.qn.m))
+
+
+# A spin request whose scan grid holds no sign change: four of its points
+# lie inside the domain.
+NO_SIGN_CHANGE = SolveRequest(
+    params=PotentialParams(K=16.97, A=-2.887, B=-0.3846, C=0.0781), M=0.3585,
+    qn=QuantumNumbers(n_r=0, n_theta=3, m=1), symmetry=Symmetry.SPIN)
+
+
+def float_bits(scan):
+    """A scan's result with each float as its hex form, which tells -0.0
+    from 0.0; a count of points stays an int."""
+    return scan if type(scan) is int else tuple(x.hex() for x in scan)
 
 
 def columns(requests):
@@ -362,24 +396,80 @@ class TestResidualKernel:
                           st.floats(-1e3, 1e3).map(lambda x: x * 1e-9),
                           st.sampled_from([0.0, -0.0])),
            scale=st.sampled_from([1.0, 1e-9, 1e6]))
+    @example(first=0.1, span=15.97, scale=1.0)
     def test_scalar_scan_grid_is_linspace(self, first, span, scale):
-        # The grid _scan_one evaluates has np.linspace's bits, for ends of
-        # either sign, large or small, the same or a margin's width apart,
-        # and even in the wrong order.
+        # The grid that _scan_one evaluates in one array, and _scan_floats
+        # point by point, has np.linspace's bits, for ends of either sign,
+        # large or small, the same or a margin's width apart, and even in
+        # the wrong order.  From 0.1 to 16.07, 511*step + first is not the
+        # last point.
         first *= scale
         last = first + span * max(1.0, abs(first))
-        grids = []
+        points = []
 
         def recording(E, terms):
-            grids.append(E.copy())
-            return np.full(E.shape, np.nan)
+            if isinstance(E, np.ndarray):
+                points.extend(E.tolist())
+                return np.full(E.shape, np.nan)
+            points.append(E)
+            return math.nan
+
+        expected = np.linspace(first, last, rspho.spectrum._SCAN_POINTS)
+        for scan in (rspho.spectrum._scan_one, rspho.spectrum._scan_floats):
+            points.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rspho.spectrum, "energy_residual", recording)
+                assert scan(None, first, last) == 0
+            assert np.array(points).tobytes() == expected.tobytes()
+
+    @PROPERTY
+    @given(req=st.one_of(valid_requests(), scan_edge_requests()))
+    @example(req=NO_SIGN_CHANGE)
+    def test_float_scan_is_the_array_scan(self, req):
+        # _scan_floats, which solve_energy runs where numpy is not loaded,
+        # returns _scan_one's bracket bit for bit, or, without a bracket,
+        # its count of points inside the domain.
+        try:
+            first, last = rspho.spectrum._scan_ends(req)
+        except RsphoError:
+            return
+        terms = rspho.spectrum._request_terms(req)
+        assert (float_bits(rspho.spectrum._scan_floats(terms, first, last))
+                == float_bits(rspho.spectrum._scan_one(terms, first, last)))
+
+    @pytest.mark.parametrize("zeros, expected", [
+        ([0], (0.0, 0.0, 0.0, 0.0)),
+        ([200], (200.0, 200.0, 0.0, 0.0)),
+        ([511], (511.0, 511.0, 0.0, 0.0)),
+        ([200, 300], (200.0, 200.0, 0.0, 0.0)),
+        ([200.5], (200.0, 201.0, 0.5, -0.5)),
+        ([199.5, 200], (200.0, 200.0, 0.0, 0.0)),
+    ], ids=["first", "middle", "last", "two-zeros", "sign-change", "into-minus-zero"])
+    def test_float_and_array_scans_pick_the_same_first_bracket(self, zeros, expected):
+        # On the grid 0, 1, ..., 511 a residual that is 0 at each point of
+        # ``zeros`` (a half-integer one changes sign between two grid
+        # points) gives both scans the same first bracket: an exact zero
+        # on the grid, -0.0 included, is the bracket (E, E, 0.0, 0.0).
+        def residual(E, terms):
+            f = 1.0
+            for z in zeros:
+                f = f * (z - E)
+            return f
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rspho.spectrum, "energy_residual", recording)
-            scan = rspho.spectrum._scan_one(None, first, last)
-        assert scan == (0, 0)
-        expected = np.linspace(first, last, rspho.spectrum._SCAN_POINTS)
-        assert grids[0].tobytes() == expected.tobytes()
+            mp.setattr(rspho.spectrum, "energy_residual", residual)
+            scans = [scan(None, 0.0, 511.0) for scan in (rspho.spectrum._scan_floats,
+                                                         rspho.spectrum._scan_one)]
+        assert float_bits(scans[0]) == float_bits(scans[1]) == float_bits(expected)
+
+    def test_scans_without_a_sign_change_count_the_same_points(self):
+        # The spin example whose grid holds four points inside the domain
+        # and no sign change, the case that "4 of 512 points inside the
+        # domain" reports.
+        terms = rspho.spectrum._request_terms(NO_SIGN_CHANGE)
+        ends = rspho.spectrum._scan_ends(NO_SIGN_CHANGE)
+        assert rspho.spectrum._scan_floats(terms, *ends) == 4
+        assert rspho.spectrum._scan_one(terms, *ends) == 4
 
 
 class TestSolveEnergy:
@@ -398,7 +488,6 @@ class TestSolveEnergy:
         assert abs(res.residual) <= tol * max(1.0, abs(res.E))
         assert res.bracket[0] <= res.E <= res.bracket[1]
         assert res.E > SPIN_SET["M"]
-        assert res.root_count_in_scan >= 1
         assert res.iterations > 0
         # delta solves delta*(delta+1) = delta' = 2*A*(E+M) + lambda under spin symmetry
         assert res.delta * (res.delta + 1.0) == pytest.approx(
@@ -990,6 +1079,30 @@ class TestColumnForms:
                                m=np.array([r.qn.m for r in requests]),
                                symmetry=symmetry, branch=branch, convention=convention)
         assert cols.tobytes() == columns(requests).tobytes()
+
+    @settings(PROPERTY, max_examples=50)
+    @given(requests=st.lists(st.one_of(mixed_requests(), edge_requests()),
+                             min_size=1, max_size=8),
+           symmetry=st.sampled_from(Symmetry), branch=st.sampled_from(BranchSign),
+           convention=st.sampled_from(Convention),
+           abs_tol_E=st.sampled_from([1e-12, 1e-6]))
+    def test_cells_solved_one_by_one_are_the_columns(self, requests, symmetry, branch,
+                                                     convention, abs_tol_E):
+        # Where numpy is not loaded, solve_cells solves each cell with
+        # solve_energy, which scans on floats; it returns solve_columns'
+        # energies bit for bit, NaN where they are NaN.
+        requests = [dataclasses.replace(r, symmetry=symmetry, branch=branch,
+                                        convention=convention) for r in requests]
+        numbers = {name: [getattr(r.params, name) for r in requests] for name in "KABC"}
+        numbers.update(M=[r.M for r in requests],
+                       **{name: [getattr(r.qn, name) for r in requests]
+                          for name in ("n_r", "n_theta", "m")})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "numpy_loaded", lambda: False)
+            cells = solve_cells(**numbers, symmetry=symmetry, branch=branch,
+                                convention=convention, abs_tol_E=abs_tol_E)
+        expected = solve_columns(columns(requests), abs_tol_E)
+        assert energies(np.array(cells)) == energies(expected)
 
 
 class TestSolverOptions:
