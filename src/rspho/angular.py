@@ -11,8 +11,10 @@ q is q_of_vtilde's, and lambda = angular_level(q, n_theta) - 1/4, the sum
 form of the telescoped spectrum.  The solver's residual and the
 oscillator-limit ladder call both, with floats or arrays.
 
-Every function here is pure; grids are numpy arrays, and numpy is
-imported only by the functions that take or make them.
+The ground state sin^(q - 1/2) theta is normalized in closed form, by
+the integral of sin^(2q) theta over (0, pi).  Every function here is pure;
+grids are numpy arrays, and numpy is imported only by the functions that
+take or make them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import BranchSign, PotentialParams, Symmetry
-from .numerics import nonnegative, require_finite, simpson, sqrt
+from .numerics import nonnegative, require_finite, sqrt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -180,14 +182,15 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
 
 
 def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
-    """Unit-normalized ground-state profile G0(theta) ~ sin^(q - 1/2) theta.
+    """Unit-normalized ground-state profile G0(theta) = N sin^(q - 1/2) theta.
 
-    Normalization uses composite Simpson quadrature of |G0|^2 sin(theta)
-    over the supplied grid.  The sin(theta) weight is the surface measure
-    of the polar coordinate.  Requires a finite q > 1/2 for
-    normalizability and a strictly ascending grid inside (0, pi).  A norm
-    that is not finite and positive (a grid that misses the state) raises
-    DomainError ("quadrature collapsed"), as in radial_wavefunction.
+    N normalizes |G0|^2 sin(theta) over (0, pi), not over the grid; the
+    sin(theta) weight is the surface measure of the polar coordinate.  The
+    integral is that of sin^(2q) theta, sqrt(pi) Gamma(q + 1/2)/Gamma(q + 1)
+    (DLMF 5.12).  Requires a finite q > 1/2 for normalizability and a
+    strictly ascending grid inside (0, pi).  A grid on which a sample is
+    not finite, or on which every sample is zero (one that misses the
+    state), raises DomainError naming the cause, with no numpy warning.
     """
     require_finite(q=q)
     if q <= 0.5:
@@ -195,17 +198,19 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
     import numpy as np
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size < 3:
-        raise DomainError("theta grid needs at least 3 points for quadrature")
+        raise DomainError("theta grid needs at least 3 points")
     if np.any(theta_grid <= 0.0) or np.any(theta_grid >= math.pi):
         raise DomainError("theta grid must lie strictly inside (0, pi)")
     if np.any(np.diff(theta_grid) <= 0.0):
         raise DomainError("theta grid must be strictly ascending")
-    sin_theta = np.sin(theta_grid)
-    profile = sin_theta ** (q - 0.5)
-    norm_sq = simpson(profile**2 * sin_theta, x=theta_grid)
-    if not 0.0 < norm_sq < math.inf:
-        raise DomainError("angular quadrature collapsed; grid does not resolve the state")
-    return profile / math.sqrt(norm_sq)
+    log_norm = -0.5 * (0.5 * math.log(math.pi) + math.lgamma(q + 0.5) - math.lgamma(q + 1.0))
+    values = math.exp(log_norm) * np.sin(theta_grid) ** (q - 0.5)
+    if not np.isfinite(values).all():
+        raise DomainError(f"angular ground state is not finite on the grid (q = {q})")
+    if not values.any():
+        raise DomainError(f"angular ground state is zero at every grid point: the grid "
+                          f"misses the state (q = {q})")
+    return values
 
 
 def solve_angular(E: float, M: float, params: PotentialParams, m: int,

@@ -13,10 +13,10 @@ and solve them together with spectrum.solve_cells, formatting the CSV
 from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  The sweep, potential and thermo grids are lists
-of floats with np.linspace's bits (_linspace).  This module imports numpy
-nowhere: solve, table, sweep, potential and thermo run without it, and
-only wavefunction (its grid and quadrature) and verify (the oracle) load
-it.
+of floats with np.linspace's bits (_linspace), and the wavefunction grid
+is a list of floats with default_r_grid's bits.  This module imports numpy
+nowhere: every command but verify runs without it, and only verify (the
+oracle) loads it.
 
 Each check that concerns one flag (a count's lower bound, a grid bound's
 finiteness, a positive tolerance, the integers of --series-values) is that
@@ -297,14 +297,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     from . import radial_wavefunction, solve_energy
-    from .radial import default_r_grid, effective_scale, wavefunction_scales
+    from .radial import effective_scale, r_grid_step, wavefunction_scales
     prec = args.precision
     req = _build_request(args)
     res = solve_energy(req, args.tol)
     L, big_delta = wavefunction_scales(req, res.E, res.lam, args.mass_factor)
     delta_eff = effective_scale(big_delta, req.convention)
-    grid = default_r_grid(req.qn.n_r, L, delta_eff,
-                          points=args.points, r_max=args.r_max)
+    h = r_grid_step(req.qn.n_r, L, delta_eff, points=args.points, r_max=args.r_max)
+    # default_r_grid's points, as floats.
+    grid = [h * i for i in range(1, args.points + 1)]
     wf = radial_wavefunction(req.qn.n_r, L, big_delta, grid, req.convention)
     lines = ["r,R"]
     lines.extend(f"{_compact(r, prec)},{_compact(val, prec)}"

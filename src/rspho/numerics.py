@@ -15,13 +15,10 @@ code that works on arrays, when it runs.  ``numpy_loaded`` says whether
 a process has paid for that import: the energy solver scans on floats
 where it has not (see spectrum).
 
-``simpson`` is plain numpy: the composite rule for irregular spacing with
-Cartwright's correction of the last interval for an even sample count,
-computed in the order of operations of SciPy's ``integrate.simpson`` so
-that it returns the same bits on strictly ascending abscissae (the tests
-compare the two).  The wavefunction and angular normalizations therefore
-load no SciPy, whose import costs more start-up time and memory than the
-rest of the package together.
+``sqrt``, ``exp`` and ``log`` send a float to math and an array to
+numpy, so that one expression samples the radial wavefunction on a float
+or on a grid array.  No quadrature runs here: both wavefunctions are
+normalized in closed form (see radial and angular).
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import sys
 from .errors import DomainError
 
 __all__ = ["is_array", "numpy_loaded", "require_finite", "positive", "nonnegative",
-           "sqrt", "simpson"]
+           "sqrt", "exp", "log"]
 
 
 def is_array(x) -> bool:
@@ -96,49 +93,25 @@ def sqrt(x):
     return math.sqrt(x)
 
 
-def _simpson_panels(y, h, stop):
-    """Simpson sum over the panels [x_i, x_i+2] for even i < stop."""
-    import numpy as np
-    h0 = h[0:stop:2]
-    h1 = h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
-                        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp)
+def exp(x):
+    """Exponential of a float or an array.
 
-
-def simpson(y, *, x):
-    """Composite Simpson quadrature of samples ``y`` at strictly ascending
-    abscissae ``x``.
-
-    An odd sample count is a sum of parabolic panels.  An even count
-    covers all but the last interval with panels and adds Cartwright's
-    (2017) three-point correction for the last one; two samples fall back
-    to the trapezoid.  The weights divide by the steps plainly, as no step
-    is 0: the callers (radial_wavefunction, angular_ground_state) reject a
-    grid that is not strictly ascending.
+    A float goes to math.exp; one that overflows gives inf, as np.exp
+    gives it for an array element (where callers silence numpy's warning
+    with np.errstate).
     """
-    import numpy as np
-    y = np.asarray(y)
-    x = np.asarray(x)
-    if y.ndim != 1 or x.shape != y.shape or y.size == 0:
-        raise ValueError(f"simpson needs 1-D y and x of one nonzero length "
-                         f"(got shapes {y.shape} and {x.shape})")
-    n = y.size
-    h = np.diff(x).astype(np.float64, copy=False)
-    if n % 2:
-        return _simpson_panels(y, h, n - 2)
-    # An even-count sum starts from 0.0, which turns a -0.0 result into 0.0.
-    if n == 2:
-        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
-    # 0-d arrays, so that the powers and divisions run the same numpy loops
-    # as the reference implementation.
-    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
-    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-    last = alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return 0.0 + (_simpson_panels(y, h, n - 3) + last)
+    if is_array(x):
+        import numpy as np
+        return np.exp(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def log(x):
+    """Natural logarithm of a positive float or array (math.log or np.log)."""
+    if is_array(x):
+        import numpy as np
+        return np.log(x)
+    return math.log(x)

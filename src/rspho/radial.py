@@ -10,8 +10,11 @@ stiffness.  The superpotential W(r) = big_delta*r + delta/r factorizes it;
 shape invariance gives the exact ladder Et_n = Et_0 + 4 n big_delta.
 
 The closed-form eigenfunctions are Gaussian-damped power laws times a
-terminating Kummer (confluent hypergeometric) polynomial; normalization is
-done by quadrature because no closed-form constant is carried.
+terminating Kummer (confluent hypergeometric) polynomial, a Laguerre
+polynomial in eta^2 = delta_eff*r^2, and are normalized by the Laguerre
+orthogonality integral in closed form.  radial_wavefunction samples them
+with array operations on a numpy grid and with math's functions on a list
+of floats (the CLI's grid), so the wavefunction command runs without numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .model import Convention, SolveRequest
-from .numerics import nonnegative, positive, require_finite, simpson, sqrt
+from .numerics import exp, is_array, log, nonnegative, positive, require_finite, sqrt
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "partner_potentials_radial",
     "kummer_1f1_terminating",
     "effective_scale",
+    "r_grid_step",
     "default_r_grid",
     "radial_wavefunction",
     "wavefunction_scales",
@@ -65,12 +71,15 @@ class WavefunctionSamples:
 
     ``eta_scale`` is sqrt(delta_eff), the factor mapping r to the
     dimensionless oscillator coordinate eta = eta_scale * r.
-    ``norm_constant`` multiplies the bare closed form to give unit
-    quadrature of R^2 dr.
+    ``norm_constant`` multiplies the bare closed form to give a unit
+    integral of R^2 dr over (0, inf), whatever the grid (0 or inf where
+    it falls outside the float range; the samples do not use it).
+    ``r`` and ``values`` are numpy arrays for a numpy grid and lists for a
+    list grid.
     """
 
-    r: np.ndarray
-    values: np.ndarray
+    r: np.ndarray | list[float]
+    values: np.ndarray | list[float]
     L: float
     eta_scale: float
     norm_constant: float
@@ -184,25 +193,26 @@ def partner_potentials_radial(delta: float, big_delta: float,
 def kummer_1f1_terminating(n: int, b: float, z):
     """Terminating confluent hypergeometric series 1F1(-n, b, z).
 
-    Evaluated by forward recurrence on the terms, which is exact for the
-    degree-n polynomial; z may be a scalar or a numpy array.
+    Evaluated by the three-term recurrence in the first parameter,
+
+        (b + k) F_{k+1} = (2k + b - z) F_k - k F_{k-1},   F_0 = 1,
+
+    which is the Laguerre recurrence (k + 1) L_{k+1} = (2k + 1 + alpha - z)
+    L_k - (k + alpha) L_{k-1} for F_k = k!/(alpha + 1)_k L_k^(alpha)(z),
+    b = alpha + 1.  The power series cancels catastrophically at high n
+    (near z ~ 4n its terms exceed the sum by many orders); the recurrence
+    does not.  z may be a float or an array; for n = 0 the result is 1.0.
+    A negative n, or a b + k = 0 for some k < n, raises DomainError.
     """
     if n < 0:
         raise DomainError(f"series degree must be >= 0 (got n = {n})")
+    f_prev, f = 0.0, 1.0
     for k in range(n):
         if b + k == 0.0:
             raise DomainError(
                 f"Pochhammer denominator vanishes: b + {k} = 0 with b = {b}")
-    import numpy as np
-    z_arr = np.asarray(z, dtype=float)
-    total = np.ones_like(z_arr)
-    term = np.ones_like(z_arr)
-    for k in range(n):
-        term = term * (k - n) * z_arr / ((b + k) * (k + 1.0))
-        total = total + term
-    if np.isscalar(z):
-        return float(total)
-    return total
+        f_prev, f = f, ((2.0 * k + b - z) * f - k * f_prev) / (b + k)
+    return f
 
 
 def effective_scale(big_delta: float, convention: Convention) -> float:
@@ -215,9 +225,9 @@ def effective_scale(big_delta: float, convention: Convention) -> float:
     return 0.5 * convention.coefficient * big_delta
 
 
-def default_r_grid(n_r: int, L: float, delta_eff: float,
-                   points: int = 4000, r_max: float | None = None) -> np.ndarray:
-    """Uniform sampling grid (0, r_max] sized from the classical turning point.
+def r_grid_step(n_r: int, L: float, delta_eff: float,
+                points: int = 4000, r_max: float | None = None) -> float:
+    """Step h of the uniform grid h*i, i = 1..points, on (0, r_max].
 
     r_max defaults to the turning radius of level n_r plus four Gaussian
     widths, far enough out that the tail is negligible.
@@ -230,13 +240,19 @@ def default_r_grid(n_r: int, L: float, delta_eff: float,
         delta = -0.5 - math.sqrt(0.25 + L * (L + 1.0))
         et = radial_spectrum(delta_eff, delta, n_r)
         r_max = math.sqrt(et) / delta_eff + 4.0 / math.sqrt(delta_eff)
+    return r_max / points
+
+
+def default_r_grid(n_r: int, L: float, delta_eff: float,
+                   points: int = 4000, r_max: float | None = None) -> np.ndarray:
+    """The grid h*i, i = 1..points, of r_grid_step as a numpy array."""
+    h = r_grid_step(n_r, L, delta_eff, points, r_max)
     import numpy as np
-    h = r_max / points
     return h * np.arange(1, points + 1)
 
 
 def radial_wavefunction(n_r: int, L: float, big_delta: float,
-                        r_grid: np.ndarray,
+                        r_grid: np.ndarray | Sequence[float],
                         convention: Convention = Convention.TABLE_CONSISTENT
                         ) -> WavefunctionSamples:
     """Sample the normalized closed-form eigenfunction
@@ -244,30 +260,64 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
         R(r) = N exp(-eta^2/2) r^(L+1) 1F1(-n_r, L + 3/2, eta^2)
 
     with eta^2 = delta_eff * r^2 and delta_eff = (c/2)*big_delta.
-    N is fixed by unit Simpson quadrature of R^2 dr on the grid.  A norm
-    that is not finite and positive (a grid that misses the state, or one
-    so wide that a sample or the sum overflows, which makes the norm inf or
-    NaN) raises DomainError ("quadrature collapsed"), with no numpy warning.
+
+    N normalizes R^2 dr over (0, inf), not over the grid: with a =
+    delta_eff and alpha = L + 1/2 the Laguerre orthogonality integral
+    (Abramowitz & Stegun 22.2.12) gives
+
+        N^-2 = (1/2) a^-(alpha+1) n_r! Gamma(alpha+1)^2 / Gamma(n_r+alpha+1).
+
+    N, the Gaussian and the power law are multiplied as one exponential of
+    the sum of their logarithms, so that no factor overflows where R is
+    finite.  A numpy array grid is sampled with array operations; any
+    other sequence of floats one float at a time with math's functions,
+    in a process that need not load numpy, and then ``r`` and ``values``
+    are lists.  The grid must hold at least 3 strictly positive, strictly
+    ascending points.  A grid on which a sample is not finite (one that
+    reaches where the polynomial or r^2 overflows) or on which every
+    sample is zero (one that misses the state) raises DomainError naming
+    the cause, with no numpy warning.
     """
     if L <= -1.5:
         raise DomainError(f"L must exceed -3/2 for integrability at the origin (got {L})")
     if big_delta <= 0.0:
         raise DomainError(f"big_delta must be positive (got {big_delta})")
-    import numpy as np
-    r = np.asarray(r_grid, dtype=float)
-    if r.size < 3 or np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
+    if is_array(r_grid):
+        import numpy as np
+        r = np.asarray(r_grid, dtype=float)
+        ascending = r.size >= 3 and r[0] > 0.0 and bool((r[1:] > r[:-1]).all())
+    else:
+        r = [float(x) for x in r_grid]
+        ascending = len(r) >= 3 and r[0] > 0.0 and all(a < b for a, b in zip(r, r[1:]))
+    if not ascending:
         raise DomainError("r grid must be strictly positive and ascending with >= 3 points")
     delta_eff = effective_scale(big_delta, convention)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eta2 = delta_eff * r**2
-        bare = np.exp(-0.5 * eta2) * r ** (L + 1.0) * kummer_1f1_terminating(n_r, L + 1.5, eta2)
-        norm_sq = simpson(bare**2, x=r)
-    if not 0.0 < norm_sq < math.inf:
-        raise DomainError("wavefunction quadrature collapsed; grid does not resolve the state")
-    norm_constant = 1.0 / math.sqrt(norm_sq)
-    return WavefunctionSamples(r=r, values=norm_constant * bare, L=L,
+    alpha = L + 0.5
+    log_norm = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(delta_eff)
+                      + math.lgamma(n_r + alpha + 1.0) - math.lgamma(n_r + 1.0)
+                      - 2.0 * math.lgamma(alpha + 1.0))
+
+    def sample(x):
+        eta2 = delta_eff * x * x
+        return (kummer_1f1_terminating(n_r, L + 1.5, eta2)
+                * exp(log_norm + (L + 1.0) * log(x) - 0.5 * eta2))
+
+    if is_array(r):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sample(r)
+        finite, nonzero = bool(np.isfinite(values).all()), bool(values.any())
+    else:
+        values = [sample(x) for x in r]
+        finite, nonzero = all(map(math.isfinite, values)), any(values)
+    where = f"(n_r = {n_r}, L = {L}, r from {r[0]} to {r[-1]})"
+    if not finite:
+        raise DomainError(f"wavefunction overflows on the grid: a sample is not finite {where}")
+    if not nonzero:
+        raise DomainError(f"wavefunction is zero at every grid point: the grid misses "
+                          f"the state {where}")
+    return WavefunctionSamples(r=r, values=values, L=L,
                                eta_scale=math.sqrt(delta_eff),
-                               norm_constant=norm_constant)
+                               norm_constant=exp(log_norm))
 
 
 def wavefunction_scales(request: SolveRequest, E: float, lam: float,

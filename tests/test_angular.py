@@ -10,6 +10,7 @@ import math
 from contextlib import redirect_stdout
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,13 +325,25 @@ class TestAngularGroundState:
         with pytest.raises(DomainError, match="^theta grid must be strictly ascending$"):
             angular_ground_state(2.0, grid)
 
-    @pytest.mark.parametrize("q, grid", [
-        (1e5, np.linspace(1e-3, 3e-3, 3)),      # every sample underflows to 0
-        (2.0, np.array([0.5, math.nan, 1.5])),
+    @pytest.mark.parametrize("q, grid, cause", [
+        (1e5, np.linspace(1e-3, 3e-3, 3), "is zero at every grid point"),  # underflow to 0
+        (2.0, np.array([0.5, math.nan, 1.5]), "is not finite on the grid"),
     ], ids=["underflow", "nan"])
-    def test_collapsed_quadrature_is_named(self, q, grid):
-        with pytest.raises(DomainError, match="^angular quadrature collapsed"):
+    def test_collapsed_quadrature_is_named(self, q, grid, cause):
+        with pytest.raises(DomainError, match=f"^angular ground state {cause}"):
             angular_ground_state(q, grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(q=st.floats(0.5, 20.0, exclude_min=True))
+def test_ground_state_norm_is_unit_by_mpmath_quadrature(q):
+    """N^2 times the integral of sin^(2q) theta over (0, pi), which is
+    |G0|^2 sin(theta) for the bare profile, is 1 within 1e-12.  sin(pi/2)
+    is 1.0, so the sample there is N itself."""
+    norm = angular_ground_state(q, np.array([math.pi / 4, math.pi / 2, 3 * math.pi / 4]))[1]
+    with mpmath.workdps(20):
+        integral = mpmath.quad(lambda t: mpmath.sin(t) ** (2 * mpmath.mpf(q)), [0, mpmath.pi])
+        assert abs(float(norm ** 2 * integral) - 1.0) <= 1e-12
 
 
 class TestSolveAngular:

@@ -40,6 +40,9 @@ POTENTIAL_ARGS = ["potential", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K"
                   "--r-min", "0.5", "--r-max", "3"]
 THERMO_ARGS = ["thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5",
                "--mu", "5", "--T-min", "0.1", "--T-max", "5"]
+# The README's wavefunction command.
+WAVEFUNCTION_ARGS = ["wavefunction", "--symmetry", "spin", "--n", "2", "--m", "0", "--A", "6",
+                     "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
 # The README's sweep command.
 SWEEP_ARGS = ["sweep", "--vary", "A", "--from", "6", "--to", "7.5", "--steps", "16",
               "--series", "n", "--series-values", "1,2,3", "--symmetry", "spin",
@@ -417,6 +420,17 @@ class TestWavefunction:
             assert math.isfinite(float(val_str))
         assert all(a < b for a, b in zip(radii, radii[1:]))
 
+    @pytest.mark.parametrize("n", [20, 25, 30, 40, 300])
+    def test_high_level_has_n_nodes(self, n):
+        # Sign changes among the samples above 1e-9 of the peak, as
+        # WavefunctionSamples.node_count counts them.  Here the forward power
+        # series for 1F1 cancels catastrophically, and at n = 300 r^(L+1)
+        # alone overflows.
+        code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + ["--n", str(n)])
+        values = np.array([float(row.split(",")[1]) for row in lines_of(out)[1:]])
+        signs = np.sign(values[np.abs(values) > 1e-9 * np.max(np.abs(values))])
+        assert (code, err, int(np.sum(signs[1:] != signs[:-1]))) == (0, "", n)
+
     def test_pseudospin_eminus_factor_is_domain_error(self):
         code, _, err = run_cli(["wavefunction"] + PSEUDOSPIN_ARGS
                                + ["--mass-factor", "eminus"])
@@ -425,7 +439,7 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_nonfinite_r_max_is_usage_error(self, value):
-        # Before the solve: the grid would warn and fail the quadrature.
+        # Before the solve: the grid would hold inf or nan.
         code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + [f"--r-max={value}"])
         assert (code, out, err) == (
             1, "", f"error: argument --r-max: must be finite (got {value})\n")
@@ -433,11 +447,19 @@ class TestWavefunction:
     @pytest.mark.parametrize("n", ["1", "2"])
     @pytest.mark.parametrize("r_max", ["1e120", "1e200"])
     def test_r_max_that_overflows_is_domain_error(self, n, r_max):
-        # Finite, but r^2 and the quadrature overflow: exit 2 with no numpy
-        # warning (an error in this suite).
+        # Finite, but r^2 (from 1e200) or the degree-2 polynomial (from
+        # 1e120) overflows; the degree-1 one at 1e120 does not, and every
+        # sample underflows to 0.  Exit 2 with no numpy warning (an error in
+        # this suite) and the cause on stderr.
         code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + ["--n", n, "--r-max", r_max])
-        assert (code, out, err) == (
-            2, "", "error: wavefunction quadrature collapsed; grid does not resolve the state\n")
+        assert (code, out) == (2, "")
+        if (n, r_max) == ("1", "1e120"):
+            assert err.startswith("error: wavefunction is zero at every grid point: the grid "
+                                  "misses the state (n_r = 1, L = ")
+        else:
+            assert err.startswith("error: wavefunction overflows on the grid: a sample is not "
+                                  f"finite (n_r = {n}, L = ")
+        assert err.endswith(f" to {float(r_max)!r})\n")
 
 
 class TestPotential:
@@ -683,8 +705,9 @@ class TestVerify:
 
 class TestImports:
     def test_scipy_is_loaded_only_by_the_oracle(self):
-        """The wavefunction and angular quadratures run without SciPy; the
-        finite-difference oracle imports it on first use."""
+        """The wavefunction and the angular ground state, normalized in
+        closed form, run without SciPy; the finite-difference oracle imports
+        it on first use."""
         script = """
 import contextlib, io, json, math, sys
 import numpy as np
@@ -698,9 +721,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded.append("scipy" in sys.modules)
 print(json.dumps([codes, loaded]))
 """
-        argv = ["wavefunction", "--symmetry", "spin", "--n", "2", "--m", "0", "--A", "6",
-                "--B", "-0.05", "--C", "0.005", "--K", "5", "--M", "5"]
-        done = subprocess.run([sys.executable, "-c", script] + argv, env=src_env(),
+        done = subprocess.run([sys.executable, "-c", script] + WAVEFUNCTION_ARGS, env=src_env(),
                               capture_output=True, text=True, check=True)
         assert json.loads(done.stdout) == [[0, 0], [False, True]]
 
@@ -708,8 +729,9 @@ print(json.dumps([codes, loaded]))
                              ids=["python-m", "console-script"])
     @pytest.mark.parametrize("argv", [
         POTENTIAL_ARGS, THERMO_ARGS, ["solve"] + SPIN_ARGS, ["table", "--which", "spin1"],
-        ["table", "--which", "pseudospin2"], SWEEP_ARGS,
-    ], ids=["potential", "thermo", "solve", "table-spin1", "table-pseudospin2", "sweep"])
+        ["table", "--which", "pseudospin2"], SWEEP_ARGS, WAVEFUNCTION_ARGS,
+    ], ids=["potential", "thermo", "solve", "table-spin1", "table-pseudospin2", "sweep",
+            "wavefunction"])
     def test_loads_neither_numpy_nor_scipy(self, launch, argv):
         # -X importtime lists every module the process imports.
         done = subprocess.run([sys.executable, "-X", "importtime"] + launch + argv,

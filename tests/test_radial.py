@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -308,34 +309,102 @@ class TestRadialWavefunction:
         assert wf_table.eta_scale == pytest.approx(1.0)
         assert wf_equation.eta_scale == pytest.approx(math.sqrt(2.0))
 
-    def test_norm_has_the_bits_of_scipy_simpson(self):
+    def test_norm_is_the_laguerre_closed_form(self):
+        # N^-2 = (1/2) a^-(alpha+1) n! Gamma(alpha+1)^2 / Gamma(n+alpha+1),
+        # a = delta_eff = 2, alpha = L + 1/2 = 2, n = 2: N^2 = 2 * 8 * 24 / (2 * 4) = 48.
         grid = default_r_grid(2, 1.5, 2.0, points=4001)
         wf = radial_wavefunction(2, 1.5, 4.0, grid)
+        assert wf.norm_constant == pytest.approx(math.sqrt(48.0), rel=1e-14)
         eta2 = 2.0 * grid**2
         bare = np.exp(-0.5 * eta2) * grid**2.5 * kummer_1f1_terminating(2, 3.0, eta2)
-        assert wf.norm_constant == 1.0 / math.sqrt(simpson(bare**2, x=grid))
-        assert wf.values.tobytes() == (wf.norm_constant * bare).tobytes()
+        assert np.max(np.abs(wf.values - wf.norm_constant * bare)) <= 1e-14 * np.max(bare)
 
     @pytest.mark.parametrize("r_max", [1e10, 1e120, 1e200, 1e300])
     def test_grid_far_beyond_the_state_collapses(self, r_max):
-        # 1e10 steps over the state; from 1e120 on, r^2, r^(L+1), the series
-        # or the Simpson weights overflow.  Either way one DomainError and
-        # no numpy warning.
+        # At 1e10 the grid steps over the state and every sample underflows
+        # to 0; from 1e120 on the polynomial or r^2 overflows.  Either way one
+        # DomainError naming the cause, and no numpy warning.
         grid = default_r_grid(2, 1.5, 2.0, points=4000, r_max=r_max)
+        cause = ("^wavefunction is zero at every grid point" if r_max == 1e10 else
+                 "^wavefunction overflows on the grid: a sample is not finite")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="quadrature collapsed"):
+            with pytest.raises(DomainError, match=cause):
                 radial_wavefunction(2, 1.5, 4.0, grid)
+
+    def test_list_grid_gives_the_array_values_as_floats(self):
+        grid = default_r_grid(3, 2.0, 1.0, points=500)
+        array = radial_wavefunction(3, 2.0, 2.0, grid)
+        floats = radial_wavefunction(3, 2.0, 2.0, grid.tolist())
+        assert type(floats.r) is list and type(floats.values[0]) is float
+        assert floats.r == grid.tolist() and floats.norm_constant == array.norm_constant
+        peak = np.max(np.abs(array.values))
+        assert np.max(np.abs(np.array(floats.values) - array.values)) <= 1e-14 * peak
 
     def test_shallow_l_rejected(self):
         with pytest.raises(DomainError, match="-3/2"):
             radial_wavefunction(0, -1.6, 1.0, np.linspace(0.1, 5, 100))
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(DomainError):
-            radial_wavefunction(0, 1.0, 1.0, np.array([1.0, 0.5, 2.0]))
-        with pytest.raises(DomainError):
-            radial_wavefunction(0, 1.0, 1.0, np.array([-1.0, 0.5, 2.0]))
+        for grid in ([1.0, 0.5, 2.0], [-1.0, 0.5, 2.0], [0.5, math.nan, 2.0], [0.5, 1.0]):
+            for form in (list, np.array):
+                with pytest.raises(DomainError, match="^r grid must be strictly positive"):
+                    radial_wavefunction(0, 1.0, 1.0, form(grid))
+
+
+def mp_radial(n_r: int, L: float, a: float, r):
+    """mpmath's normalized closed form at r: N exp(-a r^2/2) r^(L+1)
+    1F1(-n_r; L + 3/2; a r^2), N from mpmath's gamma.  mpmath's 1F1 raises
+    its working precision where the power series cancels."""
+    alpha = mpmath.mpf(L) + 0.5
+    norm = mpmath.sqrt(2 * mpmath.mpf(a) ** (alpha + 1) * mpmath.gamma(n_r + alpha + 1)
+                       / (mpmath.factorial(n_r) * mpmath.gamma(alpha + 1) ** 2))
+    z = mpmath.mpf(a) * mpmath.mpf(r) ** 2
+    return norm * mpmath.exp(-z / 2) * mpmath.mpf(r) ** (L + 1) * mpmath.hyp1f1(-n_r, alpha + 1, z)
+
+
+@pytest.mark.parametrize("n_r", [0, 1, 5, 20, 25, 30, 40, 60])
+def test_high_levels_match_mpmath(n_r):
+    """Within 1e-10 of the peak at L = 15, big_delta = 2 (delta_eff = 1),
+    on every tenth point of the default grid, where the forward power
+    series for 1F1 errs by more than the peak from n_r = 30."""
+    grid = default_r_grid(n_r, 15.0, 1.0)
+    wf = radial_wavefunction(n_r, 15.0, 2.0, grid)
+    with mpmath.workdps(30):
+        reference = np.array([float(mp_radial(n_r, 15.0, 1.0, r)) for r in grid[::10]])
+    peak = np.max(np.abs(wf.values))
+    assert np.max(np.abs(wf.values[::10] - reference)) <= 1e-10 * peak
+    assert wf.node_count() == n_r
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n_r=st.integers(0, 6),
+       L=st.floats(-1.5, 40.0, exclude_min=True),
+       a=st.floats(1e-2, 1e2))
+def test_norm_is_unit_by_mpmath_quadrature(n_r, L, a):
+    """N^2 times the integral of the bare form squared over (0, inf) is 1
+    within 1e-12.  mpmath.quad integrates after t = a r^2, which makes the
+    integral (1/2) a^-(alpha+1) int t^alpha h(t) dt with alpha = L + 1/2 and
+    h = e^-t 1F1(-n_r; alpha + 1; t)^2.  On (0, 1) it integrates t^alpha
+    (h(t) - 1), which vanishes at 0 like t^(alpha+1), and adds the exact
+    integral of t^alpha, 1/(alpha + 1): t^alpha alone is nearly 1/t as L
+    approaches -3/2, where quadrature loses digits."""
+    grid = default_r_grid(n_r, L, a, points=50)
+    wf = radial_wavefunction(n_r, L, a, grid, Convention.EQUATION_CONSISTENT)
+    with mpmath.workdps(20):
+        alpha = mpmath.mpf(L) + 0.5
+        # The coefficients of 1F1(-n_r; alpha + 1; t), highest power first.
+        series = [mpmath.rf(-n_r, k) / (mpmath.rf(alpha + 1, k) * mpmath.factorial(k))
+                  for k in range(n_r, -1, -1)]
+
+        def h(t):
+            return mpmath.exp(-t) * mpmath.polyval(series, t) ** 2
+
+        integral = (1 / (alpha + 1)
+                    + mpmath.quad(lambda t: t ** alpha * (h(t) - 1), [0, 1])
+                    + mpmath.quad(lambda t: t ** alpha * h(t), [1, mpmath.inf]))
+        norm_sq = integral / (2 * mpmath.mpf(a) ** (alpha + 1))
+        assert abs(float(wf.norm_constant ** 2 * norm_sq) - 1.0) <= 1e-12
 
 
 class TestWavefunctionScales:
