@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 
 # The public names, by defining module.
 _EXPORTS = {
-    "angular": ("AngularSolution", "ShapeInvarianceChain", "angular_ground_state",
-                "angular_level", "angular_spectrum", "lambda_separation",
-                "partner_potentials_angular", "q_of_vtilde", "shape_invariance_chain",
-                "solve_angular", "v_tilde"),
+    "angular": ("ShapeInvarianceChain", "angular_ground_state", "angular_level",
+                "angular_spectrum", "partner_potentials_angular", "q_of_vtilde",
+                "shape_invariance_chain"),
     "errors": ("ConvergenceError", "DomainError", "NoRootError", "RsphoError"),
     "model": ("BranchSign", "Convention", "PotentialParams", "QuantumNumbers",
               "SolveRequest", "Symmetry", "Violation", "evaluate_potential", "validate"),
     "oracle": ("GridSpec", "OracleReport", "fd_eigenvalues", "verify_angular",
                "verify_radial"),
-    "radial": ("RadialSolution", "WavefunctionSamples", "effective_scale",
-               "kummer_1f1_terminating", "partner_potentials_radial", "radial_ansatz",
-               "radial_spectrum", "radial_wavefunction", "wavefunction_scales"),
+    "radial": ("WavefunctionSamples", "effective_scale", "kummer_1f1_terminating",
+               "partner_potentials_radial", "radial_spectrum", "radial_wavefunction",
+               "wavefunction_scales"),
     "spectrum": ("SolveResult", "energy_residual", "solve_energy"),
     "thermo": ("ThermoPoint", "nonrelativistic_energy", "nonrelativistic_levels",
                "partition_function", "thermo_point"),

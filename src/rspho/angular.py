@@ -24,46 +24,21 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import BranchSign, PotentialParams, Symmetry
+from .model import BranchSign
 from .numerics import nonnegative, require_finite, sqrt
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "AngularSolution",
     "ShapeInvarianceChain",
-    "v_tilde",
     "q_of_vtilde",
     "angular_level",
     "angular_spectrum",
     "shape_invariance_chain",
-    "lambda_separation",
-    "coupling_from_terms",
     "angular_ground_state",
     "partner_potentials_angular",
-    "solve_angular",
 ]
-
-
-@dataclass(frozen=True)
-class AngularSolution:
-    """All angular-sector quantities for one (energy, quantum-number) choice.
-
-    ``e_tilde_sum`` is the spectrum value n^2 + 2nq + q obtained by
-    telescoping the shape-invariance remainders; ``e_tilde_printed`` is the
-    perfect-square variant (n + q)^2.  The two coincide only when q^2 = q;
-    the finite-difference oracle confirms the sum form is the true operator
-    spectrum (see module oracle).
-    """
-
-    v_tilde: float
-    q: float
-    e_tilde_sum: float
-    e_tilde_printed: float
-    lam: float
-    m: int
-    n_theta: int
 
 
 @dataclass(frozen=True)
@@ -74,33 +49,16 @@ class ShapeInvarianceChain:
     remainders: list[float]
 
 
-def coupling_from_terms(s2, fac, bc):
-    """The signed ring coupling w = s*2(E+M)(B+C), s = +1 spin / -1 pseudo-spin,
-    from s2 = s*2, fac = E + M and bc = B + C."""
-    return s2 * fac * bc
-
-
-def v_tilde(E, M: float, params: PotentialParams, m: int,
-            symmetry: Symmetry):
-    """Effective cot^2 barrier strength of the polar equation,
-    Vt = 1/4 - m^2 - w with w the ring coupling (coupling_from_terms):
-
-    Spin:        Vt = -2(E+M)(B+C) - m^2 + 1/4
-    Pseudo-spin: Vt = +2(E+M)(B+C) - m^2 + 1/4
-
-    E may be a float or an array.
-    """
-    return 0.25 - m * m - coupling_from_terms(symmetry.coupling_sign * 2.0, E + M,
-                                              params.B + params.C)
-
-
 def q_of_vtilde(vt, branch):
     """Solve q^2 - q = Vt for the superpotential strength q = 1/2 +/- sqrt(1/4 + Vt).
 
-    ``branch`` is a BranchSign or its numeric sign, which may be a column
-    of signs.  vt may be a float or an array.  The radicand 1/4 + Vt is
-    the separation constant's, 1/2 - w - m^2: a float one that is negative
-    or NaN raises DomainError, and an array gets NaN there.
+    Vt = 1/4 - m^2 - w is the cot^2 barrier strength, with w = s*2(E+M)(B+C)
+    the signed ring coupling (s = +1 spin, -1 pseudo-spin); the solver's
+    residual assembles it (see spectrum._terms).  ``branch`` is a
+    BranchSign or its numeric sign, which may be a column of signs.  vt
+    may be a float or an array.  The radicand 1/4 + Vt is the separation
+    constant's, 1/2 - w - m^2: a float one that is negative or NaN raises
+    DomainError, and an array gets NaN there.
     """
     sign = branch.sign if isinstance(branch, BranchSign) else branch
     return 0.5 + sign * sqrt(nonnegative(
@@ -141,20 +99,6 @@ def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
         raise DomainError(f"shape-invariance chain overflows: a_k^2 is not finite "
                           f"for q = {q}, n = {n}") from None
     return ShapeInvarianceChain(a=a, remainders=remainders)
-
-
-def lambda_separation(E, M: float, params: PotentialParams, m: int,
-                      n_theta: int, branch: BranchSign, symmetry: Symmetry):
-    """Separation constant linking the angular and radial equations,
-    lambda = angular_level(q, n_theta) - 1/4 at q = q_of_vtilde(v_tilde).
-
-    Energy-dependent because the ring coupling scales with (E + M); the
-    radial solver therefore treats lambda as part of its self-consistency
-    loop rather than a fixed input.  E may be a float or an array, as in
-    q_of_vtilde.
-    """
-    q = q_of_vtilde(v_tilde(E, M, params, m, symmetry), branch)
-    return angular_level(q, n_theta) - 0.25
 
 
 def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
@@ -211,15 +155,3 @@ def angular_ground_state(q: float, theta_grid: np.ndarray) -> np.ndarray:
         raise DomainError(f"angular ground state is zero at every grid point: the grid "
                           f"misses the state (q = {q})")
     return values
-
-
-def solve_angular(E: float, M: float, params: PotentialParams, m: int,
-                  n_theta: int, branch: BranchSign,
-                  symmetry: Symmetry) -> AngularSolution:
-    """Assemble the full angular solution at a given energy."""
-    vt = v_tilde(E, M, params, m, symmetry)
-    q = q_of_vtilde(vt, branch)
-    e_sum, e_printed = angular_spectrum(q, n_theta)
-    return AngularSolution(v_tilde=vt, q=q, e_tilde_sum=e_sum,
-                           e_tilde_printed=e_printed, lam=e_sum - 0.25, m=m,
-                           n_theta=n_theta)

@@ -33,11 +33,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "RadialSolution",
     "WavefunctionSamples",
-    "radial_terms",
     "radial_terms_from_terms",
-    "radial_ansatz",
     "radial_spectrum",
     "partner_potentials_radial",
     "kummer_1f1_terminating",
@@ -47,22 +44,6 @@ __all__ = [
     "radial_wavefunction",
     "wavefunction_scales",
 ]
-
-
-@dataclass(frozen=True)
-class RadialSolution:
-    """Ansatz parameters of the factorized radial problem.
-
-    ``delta`` is the negative root of delta^2 + delta = delta_prime (the
-    normalizable choice); ``e0_tilde`` = big_delta*(1 - 2*delta) is the
-    ground eigenvalue of the effective operator, radial_spectrum(big_delta,
-    delta, 0); radial_spectrum gives the other levels from the same pair.
-    """
-
-    delta: float
-    delta_prime: float
-    big_delta: float
-    e0_tilde: float
 
 
 @dataclass(frozen=True)
@@ -88,67 +69,29 @@ class WavefunctionSamples:
         """Count interior sign changes, ignoring samples at or below 1e-9
         of the peak magnitude, which are numerically zero."""
         import numpy as np
-        mag = np.abs(self.values)
+        values = np.asarray(self.values)
+        mag = np.abs(values)
         keep = mag > 1e-9 * mag.max()
-        signs = np.sign(self.values[keep])
+        signs = np.sign(values[keep])
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def radial_terms(E, M: float, K: float, A: float, lam, symmetry):
-    """The inverse-square strength, its radial root and the squared
-    oscillator scale at E.
-
-        delta'      = s*2*A*(E + M) + lambda
-        root        = sqrt(1/4 + delta')
-        big_delta^2 = s*K*(E + M)             (s = +1 spin, -1 pseudo-spin)
-
-    Returns (delta', root, big_delta^2).  E and lam may be floats or
-    arrays.  The stiffness must be positive for big_delta to be real and
-    the radicand 1/4 + delta' nonnegative for the root: a float that is
-    not raises DomainError, the stiffness checked first; an array is
-    returned unchecked, NaN where the radicand is negative, and the caller
-    masks the stiffness (see numerics.positive).
-    """
-    s = symmetry.coupling_sign
-    return radial_terms_from_terms(E + M, s * K, s * 2.0 * A, lam)
-
-
 def radial_terms_from_terms(fac, sK, s2A, lam):
-    """radial_terms from fac = E + M, sK = s*K and s2A = s*2*A, which a
-    caller evaluating many energies computes once."""
+    """(delta', root, big_delta^2) at an energy E: delta' = s*2*A*(E + M) +
+    lambda, root = sqrt(1/4 + delta') and big_delta^2 = s*K*(E + M), with
+    s = +1 spin, -1 pseudo-spin, from fac = E + M, sK = s*K and s2A =
+    s*2*A; the normalizable exponent is delta = -1/2 - root.  fac and lam
+    may be floats or arrays.  A float stiffness that is not positive, then
+    a float radicand 1/4 + delta' that is negative, raises DomainError; an
+    array is returned unchecked, NaN where the radicand is negative, and
+    the caller masks the stiffness (see numerics.positive).
+    """
     stiff = positive(sK * fac,
                      "oscillator stiffness imaginary: s*K*(E+M) = {} must be positive")
     delta_prime = s2A * fac + lam
     root = sqrt(nonnegative(0.25 + delta_prime,
                             "radial radicand negative: 1/4 + delta' = {}"))
     return delta_prime, root, stiff
-
-
-def radial_ansatz(E, M: float, K: float, A: float, lam, symmetry) -> RadialSolution:
-    """Solve the ansatz conditions for (delta, big_delta, e0_tilde).
-
-    The conditions do not involve n_r: e0_tilde is level 0 of the ladder
-    for every state, and radial_spectrum gives the others.
-
-    Requires s*K*(E + M) > 0 so the oscillator stiffness is real, and
-    1/4 + delta_prime >= 0 so delta = -1/2 - sqrt(1/4 + delta_prime) is
-    real; radial_terms raises DomainError otherwise.  A stiffness or a
-    delta_prime that overflows to inf raises DomainError too: the solver's
-    residual, which calls radial_terms_from_terms, leaves that check to
-    the callers.
-    """
-    delta_prime, root, stiff = radial_terms(E, M, K, A, lam, symmetry)
-    if stiff == math.inf:
-        raise DomainError(f"oscillator stiffness overflows: s*K*(E+M) = inf "
-                          f"(K = {K}, E + M = {E + M})")
-    if delta_prime == math.inf:
-        raise DomainError(f"inverse-square strength overflows: s*2*A*(E+M) + lambda = inf "
-                          f"(A = {A}, E + M = {E + M}, lambda = {lam})")
-    delta = -0.5 - root
-    big_delta = sqrt(stiff)
-    return RadialSolution(delta=delta, delta_prime=delta_prime,
-                          big_delta=big_delta,
-                          e0_tilde=radial_spectrum(big_delta, delta, 0))
 
 
 def radial_spectrum(big_delta: float, delta: float, n_r: int) -> float:
@@ -201,18 +144,85 @@ def kummer_1f1_terminating(n: int, b: float, z):
     L_k - (k + alpha) L_{k-1} for F_k = k!/(alpha + 1)_k L_k^(alpha)(z),
     b = alpha + 1.  The power series cancels catastrophically at high n
     (near z ~ 4n its terms exceed the sum by many orders); the recurrence
-    does not.  z may be a float or an array; for n = 0 the result is 1.0.
-    A negative n, or a b + k = 0 for some k < n, raises DomainError.
+    does not.  z may be a float or an array; for n = 0 the result is 1.0,
+    and a value past the float range is inf.  A negative n, or a b + k = 0
+    for some k < n, raises DomainError.
+    """
+    z_max = float(max(z.max(initial=0.0), -z.min(initial=0.0))) if is_array(z) else abs(z)
+    f, e = _kummer_scaled(n, b, z, z_max)
+    if is_array(f):
+        import numpy as np
+        return np.ldexp(f, e)
+    try:
+        return math.ldexp(f, e)
+    except OverflowError:
+        return math.copysign(math.inf, f)
+
+
+# Where the Kummer recurrence rescales F_k: 2^960 leaves one step room to
+# grow by 2^63 before it overflows.
+_RESCALE_ABOVE = 2.0 ** 960
+_LN2 = math.log(2.0)
+
+
+def _kummer_scaled(n: int, b: float, z, z_max: float):
+    """kummer_1f1_terminating's recurrence, returning (f, e) with
+    1F1(-n, b, z) = f * 2^e, so that a 1F1 past the float range is still
+    a number.  z_max is at least every |z|.
+
+    A scalar bound on |F_k| and |F_{k-1}|, grown each step by the largest
+    factor the step can apply, says when they could pass 2^960.  Then
+    each one that does is divided by a power of two, which is exact, and
+    the power is added to its e.  e is 0 wherever 1F1 fits in a float,
+    and f is then the unscaled recurrence's value, bit for bit.  e is an
+    int for a float z, and an int or an integer array for an array z.
     """
     if n < 0:
         raise DomainError(f"series degree must be >= 0 (got n = {n})")
-    f_prev, f = 0.0, 1.0
+    f_prev, f, e = 0.0, 1.0, 0
+    bound = 1.0
     for k in range(n):
-        if b + k == 0.0:
+        bk, ck = b + k, 2.0 * k + b
+        if bk == 0.0:
             raise DomainError(
                 f"Pochhammer denominator vanishes: b + {k} = 0 with b = {b}")
-        f_prev, f = f, ((2.0 * k + b - z) * f - k * f_prev) / (b + k)
-    return f
+        f_prev, f = f, ((ck - z) * f - k * f_prev) / bk
+        # |F_{k+1}| <= (|ck| + |z| + k) * max(|F_k|, |F_{k-1}|) / |bk|, a
+        # factor of at least 1.
+        bound *= (abs(ck) + z_max + k) / abs(bk)
+        if bound > _RESCALE_ABOVE:
+            f_prev, f, e, bound = _rescale(f_prev, f, e)
+    return (f, e) if type(e) is int and e == 0 else _unscale(f, e)
+
+
+def _rescale(f_prev, f, e):
+    """Divide f_prev and f by 2^s wherever either passes 2^960, s the
+    binary exponent of the larger, and add s to e.  Returns them with the
+    largest magnitude left, the new bound."""
+    if is_array(f):
+        import numpy as np
+        size = np.maximum(abs(f), abs(f_prev))
+        s = np.where(size > _RESCALE_ABOVE, np.frexp(size)[1], 0)
+        return np.ldexp(f_prev, -s), np.ldexp(f, -s), e + s, float(np.ldexp(size, -s).max())
+    size = max(abs(f), abs(f_prev))
+    s = math.frexp(size)[1] if size > _RESCALE_ABOVE else 0
+    return math.ldexp(f_prev, -s), math.ldexp(f, -s), e + s, math.ldexp(size, -s)
+
+
+def _unscale(f, e):
+    """(f * 2^e, 0) wherever f * 2^e is a finite float, (f, e) elsewhere.
+    The rescaling is exact, so a value that fits gets the bits that the
+    recurrence gives without it."""
+    if is_array(e):
+        import numpy as np
+        with np.errstate(over="ignore"):
+            whole = np.ldexp(f, e)
+        fits = np.isfinite(whole)
+        return np.where(fits, whole, f), np.where(fits, 0, e)
+    try:
+        return math.ldexp(f, e), 0
+    except OverflowError:
+        return f, e
 
 
 def effective_scale(big_delta: float, convention: Convention) -> float:
@@ -267,16 +277,18 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
 
         N^-2 = (1/2) a^-(alpha+1) n_r! Gamma(alpha+1)^2 / Gamma(n_r+alpha+1).
 
-    N, the Gaussian and the power law are multiplied as one exponential of
-    the sum of their logarithms, so that no factor overflows where R is
-    finite.  A numpy array grid is sampled with array operations; any
-    other sequence of floats one float at a time with math's functions,
-    in a process that need not load numpy, and then ``r`` and ``values``
+    N, the Gaussian, the power law and the power of two that the Kummer
+    recurrence scaled 1F1 by are multiplied as one exponential of the sum
+    of their logarithms, so that no factor overflows where R is finite.
+    A numpy array grid is sampled with array operations; any other
+    sequence of floats one float at a time with math's functions, in a
+    process that need not load numpy, and then ``r`` and ``values``
     are lists.  The grid must hold at least 3 strictly positive, strictly
     ascending points.  A grid on which a sample is not finite (one that
-    reaches where the polynomial or r^2 overflows) or on which every
-    sample is zero (one that misses the state) raises DomainError naming
-    the cause, with no numpy warning.
+    reaches where r^2 overflows, or where one recurrence step grows 1F1
+    past the float range) or on which every sample is zero (one that
+    misses the state) raises DomainError naming the cause, with no numpy
+    warning.
     """
     if L <= -1.5:
         raise DomainError(f"L must exceed -3/2 for integrability at the origin (got {L})")
@@ -296,11 +308,15 @@ def radial_wavefunction(n_r: int, L: float, big_delta: float,
     log_norm = 0.5 * (math.log(2.0) + (alpha + 1.0) * math.log(delta_eff)
                       + math.lgamma(n_r + alpha + 1.0) - math.lgamma(n_r + 1.0)
                       - 2.0 * math.lgamma(alpha + 1.0))
+    # The grid ascends, so its last point has the largest eta^2.
+    eta2_max = delta_eff * float(r[-1]) * float(r[-1])
 
     def sample(x):
         eta2 = delta_eff * x * x
-        return (kummer_1f1_terminating(n_r, L + 1.5, eta2)
-                * exp(log_norm + (L + 1.0) * log(x) - 0.5 * eta2))
+        f, e = _kummer_scaled(n_r, L + 1.5, eta2, eta2_max)
+        # With e = 0, log_norm + 0.0 is log_norm, and the sum has the bits
+        # it has without the rescaling.
+        return f * exp(log_norm + e * _LN2 + (L + 1.0) * log(x) - 0.5 * eta2)
 
     if is_array(r):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -332,7 +348,8 @@ def wavefunction_scales(request: SolveRequest, E: float, lam: float,
     """
     p = request.params
     if mass_factor == "eplus":
-        _, root, stiff = radial_terms(E, request.M, p.K, p.A, lam, request.symmetry)
+        s = request.symmetry.coupling_sign
+        _, root, stiff = radial_terms_from_terms(E + request.M, s * p.K, s * 2.0 * p.A, lam)
     elif mass_factor == "eminus":
         # The couplings multiply E - M, with no symmetry sign.
         try:

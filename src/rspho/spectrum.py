@@ -23,9 +23,9 @@ chord points at one of its ends.  That tolerance, abs_tol_E, is the one
 setting a caller passes; the grid and the ceiling are constants.
 
 Both solvers compute the residual's terms that depend on the request
-alone (s*2, B + C, 1/4 - m^2, n_theta, s*K, s*2*A, 2*n_r + 1, see _terms)
-once per request, and energy_residual takes that tuple in place of a
-request.  lambda is angular's, lambda = angular_level(q, n_theta) - 1/4
+alone (M, s*2, B + C, 1/4 - m^2, n_theta, the branch sign, s*K, s*2*A,
+2*n_r + 1 and c, see _terms) once per request, and energy_residual takes
+that tuple in place of a request.  lambda is angular's, lambda = angular_level(q, n_theta) - 1/4
 with q from q_of_vtilde, the forms that verify checks; the radial terms
 come from radial_terms_from_terms.  Both scan the grid that _grid
 computes, with the bits of np.linspace.
@@ -68,7 +68,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .angular import angular_level, coupling_from_terms, q_of_vtilde
+from .angular import angular_level, q_of_vtilde
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                     SolveRequest, Symmetry, numeric_checks, validate)
@@ -104,10 +104,11 @@ _SCAN_CHUNK = 8192
 class SolveResult:
     """A converged bound-state energy with its diagnostics.
 
-    ``bracket`` is the interval between two neighbouring points of the
-    scan's grid (see _scan_ends) that contained the root, the first
-    bracket on the grid, or (E, E) for an exact zero on the grid; the scan
-    does not look for brackets above it.  ``iterations`` counts the polish
+    ``lam``, ``delta`` and ``big_delta`` are lambda, delta and big_delta
+    at E (see solve_energy).  ``bracket`` is the interval between two
+    neighbouring points of the scan's grid (see _scan_ends) that contained
+    the root, the first bracket on the grid, or (E, E) for an exact zero
+    on the grid; the scan does not look for brackets above it.  ``iterations`` counts the polish
     steps, each one residual evaluation, and ``residual`` is the residual
     at E.
     """
@@ -124,7 +125,7 @@ class SolveResult:
 def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
     """The numbers of the residual that depend on the request alone, each
     computed as the closed forms compute it: M, s*2, B + C, 1/4 - m^2
-    (the part of v_tilde free of E), n_theta, the branch sign, s*K,
+    (the part of the barrier Vt free of E), n_theta, the branch sign, s*K,
     s*2*A, 2*n_r + 1 and the convention coefficient c.  The numbers may
     be floats or (R, 1) columns, row r for request r (s, sign and c being
     the enums' numeric properties)."""
@@ -172,7 +173,8 @@ def _residual(E, terms: tuple):
     and the stiffness; solve_energy builds its result from the rest."""
     M, s2, bc, vt_m, n_theta, sign, sK, s2A, nr21, c = terms
     fac = positive(E + M, "E + M must be positive (got {})")
-    q = q_of_vtilde(vt_m - coupling_from_terms(s2, fac, bc), sign)
+    # Vt = (1/4 - m^2) - w, w = s*2*(E+M)*(B+C) the signed ring coupling
+    q = q_of_vtilde(vt_m - s2 * fac * bc, sign)
     lam = angular_level(q, n_theta) - 0.25
     _, root, stiff = radial_terms_from_terms(fac, sK, s2A, lam)
     # sqrt(s*K/(E+M)) = big_delta/(E+M) with big_delta^2 = s*K*(E+M)

@@ -21,9 +21,8 @@ import rspho.oracle
 import rspho.spectrum
 import rspho.thermo
 from rspho.angular import (angular_ground_state, angular_level, angular_spectrum,
-                           coupling_from_terms, lambda_separation,
                            partner_potentials_angular, q_of_vtilde,
-                           shape_invariance_chain, solve_angular, v_tilde)
+                           shape_invariance_chain)
 from rspho.cli import main
 from rspho.errors import DomainError
 from rspho.model import (BranchSign, PotentialParams, QuantumNumbers, SolveRequest,
@@ -35,23 +34,43 @@ SPIN_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 PSEUDO_PARAMS = PotentialParams(K=-5.0, A=-5.0, B=0.5, C=0.005)
 
 
+def solver_lambda(E, M, params, m, n_theta, branch=BranchSign.PLUS,
+                  symmetry=Symmetry.SPIN):
+    """lambda at E as the solver's residual assembles it, the one place
+    the program does (spectrum._residual)."""
+    request = SolveRequest(params=params, M=M,
+                           qn=QuantumNumbers(n_r=0, n_theta=n_theta, m=m),
+                           symmetry=symmetry, branch=branch)
+    return rspho.spectrum._residual(E, rspho.spectrum._request_terms(request))[2]
+
+
+def solver_vtilde(E, M, params, m, symmetry):
+    """The barrier Vt = 1/4 - m^2 - w that the solver's residual passes to
+    q_of_vtilde at E, read back from its lambda: at n_theta = 0 on the PLUS
+    branch, q = lambda + 1/4 and Vt = q^2 - q."""
+    q = solver_lambda(E, M, params, m, 0, symmetry=symmetry) + 0.25
+    return q * q - q
+
+
 class TestVTilde:
     def test_vanishing_ring_coupling(self):
         p = PotentialParams(K=1.0, A=0.0, B=0.3, C=-0.3)
-        assert v_tilde(10.0, 1.0, p, 0, Symmetry.SPIN) == pytest.approx(0.25, abs=1e-15)
+        assert solver_vtilde(10.0, 1.0, p, 0, Symmetry.SPIN) == pytest.approx(0.25, abs=1e-15)
 
     def test_spin_reference_value(self):
-        vt = v_tilde(14.38516214, 5.0, SPIN_PARAMS, 0, Symmetry.SPIN)
+        vt = solver_vtilde(14.38516214, 5.0, SPIN_PARAMS, 0, Symmetry.SPIN)
         assert vt == pytest.approx(1.9946645926000002, abs=1e-12)
 
     def test_pseudospin_reference_value(self):
-        vt = v_tilde(12.12523736, 3.0, PSEUDO_PARAMS, 0, Symmetry.PSEUDOSPIN)
+        vt = solver_vtilde(12.12523736, 3.0, PSEUDO_PARAMS, 0, Symmetry.PSEUDOSPIN)
         assert vt == pytest.approx(15.5264897336, abs=1e-10)
 
     def test_m_enters_quadratically(self):
+        # At E = 40 rather than 14, where 1/4 + Vt < 0 for m = 2 and no q is
+        # real.
         p = SPIN_PARAMS
-        assert (v_tilde(14.0, 5.0, p, 2, Symmetry.SPIN)
-                == pytest.approx(v_tilde(14.0, 5.0, p, -2, Symmetry.SPIN), abs=1e-15))
+        assert (solver_vtilde(40.0, 5.0, p, 2, Symmetry.SPIN)
+                == solver_vtilde(40.0, 5.0, p, -2, Symmetry.SPIN))
 
 
 class TestQOfVtilde:
@@ -150,13 +169,12 @@ class TestShapeInvarianceChain:
 
 class TestLambdaSeparation:
     def test_spin_reference_value(self):
-        lam = lambda_separation(14.38516214, 5.0, SPIN_PARAMS, 0, 1,
-                                BranchSign.PLUS, Symmetry.SPIN)
+        lam = solver_lambda(14.38516214, 5.0, SPIN_PARAMS, 0, 1)
         assert lam == pytest.approx(6.744661425891834, abs=1e-9)
 
     def test_pseudospin_reference_value(self):
-        lam = lambda_separation(12.11721311, 3.0, PSEUDO_PARAMS, 1, 1,
-                                BranchSign.PLUS, Symmetry.PSEUDOSPIN)
+        lam = solver_lambda(12.11721311, 3.0, PSEUDO_PARAMS, 1, 1,
+                            symmetry=Symmetry.PSEUDOSPIN)
         assert lam == pytest.approx(13.77889704915002, abs=1e-9)
 
     def test_zero_coupling_closed_form(self):
@@ -166,18 +184,18 @@ class TestLambdaSeparation:
 
     @pytest.mark.parametrize("m,ntheta", [(0, 0), (1, 2), (0, 3)])
     def test_matches_q_composition(self, m, ntheta):
-        # lambda must equal (n_theta + q)^2 - v_tilde - 1/4 by construction
+        # lambda must equal (n_theta + q)^2 - Vt - 1/4 by construction,
+        # Vt = 1/4 - m^2 - 2(E+M)(B+C) under spin symmetry
         E, M = 13.0, 5.0
-        vt = v_tilde(E, M, SPIN_PARAMS, m, Symmetry.SPIN)
+        vt = 0.25 - m * m - 2.0 * (E + M) * (SPIN_PARAMS.B + SPIN_PARAMS.C)
         q = q_of_vtilde(vt, BranchSign.PLUS)
-        lam = lambda_separation(E, M, SPIN_PARAMS, m, ntheta,
-                                BranchSign.PLUS, Symmetry.SPIN)
+        lam = solver_lambda(E, M, SPIN_PARAMS, m, ntheta)
         assert lam == pytest.approx((ntheta + q) ** 2 - vt - 0.25, rel=1e-12)
 
     def test_radicand_failure_raises(self):
         hot = PotentialParams(K=5.0, A=0.0, B=1.0, C=0.0)
-        with pytest.raises(DomainError, match="radicand"):
-            lambda_separation(10.0, 5.0, hot, 1, 0, BranchSign.PLUS, Symmetry.SPIN)
+        with pytest.raises(DomainError, match="^separation-constant radicand"):
+            solver_lambda(10.0, 5.0, hot, 1, 0)
 
     @pytest.mark.parametrize("branch", list(BranchSign))
     def test_q_once_then_sum_form_per_level(self, branch):
@@ -200,17 +218,14 @@ class TestLambdaSeparation:
     def test_large_coupling_keeps_the_sum_form(self):
         # w = -9e298: lambda is the sum form less 1/4, which no squared
         # form (n_theta + q)^2 = 9e298 and its cancellation come near.
-        sol = solve_angular(1e300, 5.0, PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005),
-                            0, 1, BranchSign.PLUS, Symmetry.SPIN)
-        assert sol.lam == sol.e_tilde_sum - 0.25
-        assert sol.lam == lambda_separation(1e300, 5.0, SPIN_PARAMS, 0, 1,
-                                            BranchSign.PLUS, Symmetry.SPIN)
+        q = q_of_vtilde(0.25 - 2.0 * (1e300 + 5.0) * (SPIN_PARAMS.B + SPIN_PARAMS.C),
+                        BranchSign.PLUS)
+        assert solver_lambda(1e300, 5.0, SPIN_PARAMS, 0, 1) == angular_spectrum(q, 1)[0] - 0.25
 
     def test_orbital_number_real_at_reference_energies(self):
         # l(l+1) = lambda must give a real l for the reference regimes
         for E, m in [(14.38516214, 0), (14.36707671, 1), (16.43488023, 1)]:
-            lam = lambda_separation(E, 5.0, SPIN_PARAMS, m, 1,
-                                    BranchSign.PLUS, Symmetry.SPIN)
+            lam = solver_lambda(E, 5.0, SPIN_PARAMS, m, 1)
             assert 0.25 + lam >= 0.0
             assert math.isfinite(-0.5 + math.sqrt(0.25 + lam))
 
@@ -346,30 +361,17 @@ def test_ground_state_norm_is_unit_by_mpmath_quadrature(q):
         assert abs(float(norm ** 2 * integral) - 1.0) <= 1e-12
 
 
-class TestSolveAngular:
-    def test_fields_are_consistent(self):
-        sol = solve_angular(14.38516214, 5.0, SPIN_PARAMS, 0, 1,
-                            BranchSign.PLUS, Symmetry.SPIN)
-        assert sol.q * sol.q - sol.q == pytest.approx(sol.v_tilde, abs=1e-12)
-        n = sol.n_theta
-        assert sol.e_tilde_sum == pytest.approx(n * n + 2 * n * sol.q + sol.q, rel=1e-14)
-        assert sol.e_tilde_printed == pytest.approx((n + sol.q) ** 2, rel=1e-14)
-        assert sol.lam == pytest.approx(6.744661425891834, abs=1e-9)
-        assert sol.m == 0 and sol.n_theta == 1
-
-
 @settings(derandomize=True, max_examples=300)
 @given(log_x=st.floats(-3.0, 298.0), m=st.integers(0, 2), n_theta=st.integers(0, 50),
        branch=st.sampled_from(BranchSign))
 def test_lambda_separation_matches_fifty_digits(log_x, m, n_theta, branch):
-    """lambda_separation is n^2 + 2nq + q - 1/4 at q = 1/2 +/- sqrt(1/2 - w - m^2)
-    evaluated at 50 digits from the same coupling w, to a few ulps of its
-    largest term, for |w| up to 1e298.  E + M = 1 and C = 0 make w = 2B
-    exact; w <= -m^2 keeps the radicand at least 1/2."""
+    """The separation constant as the solver's residual composes it,
+    angular_level(q_of_vtilde(1/4 - m^2 - w), n_theta) - 1/4, is
+    n^2 + 2nq + q - 1/4 at q = 1/2 +/- sqrt(1/2 - w - m^2) evaluated at 50
+    digits from the same coupling w, to a few ulps of its largest term, for
+    |w| up to 1e298.  w <= -m^2 keeps the radicand at least 1/2."""
     w = -(m * m + 10.0 ** log_x)
-    params = PotentialParams(K=1.0, A=0.0, B=0.5 * w, C=0.0)
-    assert coupling_from_terms(2.0, 1.0, params.B + params.C) == w
-    lam = lambda_separation(1.0, 0.0, params, m, n_theta, branch, Symmetry.SPIN)
+    lam = angular_level(q_of_vtilde(0.25 - m * m - w, branch), n_theta) - 0.25
     with localcontext() as ctx:
         ctx.prec = 50
         q = Decimal(0.5) + int(branch.sign) * (Decimal(0.5) - Decimal(w) - m * m).sqrt()

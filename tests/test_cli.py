@@ -431,6 +431,15 @@ class TestWavefunction:
         signs = np.sign(values[np.abs(values) > 1e-9 * np.max(np.abs(values))])
         assert (code, err, int(np.sum(signs[1:] != signs[:-1]))) == (0, "", n)
 
+    def test_level_where_1f1_passes_the_float_range(self):
+        # At n = 500, n_theta = 0 1F1 passes 1e308 on the grid, which the
+        # Kummer recurrence's rescaling carries; 500 nodes, as node_count
+        # counts them on the list grid the command samples.
+        code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + ["--n", "500", "--ntheta", "0"])
+        values = np.array([float(row.split(",")[1]) for row in lines_of(out)[1:]])
+        signs = np.sign(values[np.abs(values) > 1e-9 * np.max(np.abs(values))])
+        assert (code, err, int(np.sum(signs[1:] != signs[:-1]))) == (0, "", 500)
+
     def test_pseudospin_eminus_factor_is_domain_error(self):
         code, _, err = run_cli(["wavefunction"] + PSEUDOSPIN_ARGS
                                + ["--mass-factor", "eminus"])

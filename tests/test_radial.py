@@ -12,71 +12,65 @@ from scipy.integrate import simpson
 from scipy.special import hyp1f1
 
 import rspho.spectrum
-from rspho.angular import lambda_separation
+from rspho.angular import angular_level, q_of_vtilde
 from rspho.errors import DomainError
 from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                          SolveRequest, Symmetry)
 from rspho.radial import (default_r_grid, effective_scale,
                           kummer_1f1_terminating, partner_potentials_radial,
-                          radial_ansatz, radial_spectrum, radial_wavefunction,
+                          radial_spectrum, radial_terms_from_terms, radial_wavefunction,
                           wavefunction_scales)
 from rspho.spectrum import solve_energy
 from rspho.thermo import nonrelativistic_energy
 
 
 class TestRadialAnsatz:
+    """The ansatz delta = -1/2 - sqrt(1/4 + delta'), big_delta = sqrt(s*K*(E+M))
+    from radial_terms_from_terms(E + M, s*K, s*2*A, lambda)."""
+
     def test_negative_root_chosen(self):
         # delta^2 + delta = 2 has roots {1, -2}; the normalizable one is -2
-        sol = radial_ansatz(E=1.0, M=1.0, K=1.0, A=0.0, lam=2.0, symmetry=Symmetry.SPIN)
-        assert sol.delta == pytest.approx(-2.0, abs=1e-14)
-        assert sol.delta_prime == pytest.approx(2.0)
+        delta_prime, root, _ = radial_terms_from_terms(2.0, 1.0, 0.0, 2.0)
+        assert -0.5 - root == pytest.approx(-2.0, abs=1e-14)
+        assert delta_prime == pytest.approx(2.0)
 
     def test_zero_strength(self):
-        sol = radial_ansatz(E=1.0, M=1.0, K=0.5, A=0.0, lam=0.0, symmetry=Symmetry.SPIN)
-        assert sol.delta == pytest.approx(-1.0, abs=1e-14)
-        assert sol.e0_tilde == pytest.approx(3.0 * sol.big_delta, rel=1e-14)
+        _, root, stiff = radial_terms_from_terms(2.0, 0.5, 0.0, 0.0)
+        big_delta = math.sqrt(stiff)
+        assert -0.5 - root == pytest.approx(-1.0, abs=1e-14)
+        assert radial_spectrum(big_delta, -0.5 - root, 0) == pytest.approx(3.0 * big_delta,
+                                                                          rel=1e-14)
 
     def test_reference_scales(self):
-        sol = radial_ansatz(E=14.38516214, M=5.0, K=5.0, A=6.0, lam=6.744664,
-                            symmetry=Symmetry.SPIN)
-        assert sol.big_delta == pytest.approx(9.845090690288231, abs=1e-9)
-        assert sol.delta_prime == pytest.approx(239.36660968, abs=1e-6)
+        delta_prime, _, stiff = radial_terms_from_terms(14.38516214 + 5.0, 5.0, 12.0, 6.744664)
+        assert math.sqrt(stiff) == pytest.approx(9.845090690288231, abs=1e-9)
+        assert delta_prime == pytest.approx(239.36660968, abs=1e-6)
 
     @pytest.mark.parametrize("lam", [0.0, 2.0, 6.744661425891834, 100.0])
     def test_quadratic_and_ground_identities(self, lam):
-        sol = radial_ansatz(E=14.4, M=5.0, K=5.0, A=6.0, lam=lam, symmetry=Symmetry.SPIN)
-        assert sol.delta * (sol.delta + 1.0) == pytest.approx(sol.delta_prime, rel=1e-12)
-        assert sol.delta <= -0.5
-        assert sol.e0_tilde == pytest.approx(sol.big_delta * (1.0 - 2.0 * sol.delta), rel=1e-14)
-        assert sol.e0_tilde > 0.0
+        delta_prime, root, stiff = radial_terms_from_terms(14.4 + 5.0, 5.0, 12.0, lam)
+        delta, big_delta = -0.5 - root, math.sqrt(stiff)
+        e0_tilde = radial_spectrum(big_delta, delta, 0)
+        assert delta * (delta + 1.0) == pytest.approx(delta_prime, rel=1e-12)
+        assert delta <= -0.5
+        assert e0_tilde == pytest.approx(big_delta * (1.0 - 2.0 * delta), rel=1e-14)
+        assert e0_tilde > 0.0
 
     def test_pseudospin_uses_mirrored_signs(self):
-        sol = radial_ansatz(E=12.13, M=3.0, K=-5.0, A=-5.0, lam=14.0,
-                            symmetry=Symmetry.PSEUDOSPIN)
+        request = SolveRequest(params=PotentialParams(K=-5.0, A=-5.0, B=0.5, C=0.005), M=3.0,
+                               qn=QuantumNumbers(n_r=0), symmetry=Symmetry.PSEUDOSPIN)
+        L, big_delta = wavefunction_scales(request, 12.13, 14.0)
         # s = -1: stiffness -K(E+M) > 0 and delta' = -2A(E+M) + lambda
-        assert sol.big_delta == pytest.approx(math.sqrt(5.0 * 15.13), rel=1e-14)
-        assert sol.delta_prime == pytest.approx(10.0 * 15.13 + 14.0, rel=1e-14)
+        assert big_delta == pytest.approx(math.sqrt(5.0 * 15.13), rel=1e-14)
+        assert L * (L + 1.0) == pytest.approx(10.0 * 15.13 + 14.0, rel=1e-14)
 
     def test_wrong_stiffness_sign_rejected(self):
         with pytest.raises(DomainError, match="stiffness"):
-            radial_ansatz(E=1.0, M=1.0, K=-1.0, A=0.0, lam=0.0, symmetry=Symmetry.SPIN)
+            radial_terms_from_terms(2.0, -1.0, 0.0, 0.0)
 
     def test_negative_discriminant_rejected(self):
         with pytest.raises(DomainError, match="radial radicand"):
-            radial_ansatz(E=1.0, M=1.0, K=1.0, A=0.0, lam=-10.0, symmetry=Symmetry.SPIN)
-
-    @pytest.mark.parametrize("K, A, lam, symmetry, message", [
-        (1e10, 1.0, 1.0, Symmetry.SPIN, r"oscillator stiffness overflows: s\*K\*\(E\+M\) = inf"),
-        (-1e10, -1.0, 1.0, Symmetry.PSEUDOSPIN,
-         r"oscillator stiffness overflows: s\*K\*\(E\+M\) = inf"),
-        (1e-10, 1e10, 1.0, Symmetry.SPIN, r"inverse-square strength overflows: "),
-        (1e-10, 0.0, math.inf, Symmetry.SPIN, r"inverse-square strength overflows: "),
-    ])
-    def test_term_that_overflows_rejected(self, K, A, lam, symmetry, message):
-        # s*K*(E + M) or delta' is inf though E, M, K and A are finite;
-        # big_delta, delta or e0_tilde would be infinite.
-        with pytest.raises(DomainError, match="^" + message):
-            radial_ansatz(1e300, 1.0, K, A, lam, symmetry)
+            radial_terms_from_terms(2.0, 1.0, 0.0, -10.0)
 
 
 class TestRadialSpectrum:
@@ -212,14 +206,16 @@ def test_oscillator_limit_level_is_the_radial_ladder(K, A, B, C, n_r, n_theta, m
                                                      branch, convention, mu):
     """E_NR = (c/2)*radial_spectrum(big_delta, delta, n_r)/(E + M) with
     E + M = 2*mu, big_delta = sqrt(2*K*mu) and lambda the solver's at the
-    static coupling 4*mu*(B+C), to a few ulps."""
+    static coupling 4*mu*(B+C), as the solver's residual composes it, to a
+    few ulps."""
     params = PotentialParams(K=K, A=A, B=B, C=C)
     try:
         level = nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n_r, n_theta=n_theta,
                                                                   m=m), branch, convention)
     except DomainError:
         assume(False)
-    lam = lambda_separation(2.0 * mu, 0.0, params, m, n_theta, branch, Symmetry.SPIN)
+    lam = angular_level(q_of_vtilde(0.25 - m * m - 2.0 * (2.0 * mu) * (B + C), branch),
+                        n_theta) - 0.25
     expected = 0.5 * convention.coefficient * radial_spectrum(
         math.sqrt(2.0 * K * mu), -0.5 - math.sqrt(0.25 + 4.0 * A * mu + lam), n_r) / (2.0 * mu)
     assert abs(level - expected) <= 4.0 * math.ulp(expected)
@@ -300,7 +296,8 @@ class TestRadialWavefunction:
         L = -0.5 + math.sqrt(0.25 + 2.0)
         grid = default_r_grid(n_r, L, 1.0, points=4000)
         wf = radial_wavefunction(n_r, L, 1.0, grid, Convention.EQUATION_CONSISTENT)
-        assert wf.node_count() == n_r
+        listed = radial_wavefunction(n_r, L, 1.0, grid.tolist(), Convention.EQUATION_CONSISTENT)
+        assert wf.node_count() == listed.node_count() == n_r
 
     def test_eta_scale_follows_convention(self):
         grid = default_r_grid(0, 1.0, 1.0, points=100)
@@ -375,6 +372,24 @@ def test_high_levels_match_mpmath(n_r):
     peak = np.max(np.abs(wf.values))
     assert np.max(np.abs(wf.values[::10] - reference)) <= 1e-10 * peak
     assert wf.node_count() == n_r
+
+
+def test_level_where_1f1_passes_the_float_range():
+    """At n_r = 500 1F1 passes 1e308 on the default grid, where the Kummer
+    recurrence rescales it by powers of two: the list and array grids give
+    the same samples, 500 nodes and a unit sum of R^2 h, and a few points
+    match mpmath within 1e-10 of the peak."""
+    grid = default_r_grid(500, 0.5, 1.0)
+    wf = radial_wavefunction(500, 0.5, 2.0, grid)
+    listed = radial_wavefunction(500, 0.5, 2.0, grid.tolist())
+    peak = np.max(np.abs(wf.values))
+    assert np.max(np.abs(np.array(listed.values) - wf.values)) <= 1e-14 * peak
+    assert wf.node_count() == listed.node_count() == 500
+    assert np.sum(wf.values**2) * grid[0] == pytest.approx(1.0, abs=1e-5)
+    points = [0, 1000, 2000, 3000, 3500]
+    with mpmath.workdps(30):
+        reference = np.array([float(mp_radial(500, 0.5, 1.0, grid[i])) for i in points])
+    assert np.max(np.abs(wf.values[points] - reference)) <= 1e-10 * peak
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

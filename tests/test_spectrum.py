@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.spectrum
-from rspho.angular import lambda_separation
+from rspho.angular import angular_level, q_of_vtilde
 from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
-from rspho.radial import radial_ansatz
+from rspho.radial import radial_terms_from_terms
 from rspho.spectrum import (energy_residual, request_columns, solve_cells,
                             solve_columns, solve_energy)
 from rspho.thermo import nonrelativistic_energy
@@ -625,18 +625,20 @@ class TestPolish:
     @given(req=valid_requests())
     def test_result_is_the_closed_forms_at_E(self, req, branch, convention):
         # lambda, delta and big_delta, taken from the solver's terms, have
-        # the bits of the angular and radial closed forms at the same E.
+        # the bits of the angular and radial closed forms composed at the
+        # same E from the request's own numbers.
         req = dataclasses.replace(req, branch=branch, convention=convention)
         try:
             res = solve_energy(req)
         except NoRootError:
             return
-        lam = lambda_separation(res.E, req.M, req.params, req.qn.m, req.qn.n_theta,
-                                req.branch, req.symmetry)
-        ansatz = radial_ansatz(res.E, req.M, req.params.K, req.params.A, lam,
-                               req.symmetry)
+        p, m, s = req.params, req.qn.m, req.symmetry.coupling_sign
+        fac = res.E + req.M
+        q = q_of_vtilde(0.25 - m * m - s * 2.0 * fac * (p.B + p.C), req.branch)
+        lam = angular_level(q, req.qn.n_theta) - 0.25
+        _, root, stiff = radial_terms_from_terms(fac, s * p.K, s * 2.0 * p.A, lam)
         assert (repr(res.lam), repr(res.delta), repr(res.big_delta)) == (
-            repr(lam), repr(ansatz.delta), repr(ansatz.big_delta))
+            repr(lam), repr(-0.5 - root), repr(math.sqrt(stiff)))
 
 
 class TestSolveEnergies:
