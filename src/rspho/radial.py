@@ -160,8 +160,10 @@ def kummer_1f1_terminating(n: int, b: float, z):
 
 
 # Where the Kummer recurrence rescales F_k: 2^960 leaves one step room to
-# grow by 2^63 before it overflows.
+# grow by 2^63 before it overflows, and a step that could grow more is
+# rescaled for first (_STEP_LIMIT).
 _RESCALE_ABOVE = 2.0 ** 960
+_STEP_LIMIT = 2.0 ** 1023
 _LN2 = math.log(2.0)
 
 
@@ -173,9 +175,12 @@ def _kummer_scaled(n: int, b: float, z, z_max: float):
     A scalar bound on |F_k| and |F_{k-1}|, grown each step by the largest
     factor the step can apply, says when they could pass 2^960.  Then
     each one that does is divided by a power of two, which is exact, and
-    the power is added to its e.  e is 0 wherever 1F1 fits in a float,
-    and f is then the unscaled recurrence's value, bit for bit.  e is an
-    int for a float z, and an int or an integer array for an array z.
+    the power is added to its e; before a step that could carry them past
+    2^1023, as at a z far beyond the state, so are those that it could
+    carry past 2^960, and no step overflows for a finite z.  e is 0
+    wherever 1F1 fits in a float, and f is then the unscaled recurrence's
+    value, bit for bit.  e is an int for a float z, and an int or an
+    integer array for an array z.
     """
     if n < 0:
         raise DomainError(f"series degree must be >= 0 (got n = {n})")
@@ -186,26 +191,29 @@ def _kummer_scaled(n: int, b: float, z, z_max: float):
         if bk == 0.0:
             raise DomainError(
                 f"Pochhammer denominator vanishes: b + {k} = 0 with b = {b}")
-        f_prev, f = f, ((ck - z) * f - k * f_prev) / bk
         # |F_{k+1}| <= (|ck| + |z| + k) * max(|F_k|, |F_{k-1}|) / |bk|, a
         # factor of at least 1.
-        bound *= (abs(ck) + z_max + k) / abs(bk)
+        factor = (abs(ck) + z_max + k) / abs(bk)
+        if bound * factor > _STEP_LIMIT:
+            f_prev, f, e, bound = _rescale(f_prev, f, e, _RESCALE_ABOVE / factor)
+        f_prev, f = f, ((ck - z) * f - k * f_prev) / bk
+        bound *= factor
         if bound > _RESCALE_ABOVE:
-            f_prev, f, e, bound = _rescale(f_prev, f, e)
+            f_prev, f, e, bound = _rescale(f_prev, f, e, _RESCALE_ABOVE)
     return (f, e) if type(e) is int and e == 0 else _unscale(f, e)
 
 
-def _rescale(f_prev, f, e):
-    """Divide f_prev and f by 2^s wherever either passes 2^960, s the
+def _rescale(f_prev, f, e, limit: float):
+    """Divide f_prev and f by 2^s wherever either passes ``limit``, s the
     binary exponent of the larger, and add s to e.  Returns them with the
     largest magnitude left, the new bound."""
     if is_array(f):
         import numpy as np
         size = np.maximum(abs(f), abs(f_prev))
-        s = np.where(size > _RESCALE_ABOVE, np.frexp(size)[1], 0)
+        s = np.where(size > limit, np.frexp(size)[1], 0)
         return np.ldexp(f_prev, -s), np.ldexp(f, -s), e + s, float(np.ldexp(size, -s).max())
     size = max(abs(f), abs(f_prev))
-    s = math.frexp(size)[1] if size > _RESCALE_ABOVE else 0
+    s = math.frexp(size)[1] if size > limit else 0
     return math.ldexp(f_prev, -s), math.ldexp(f, -s), e + s, math.ldexp(size, -s)
 
 

@@ -36,19 +36,16 @@ lambda, delta and big_delta at E share the request's one terms tuple.
 Its scan has two forms with the same result: one array call over the
 whole grid (_scan_one), or, in a process that has not loaded numpy, one
 float call per point up to the first bracket (_scan_floats).
-solve_columns does it for many, column-wise: it takes the requests'
-numbers as an (11, requests) array (request_columns builds one),
-validates them and computes their scan intervals with the same formulas
-applied to arrays, and returns only the energies.  Its terms are
-(requests x 1) columns, a number equal in every row staying one float so
-that numpy broadcasting computes what the rows share once (_stack).  The
-scan walks the requests' grids in ascending windows, each one residual
-call over the rows still scanning, and a request leaves the scan as soon
-as it holds its first bracket; most roots lie low on the grid, so most
-requests see only its first points.  One Illinois loop then steps every
-row at once, one residual call per step.  An energy is NaN exactly where
-solve_energy raises for that request, and has solve_energy's bits
-everywhere else.
+solve_columns does it for many, column-wise, and returns only the
+energies, NaN exactly where solve_energy raises and its bits elsewhere.
+Each of the requests' numbers is a float shared by every request or an
+array of one value per request; validation, scan intervals and terms
+broadcast them, a shared number staying one float so that numpy computes
+what the requests share once.  The scan walks the requests' grids in
+ascending windows, each one residual call over the rows still scanning,
+which a request leaves once it holds its first bracket; most roots lie
+low on the grid.  One Illinois loop then steps every row at once, one
+residual call per step.
 
 solve_cells solves the cells of a table or a sweep: with solve_columns,
 or, in a process that has not loaded numpy, with solve_energy one cell
@@ -82,7 +79,6 @@ __all__ = [
     "SolveResult",
     "energy_residual",
     "solve_energy",
-    "request_columns",
     "solve_columns",
     "solve_cells",
 ]
@@ -127,8 +123,8 @@ def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:
     computed as the closed forms compute it: M, s*2, B + C, 1/4 - m^2
     (the part of the barrier Vt free of E), n_theta, the branch sign, s*K,
     s*2*A, 2*n_r + 1 and the convention coefficient c.  The numbers may
-    be floats or (R, 1) columns, row r for request r (s, sign and c being
-    the enums' numeric properties)."""
+    be floats, shared by every request, or (R, 1) columns, row r for
+    request r (s, sign and c being the enums' numeric properties)."""
     s2 = s * 2.0
     return (M, s2, B + C, 0.25 - m * m, n_theta, sign, s * K, s2 * A,
             2.0 * n_r + 1.0, c)
@@ -149,8 +145,8 @@ def energy_residual(E, request: SolveRequest | tuple):
     array.  A float outside the validity region raises DomainError naming
     the radicand that failed; an array gets NaN wherever one fails.
     ``request`` is a SolveRequest, whose _terms are computed here, or the
-    terms themselves, as _stack returns them for many requests: then an
-    (R, n) grid is evaluated element by element as each row's request
+    terms themselves, as solve_columns builds them for many requests: then
+    an (R, n) grid is evaluated element by element as each row's request
     would be alone.
     """
     terms = request if type(request) is tuple else _request_terms(request)
@@ -182,7 +178,7 @@ def _residual(E, terms: tuple):
     return (E - M) - rhs, fac, lam, root, stiff
 
 
-def _scan_ends(request: SolveRequest | np.ndarray):
+def _scan_ends(request: SolveRequest | tuple):
     """Validate requests and return the first and last point of their scans.
 
     A scan covers the energies where E + M > 0 and where the
@@ -195,33 +191,33 @@ def _scan_ends(request: SolveRequest | np.ndarray):
     DomainError, and NoRootError is raised where the separation radicand
     is negative at every energy or the interval is empty, naming the
     constraint that sets each end (E + M > 0, the separation radicand or
-    the ceiling).  Or it is an
-    (11, R) array of columns (see request_columns), and a request that
-    fails the numeric checks of validation, has a quantum number that is
-    not whole, or has no scan interval gets NaN ends.  Both forms compute
-    the same formulas in the same order, so their ends have the same bits.
+    the ceiling).  Or it is the tuple of solve_columns' numbers, and the
+    ends are arrays, NaN for a request that fails the numeric checks of
+    validation, has a quantum number that is not whole, or has no scan
+    interval.  Both forms compute the same formulas in the same order, so
+    their ends have the same bits.
     """
-    if is_array(request):
+    if type(request) is tuple:
         import numpy as np
         K, A, B, C, M, n_r, n_theta, m, s = request[:9]
         # Requests that fail validation may hold inf and NaN, and a slope
-        # of 0 divides by 0.
+        # of 0 divides by 0, a shared float one too (np.divide).
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             e_max = M + _SCAN_CEILING * np.sqrt(abs(K))
             slope = -s * 2.0 * (B + C)
             const = 0.5 - s * 2.0 * M * (B + C) - m * m
-            edge = -const / slope
+            edge = np.divide(-const, slope)
             # The float branch below, element by element.
             lo = np.where((slope > 0.0) & (edge > -M), edge, -M)
             hi = np.where((slope < 0.0) & (edge < e_max), edge, e_max)
-            valid = np.logical_and.reduce(
-                numeric_checks(K, A, B, C, M, s, n_r, n_theta)
-                + tuple(request[5:8] % 1.0 == 0.0)
-                + ((slope > 0.0) | (slope < 0.0) | ~(const < 0.0), hi > lo))
+            valid = np.ones(np.broadcast_shapes(1, *map(np.shape, request)), dtype=bool)
+            for ok in numeric_checks(K, A, B, C, M, s, n_r, n_theta) + (
+                    n_r % 1.0 == 0.0, n_theta % 1.0 == 0.0, m % 1.0 == 0.0,
+                    (slope > 0.0) | (slope < 0.0) | np.logical_not(const < 0.0), hi > lo):
+                valid &= ok
             margin = 1e-9 * np.maximum(np.maximum(1.0, abs(lo)), abs(hi))
-            first, last = lo + margin, hi - margin
-        first[~valid] = last[~valid] = np.nan
-        return first, last
+            return (np.where(valid, lo + margin, np.nan),
+                    np.where(valid, hi - margin, np.nan))
     violations = validate(request)
     if violations:
         raise DomainError("invalid request: "
@@ -251,42 +247,9 @@ def _scan_ends(request: SolveRequest | np.ndarray):
     return lo + margin, hi - margin
 
 
-def request_columns(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
-                    branch: BranchSign = BranchSign.PLUS,
-                    convention: Convention = Convention.TABLE_CONSISTENT
-                    ) -> np.ndarray:
-    """Requests as the (11, R) array that solve_columns takes.
-
-    Each number is a float, the same in every request, or a 1-D array of
-    one value per request; at least one must be an array.  Column i of
-    the result is request i; its rows hold K, A, B, C, M, n_r, n_theta, m
-    and the enums' numeric properties coupling_sign, sign and coefficient.
-    """
-    import numpy as np
-    numbers = (K, A, B, C, M, n_r, n_theta, m, symmetry.coupling_sign,
-               branch.sign, convention.coefficient)
-    return np.array(np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                          for x in numbers)))
-
-
-def _stack(cols: np.ndarray) -> tuple:
-    """The _terms of the requests in ``cols`` (an (11, R) array, see
-    request_columns), row r from cols[:, r].
-
-    A number with the same bits in every row stays one float, so numpy
-    broadcasting computes what depends only on such numbers and the grid
-    once, not once per row.
-    """
-    import numpy as np
-    bits = cols.view(np.int64)
-    shared = (bits == bits[:, :1]).all(axis=1).tolist()
-    return _terms(*(col[0].item() if same else col[:, None]
-                    for col, same in zip(cols, shared)))
-
-
 def _take(terms: tuple, rows) -> tuple:
-    """The terms of the rows ``rows`` (an index array or a slice) of _stack's terms."""
-    return tuple(x if type(x) is float else x[rows] for x in terms)
+    """Rows ``rows`` (an index array or a slice) of solve_columns' terms."""
+    return tuple(x[rows] if is_array(x) else x for x in terms)
 
 
 def _bracket_starts(values):
@@ -315,61 +278,50 @@ def _grid(first, step, last, start: int, stop: int):
 
 
 def _scan(terms: tuple, first, last):
-    """Scan the residual of the requests whose _terms _stack returned and
-    pick each one's first bracket.
+    """Scan the residual of the requests whose terms solve_columns built
+    and pick each one's first bracket.
 
     Row r scans the grid from first[r] to last[r] (see _grid), walked in
-    ascending windows: each window is one residual call over
-    the rows still scanning, taken from the terms by index, _SCAN_CHUNK //
-    rows points wide (at least one), and if every row has the same ends
-    they share one grid row.  A row stops scanning once it holds a
-    bracket, and a row without one sees every grid point once.  Brackets
-    start where _scan_one finds them (see _bracket_starts): a window looks
-    for starts at its points but its last, which the next window decides,
-    and at the point before it, whose residual the previous window leaves
-    behind.  The bracket starting at a is (a, b, f(a), f(b)), b the next
-    grid point, or (a, a, 0.0, 0.0) for an exact zero.  Returns the (4, R)
-    array of the rows' (a, b, fa, fb), NaN for a row without a bracket.
+    ascending windows: each window is one residual call over the rows
+    still scanning, taken from the terms by index, _SCAN_CHUNK // rows
+    points wide (at least one), and if every row has the same ends they
+    share one grid row.  A row stops scanning once it holds a bracket, and
+    a row without one sees every grid point once.  Brackets start where
+    _scan_one finds them (see _bracket_starts), in the residual at the
+    point before the window (NaN before the first) followed by the
+    window's, but not at its last point, which the next window decides.
+    Returns the (4, R) array of the rows' (a, b, fa, fb) as _scan_one
+    picks them, NaN for a row without a bracket.
     """
     import numpy as np
     n = _SCAN_POINTS
     rows = first.size
     step = (last - first) / (n - 1)
-    if (first == first[0]).all() and (last == last[0]).all():
-        first, last, step = first[:1], last[:1], step[:1]
+    shared = (first == first[0]).all() and (last == last[0]).all()
     bracket = np.full((4, rows), np.nan)
     before = np.full(rows, np.nan)              # f at the point before a window
     scanning = np.arange(rows)
     start = 0
     while scanning.size and start < n:
         width = min(max(1, _SCAN_CHUNK // scanning.size), n - start)
-        lo, hi, h = ((first, last, step) if len(first) == 1 else
-                     (first[scanning], last[scanning], step[scanning]))
-        # Grid points start - 1 to start + width - 1.
-        grid = _grid(lo[:, None], h[:, None], hi, start - 1, start + width)
-        final = start + width == n
-        values = energy_residual(
+        # Grid points start - 1 to start + width - 1, and f at them.
+        at = slice(1) if shared else scanning
+        grid = _grid(first[at, None], step[at, None], last[at], start - 1, start + width)
+        values = np.empty((scanning.size, width + 1))
+        values[:, 0] = before[scanning]
+        values[:, 1:] = energy_residual(
             grid[:, 1:], terms if scanning.size == rows else _take(terms, scanning))
         hit = _bracket_starts(values)
-        if not final:
+        if start + width < n:
             hit[:, -1] = False                  # the next window decides it
-        f0 = before[scanning]
-        hit0 = (f0 == 0.0) | (f0 * values[:, 0] < 0.0)     # at the point before
-        done = hit0 | hit.any(axis=1)
+        done = hit.any(axis=1)
         r = np.flatnonzero(done)
         if r.size:
-            # The done rows' window with the point before it: find their
-            # first bracket, at i, and its ends, i and i + 1 (in the window).
-            vr = r if len(values) > 1 else 0
-            starts = np.empty((r.size, width + 1), dtype=bool)
-            f = np.empty((r.size, width + 1))
-            starts[:, 0], starts[:, 1:] = hit0[r], hit[vr]
-            f[:, 0], f[:, 1:] = f0[r], values[vr]
-            i = starts.argmax(axis=1)
+            # The done rows' first bracket, at i, and its ends, i and i + 1.
+            i = hit[r].argmax(axis=1)
             j = np.minimum(i + 1, width)
-            k = np.arange(r.size)
-            row = r if len(grid) > 1 else 0
-            pa, pb, fa, fb = grid[row, i], grid[row, j], f[k, i], f[k, j]
+            grid = np.broadcast_to(grid, values.shape)
+            pa, pb, fa, fb = grid[r, i], grid[r, j], values[r, i], values[r, j]
             zero = fa == 0.0
             bracket[:, scanning[r]] = (pa, np.where(zero, pa, pb), np.where(zero, 0.0, fa),
                                        np.where(zero, 0.0, fb))
@@ -478,7 +430,7 @@ def _polish(terms: tuple, a: float, b: float, fa: float, fb: float,
 
 
 def _polish_rows(terms: tuple, a, b, fa, fb, abs_tol: float):
-    """_polish for every row of _stack's terms, element by element.
+    """_polish for every row of solve_columns' terms, element by element.
 
     a, b, fa and fb hold one bracket per row; a row whose bracket is
     closed (a == b) or NaN takes no step.  Each step evaluates the next point of
@@ -565,30 +517,31 @@ def solve_energy(request: SolveRequest, abs_tol_E: float = 1e-12) -> SolveResult
                        iterations=iterations, bracket=(a, b))
 
 
-def solve_columns(cols: np.ndarray, abs_tol_E: float = 1e-12) -> np.ndarray:
-    """solve_energy's energy for each request of an (11, R) array of
-    columns (see request_columns), solved column-wise in array calls.
+def solve_columns(K, A, B, C, M, n_r, n_theta, m, s, sign, c,
+                  abs_tol_E: float = 1e-12) -> np.ndarray:
+    """solve_energy's energy for each of R requests, in array calls.
 
-    Validation (the numeric checks of model.validate) and the scan ends
-    are array operations over the columns.  The requests that pass are
+    Each number (_terms', with s, sign and c the enums' numeric
+    properties) is a float shared by every request or a 1-D array of one
+    value per request.  The requests that pass validation (_scan_ends) are
     scanned in ascending windows that they leave once they hold their
-    first bracket (see _scan), at most _SCAN_CHUNK requests at a time, and
-    then polished all at once, one residual call per Illinois step.  Returns
-    the R energies: NaN exactly where solve_energy raises for the request,
-    solve_energy's bits elsewhere.  The columns are floats, so a quantum
-    number is checked by value: n_r = 1.0 solves here as n_r = 1 does in
-    solve_energy, which raises "n_r must be an integer" for
-    QuantumNumbers(n_r=1.0); a fraction such as 1.5 fails in both.
-    ``abs_tol_E`` is solve_energy's, and raises ValueError as it does.
+    first bracket (see _scan), at most _SCAN_CHUNK requests at a time,
+    then polished all at once, one residual call per Illinois step.
+    Returns the R energies: NaN exactly where solve_energy raises for the
+    request, solve_energy's bits elsewhere.  A quantum number is checked
+    by value: n_r = 1.0 solves here as n_r = 1 does in solve_energy,
+    which raises "n_r must be an integer" for QuantumNumbers(n_r=1.0); a
+    fraction such as 1.5 fails in both.  ``abs_tol_E`` is solve_energy's.
     """
     import numpy as np
     _check_tolerance(abs_tol_E)
-    first, last = _scan_ends(cols)
-    E = np.full(cols.shape[1], np.nan)
+    numbers = (K, A, B, C, M, n_r, n_theta, m, s, sign, c)
+    first, last = _scan_ends(numbers)
+    E = np.full(first.shape, np.nan)
     rows = np.flatnonzero(~np.isnan(first))
     if rows.size:
         first, last = first[rows], last[rows]
-        terms = _stack(cols[:, rows])
+        terms = _terms(*(x[rows, None] if is_array(x) else x for x in numbers))
         # Blocks of at most _SCAN_CHUNK rows, so that a window of one point
         # per row stays within _SCAN_CHUNK points.
         parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
@@ -605,22 +558,28 @@ def solve_cells(K, A, B, C, M, n_r, n_theta, m, symmetry: Symmetry,
                 convention: Convention = Convention.TABLE_CONSISTENT,
                 abs_tol_E: float = 1e-12) -> list[float]:
     """The energies of the cells of a table or a sweep, as a list:
-    solve_columns(request_columns(...), abs_tol_E).
+    solve_columns' energies, each list given as an array.
 
-    The numbers are request_columns', each a float or a list of one value
-    per cell (at least one a list); the quantum numbers are ints.  In a
-    process that has not loaded numpy, each cell is solved by solve_energy
-    instead, NaN where it raises DomainError, NoRootError or
-    ConvergenceError: the same energies, without the import.
+    Each number is a float, the same in every cell, or a list of one value
+    per cell; the quantum numbers are ints.  Lists of unequal length, or
+    none, raise ValueError before any solve.  In a process that has not
+    loaded numpy, each cell is solved by solve_energy instead, NaN where
+    it raises DomainError, NoRootError or ConvergenceError: the same
+    energies, without the import.
     """
     numbers = (K, A, B, C, M, n_r, n_theta, m)
+    lengths = [len(x) for x in numbers if type(x) is list]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"the lists of cells differ in length: {lengths}" if lengths
+                         else "no number is a list of cells")
     if numpy_loaded():
-        return solve_columns(request_columns(*numbers, symmetry, branch, convention),
-                             abs_tol_E).tolist()
-    cells = max(len(x) for x in numbers if type(x) is list)
+        import numpy as np
+        return solve_columns(*(np.array(x, dtype=float) if type(x) is list else x
+                               for x in numbers), symmetry.coupling_sign, branch.sign,
+                             convention.coefficient, abs_tol_E).tolist()
     energies = []
     for K, A, B, C, M, n_r, n_theta, m in zip(
-            *(x if type(x) is list else [x] * cells for x in numbers)):
+            *(x if type(x) is list else [x] * lengths[0] for x in numbers)):
         request = SolveRequest(params=PotentialParams(K=K, A=A, B=B, C=C), M=M,
                                qn=QuantumNumbers(n_r=n_r, n_theta=n_theta, m=m),
                                symmetry=symmetry, branch=branch, convention=convention)

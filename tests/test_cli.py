@@ -456,15 +456,16 @@ class TestWavefunction:
     @pytest.mark.parametrize("n", ["1", "2"])
     @pytest.mark.parametrize("r_max", ["1e120", "1e200"])
     def test_r_max_that_overflows_is_domain_error(self, n, r_max):
-        # Finite, but r^2 (from 1e200) or the degree-2 polynomial (from
-        # 1e120) overflows; the degree-1 one at 1e120 does not, and every
-        # sample underflows to 0.  Exit 2 with no numpy warning (an error in
-        # this suite) and the cause on stderr.
+        # Finite, but from 1e200 r^2 overflows.  At 1e120 the polynomial
+        # passes the float range, which the Kummer recurrence rescales, and
+        # every sample underflows to 0: the grid misses the state.  Exit 2
+        # with no numpy warning (an error in this suite) and the cause on
+        # stderr.
         code, out, err = run_cli(["wavefunction"] + SPIN_ARGS + ["--n", n, "--r-max", r_max])
         assert (code, out) == (2, "")
-        if (n, r_max) == ("1", "1e120"):
+        if r_max == "1e120":
             assert err.startswith("error: wavefunction is zero at every grid point: the grid "
-                                  "misses the state (n_r = 1, L = ")
+                                  f"misses the state (n_r = {n}, L = ")
         else:
             assert err.startswith("error: wavefunction overflows on the grid: a sample is not "
                                   f"finite (n_r = {n}, L = ")

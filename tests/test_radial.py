@@ -319,15 +319,18 @@ class TestRadialWavefunction:
     @pytest.mark.parametrize("r_max", [1e10, 1e120, 1e200, 1e300])
     def test_grid_far_beyond_the_state_collapses(self, r_max):
         # At 1e10 the grid steps over the state and every sample underflows
-        # to 0; from 1e120 on the polynomial or r^2 overflows.  Either way one
-        # DomainError naming the cause, and no numpy warning.
+        # to 0, and so does it at 1e120, where the Kummer recurrence
+        # rescales a polynomial past the float range; from 1e200 on r^2
+        # overflows.  Either way one DomainError naming the cause, and no
+        # numpy warning, on an array grid and on a list.
         grid = default_r_grid(2, 1.5, 2.0, points=4000, r_max=r_max)
-        cause = ("^wavefunction is zero at every grid point" if r_max == 1e10 else
+        cause = ("^wavefunction is zero at every grid point" if r_max < 1e200 else
                  "^wavefunction overflows on the grid: a sample is not finite")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=cause):
-                radial_wavefunction(2, 1.5, 4.0, grid)
+            for r in (grid, grid.tolist()):
+                with pytest.raises(DomainError, match=cause):
+                    radial_wavefunction(2, 1.5, 4.0, r)
 
     def test_list_grid_gives_the_array_values_as_floats(self):
         grid = default_r_grid(3, 2.0, 1.0, points=500)

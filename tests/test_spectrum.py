@@ -16,8 +16,7 @@ from rspho.errors import DomainError, NoRootError, RsphoError
 from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.radial import radial_terms_from_terms
-from rspho.spectrum import (energy_residual, request_columns, solve_cells,
-                            solve_columns, solve_energy)
+from rspho.spectrum import energy_residual, solve_cells, solve_columns, solve_energy
 from rspho.thermo import nonrelativistic_energy
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
@@ -211,13 +210,26 @@ def float_bits(scan):
 
 
 def columns(requests):
-    """The requests' numbers as the (11, R) array that solve_columns takes,
-    one column per request, in the row order of request_columns."""
-    return np.array(
+    """The requests' eleven numbers in solve_columns' order, each a 1-D
+    array of one value per request."""
+    return tuple(np.array(
         [(r.params.K, r.params.A, r.params.B, r.params.C, r.M,
           r.qn.n_r, r.qn.n_theta, r.qn.m, r.symmetry.coupling_sign,
           r.branch.sign, r.convention.coefficient) for r in requests],
-        dtype=float).reshape(-1, 11).T
+        dtype=float).reshape(-1, 11).T)
+
+
+def table_numbers(requests):
+    """columns(requests), with each number that every request shares
+    given as one float, as a table or a sweep gives it."""
+    return tuple(x[0].item() if x.size and (x == x[0]).all() else x
+                 for x in columns(requests))
+
+
+def prepared(numbers):
+    """The terms that solve_columns builds from its numbers when every
+    request is valid: a float stays one, an array becomes a column."""
+    return rspho.spectrum._terms(*(x if type(x) is float else x[:, None] for x in numbers))
 
 
 def energies(E):
@@ -327,11 +339,12 @@ class TestResidualKernel:
                grouped_requests()),                                     # some of each
            data=st.data())
     def test_prepared_batch_rows_match_their_requests(self, requests, data):
-        # The terms that _stack computes, and row subsets of them taken by
+        # The terms that _terms computes from a batch, a shared number a
+        # float and the others columns, and row subsets of them taken by
         # index as the scan's windows take them, evaluate each row as
         # energy_residual evaluates that row's own request: on a grid row
         # per row, or on one grid row that every row shares.
-        terms = rspho.spectrum._stack(columns(requests))
+        terms = prepared(table_numbers(requests))
         rows = data.draw(st.lists(st.integers(0, len(requests) - 1), min_size=1,
                                   max_size=2 * len(requests)), label="rows")
         offsets = data.draw(st.lists(st.floats(-30.0, 300.0), min_size=1, max_size=12),
@@ -654,7 +667,7 @@ class TestSolveEnergies:
     def test_matches_solve_energy(self, requests, points, scan_ceiling, abs_tol):
         # 5e-324 leaves only the four-ulp floor, so the polish takes the most steps.
         with scan_grid(points, scan_ceiling):
-            E = solve_columns(columns(requests), abs_tol)
+            E = solve_columns(*columns(requests), abs_tol)
             assert E.shape == (len(requests),)
             assert energies(E) == one_by_one(requests, abs_tol)
 
@@ -682,14 +695,13 @@ class TestSolveEnergies:
             mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
             mp.setattr(spectrum, "energy_residual", recording)
             mp.setattr(spectrum, "_polish_rows", polishing)
-            E = solve_columns(columns(requests))
+            E = solve_columns(*columns(requests))
         assert energies(E) == expected
         assert all(size <= chunk for size in sizes if size is not None)
 
     def test_identical_requests(self):
-        # Every number is shared, so the residual comes back as one row.
         requests = [spin_request(n=2)] * 5
-        assert energies(solve_columns(columns(requests))) == one_by_one(requests)
+        assert energies(solve_columns(*columns(requests))) == one_by_one(requests)
 
     @pytest.fixture
     def residual_shapes(self, monkeypatch):
@@ -709,7 +721,7 @@ class TestSolveEnergies:
     def test_one_residual_call_scans_the_batch(self, residual_shapes):
         requests = [spin_request(n=n, A=a) for n in (1, 2, 3) for a in (6.0, 7.0, 8.0)]
         invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
-        E = solve_columns(columns(requests + [invalid]))
+        E = solve_columns(*columns(requests + [invalid]))
         shapes = list(residual_shapes)
         points = rspho.spectrum._SCAN_POINTS
         # The first window is _SCAN_CHUNK // 9 points wide, more than the grid.
@@ -740,7 +752,7 @@ class TestSolveEnergies:
                       for m in (0, 1, 2)]
             requests = [r for g in (groups if layout == "three-groups" else zip(*groups))
                         for r in g]
-        E = solve_columns(columns(requests))
+        E = solve_columns(*columns(requests))
         windows = scan_windows(requests)
         assert windows[0][0] == len(requests)
         scans, polish = residual_shapes[:len(windows)], residual_shapes[len(windows):]
@@ -773,7 +785,7 @@ class TestSolveEnergies:
 
         with scan_grid(points) as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            assert energies(solve_columns(columns(requests))) == one_by_one(requests)
+            assert energies(solve_columns(*columns(requests))) == one_by_one(requests)
 
     @pytest.mark.parametrize("where", ["first bracket", "last point"])
     def test_exact_zero_closes_the_bracket(self, monkeypatch, where):
@@ -796,7 +808,7 @@ class TestSolveEnergies:
             return 0.0 if E == zero_at else f
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", zeroed)
-        E = solve_columns(columns(requests))
+        E = solve_columns(*columns(requests))
         assert energies(E) == one_by_one(requests)
         assert E[0] == zero_at
         res = solve_energy(requests[0])
@@ -822,7 +834,7 @@ class TestSolveEnergies:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", holed)
             mp.setattr(rspho.spectrum, "_MAX_POLISH_STEPS", cap)
-            assert energies(solve_columns(columns(requests))) == one_by_one(requests)
+            assert energies(solve_columns(*columns(requests))) == one_by_one(requests)
 
     def test_nan_polish_point_never_comes_back_as_a_result(self, monkeypatch):
         # The array residual is NaN near every root while the scalar one
@@ -834,17 +846,17 @@ class TestSolveEnergies:
             return f
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", nan_near_roots)
-        E = solve_columns(columns([spin_request(n=n) for n in (1, 2, 3)]))
+        E = solve_columns(*columns([spin_request(n=n) for n in (1, 2, 3)]))
         assert np.isnan(E).all()
 
     @PROPERTY
     @given(requests=grouped_requests())
     def test_shared_grid_gives_the_bits_of_a_full_grid(self, requests):
-        # Rows with equal scan ends scan one grid row and fields equal in
-        # every row stay floats.  The same rows with every field a column and
-        # a grid row each must give the same residuals, and scanned beside a
-        # row with other ends and no bracket, so that every window has a
-        # grid row per row, the same brackets.
+        # Rows with equal scan ends scan one grid row, and numbers that
+        # every row shares are given as floats.  The same rows with every
+        # number a column and a grid row each must give the same residuals,
+        # and scanned beside a row with other ends and no bracket, so that
+        # every window has a grid row per row, the same brackets.
         spectrum = rspho.spectrum
         rows = []
         for req in requests:
@@ -856,11 +868,10 @@ class TestSolveEnergies:
                 rows.append((req, ends))
         if not rows:
             return
-        cols = columns([req for req, _ in rows])
         (first, last), n = rows[0][1], len(rows)
-        shared = spectrum._stack(cols)
-        # What _stack computes with no number shared: every one a column.
-        full = spectrum._terms(*(col[:, None] for col in cols))
+        shared = prepared(table_numbers([req for req, _ in rows]))
+        # The same terms with no number shared: every one a column.
+        full = prepared(columns([req for req, _ in rows]))
         grid = np.linspace(first, last, spectrum._SCAN_POINTS)
         one_row = energy_residual(grid, shared)
         every_row = energy_residual(np.tile(grid, (n, 1)), full)
@@ -871,15 +882,15 @@ class TestSolveEnergies:
                                     qn=dataclasses.replace(rows[0][0].qn, n_r=10**6))
         ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra)]).T
         one_grid = spectrum._scan(shared, *ends[:, :n])
-        grid_rows = spectrum._scan(spectrum._stack(columns([req for req, _ in rows] + [extra])),
+        grid_rows = spectrum._scan(prepared(columns([req for req, _ in rows] + [extra])),
                                    *ends)
         assert np.isnan(grid_rows[:, -1]).all()
         assert one_grid.tobytes() == grid_rows[:, :n].tobytes()
 
     def test_empty_batch(self):
         cols = columns([])
-        assert cols.shape == (11, 0)
-        assert solve_columns(cols).shape == (0,)
+        assert [x.shape for x in cols] == [(0,)] * 11
+        assert solve_columns(*cols).shape == (0,)
 
 
 class TestScanWindows:
@@ -918,7 +929,7 @@ class TestScanWindows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            E = solve_columns(columns(requests))
+            E = solve_columns(*columns(requests))
             assert energies(E) == one_by_one(requests)
         assert (E[:224] == zero_at).all()
 
@@ -939,7 +950,7 @@ class TestScanWindows:
 
         with scan_grid(1500) as mp:
             mp.setattr(rspho.spectrum, "energy_residual", zeroed)
-            E = solve_columns(columns(requests))
+            E = solve_columns(*columns(requests))
             assert energies(E) == one_by_one(requests)
         assert (E[:224] == last).all()
 
@@ -962,7 +973,7 @@ class TestScanWindows:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rspho.spectrum, "energy_residual", flipped)
-            E = solve_columns(columns(requests))
+            E = solve_columns(*columns(requests))
             assert energies(E) == one_by_one(requests)
         i = flips[0]
         assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
@@ -974,7 +985,7 @@ class TestScanWindows:
         # blocks of rows, but solve_columns prepares its batch once.
         requests, _, _ = batch
         spectrum = rspho.spectrum
-        stacked, scans, stack = [], [], spectrum._stack
+        built, scans, terms = [], [], spectrum._terms
 
         def counting(E, request):
             values = energy_residual(E, request)
@@ -983,12 +994,13 @@ class TestScanWindows:
             return values
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectrum, "_stack", lambda cols: stacked.append(cols.shape) or stack(cols))
+            mp.setattr(spectrum, "_terms",
+                       lambda *numbers: built.append(numbers[0].shape) or terms(*numbers))
             mp.setattr(spectrum, "energy_residual", counting)
             if chunk is not None:
                 mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
-            E = solve_columns(columns(requests))
-        assert stacked == [(11, len(requests))]
+            E = solve_columns(*columns(requests))
+        assert built == [(len(requests), 1)]
         blocks = -(-len(requests) // spectrum._SCAN_CHUNK) if chunk is None else 4
         assert len(scans) > blocks
         assert energies(E) == one_by_one(requests)
@@ -1010,13 +1022,12 @@ class TestScanWindows:
 
         monkeypatch.setattr(rspho.spectrum, "energy_residual", counting)
         cols = columns(requests)
-        bracket = rspho.spectrum._scan(rspho.spectrum._stack(cols),
-                                       *rspho.spectrum._scan_ends(cols))
+        bracket = rspho.spectrum._scan(prepared(cols), *rspho.spectrum._scan_ends(cols))
         assert np.isnan(bracket).any(axis=0).tolist() == [i == 100 for i in range(len(requests))]
         assert len(calls) > 2 and calls[0] == (len(requests), width)
         assert [repr(e) for e in sorted(seen)] == [repr(e) for e in grid.tolist()]
         monkeypatch.undo()
-        E = solve_columns(cols)
+        E = solve_columns(*cols)
         assert energies(E) == one_by_one(requests)
         assert np.isnan(E[100]) and not np.isnan(np.delete(E, 100)).any()
 
@@ -1046,7 +1057,7 @@ class TestColumnForms:
            scan_ceiling=st.sampled_from([None, None, ceiling_for(0.5)]))
     def test_solve_columns_fails_where_solve_energy_raises(self, requests, scan_ceiling):
         with scan_grid(ceiling=scan_ceiling):
-            E = solve_columns(columns(requests))
+            E = solve_columns(*columns(requests))
             expected = one_by_one(requests)
         for req, e, expected in zip(requests, energies(E), expected):
             assert e == expected, req
@@ -1057,30 +1068,13 @@ class TestColumnForms:
         # raises for the float itself.
         req = spin_request(n=1)
         p = req.params
-        cols = request_columns(p.K, p.A, p.B, p.C, req.M, n_r=np.array([1.0]),
-                               n_theta=1.0, m=0.0, symmetry=Symmetry.SPIN)
+        E = solve_columns(p.K, p.A, p.B, p.C, req.M, np.array([1.0]), 1.0, 0.0,
+                          1.0, 1.0, 1.0)
         expected = solve_energy(req).E
-        assert energies(solve_columns(cols)) == [repr(expected)]
+        assert energies(E) == [repr(expected)]
         assert round(expected, 8) == 14.38516214
         with pytest.raises(DomainError, match="n_r must be an integer"):
             solve_energy(dataclasses.replace(req, qn=QuantumNumbers(n_r=1.0)))
-
-    @settings(PROPERTY, max_examples=50)
-    @given(requests=st.lists(valid_requests(), min_size=1, max_size=10),
-           symmetry=st.sampled_from(Symmetry), branch=st.sampled_from(BranchSign),
-           convention=st.sampled_from(Convention))
-    def test_request_columns_is_the_layout_of_columns(self, requests, symmetry,
-                                                      branch, convention):
-        requests = [dataclasses.replace(r, symmetry=symmetry, branch=branch,
-                                        convention=convention) for r in requests]
-        numbers = {name: np.array([getattr(r.params, name) for r in requests])
-                   for name in "KABC"}
-        cols = request_columns(**numbers, M=np.array([r.M for r in requests]),
-                               n_r=np.array([r.qn.n_r for r in requests]),
-                               n_theta=np.array([r.qn.n_theta for r in requests]),
-                               m=np.array([r.qn.m for r in requests]),
-                               symmetry=symmetry, branch=branch, convention=convention)
-        assert cols.tobytes() == columns(requests).tobytes()
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=st.lists(st.one_of(mixed_requests(), edge_requests()),
@@ -1103,8 +1097,58 @@ class TestColumnForms:
             mp.setattr(rspho.spectrum, "numpy_loaded", lambda: False)
             cells = solve_cells(**numbers, symmetry=symmetry, branch=branch,
                                 convention=convention, abs_tol_E=abs_tol_E)
-        expected = solve_columns(columns(requests), abs_tol_E)
+        expected = solve_columns(*columns(requests), abs_tol_E)
         assert energies(np.array(cells)) == energies(expected)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(req=valid_requests(), branch=st.sampled_from(BranchSign),
+           convention=st.sampled_from(Convention), vary=st.sampled_from("ABCK"),
+           offsets=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+           series=st.sampled_from(["n", "m"]),
+           series_values=st.lists(st.sampled_from([0, 1, 2, 3, 1000]), min_size=1,
+                                  max_size=4),
+           ntheta=st.sampled_from([None, 0, 2]))
+    def test_cli_batch_shape(self, req, branch, convention, vary, offsets, series,
+                             series_values, ntheta):
+        # The shape of the cells that table and sweep pass: one coefficient
+        # list (x repeated across the series), one series list (n or m),
+        # the other numbers floats or ints shared by every cell.  Offsets
+        # of up to 2 take K through 0 and B + C past the separation edge,
+        # and n_r = 1000 or m = 3 often leaves a cell with no bound state:
+        # NaN exactly where solve_energy raises, its bits elsewhere, and the
+        # same list from the float path.
+        p = req.params
+        xs = [getattr(p, vary) + d for d in offsets]
+        numbers = dict(K=p.K, A=p.A, B=p.B, C=p.C, M=req.M, n_r=1, m=0)
+        numbers[vary] = [x for x in xs for _ in series_values]
+        numbers["n_r" if series == "n" else "m"] = series_values * len(xs)
+        numbers["n_theta"] = numbers["n_r"] if ntheta is None else ntheta
+        cells = [{k: v[i] if type(v) is list else v for k, v in numbers.items()}
+                 for i in range(len(xs) * len(series_values))]
+        requests = [SolveRequest(
+            params=PotentialParams(K=c["K"], A=c["A"], B=c["B"], C=c["C"]), M=c["M"],
+            qn=QuantumNumbers(n_r=c["n_r"], n_theta=c["n_theta"], m=c["m"]),
+            symmetry=req.symmetry, branch=branch, convention=convention) for c in cells]
+        kinds = dict(symmetry=req.symmetry, branch=branch, convention=convention)
+        expected = one_by_one(requests)
+        assert energies(np.array(solve_cells(**numbers, **kinds))) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rspho.spectrum, "numpy_loaded", lambda: False)
+            assert energies(np.array(solve_cells(**numbers, **kinds))) == expected
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["arrays", "floats"])
+    def test_cells_need_lists_of_one_length(self, monkeypatch, loaded):
+        # Both paths raise the same ValueError before any solve.
+        def fail(request):
+            raise AssertionError("scan ends computed for a malformed batch")
+
+        monkeypatch.setattr(rspho.spectrum, "numpy_loaded", lambda: loaded)
+        monkeypatch.setattr(rspho.spectrum, "_scan_ends", fail)
+        numbers = dict(K=5.0, B=-0.05, C=0.005, M=5.0, m=0, symmetry=Symmetry.SPIN)
+        with pytest.raises(ValueError, match=r"^the lists of cells differ in length: \[3, 2, 2\]$"):
+            solve_cells(A=[6.0, 6.5, 7.0], n_r=[1, 2], n_theta=[1, 2], **numbers)
+        with pytest.raises(ValueError, match="no number is a list"):
+            solve_cells(A=6.0, n_r=1, n_theta=1, **numbers)
 
 
 class TestSolverOptions:
@@ -1113,7 +1157,7 @@ class TestSolverOptions:
     work, and the smallest positive float solves."""
 
     SOLVERS = [lambda tol: solve_energy(spin_request(), tol),
-               lambda tol: solve_columns(columns([spin_request()]), tol)]
+               lambda tol: solve_columns(*columns([spin_request()]), tol)]
 
     @pytest.fixture
     def no_scan(self, monkeypatch):
@@ -1137,7 +1181,7 @@ class TestSolverOptions:
     def test_smallest_tolerance_solves(self):
         # Only the four-ulp floor of the stop width is left.
         res = solve_energy(spin_request(), 5e-324)
-        assert energies(solve_columns(columns([spin_request()]), 5e-324)) == [repr(res.E)]
+        assert energies(solve_columns(*columns([spin_request()]), 5e-324)) == [repr(res.E)]
         assert res.E == pytest.approx(14.38516214, abs=1e-8)
 
 
