@@ -5,7 +5,11 @@ ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
 off-diagonal -1/h^2) and extracts the lowest eigenvalues with
 shift-invert Lanczos on the tridiagonal form, stopped on Kato-Temple
 error bounds and certified by one Sturm count, or with LAPACK's
-Sturm-sequence bisection where the certificate fails.  The eigenvalues
+Sturm-sequence bisection where the certificate fails.  Each Lanczos
+step is one LAPACK solve (dpttrs) and a few BLAS vector operations,
+all in place in a column-major Krylov basis, and the stopping tests run
+on the few tracked Ritz values as Python floats, so a call costs little
+more than its LAPACK work and the Gram-Schmidt products.  The eigenvalues
 share no algebra with the closed forms they verify, the library's own
 radial_spectrum, q_of_vtilde and angular_spectrum (which also size the
 radial grid), which is the whole point: agreement is evidence.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .angular import angular_spectrum, q_of_vtilde
@@ -47,7 +52,8 @@ _REL_TOL = 1e-3
 class GridSpec:
     """Uniform interior grid on (lower, upper) with Dirichlet endpoints.
 
-    ``points`` interior nodes at x_i = lower + i*h, h = (upper - lower)/(points + 1).
+    ``points`` interior nodes at x_i = lower + i*h, h = (upper - lower)/(points + 1);
+    ``points`` is an integer, at least 16.
     """
 
     lower: float
@@ -57,6 +63,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper (got {self.lower}, {self.upper})")
+        if not isinstance(self.points, Integral):
+            raise ValueError(f"points must be an integer (got {self.points!r})")
         if self.points < 16:
             raise ValueError(f"points must be >= 16 (got {self.points})")
 
@@ -90,7 +98,7 @@ _EPS = 2.0**-52
 # Lanczos gives way to bisection after this many steps.  Step k
 # reorthogonalizes against k vectors, so its cost grows with k, and the
 # cap bounds the work spent before the fallback to a few bisections.  The
-# default grids certify their three levels in 11-14 steps.
+# default grids certify their three levels in 10-14 steps.
 _LANCZOS_STEPS = 64
 
 # Rounding in the factorization, the solves and sigma + 1/theta, in units
@@ -112,8 +120,8 @@ def eigh_tridiagonal(diag, off, count):
     import numpy as np
     # A power of two scales T to entries below 1 in size exactly, so no
     # step of the iteration can overflow or underflow.
-    _, exponent = math.frexp(max(float(np.max(np.abs(diag))),
-                                 float(np.max(np.abs(off), initial=0.0))))
+    _, exponent = math.frexp(max(diag.max(), -diag.min(),
+                                 off.max(initial=0.0), -off.min(initial=0.0)))
     values = _lanczos(np.ldexp(diag, -exponent), np.ldexp(off, -exponent), count)
     if values is None:
         return _bisection(diag, off, count)
@@ -132,11 +140,15 @@ def _lanczos(diag, off, count):
 
     The shift sigma lies sqrt(eps)*|T| below the Gershgorin lower bound,
     so T - sigma*I is positive definite.  It is factored once (LAPACK
-    dpttrf), and each Lanczos step on (T - sigma*I)^-1 is one solve
-    (dpttrs), from a fixed start vector, followed by the three-term
-    recurrence and one classical Gram-Schmidt pass against every earlier
-    vector, which keeps the basis orthogonal where cancellation is heavy,
-    as when the Krylov space fills a small grid.
+    dpttrf).  Each Lanczos step on (T - sigma*I)^-1, from a fixed start
+    vector, works in place in the next column of the Krylov basis, which
+    is stored column-major so that the k columns done are one contiguous
+    matrix: a copy of the last vector, one solve over it (dpttrs), the
+    three-term recurrence (BLAS daxpy and ddot), one classical Gram-Schmidt
+    pass against every earlier vector (one dgemv for the coefficients and
+    one that subtracts the projection in place), and a scaling by the
+    inverse norm (dscal).  The pass keeps the basis orthogonal where
+    cancellation is heavy, as when the Krylov space fills a small grid.
 
     The steps track count + 1 Ritz values theta, largest first, each with
     a residual bound r, so that theta +- r holds an eigenvalue mu of the
@@ -156,7 +168,7 @@ def _lanczos(diag, off, count):
     values (LAPACK dstev) are first computed after 2(count + 1) steps, the
     next time where a fall of two decades a step would take the bound to
     eps*|T|, and from then on where its fall between the last two checks
-    would.
+    would.  These checks work on the count + 1 values as Python floats.
 
     Levels whose first-order bounds reach eps*|T| while their intervals
     still overlap are too close to tell apart, and None leaves them to
@@ -166,62 +178,72 @@ def _lanczos(diag, off, count):
     levels spread over much of its spectrum.
     """
     import numpy as np
-    from scipy.linalg import lapack
+    from scipy.linalg import blas, lapack
     points = diag.size
-    radius = np.abs(off)
-    radius = np.concatenate(([0.0], radius)) + np.concatenate((radius, [0.0]))
-    low = float(np.min(diag - radius))
-    norm = max(abs(low), abs(float(np.max(diag + radius))))
+    edge = np.abs(off)
+    radius = np.empty(points)
+    radius[:-1] = edge
+    radius[-1] = 0.0
+    radius[1:] += edge
+    low = float((diag - radius).min())
+    norm = max(abs(low), abs(float((diag + radius).max())))
     tol = _EPS * norm
     sigma = low - math.sqrt(_EPS) * norm
-    factor_d, factor_e, info = lapack.dpttrf(diag - sigma, off)
+    factor_d, factor_e, info = lapack.dpttrf(diag - sigma, off, overwrite_d=1)
     if info:
         return None
     steps = min(_LANCZOS_STEPS, points)
     tracked = count + 1
+    # Step k builds its vector in column k, so the last step needs one
+    # column beyond the steps' basis vectors.
+    basis = np.empty((points, steps + 1), order="F")
     # Neither symmetric nor antisymmetric about the grid's middle, so the
     # eigenvectors of either parity of a symmetric potential have a share.
     start = 1.0 + np.arange(points) / points
-    basis = np.empty((steps, points))
-    basis[0] = start / math.sqrt(start @ start)
-    alpha, beta = [], []
+    w = basis[:, 0]
+    w[:] = start / math.sqrt(start @ start)
+    v, alpha, beta = None, [], []
     check_at, previous = 2 * tracked, None
     for k in range(1, steps + 1):
-        v = basis[k - 1]
-        w = lapack.dpttrs(factor_d, factor_e, v)[0]
+        u, v, w = v, w, basis[:, k]
+        w[:] = v
+        lapack.dpttrs(factor_d, factor_e, w, overwrite_b=1)
         if beta:
-            w -= beta[-1] * basis[k - 2]
-        a = v @ w
-        w -= a * v
-        done = basis[:k]
-        c = done @ w
-        w -= c @ done
-        alpha.append(a + c[-1])
-        b = math.sqrt(w @ w)
+            blas.daxpy(u, w, a=-beta[-1])
+        a = blas.ddot(v, w)
+        blas.daxpy(v, w, a=-a)
+        done = basis[:, :k]
+        c = blas.dgemv(1.0, done, w, trans=1)
+        blas.dgemv(-1.0, done, c, beta=1.0, y=w, overwrite_y=1)
+        alpha.append(a + c.item(-1))
+        b = math.sqrt(blas.ddot(w, w))
         end = k == steps or b == 0.0
         if k >= check_at or end:
             if k < tracked:
                 return None
-            ritz, vectors, _ = lapack.dstev(np.array(alpha), np.array(beta))
-            theta = ritz[:-tracked - 1:-1]
+            ritz, vectors, _ = lapack.dstev(alpha, beta)
+            theta = ritz[:-tracked - 1:-1].tolist()
             level = theta[:count]
-            r = np.abs(b * vectors[-1, :-count - 1:-1])
+            r = [abs(b * x) for x in vectors[-1, :-count - 1:-1].tolist()]
             xi = sigma + 0.5 * (1.0 / level[-1] + 1.0 / theta[count])
-            below = np.append(level[1:] + r[1:], 1.0 / (xi - sigma))
-            above = np.append(np.inf, level[:-1] - r[:-1])
-            if np.all(level - r > below):
-                up = r * r / (level - below)
-                down = r * r / (above - level)
-                err = np.maximum(up / (level * (level + up)),
-                                 down / (level * (level - down)))
-                worst = float(err.max())
+            below = [t + e for t, e in zip(level[1:], r[1:])] + [1.0 / (xi - sigma)]
+            above = [math.inf] + [t - e for t, e in zip(level[:-1], r)]
+            if all(t - e > lo for t, e, lo in zip(level, r, below)):
+                err = []
+                for t, e, lo, hi in zip(level, r, below, above):
+                    up = e * e / (t - lo)
+                    down = e * e / (hi - t)
+                    err.append(max(up / (t * (t + up)), down / (t * (t - down))))
+                worst = max(err)
                 if worst <= tol:
                     if level[0] > norm * level[-1] ** 2:
                         return None
-                    return _certified(diag, off, count, sigma, xi, sigma + 1.0 / level,
-                                      err + _ROUNDING * tol)
-            elif np.all(level > r):
-                worst = float(np.max(r / (level * (level - r))))
+                    rounding = _ROUNDING * tol
+                    return _certified(diag, off, count, sigma, xi,
+                                      [sigma + 1.0 / t for t in level],
+                                      [e + rounding for e in err])
+            elif all(t > e for t, e in zip(level, r)):
+                worst = max(e / (t * (t - e)) for t, e in zip(level, r))
                 if worst <= tol:
                     return None
             else:
@@ -239,7 +261,7 @@ def _lanczos(diag, off, count):
                     1.0, (previous[1] - decades) / (k - previous[0]))
                 previous = (k, decades)
                 check_at = k + math.ceil(decades / rate)
-        basis[k] = w / b
+        blas.dscal(1.0 / b, w)
         beta.append(b)
 
 
@@ -252,7 +274,8 @@ def _certified(diag, off, count, sigma, xi, values, radius):
     eigenvalues up to xi; sigma lies below them all.
     """
     from scipy.linalg import lapack
-    if not (values[1:] - radius[1:] > values[:-1] + radius[:-1]).all():
+    if not all(v - r > u + s for u, s, v, r in
+               zip(values, radius, values[1:], radius[1:])):
         return None
     if not values[-1] + radius[-1] < xi:
         return None
@@ -266,13 +289,13 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
 
     ``potential`` is called once, on the array of interior grid points,
     with numpy's floating-point warnings off, and returns one value per
-    point; a value that is not finite, overflowed or not, raises
-    DomainError.  So does a grid step h whose h^2 or 2/h^2 overflows,
-    and a diagonal 2/h^2 + V(x) that overflows.  The eigenvalues come
-    from eigh_tridiagonal, within a few eps*|T| of LAPACK's bisection.
+    point (an array of another shape raises ValueError); a value that is
+    not finite, overflowed or not, raises DomainError.  So does a grid
+    step h whose h^2 or 2/h^2 overflows, and a diagonal 2/h^2 + V(x) that
+    overflows.  The eigenvalues come from eigh_tridiagonal, within a few
+    eps*|T| of LAPACK's bisection.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1 (got {count})")
+    _require_count(count)
     if count > grid.points // 4:
         raise ValueError(
             f"count = {count} too large for {grid.points} grid points "
@@ -281,7 +304,10 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     x = grid.interior()
     with np.errstate(all="ignore"):
         v = np.asarray(potential(x), dtype=float)
-    if not np.all(np.isfinite(v)):
+    if v.shape != x.shape:
+        raise ValueError(f"potential must return one value per grid point: got shape "
+                         f"{v.shape} for grid points of shape {x.shape}")
+    if not np.isfinite(v).all():
         bad = x[~np.isfinite(v)][0]
         raise DomainError(f"potential evaluates non-finite at x = {bad}")
     h = grid.h
@@ -293,11 +319,16 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
         raise DomainError(f"grid step h = {h} makes h^2 or 2/h^2 overflow")
     with np.errstate(over="ignore"):
         diag = 2.0 / h2 + v
-    if not np.all(np.isfinite(diag)):
+    if not np.isfinite(diag).all():
         bad = x[~np.isfinite(diag)][0]
         raise DomainError(f"diagonal 2/h^2 + V overflows at x = {bad}")
     off = np.full(grid.points - 1, -1.0 / h2)
-    return [float(e) for e in eigh_tridiagonal(diag, off, count)]
+    return eigh_tridiagonal(diag, off, count).tolist()
+
+
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"count must be >= 1 (got {count})")
 
 
 def default_radial_grid(delta_prime: float, big_delta: float, count: int,
@@ -333,9 +364,10 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
     The grid is default_radial_grid(delta_prime, big_delta, count, points),
-    built once the inputs pass their checks.  Prediction: radial_spectrum
-    at delta = -1/2 - sqrt(1/4 + delta').
+    built once the inputs pass their checks, ``count`` >= 1 (ValueError)
+    first.  Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
     """
+    _require_count(count)
     require_finite(delta_prime=delta_prime, big_delta=big_delta)
     if delta_prime < 0.0:
         raise DomainError(f"delta_prime must be >= 0 for the Dirichlet emulation "
@@ -349,8 +381,12 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
     grid = default_radial_grid(delta_prime, big_delta, count, points)
     delta = -0.5 - math.sqrt(0.25 + delta_prime)
     predicted = [radial_spectrum(big_delta, delta, n) for n in range(count)]
-    computed = fd_eigenvalues(
-        lambda r: delta_prime / r**2 + stiffness * r**2, grid, count)
+
+    def potential(r):
+        r2 = r * r
+        return delta_prime / r2 + stiffness * r2
+
+    computed = fd_eigenvalues(potential, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))
     return OracleReport(computed=computed, predicted=predicted,
                         max_rel_error=rel, grid=grid,
@@ -373,8 +409,7 @@ def verify_angular(v0: float, count: int = 3, points: int = 4000) -> OracleRepor
     predicted = [angular_spectrum(q, n)[0] for n in range(count)]
     printed = [angular_spectrum(q, n)[1] for n in range(count)]
     import numpy as np
-    computed = fd_eigenvalues(
-        lambda t: v0 * (np.cos(t) / np.sin(t)) ** 2, grid, count)
+    computed = fd_eigenvalues(lambda t: v0 / np.tan(t) ** 2, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))
     return OracleReport(computed=computed, predicted=predicted,
                         max_rel_error=rel, grid=grid,

@@ -64,6 +64,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(lower=0.0, upper=1.0, points=15)
 
+    @pytest.mark.parametrize("points", [100.5, 100.0])
+    def test_rejects_points_that_are_not_integers(self, points):
+        with pytest.raises(ValueError, match=re.escape(f"points must be an integer (got {points})")):
+            GridSpec(lower=0.0, upper=1.0, points=points)
+
+    def test_accepts_a_numpy_integer(self):
+        assert GridSpec(lower=0.0, upper=1.0, points=np.int64(100)).interior().shape == (100,)
+
+    def test_rejects_a_bool(self):
+        with pytest.raises(ValueError, match=re.escape("points must be >= 16 (got True)")):
+            GridSpec(lower=0.0, upper=1.0, points=True)
+
 
 class TestFdEigenvalues:
     def test_particle_in_a_box(self):
@@ -97,6 +109,15 @@ class TestFdEigenvalues:
     def test_count_exceeds_grid_budget(self):
         with pytest.raises(ValueError, match="too large"):
             fd_eigenvalues(lambda x: 0.0 * x, box_grid(100), 26)
+
+    @pytest.mark.parametrize("potential, shape", [
+        (lambda x: 0.0, "()"), (lambda x: np.zeros(3), "(3,)"),
+        (lambda x: np.zeros((100, 1)), "(100, 1)")], ids=["scalar", "short", "column"])
+    def test_potential_of_another_shape_rejected(self, potential, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"potential must return one value per grid point: got shape {shape} "
+                "for grid points of shape (100,)")):
+            fd_eigenvalues(potential, GridSpec(0.0, 3.14159, 100), 3)
 
     def test_nonfinite_potential_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
@@ -313,6 +334,13 @@ class TestVerifyRadial:
         report = verify_radial(2.0, 3.0, points=points)
         assert report.grid == default_radial_grid(2.0, 3.0, 3, points=points)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected_before_any_grid(self, count, monkeypatch):
+        monkeypatch.setattr(oracle, "default_radial_grid",
+                            lambda *a, **k: pytest.fail("a grid was built"))
+        with pytest.raises(ValueError, match=re.escape(f"count must be >= 1 (got {count})")):
+            verify_radial(2.0, 1.0, count=count)
+
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
             verify_radial(-1.0, 1.0)
@@ -394,6 +422,11 @@ class TestVerifyAngular:
     def test_grid_is_the_default_angular_grid(self, points):
         assert verify_angular(2.0, points=points).grid == default_angular_grid(points)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"count must be >= 1 (got {count})")):
+            verify_angular(2.0, count=count)
+
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
             verify_angular(-0.5)
@@ -437,3 +470,48 @@ class TestVerifyChecksTheLibrary:
                             lambda *args: tuple(1.01 * e for e in true_spectrum(*args)))
         assert not verify_angular(2.0).converged
         assert self.verify_rows("angular") == (3, ["false"] * 9)
+
+
+def certify_in_few_steps(verify):
+    """Run ``verify`` and check its one eigh_tridiagonal call: certified
+    without bisection, within 4 eps*|T| of bisection, in at most 14 solves
+    (dpttrs) and 3 Ritz checks (dstev).  Radial levels take 14 solves
+    where delta' is below about 2.35 and 13 above it, angular ones 10-11."""
+    calls = {"dpttrs": 0, "dstev": 0}
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            kernel = getattr(scipy.linalg.lapack, name)
+
+            def counted(*args, name=name, kernel=kernel, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            mp.setattr(scipy.linalg.lapack, name, counted)
+        mp.setattr(oracle, "_bisection", lambda *args: pytest.fail("bisection was called"))
+        seam = oracle.eigh_tridiagonal
+
+        def recorded(diag, off, count):
+            values = seam(diag, off, count)
+            seen.append((diag, off, values))
+            return values
+        mp.setattr(oracle, "eigh_tridiagonal", recorded)
+        report = verify()
+    [(diag, off, values)] = seen
+    tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+    assert np.all(np.abs(values - bisection(diag, off, 3)) <= tolerance)
+    assert report.computed == values.tolist()
+    assert calls["dpttrs"] <= 14
+    assert calls["dstev"] <= 3
+
+
+# The ranges of the benchmark's verify inputs on the default grids.
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(delta_prime=st.floats(0.0, 300.0), big_delta=st.floats(0.5, 12.0))
+def test_radial_verify_inputs_certify_in_few_steps(delta_prime, big_delta):
+    certify_in_few_steps(lambda: verify_radial(delta_prime, big_delta))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(v0=st.floats(0.0, 20.0))
+def test_angular_verify_inputs_certify_in_few_steps(v0):
+    certify_in_few_steps(lambda: verify_angular(v0))
