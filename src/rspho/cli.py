@@ -15,8 +15,8 @@ cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  The sweep, potential and thermo grids are lists
 of floats with np.linspace's bits (_linspace), and the wavefunction grid
 is a list of floats with default_r_grid's bits.  This module imports numpy
-nowhere: every command but verify runs without it, and only verify (the
-oracle) loads it.
+nowhere, and in a fresh process no command loads it or scipy: verify's
+oracle builds and solves its matrix on floats where numpy is not loaded.
 
 Each check that concerns one flag (a count's lower bound, a grid bound's
 finiteness, a positive tolerance, the integers of --series-values) is that

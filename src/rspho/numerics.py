@@ -13,12 +13,14 @@ scan makes no copy per check.
 forms run in a process that has not loaded it; numpy is imported by the
 code that works on arrays, when it runs.  ``numpy_loaded`` says whether
 a process has paid for that import: the energy solver scans on floats
-where it has not (see spectrum).
+where it has not (see spectrum), and the finite-difference oracle builds
+and solves its matrix on floats there too (see oracle).
 
-``sqrt``, ``exp`` and ``log`` send a float to math and an array to
-numpy, so that one expression samples the radial wavefunction on a float
-or on a grid array.  No quadrature runs here: both wavefunctions are
-normalized in closed form (see radial and angular).
+``sqrt``, ``exp``, ``log`` and ``tan`` send a float to math and an array
+to numpy, so that one expression samples the radial wavefunction, or the
+oracle's angular potential, on a float or on a grid array.  No
+quadrature runs here: both wavefunctions are normalized in closed form
+(see radial and angular).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from .errors import DomainError
 
 __all__ = ["is_array", "numpy_loaded", "require_finite", "positive", "nonnegative",
-           "sqrt", "exp", "log"]
+           "sqrt", "exp", "log", "tan"]
 
 
 def is_array(x) -> bool:
@@ -115,3 +117,11 @@ def log(x):
         import numpy as np
         return np.log(x)
     return math.log(x)
+
+
+def tan(x):
+    """Tangent of a float or an array (math.tan or np.tan)."""
+    if is_array(x):
+        import numpy as np
+        return np.tan(x)
+    return math.tan(x)

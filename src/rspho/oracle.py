@@ -2,17 +2,32 @@
 
 Discretizes -u'' + V(x) u = E u on a uniform interior grid with Dirichlet
 ends as a symmetric tridiagonal matrix (diagonal 2/h^2 + V(x_i),
-off-diagonal -1/h^2) and extracts the lowest eigenvalues with
-shift-invert Lanczos on the tridiagonal form, stopped on Kato-Temple
-error bounds and certified by one Sturm count, or with LAPACK's
-Sturm-sequence bisection where the certificate fails.  Each Lanczos
-step is one LAPACK solve (dpttrs) and a few BLAS vector operations,
-all in place in a column-major Krylov basis, and the stopping tests run
-on the few tracked Ritz values as Python floats, so a call costs little
-more than its LAPACK work and the Gram-Schmidt products.  The eigenvalues
-share no algebra with the closed forms they verify, the library's own
-radial_spectrum, q_of_vtilde and angular_spectrum (which also size the
-radial grid), which is the whole point: agreement is evidence.
+off-diagonal -1/h^2) and extracts its lowest eigenvalues, each within
+eps*|T| (|T| the larger Gershgorin bound in size), in one of two ways,
+picked by numerics.numpy_loaded as the energy scan picks its form.
+
+In a process that has loaded numpy, the matrix is a pair of arrays and
+eigh_tridiagonal runs shift-invert Lanczos on it, stopped on Kato-Temple
+error bounds and certified by one Sturm count, or LAPACK's Sturm-sequence
+bisection where the certificate fails.  Each Lanczos step is one LAPACK
+solve (dpttrs) and a few BLAS vector operations, all in place in a
+column-major Krylov basis, and the stopping tests run on the few tracked
+Ritz values as Python floats, so a call costs little more than its LAPACK
+work and the Gram-Schmidt products.
+
+In a process that has not, as in a fresh ``rspho verify``, the grid, the
+potential and the matrix are lists of Python floats and sturm_eigenvalues
+finds the levels with nothing to import: Sturm counts bracket each level,
+and steps on the characteristic polynomial p, from p'/p that each count's
+recurrence also gives (Newton's, or the pole of a fit to two counts where
+that goes further), shrink the bracket to eps*|T|, as LAPACK's bisection
+(dstebz) certifies its levels.  Importing numpy and scipy would cost a
+cold process several times the twenty-odd counts of a verify case.
+
+Either way the eigenvalues share no algebra with the closed forms they
+verify, the library's own radial_spectrum, q_of_vtilde and
+angular_spectrum (which also size the radial grid), which is the whole
+point: agreement is evidence.
 
 The second-order scheme halves-the-step/quarters-the-error; the default
 grids put eigenvalue errors near 1e-6 relative, far inside the 1e-3
@@ -22,6 +37,7 @@ verification gate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
@@ -29,7 +45,7 @@ from typing import TYPE_CHECKING
 from .angular import angular_spectrum, q_of_vtilde
 from .errors import DomainError
 from .model import BranchSign
-from .numerics import require_finite
+from .numerics import numpy_loaded, require_finite, tan
 from .radial import radial_spectrum
 
 if TYPE_CHECKING:
@@ -284,22 +300,164 @@ def _certified(diag, off, count, sigma, xi, values, radius):
     return values if info == 0 and found == count else None
 
 
+# LAPACK's safe minimum (dlamch "S").  A Sturm count clamps a pivot
+# smaller than this in size to minus it, so no pivot is zero; it is
+# LAPACK's pivmin, safemin*max(1, max e^2), for T scaled below 1.
+_SAFEMIN = sys.float_info.min
+
+# Steps per level before its bracket is only bisected, which then takes
+# at most 53 counts to shrink it from the Gershgorin interval to eps*|T|.
+# The default grids certify a level in 6-8 counts.
+_NEWTON_COUNTS = 64
+
+
+def sturm_eigenvalues(diag, off, count):
+    """The ``count`` lowest eigenvalues, ascending, of the symmetric
+    tridiagonal matrix T with diagonal ``diag`` and off-diagonal ``off``,
+    lists of floats, in pure Python.
+
+    Each eigenvalue is the midpoint of an interval of width at most
+    eps*|T| whose ends Sturm counts place on either side of it, as LAPACK's
+    bisection (dstebz) certifies its levels.  T is first scaled by a power
+    of two to entries below 1 in size, exactly, so that no count overflows.
+    Each count (_sturm_count) also gives p'/p at its point x, p being the
+    characteristic polynomial det(T - x*I), and with it (_rest) the sum
+    G(x) of 1/(lambda_j - x) over the eigenvalues from level k up, the k
+    levels already found deflated.
+
+    Level k is bracketed by the highest point counted with at most k
+    eigenvalues at or below it and the lowest counted with more (the
+    Gershgorin bounds before any count).  Below level k, the Newton step
+    x + 1/G(x) on p deflated stays below it and rises to it, so level k
+    starts at the highest point such a step reaches from an earlier count.
+    From a count below the level, the step is the larger of Newton's and
+    of the pole of 1/(lambda - x) + c fitted to G at this count and the
+    last one below, or the one it started from (a constant c for the
+    levels above, as in LAPACK's secular-equation solver dlaed4).  The
+    pole also stays below the level, since the part of G that c stands for
+    grows with x, and it takes Newton's slow approach from far below in a
+    step or two.  From a count above,
+    the step is Newton's.  A step that leaves the bracket gives way to
+    bisection, and so does every step after _NEWTON_COUNTS counts; a step
+    shorter than half the tolerance goes half the tolerance further, so
+    that the next count closes the bracket.  No closed form enters, not
+    even as a starting point.
+    """
+    _, exponent = math.frexp(max(max(diag), -min(diag),
+                                 max(off, default=0.0), -min(off, default=0.0)))
+    diag = [math.ldexp(d, -exponent) for d in diag]
+    off = [math.ldexp(e, -exponent) for e in off]
+    squares = [0.0] + [e * e for e in off]
+    radius = [abs(a) + abs(b) for a, b in zip([0.0] + off, off + [0.0])]
+    low = min(d - r for d, r in zip(diag, radius))
+    high = max(d + r for d, r in zip(diag, radius))
+    tol = _EPS * max(abs(low), abs(high))
+    counted = []        # (x, eigenvalues at or below x, p'/p at x)
+    levels = []
+    for k in range(count):
+        lo = max([low] + [point for point, below, _ in counted if below <= k])
+        hi = min([high] + [point for point, below, _ in counted if below > k])
+        starts = []
+        for point, below, slope in counted:
+            rest = _rest(point, slope, levels)
+            if below <= k and rest > 0.0 and point + 1.0 / rest < hi:
+                starts.append((point + 1.0 / rest, (point, rest)))
+        # The count that a start steps from is the first point of the fit.
+        # Level 0 starts at the Gershgorin low end, where nothing is counted.
+        x, previous = max(starts, default=(0.5 * (lo + hi) if counted else low, None))
+        steps = 0
+        while hi - lo > tol:
+            below, slope = _sturm_count(diag, squares, x)
+            counted.append((x, below, slope))
+            rest = _rest(x, slope, levels)
+            step = 1.0 / rest if rest else math.nan
+            if below <= k:             # step up to the level
+                sign = 1.0
+                lo = max(lo, x)
+                if previous is not None and x > previous[0] and rest > previous[1]:
+                    width = x - previous[0]
+                    a = (rest - previous[1]) * width
+                    pole = 2.0 * width / (a + math.sqrt(a * (a + 4.0)))
+                    if pole > step or math.isnan(step):
+                        step = pole
+                previous = (x, rest)
+            else:                       # step down to it
+                sign = -1.0
+                hi = min(hi, x)
+            if not sign * step > 0.0:
+                step = sign * tol
+            elif sign * step < 0.5 * tol:
+                step += sign * 0.5 * tol
+            x += step
+            if steps >= _NEWTON_COUNTS or not (x < hi if sign > 0.0 else x > lo):
+                x = 0.5 * (lo + hi)
+            steps += 1
+        levels.append(0.5 * (lo + hi))
+    return [math.ldexp(v, exponent) for v in levels]
+
+
+def _rest(x, slope, levels):
+    """G(x) = sum 1/(lambda_j - x) over the eigenvalues above the found
+    ``levels``, from slope = p'(x)/p(x) = sum 1/(x - lambda_j) over all of
+    them; NaN where x is one of ``levels``."""
+    try:
+        return sum(1.0 / (x - v) for v in levels) - slope
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _sturm_count(diag, squares, x):
+    """(eigenvalues of T at or below x, p'(x)/p(x)) from one pass over T.
+
+    The pivots of T - x*I = L D L^T, q_i = d_i - x - e_{i-1}^2/q_{i-1}, are
+    negative for as many eigenvalues (``squares`` holds 0 and then each
+    e_i^2); a pivot smaller than _SAFEMIN in size counts as negative and
+    becomes -_SAFEMIN, as in LAPACK.  p'/p = sum q_i'/q_i, and the ratio
+    r_i = q_i'/q_i = (e_{i-1}^2/q_{i-1} * r_{i-1} - 1)/q_i follows the
+    pivots.
+    """
+    pivmin = _SAFEMIN
+    below = 0
+    q = 1.0
+    r = slope = 0.0
+    for d, b in zip(diag, squares):
+        f = b / q
+        q = d - f - x
+        if q < pivmin:
+            below += 1
+            if q > -pivmin:
+                q = -pivmin
+        r = (f * r - 1.0) / q
+        slope += r
+    return below, slope
+
+
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     """Lowest ``count`` Dirichlet eigenvalues of -u'' + potential(x) u = E u.
 
-    ``potential`` is called once, on the array of interior grid points,
-    with numpy's floating-point warnings off, and returns one value per
-    point (an array of another shape raises ValueError); a value that is
-    not finite, overflowed or not, raises DomainError.  So does a grid
-    step h whose h^2 or 2/h^2 overflows, and a diagonal 2/h^2 + V(x) that
-    overflows.  The eigenvalues come from eigh_tridiagonal, within a few
-    eps*|T| of LAPACK's bisection.
+    In a process that has loaded numpy, ``potential`` is called once, on
+    the array of interior grid points, with numpy's floating-point warnings
+    off, and returns one value per point (an array of another shape raises
+    ValueError), and the eigenvalues come from eigh_tridiagonal.  In one
+    that has not, ``potential`` is called on each grid point as a float
+    (a ZeroDivisionError or OverflowError it raises counts as a value that
+    is not finite), and the eigenvalues come from sturm_eigenvalues.  The
+    grid points, h^2 and the diagonal have the same bits either way, given
+    the same potential values, and the eigenvalues lie within a few eps*|T|
+    of LAPACK's bisection.
+
+    A potential value that is not finite, overflowed or not, raises
+    DomainError.  So does a grid step h whose h^2 or 2/h^2 overflows, and a
+    diagonal 2/h^2 + V(x) that overflows.  ``count`` must be an integer
+    (not a bool) from 1 to points/4 (ValueError).
     """
     _require_count(count)
     if count > grid.points // 4:
         raise ValueError(
             f"count = {count} too large for {grid.points} grid points "
             "(need count <= points/4 for trustworthy discrete levels)")
+    if not numpy_loaded():
+        return _fd_floats(potential, grid, count)
     import numpy as np
     x = grid.interior()
     with np.errstate(all="ignore"):
@@ -310,13 +468,7 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     if not np.isfinite(v).all():
         bad = x[~np.isfinite(v)][0]
         raise DomainError(f"potential evaluates non-finite at x = {bad}")
-    h = grid.h
-    try:
-        h2 = h**2
-    except OverflowError:
-        h2 = math.inf
-    if not 0.0 < h2 < math.inf or 2.0 / h2 == math.inf:
-        raise DomainError(f"grid step h = {h} makes h^2 or 2/h^2 overflow")
+    h2 = _step_squared(grid)
     with np.errstate(over="ignore"):
         diag = 2.0 / h2 + v
     if not np.isfinite(diag).all():
@@ -326,7 +478,43 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     return eigh_tridiagonal(diag, off, count).tolist()
 
 
+def _fd_floats(potential, grid: GridSpec, count: int) -> list[float]:
+    """fd_eigenvalues on Python floats, for a process without numpy."""
+    h = grid.h
+    x = [grid.lower + h * i for i in range(1, grid.points + 1)]
+    v = []
+    for point in x:
+        try:
+            value = potential(point)
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise DomainError(f"potential evaluates non-finite at x = {point}")
+        v.append(value)
+    h2 = _step_squared(grid)
+    kinetic = 2.0 / h2
+    diag = [kinetic + value for value in v]
+    for d, point in zip(diag, x):
+        if not math.isfinite(d):
+            raise DomainError(f"diagonal 2/h^2 + V overflows at x = {point}")
+    return sturm_eigenvalues(diag, [-1.0 / h2] * (grid.points - 1), count)
+
+
+def _step_squared(grid: GridSpec) -> float:
+    """h^2 of ``grid``; DomainError where h^2 or 2/h^2 overflows."""
+    h = grid.h
+    try:
+        h2 = h**2
+    except OverflowError:
+        h2 = math.inf
+    if not 0.0 < h2 < math.inf or 2.0 / h2 == math.inf:
+        raise DomainError(f"grid step h = {h} makes h^2 or 2/h^2 overflow")
+    return h2
+
+
 def _require_count(count: int) -> None:
+    if not isinstance(count, Integral) or isinstance(count, bool):
+        raise ValueError(f"count must be an integer (got {count!r})")
     if count < 1:
         raise ValueError(f"count must be >= 1 (got {count})")
 
@@ -364,8 +552,8 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
     """Compare FD eigenvalues of delta'/r^2 + big_delta^2 r^2 with the ladder.
 
     The grid is default_radial_grid(delta_prime, big_delta, count, points),
-    built once the inputs pass their checks, ``count`` >= 1 (ValueError)
-    first.  Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
+    built once the inputs pass their checks, ``count`` (ValueError) first.
+    Prediction: radial_spectrum at delta = -1/2 - sqrt(1/4 + delta').
     """
     _require_count(count)
     require_finite(delta_prime=delta_prime, big_delta=big_delta)
@@ -396,11 +584,12 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
 def verify_angular(v0: float, count: int = 3, points: int = 4000) -> OracleReport:
     """Compare FD eigenvalues of v0*cot^2(theta) with the two closed forms.
 
-    The grid is default_angular_grid(points), built once v0 passes its
-    checks.  Prediction: angular_spectrum's sum form at q =
-    q_of_vtilde(v0, PLUS), with its perfect-square rival alongside, which
-    the operator rejects.
+    The grid is default_angular_grid(points), built once the inputs pass
+    their checks, ``count`` (ValueError) first.  Prediction:
+    angular_spectrum's sum form at q = q_of_vtilde(v0, PLUS), with its
+    perfect-square rival alongside, which the operator rejects.
     """
+    _require_count(count)
     require_finite(v0=v0)
     if v0 < 0.0:
         raise DomainError(f"v0 must be >= 0 for the Dirichlet emulation (got {v0})")
@@ -408,8 +597,12 @@ def verify_angular(v0: float, count: int = 3, points: int = 4000) -> OracleRepor
     q = q_of_vtilde(v0, BranchSign.PLUS)
     predicted = [angular_spectrum(q, n)[0] for n in range(count)]
     printed = [angular_spectrum(q, n)[1] for n in range(count)]
-    import numpy as np
-    computed = fd_eigenvalues(lambda t: v0 / np.tan(t) ** 2, grid, count)
+
+    def potential(t):
+        tangent = tan(t)
+        return v0 / (tangent * tangent)
+
+    computed = fd_eigenvalues(potential, grid, count)
     rel = max(abs(c - p) / abs(p) for c, p in zip(computed, predicted))
     return OracleReport(computed=computed, predicted=predicted,
                         max_rel_error=rel, grid=grid,

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -740,8 +741,10 @@ print(json.dumps([codes, loaded]))
     @pytest.mark.parametrize("argv", [
         POTENTIAL_ARGS, THERMO_ARGS, ["solve"] + SPIN_ARGS, ["table", "--which", "spin1"],
         ["table", "--which", "pseudospin2"], SWEEP_ARGS, WAVEFUNCTION_ARGS,
+        # On 400 points the float and array oracles print the same bytes.
+        ["verify", "--points", "400"],
     ], ids=["potential", "thermo", "solve", "table-spin1", "table-pseudospin2", "sweep",
-            "wavefunction"])
+            "wavefunction", "verify"])
     def test_loads_neither_numpy_nor_scipy(self, launch, argv):
         # -X importtime lists every module the process imports.
         done = subprocess.run([sys.executable, "-X", "importtime"] + launch + argv,
@@ -782,6 +785,27 @@ print(json.dumps([codes, loaded]))
         code, out, err = run_cli(argv)
         assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
 
+    def test_fresh_verify_matches_main_with_numpy_loaded(self):
+        # A fresh process finds the levels with Sturm counts on floats, main
+        # in this process with Lanczos on arrays: each within eps*|T| of the
+        # same matrix's levels.  So every cell agrees but the last digits of
+        # rel_error, and computed agrees within 2e-7 relative.
+        assert "numpy" in sys.modules
+        done = subprocess.run([sys.executable, "-m", "rspho", "verify"], env=src_env(),
+                              capture_output=True, text=True)
+        code, out, err = run_cli(["verify"])
+        assert (done.returncode, done.stderr) == (code, err) == (0, "")
+        fresh, loaded = ([line.split(",") for line in text.splitlines()]
+                         for text in (done.stdout, out))
+        assert len(fresh) == len(loaded) == 22
+        assert fresh[0] == loaded[0]
+        column = fresh[0].index("computed")
+        rel_error = fresh[0].index("rel_error")
+        for a, b in zip(fresh[1:], loaded[1:]):
+            assert [a[i] for i in range(len(a)) if i not in (column, rel_error)] == \
+                   [b[i] for i in range(len(b)) if i not in (column, rel_error)]
+            assert float(a[column]) == pytest.approx(float(b[column]), rel=2e-7)
+            assert re.fullmatch(r"\d\.\d{3}e-\d\d", a[rel_error])
 
     def test_import_rspho_loads_no_submodule(self):
         # dir() lists the public names without importing their modules.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rspho.errors import DomainError
-from rspho.numerics import exp, is_array, log, nonnegative, positive, sqrt
+from rspho.numerics import exp, is_array, log, nonnegative, positive, sqrt, tan
 
 
 class TestIsArray:
@@ -34,6 +34,11 @@ class TestIsArray:
 
 
 class TestExpAndLog:
+    def test_tan_sends_a_float_to_math_and_an_array_to_numpy(self):
+        assert type(tan(1.5)) is float and tan(1.5) == math.tan(1.5)
+        x = np.array([0.5, 1.5])
+        assert np.array_equal(tan(x), np.tan(x))
+
     def test_exp_and_log_send_a_float_to_math_and_an_array_to_numpy(self):
         assert type(exp(1.5)) is float and exp(1.5) == math.exp(1.5)
         assert type(log(1.5)) is float and log(1.5) == math.log(1.5)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rspho.oracle as oracle
-from rspho.cli import main
+from rspho.cli import _VERIFY_ANGULAR_CASES, _VERIFY_RADIAL_CASES, main
 from rspho.errors import DomainError
 from rspho.oracle import (GridSpec, default_angular_grid, default_radial_grid,
                           fd_eigenvalues, verify_angular, verify_radial)
@@ -45,6 +45,13 @@ def gershgorin_norm(diag, off):
 
 def double_well(x):
     return 4.0 * (x**2 - 2.5**2) ** 2
+
+
+def count_message(count):
+    """The ValueError that the oracle raises for a ``count`` it refuses."""
+    if isinstance(count, int) and not isinstance(count, bool):
+        return re.escape(f"count must be >= 1 (got {count})")
+    return re.escape(f"count must be an integer (got {count!r})")
 
 
 class TestGridSpec:
@@ -277,6 +284,135 @@ class TestEighTridiagonal:
         assert scaled.tobytes() == np.ldexp(base, exponent).tobytes()
 
 
+@pytest.fixture
+def floats(monkeypatch):
+    """The oracle as in a process that has not loaded numpy: fd_eigenvalues
+    builds its matrix on floats and solves it with sturm_eigenvalues."""
+    monkeypatch.setattr(oracle, "numpy_loaded", lambda: False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(points=st.integers(16, 4000), lower=st.floats(-10.0, 10.0),
+       width=st.floats(0.5, 20.0), symmetric=st.booleans(),
+       coefficients=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+       count=st.integers(1, 3))
+# The double well: its two lowest levels differ by less than eps*|T|.
+@example(points=4000, lower=-6.0, width=12.0, symmetric=True,
+         coefficients=[156.25, -1800.0, 5184.0], count=3)
+# An inverted parabola: the lowest levels come in pairs, one state at
+# each wall, whose counts move together.
+@example(points=245, lower=0.0, width=8.0, symmetric=True,
+         coefficients=[0.0, -300.0], count=3)
+# A coarse grid whose three levels spread over much of its spectrum.
+@example(points=16, lower=0.0, width=8.0, symmetric=False,
+         coefficients=[0.0, 0.0, 0.0, -788.5], count=3)
+# The inverted parabola on 16 points: a near-degenerate pair on a coarse grid.
+@example(points=16, lower=-1.0, width=2.0, symmetric=True,
+         coefficients=[1000.0, -1000.0], count=3)
+def test_sturm_eigenvalues_agree_with_bisection(points, lower, width, symmetric,
+                                                coefficients, count):
+    """The matrices of test_fd_eigenvalues_agree_with_bisection, given to
+    sturm_eigenvalues as lists."""
+    grid = GridSpec(lower=lower, upper=lower + width, points=points)
+    middle = lower + 0.5 * width
+
+    def potential(x):
+        y = (x - middle) / (0.5 * width)
+        return sum(c * y ** (2 * j if symmetric else j)
+                   for j, c in enumerate(coefficients))
+
+    diag, off = tridiagonal(potential, grid)
+    computed = oracle.sturm_eigenvalues(diag.tolist(), off.tolist(), count)
+    assert [type(value) for value in computed] == [float] * count
+    tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+    assert np.all(np.abs(np.array(computed) - bisection(diag, off, count)) <= tolerance)
+
+
+README_VERIFY_CASES = ([(verify_radial, case) for case in _VERIFY_RADIAL_CASES]
+                       + [(verify_angular, (v0,)) for v0 in _VERIFY_ANGULAR_CASES])
+
+
+class TestFloatPath:
+    @pytest.mark.parametrize("verify, args", README_VERIFY_CASES,
+                             ids=[f"{verify.__name__[7:]}{list(args)}"
+                                  for verify, args in README_VERIFY_CASES])
+    def test_readme_verify_cases_take_few_counts(self, verify, args, floats, monkeypatch):
+        """Each case of ``rspho verify`` converges in at most 24 Sturm counts
+        for its three levels (18-21 on the default grids), within 4 eps*|T|
+        of LAPACK's bisection of the same matrix."""
+        counts, seen = [], []
+        count_once = oracle._sturm_count
+        monkeypatch.setattr(oracle, "_sturm_count",
+                            lambda *a: counts.append(a[2]) or count_once(*a))
+        solve = oracle.sturm_eigenvalues
+        monkeypatch.setattr(oracle, "sturm_eigenvalues",
+                            lambda diag, off, count: seen.append((diag, off))
+                            or solve(diag, off, count))
+        report = verify(*args)
+        [(diag, off)] = seen
+        diag, off = np.array(diag), np.array(off)
+        tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+        assert report.converged
+        assert np.all(np.abs(np.array(report.computed) - bisection(diag, off, 3)) <= tolerance)
+        assert len(counts) <= 24
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0), (239.3666, 9.84509), (2.0, 1e8)])
+    def test_radial_matrix_has_the_bits_of_the_array_path(self, args, monkeypatch):
+        """verify_radial's potential has the same bits on a float as on an
+        array, and so do the grid points, h^2 and the diagonal."""
+        seen = []
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda diag, off, count:
+                            seen.append((diag.tolist(), off.tolist())) or np.zeros(count))
+        monkeypatch.setattr(oracle, "sturm_eigenvalues", lambda diag, off, count:
+                            seen.append((diag, off)) or [0.0] * count)
+        for loaded in (True, False):
+            monkeypatch.setattr(oracle, "numpy_loaded", lambda: loaded)
+            verify_radial(*args)
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("potential, grid", [
+        (lambda x: 1.0 / ((x - 1.0) * 1e-300 * 1e-300), GridSpec(0.5, 2.0, 64)),
+        (lambda x: (10.0 * x) ** 400, GridSpec(0.5, 2.0, 64)),
+        (lambda x: 0.0 * x * math.inf, GridSpec(0.5, 2.0, 64)),
+        (lambda x: 0.0 * x, GridSpec(0.0, 1e-160, 100)),
+        (lambda x: 0.0 * x, GridSpec(0.0, 1e160, 100)),
+        (lambda x: 0.0 * x + 1.7e308, GridSpec(0.0, 1.5e-152, 100)),
+    ], ids=["divides-by-zero", "overflows", "nan", "h2-zero", "h2-overflow", "diagonal"])
+    def test_domain_errors_match_the_array_path(self, potential, grid, monkeypatch):
+        """A potential that divides by zero or overflows on a float raises
+        where numpy gives inf or NaN: the same DomainError, at the same x,
+        with no warning on either path."""
+        messages = []
+        for loaded in (True, False):
+            monkeypatch.setattr(oracle, "numpy_loaded", lambda: loaded)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as raised:
+                    fd_eigenvalues(potential, grid, 3)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("loaded", [True, False], ids=["arrays", "floats"])
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_count_that_is_not_an_integer_rejected(self, count, loaded, monkeypatch):
+        monkeypatch.setattr(oracle, "numpy_loaded", lambda: loaded)
+        with pytest.raises(ValueError, match=count_message(count)):
+            fd_eigenvalues(lambda x: pytest.fail("the potential was called"), box_grid(100), count)
+
+    def test_near_degenerate_pair_gives_one_value_twice(self, floats):
+        computed = fd_eigenvalues(double_well, GridSpec(lower=-6.0, upper=6.0, points=4000), 3)
+        assert computed[0] == computed[1] == pytest.approx(9.91844473, abs=1e-8)
+
+    @pytest.mark.parametrize("exponent", [-1000, -60, 60, 1000])
+    def test_scaling_by_a_power_of_two_scales_the_values_exactly(self, exponent):
+        diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2,
+                                default_radial_grid(2.0, 3.0, 3))
+        base = oracle.sturm_eigenvalues(diag.tolist(), off.tolist(), 3)
+        scaled = oracle.sturm_eigenvalues(np.ldexp(diag, exponent).tolist(),
+                                          np.ldexp(off, exponent).tolist(), 3)
+        assert scaled == [math.ldexp(value, exponent) for value in base]
+
+
 class TestDefaultGrids:
     def test_radial_grid_clears_turning_point(self):
         grid = default_radial_grid(2.0, 1.0, 3)
@@ -334,11 +470,11 @@ class TestVerifyRadial:
         report = verify_radial(2.0, 3.0, points=points)
         assert report.grid == default_radial_grid(2.0, 3.0, 3, points=points)
 
-    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     def test_count_below_one_rejected_before_any_grid(self, count, monkeypatch):
         monkeypatch.setattr(oracle, "default_radial_grid",
                             lambda *a, **k: pytest.fail("a grid was built"))
-        with pytest.raises(ValueError, match=re.escape(f"count must be >= 1 (got {count})")):
+        with pytest.raises(ValueError, match=count_message(count)):
             verify_radial(2.0, 1.0, count=count)
 
     def test_negative_strength_rejected(self):
@@ -422,9 +558,11 @@ class TestVerifyAngular:
     def test_grid_is_the_default_angular_grid(self, points):
         assert verify_angular(2.0, points=points).grid == default_angular_grid(points)
 
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_rejected(self, count):
-        with pytest.raises(ValueError, match=re.escape(f"count must be >= 1 (got {count})")):
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_count_below_one_rejected(self, count, monkeypatch):
+        monkeypatch.setattr(oracle, "default_angular_grid",
+                            lambda *a, **k: pytest.fail("a grid was built"))
+        with pytest.raises(ValueError, match=count_message(count)):
             verify_angular(2.0, count=count)
 
     def test_negative_strength_rejected(self):

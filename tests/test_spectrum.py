@@ -1,4 +1,4 @@
-"""Tests for the energy solver and the non-relativistic closed form."""
+"""Tests for the energy solver."""
 
 import contextlib
 import dataclasses
@@ -17,7 +17,6 @@ from rspho.model import (BranchSign, Convention, PotentialParams,
                          QuantumNumbers, SolveRequest, Symmetry)
 from rspho.radial import radial_terms_from_terms
 from rspho.spectrum import energy_residual, solve_cells, solve_columns, solve_energy
-from rspho.thermo import nonrelativistic_energy
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)
@@ -1183,41 +1182,3 @@ class TestAbsTolE:
         res = solve_energy(spin_request(), 5e-324)
         assert energies(solve_columns(*columns([spin_request()]), 5e-324)) == [repr(res.E)]
         assert res.E == pytest.approx(14.38516214, abs=1e-8)
-
-
-class TestNonrelativisticEnergy:
-    def test_zero_coupling_closed_form(self):
-        # bracket = 2n + 1 + sqrt(1/4 + lambda_NR) = 1 + sqrt(1.20710678...)
-        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
-        e = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
-                                   convention=Convention.EQUATION_CONSISTENT)
-        # sqrt(2K/mu) = 1 here, so the value is the bracket itself
-        assert e == pytest.approx(2.0986841134678098, abs=1e-12)
-
-    def test_table_convention_halves(self):
-        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
-        e1 = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
-                                    convention=Convention.TABLE_CONSISTENT)
-        e2 = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
-                                    convention=Convention.EQUATION_CONSISTENT)
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
-
-    def test_reference_set_is_finite_positive(self):
-        params = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
-        e = nonrelativistic_energy(params, 5.0, QuantumNumbers(n_r=1))
-        assert math.isfinite(e) and e > 0.0
-
-    def test_radicand_failure(self):
-        params = PotentialParams(K=2.0, A=0.0, B=1.0, C=0.0)
-        with pytest.raises(DomainError):
-            nonrelativistic_energy(params, 1.0, QuantumNumbers(n_r=0))
-
-    def test_nonpositive_mass_rejected(self):
-        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
-        with pytest.raises(DomainError):
-            nonrelativistic_energy(params, 0.0, QuantumNumbers(n_r=0))
-
-    def test_negative_k_rejected(self):
-        params = PotentialParams(K=-2.0, A=0.0, B=0.0, C=0.0)
-        with pytest.raises(DomainError, match="K > 0"):
-            nonrelativistic_energy(params, 1.0, QuantumNumbers(n_r=0))

@@ -180,6 +180,44 @@ class TestThermoPoint:
             thermo_point([0.0, 1.0], T=1.0, N=0)
 
 
+class TestNonrelativisticEnergy:
+    def test_zero_coupling_closed_form(self):
+        # bracket = 2n + 1 + sqrt(1/4 + lambda_NR) = 1 + sqrt(1.20710678...)
+        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
+        e = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
+                                   convention=Convention.EQUATION_CONSISTENT)
+        # sqrt(2K/mu) = 1 here, so the value is the bracket itself
+        assert e == pytest.approx(2.0986841134678098, abs=1e-12)
+
+    def test_table_convention_halves(self):
+        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
+        e1 = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
+                                    convention=Convention.TABLE_CONSISTENT)
+        e2 = nonrelativistic_energy(params, 4.0, QuantumNumbers(n_r=0),
+                                    convention=Convention.EQUATION_CONSISTENT)
+        assert e2 == pytest.approx(2.0 * e1, rel=1e-14)
+
+    def test_reference_set_is_finite_positive(self):
+        params = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
+        e = nonrelativistic_energy(params, 5.0, QuantumNumbers(n_r=1))
+        assert math.isfinite(e) and e > 0.0
+
+    def test_radicand_failure(self):
+        params = PotentialParams(K=2.0, A=0.0, B=1.0, C=0.0)
+        with pytest.raises(DomainError):
+            nonrelativistic_energy(params, 1.0, QuantumNumbers(n_r=0))
+
+    def test_nonpositive_mass_rejected(self):
+        params = PotentialParams(K=2.0, A=0.0, B=0.0, C=0.0)
+        with pytest.raises(DomainError):
+            nonrelativistic_energy(params, 0.0, QuantumNumbers(n_r=0))
+
+    def test_negative_k_rejected(self):
+        params = PotentialParams(K=-2.0, A=0.0, B=0.0, C=0.0)
+        with pytest.raises(DomainError, match="K > 0"):
+            nonrelativistic_energy(params, 1.0, QuantumNumbers(n_r=0))
+
+
 class TestNonrelativisticLevels:
     def test_matches_single_level_evaluations(self):
         ladder = list(islice(reference_levels(), 6))
