@@ -22,12 +22,11 @@ _EXPORTS = {
               "SolveRequest", "Symmetry", "Violation", "evaluate_potential", "validate"),
     "oracle": ("GridSpec", "OracleReport", "fd_eigenvalues", "verify_angular",
                "verify_radial"),
-    "radial": ("WavefunctionSamples", "effective_scale", "kummer_1f1_terminating",
-               "partner_potentials_radial", "radial_spectrum", "radial_wavefunction",
-               "wavefunction_scales"),
+    "radial": ("WavefunctionSamples", "effective_scale", "partner_potentials_radial",
+               "radial_spectrum", "radial_wavefunction", "wavefunction_scales"),
     "spectrum": ("SolveResult", "energy_residual", "solve_energy"),
     "thermo": ("ThermoPoint", "nonrelativistic_energy", "nonrelativistic_levels",
-               "partition_function", "thermo_point"),
+               "thermo_point"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -14,9 +14,10 @@ from the energies it returns, NaN where a cell failed.  A failed sweep
 cell is empty; table fails with the error that solve_energy raises for
 its first failed row.  The sweep, potential and thermo grids are lists
 of floats with np.linspace's bits (_linspace), and the wavefunction grid
-is a list of floats with default_r_grid's bits.  This module imports numpy
-nowhere, and in a fresh process no command loads it or scipy: verify's
-oracle builds and solves its matrix on floats where numpy is not loaded.
+is the list of floats h*i, i = 1..points, with h from radial.r_grid_step.
+This module imports numpy nowhere, and in a fresh process no command
+loads it or scipy: verify's oracle builds and solves its matrix on floats
+where numpy is not loaded.
 
 Each check that concerns one flag (a count's lower bound, a grid bound's
 finiteness, a positive tolerance, the integers of --series-values) is that
@@ -304,7 +305,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     L, big_delta = wavefunction_scales(req, res.E, res.lam, args.mass_factor)
     delta_eff = effective_scale(big_delta, req.convention)
     h = r_grid_step(req.qn.n_r, L, delta_eff, points=args.points, r_max=args.r_max)
-    # default_r_grid's points, as floats.
     grid = [h * i for i in range(1, args.points + 1)]
     wf = radial_wavefunction(req.qn.n_r, L, big_delta, grid, req.convention)
     lines = ["r,R"]
@@ -487,9 +487,11 @@ def _build_parser() -> _Parser:
                    help="highest temperature (default 5)")
     p.add_argument("--steps", type=_int_at_least(1), default=50,
                    help="temperature samples (default 50)")
-    p.add_argument("--N", type=int, default=1, help="particle count in F and S (default 1)")
-    p.add_argument("--kB", type=float, default=1.0, help="Boltzmann constant (default 1)")
-    p.add_argument("--tail-tol", type=float, default=1e-14,
+    p.add_argument("--N", type=_int_at_least(1), default=1,
+                   help="particle count in F and S (default 1)")
+    p.add_argument("--kB", type=_positive_finite, default=1.0,
+                   help="Boltzmann constant (default 1)")
+    p.add_argument("--tail-tol", type=_positive_finite, default=1e-14,
                    help="relative truncation tolerance of the level sum (default 1e-14)")
     _add_io_flags(p)
     p.set_defaults(handler=cmd_thermo)

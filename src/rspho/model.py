@@ -9,8 +9,7 @@ ring-shaped angular barriers:
 
 Natural units (hbar = c = 1) are used throughout; masses and energies are
 in inverse femtometers.  Everything in this module is an immutable value
-type or a pure function, safe to share between threads.  numpy is
-imported only to evaluate the potential on arrays.
+type or a pure function, safe to share between threads.
 """
 
 from __future__ import annotations
@@ -138,56 +137,37 @@ _THETA_DOMAIN = "theta must lie strictly inside (0, pi); the ring terms diverge 
 _V_FINITE = "V(r, theta) is not finite at r = {!r}, theta = {!r}"
 
 
-def evaluate_potential(params: PotentialParams, r, theta):
-    """Evaluate V(r, theta).  Accepts scalars or numpy arrays.
+def evaluate_potential(params: PotentialParams, r: float, theta: float) -> float:
+    """Evaluate V(r, theta) at real numbers r and theta, as a float.
 
     Raises DomainError at the singular loci r <= 0 and theta in {0, pi}
     (and beyond), where the inverse-square and ring terms blow up, at a
     NaN r or theta, and where V is not finite in float64 (r^2 or
     sin^2(theta) under- or overflowing, a coefficient that is not finite),
-    naming the first such r and theta.  Two real numbers are evaluated as
-    floats, with math.sin and math.cos and squares written as products,
-    the operations numpy applies to an array, so both paths give the same
-    bits and verdicts; anything else goes to numpy.
+    naming r and theta.  Squares are written as products, the operations
+    numpy applies to an array, so the potential command prints the bits
+    of a numpy evaluation.  An r or theta that is not a real number (an
+    array, a string) raises TypeError naming it.
     """
-    if _is_real(r) and _is_real(theta):
-        r = float(r)
-        theta = float(theta)
-        if not r > 0.0:
-            raise DomainError(_R_DOMAIN)
-        if not 0.0 < theta < math.pi:
-            raise DomainError(_THETA_DOMAIN)
-        r2 = r * r
-        sin = math.sin(theta)
-        cos = math.cos(theta)
-        den = r2 * (sin * sin)          # 0 where r^2 or sin^2 underflows
-        v = float(0.5 * params.K * r2
-                  + params.A / r2
-                  + params.B / den
-                  + params.C * (cos * cos) / den) if den else math.nan
-        if not math.isfinite(v):
-            raise DomainError(_V_FINITE.format(r, theta))
-        return v
-    import numpy as np
-    r_arr = np.asarray(r, dtype=float)
-    t_arr = np.asarray(theta, dtype=float)
-    if not np.all(r_arr > 0.0):
+    if not (_is_real(r) and _is_real(theta)):
+        name, x = ("r", r) if not _is_real(r) else ("theta", theta)
+        raise TypeError(f"{name} must be a real number (got {type(x).__name__})")
+    r = float(r)
+    theta = float(theta)
+    if not r > 0.0:
         raise DomainError(_R_DOMAIN)
-    if not np.all((t_arr > 0.0) & (t_arr < np.pi)):
+    if not 0.0 < theta < math.pi:
         raise DomainError(_THETA_DOMAIN)
-    sin2 = np.sin(t_arr) ** 2
-    cos2 = np.cos(t_arr) ** 2
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = (0.5 * params.K * r_arr**2
-             + params.A / r_arr**2
-             + params.B / (r_arr**2 * sin2)
-             + params.C * cos2 / (r_arr**2 * sin2))
-    bad = ~np.isfinite(v)
-    if bad.any():
-        r_at, t_at = (float(np.broadcast_to(x, v.shape)[bad][0]) for x in (r_arr, t_arr))
-        raise DomainError(_V_FINITE.format(r_at, t_at))
-    if np.isscalar(r) and np.isscalar(theta):
-        return float(v)
+    r2 = r * r
+    sin = math.sin(theta)
+    cos = math.cos(theta)
+    den = r2 * (sin * sin)          # 0 where r^2 or sin^2 underflows
+    v = float(0.5 * params.K * r2
+              + params.A / r2
+              + params.B / den
+              + params.C * (cos * cos) / den) if den else math.nan
+    if not math.isfinite(v):
+        raise DomainError(_V_FINITE.format(r, theta))
     return v
 
 

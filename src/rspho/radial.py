@@ -37,10 +37,8 @@ __all__ = [
     "radial_terms_from_terms",
     "radial_spectrum",
     "partner_potentials_radial",
-    "kummer_1f1_terminating",
     "effective_scale",
     "r_grid_step",
-    "default_r_grid",
     "radial_wavefunction",
     "wavefunction_scales",
 ]
@@ -133,32 +131,6 @@ def partner_potentials_radial(delta: float, big_delta: float,
     return v_plus, v_minus
 
 
-def kummer_1f1_terminating(n: int, b: float, z):
-    """Terminating confluent hypergeometric series 1F1(-n, b, z).
-
-    Evaluated by the three-term recurrence in the first parameter,
-
-        (b + k) F_{k+1} = (2k + b - z) F_k - k F_{k-1},   F_0 = 1,
-
-    which is the Laguerre recurrence (k + 1) L_{k+1} = (2k + 1 + alpha - z)
-    L_k - (k + alpha) L_{k-1} for F_k = k!/(alpha + 1)_k L_k^(alpha)(z),
-    b = alpha + 1.  The power series cancels catastrophically at high n
-    (near z ~ 4n its terms exceed the sum by many orders); the recurrence
-    does not.  z may be a float or an array; for n = 0 the result is 1.0,
-    and a value past the float range is inf.  A negative n, or a b + k = 0
-    for some k < n, raises DomainError.
-    """
-    z_max = float(max(z.max(initial=0.0), -z.min(initial=0.0))) if is_array(z) else abs(z)
-    f, e = _kummer_scaled(n, b, z, z_max)
-    if is_array(f):
-        import numpy as np
-        return np.ldexp(f, e)
-    try:
-        return math.ldexp(f, e)
-    except OverflowError:
-        return math.copysign(math.inf, f)
-
-
 # Where the Kummer recurrence rescales F_k: 2^960 leaves one step room to
 # grow by 2^63 before it overflows, and a step that could grow more is
 # rescaled for first (_STEP_LIMIT).
@@ -168,9 +140,21 @@ _LN2 = math.log(2.0)
 
 
 def _kummer_scaled(n: int, b: float, z, z_max: float):
-    """kummer_1f1_terminating's recurrence, returning (f, e) with
-    1F1(-n, b, z) = f * 2^e, so that a 1F1 past the float range is still
-    a number.  z_max is at least every |z|.
+    """The terminating confluent hypergeometric series 1F1(-n, b, z) as
+    (f, e), with 1F1(-n, b, z) = f * 2^e, so that a 1F1 past the float
+    range is still a number.  z may be a float or an array, and z_max is
+    at least every |z|.
+
+    Evaluated by the three-term recurrence in the first parameter,
+
+        (b + k) F_{k+1} = (2k + b - z) F_k - k F_{k-1},   F_0 = 1,
+
+    which is the Laguerre recurrence (k + 1) L_{k+1} = (2k + 1 + alpha - z)
+    L_k - (k + alpha) L_{k-1} for F_k = k!/(alpha + 1)_k L_k^(alpha)(z),
+    b = alpha + 1.  The power series cancels catastrophically at high n
+    (near z ~ 4n its terms exceed the sum by many orders); the recurrence
+    does not.  For n = 0 the result is (1.0, 0).  A negative n, or a
+    b + k = 0 for some k < n, raises DomainError.
 
     A scalar bound on |F_k| and |F_{k-1}|, grown each step by the largest
     factor the step can apply, says when they could pass 2^960.  Then
@@ -259,14 +243,6 @@ def r_grid_step(n_r: int, L: float, delta_eff: float,
         et = radial_spectrum(delta_eff, delta, n_r)
         r_max = math.sqrt(et) / delta_eff + 4.0 / math.sqrt(delta_eff)
     return r_max / points
-
-
-def default_r_grid(n_r: int, L: float, delta_eff: float,
-                   points: int = 4000, r_max: float | None = None) -> np.ndarray:
-    """The grid h*i, i = 1..points, of r_grid_step as a numpy array."""
-    h = r_grid_step(n_r, L, delta_eff, points, r_max)
-    import numpy as np
-    return h * np.arange(1, points + 1)
 
 
 def radial_wavefunction(n_r: int, L: float, big_delta: float,

@@ -39,7 +39,6 @@ from .numerics import require_finite
 
 __all__ = [
     "ThermoPoint",
-    "partition_function",
     "thermo_point",
     "nonrelativistic_energy",
     "nonrelativistic_levels",
@@ -114,22 +113,12 @@ def _moments(levels, beta: float, rel_tail_tol: float):
     return e0, s0, s1, s2, used
 
 
-def partition_function(levels, beta: float,
-                       rel_tail_tol: float = _DEFAULT_TAIL_TOL
-                       ) -> tuple[float, int]:
-    """Truncated Boltzmann sum Z = sum exp(-beta*E_n) and the level count used.
-
-    ``levels`` may be any iterable of strictly ascending energies,
-    including an unbounded generator such as nonrelativistic_levels.
-    """
-    e0, s0, _, _, used = _moments(levels, beta, rel_tail_tol)
-    return math.exp(-beta * e0) * s0, used
-
-
 def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
                  rel_tail_tol: float = _DEFAULT_TAIL_TOL) -> ThermoPoint:
     """All thermodynamic functions at temperature T from one truncated sum.
 
+    ``levels`` may be any iterable of strictly ascending energies,
+    including an unbounded generator such as nonrelativistic_levels.
     T and k_B must be positive and finite, and so must their product and
     beta = 1/(k_B*T) (see _moments), which they can miss by overflow or
     underflow.

@@ -14,11 +14,10 @@ from scipy.integrate import simpson
 from rspho.model import (Convention, PotentialParams, QuantumNumbers,
                          SolveRequest, Symmetry)
 from rspho.oracle import verify_angular, verify_radial
-from rspho.radial import (default_r_grid, effective_scale,
-                          kummer_1f1_terminating, radial_wavefunction)
+from rspho.radial import (_kummer_scaled, effective_scale, r_grid_step,
+                          radial_wavefunction)
 from rspho.spectrum import solve_energy
-from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
-                          partition_function, thermo_point)
+from rspho.thermo import nonrelativistic_energy, nonrelativistic_levels, thermo_point
 
 from table_data import (PSEUDOSPIN_SET, SPIN_SET, pseudospin_cases,
                         spin_cases)
@@ -122,7 +121,7 @@ def test_criterion_6_wavefunction_checks():
         L = -0.5 + math.sqrt(0.25 + delta_prime)
         delta_eff = effective_scale(big_delta, Convention.EQUATION_CONSISTENT)
         for n_r in range(4):
-            grid = default_r_grid(n_r, L, delta_eff, points=4000)
+            grid = r_grid_step(n_r, L, delta_eff, points=4000) * np.arange(1, 4001)
             wf = radial_wavefunction(n_r, L, big_delta, grid,
                                      Convention.EQUATION_CONSISTENT)
             et = 2.0 * delta_eff * (2.0 * n_r + 1.0 + math.sqrt(0.25 + delta_prime))
@@ -134,11 +133,10 @@ def test_criterion_6_wavefunction_checks():
                                 + delta_eff**2 * inner_r**2 - et) * values[1:-1])
             scale = et * np.max(np.abs(values))
             worst_resid = max(worst_resid, float(np.max(np.abs(resid)) / scale))
-            fine = default_r_grid(n_r, L, delta_eff, points=16000,
-                                  r_max=float(r[-1]))
+            fine = r[-1] / 16000 * np.arange(1, 16001)
             eta2 = delta_eff * fine**2
-            bare = (np.exp(-0.5 * eta2) * fine**(L + 1.0)
-                    * kummer_1f1_terminating(n_r, L + 1.5, eta2))
+            f, e = _kummer_scaled(n_r, L + 1.5, eta2, float(eta2[-1]))
+            bare = np.exp(-0.5 * eta2) * fine**(L + 1.0) * f * 2.0**e
             norm = float(simpson((wf.norm_constant * bare)**2, x=fine))
             worst_norm = max(worst_norm, abs(norm - 1.0))
             nodes_ok = nodes_ok and wf.node_count() == n_r
@@ -172,7 +170,7 @@ def test_criterion_8_thermodynamic_consistency():
         return nonrelativistic_levels(params, mu)
 
     def log_z(beta):
-        return math.log(partition_function(levels(), beta)[0])
+        return math.log(thermo_point(levels(), 1.0 / beta).Z)
 
     worst_u = worst_s = worst_c = worst_f = 0.0
     capacity_ok = True

@@ -441,6 +441,19 @@ class TestWavefunction:
         signs = np.sign(values[np.abs(values) > 1e-9 * np.max(np.abs(values))])
         assert (code, err, int(np.sum(signs[1:] != signs[:-1]))) == (0, "", 500)
 
+    def test_grid_is_h_times_i_of_r_grid_step(self):
+        # At 17 digits the printed radii are the grid's floats.
+        from rspho.radial import effective_scale, r_grid_step, wavefunction_scales
+        req = SolveRequest(params=PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005), M=5.0,
+                           qn=QuantumNumbers(n_r=2, m=0), symmetry=Symmetry.SPIN)
+        res = solve_energy(req)
+        L, big_delta = wavefunction_scales(req, res.E, res.lam)
+        h = r_grid_step(2, L, effective_scale(big_delta, req.convention), points=300)
+        code, out, err = run_cli(WAVEFUNCTION_ARGS + ["--points", "300", "--precision", "17"])
+        assert (code, err) == (0, "")
+        assert [float(row.split(",")[0]) for row in lines_of(out)[1:]] == [
+            h * i for i in range(1, 301)]
+
     def test_pseudospin_eminus_factor_is_domain_error(self):
         code, _, err = run_cli(["wavefunction"] + PSEUDOSPIN_ARGS
                                + ["--mass-factor", "eminus"])
@@ -634,16 +647,20 @@ class TestThermo:
         assert (code, out, err) == (2, "", "error: non-relativistic limit requires K > 0 "
                                            "(got -inf)\n")
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--kB", "k_B must be positive and finite (got inf)"),
-        ("--tail-tol", "rel_tail_tol must be positive and finite (got inf)"),
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--kB", "inf", "must be positive and finite (got inf)"),
+        ("--tail-tol", "inf", "must be positive and finite (got inf)"),
+        ("--tail-tol", "0", "must be positive and finite (got 0.0)"),
+        ("--N", "0", "must be >= 1 (got 0)"),
     ])
-    def test_infinite_constant_fails_before_any_level(self, flag, message, monkeypatch):
+    def test_infinite_constant_fails_before_any_level(self, flag, value, message,
+                                                       monkeypatch):
+        # A usage error naming the flag, before any level is taken.
         for name in ("_ladder_terms", "_level"):
             monkeypatch.setattr(rspho.thermo, name,
                                 lambda *args: pytest.fail("a level was taken"))
-        code, out, err = run_cli(THERMO_ARGS + [flag, "inf"])
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(THERMO_ARGS + [flag, value])
+        assert (code, out, err) == (1, "", f"error: argument {flag}: {message}\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--K", "nan"), ("--K", "inf"), ("--A", "nan"), ("--A", "-inf"),
@@ -865,6 +882,18 @@ print(json.dumps([sorted(set(rspho.__all__) - set(dir(rspho))),
         with pytest.raises(AttributeError, match="no_such_name"):
             rspho.no_such_name
 
+    @pytest.mark.parametrize("module", sorted(
+        path.stem for path in Path(rspho.cli.__file__).parent.glob("*.py")
+        if not path.stem.startswith("__")))
+    def test_every_name_in_a_modules_all_resolves(self, module):
+        # The names the module lists in __all__, and those the package
+        # exports from it (errors has no __all__), come with import *.
+        import rspho
+        namespace = {}
+        exec(f"from rspho.{module} import *", namespace)
+        listed = getattr(sys.modules[f"rspho.{module}"], "__all__", [])
+        assert set(listed) | set(rspho._EXPORTS.get(module, ())) <= set(namespace)
+
 
 @pytest.mark.parametrize("module, argv, code", [
     ("rspho.cli", ["solve", "--symmetry", "spin"], 1),
@@ -903,7 +932,7 @@ def test_negative_precision_is_usage_error(argv):
     assert code == 0
 
 
-WAVEFUNCTION_ARGS = ["wavefunction"] + SPIN_ARGS + ["--points", "50"]
+SMALL_WAVEFUNCTION_ARGS = ["wavefunction"] + SPIN_ARGS + ["--points", "50"]
 
 
 RANGE_CHECKED = [
@@ -915,9 +944,9 @@ RANGE_CHECKED = [
     (SWEEP_ARGS, "to", "-inf", "must be finite (got -inf)"),
     (SWEEP_ARGS, "series-values", "1,x", "must be comma-separated integers (got '1,x')"),
     (SWEEP_ARGS, "tol", "-1e-12", "must be positive and finite (got -1e-12)"),
-    (WAVEFUNCTION_ARGS, "points", "2", "must be >= 3 (got 2)"),
-    (WAVEFUNCTION_ARGS, "r-max", "inf", "must be finite (got inf)"),
-    (WAVEFUNCTION_ARGS, "tol", "nan", "must be positive and finite (got nan)"),
+    (SMALL_WAVEFUNCTION_ARGS, "points", "2", "must be >= 3 (got 2)"),
+    (SMALL_WAVEFUNCTION_ARGS, "r-max", "inf", "must be finite (got inf)"),
+    (SMALL_WAVEFUNCTION_ARGS, "tol", "nan", "must be positive and finite (got nan)"),
     (POTENTIAL_ARGS, "r-min", "-inf", "must be finite (got -inf)"),
     (POTENTIAL_ARGS, "r-max", "nan", "must be finite (got nan)"),
     (POTENTIAL_ARGS, "r-steps", "0", "must be >= 1 (got 0)"),
@@ -925,6 +954,9 @@ RANGE_CHECKED = [
     (THERMO_ARGS, "T-min", "-Infinity", "must be finite (got -inf)"),
     (THERMO_ARGS, "T-max", "inf", "must be finite (got inf)"),
     (THERMO_ARGS, "steps", "0", "must be >= 1 (got 0)"),
+    (THERMO_ARGS, "N", "0", "must be >= 1 (got 0)"),
+    (THERMO_ARGS, "kB", "-1", "must be positive and finite (got -1.0)"),
+    (THERMO_ARGS, "tail-tol", "nan", "must be positive and finite (got nan)"),
     (["verify", "--suite", "angular"], "points", "15", "must be >= 16 (got 15)"),
 ]
 

@@ -16,12 +16,18 @@ from rspho.angular import angular_level, q_of_vtilde
 from rspho.errors import DomainError
 from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
                          SolveRequest, Symmetry)
-from rspho.radial import (default_r_grid, effective_scale,
-                          kummer_1f1_terminating, partner_potentials_radial,
-                          radial_spectrum, radial_terms_from_terms, radial_wavefunction,
-                          wavefunction_scales)
+from rspho.radial import (_kummer_scaled, effective_scale, partner_potentials_radial,
+                          r_grid_step, radial_spectrum, radial_terms_from_terms,
+                          radial_wavefunction, wavefunction_scales)
 from rspho.spectrum import solve_energy
 from rspho.thermo import nonrelativistic_energy
+
+
+def r_grid(n_r: int, L: float, delta_eff: float, points: int = 4000,
+           r_max: float | None = None) -> np.ndarray:
+    """The wavefunction command's grid h*i, i = 1..points, with h from
+    r_grid_step, as an array."""
+    return r_grid_step(n_r, L, delta_eff, points, r_max) * np.arange(1, points + 1)
 
 
 class TestRadialAnsatz:
@@ -221,44 +227,66 @@ def test_oscillator_limit_level_is_the_radial_ladder(K, A, B, C, n_r, n_theta, m
     assert abs(level - expected) <= 4.0 * math.ulp(expected)
 
 
+def kummer_in_range(n: int, b: float, z):
+    """1F1(-n, b, z) from _kummer_scaled, checked to be unscaled (e = 0),
+    as it is wherever 1F1 fits in a float."""
+    z_max = float(np.max(np.abs(z))) if isinstance(z, np.ndarray) else abs(z)
+    f, e = _kummer_scaled(n, b, z, z_max)
+    assert np.all(e == 0)
+    return f
+
+
 class TestKummer:
     def test_degree_zero_is_one(self):
         for b, z in [(1.5, 0.3), (-0.4, 10.0), (2.0, -5.0)]:
-            assert kummer_1f1_terminating(0, b, z) == 1.0
+            assert _kummer_scaled(0, b, z, abs(z)) == (1.0, 0)
 
     def test_two_term_series(self):
-        assert kummer_1f1_terminating(1, 1.5, 1.0) == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-14)
+        assert kummer_in_range(1, 1.5, 1.0) == pytest.approx(1.0 - 1.0 / 1.5, rel=1e-14)
 
     def test_three_term_series(self):
         # 1 - 4/3 + 4/15 = -1/15
-        assert kummer_1f1_terminating(2, 1.5, 1.0) == pytest.approx(-1.0 / 15.0, abs=1e-15)
+        assert kummer_in_range(2, 1.5, 1.0) == pytest.approx(-1.0 / 15.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_at_origin(self, n):
-        assert kummer_1f1_terminating(n, 2.3, 0.0) == pytest.approx(1.0)
+        assert kummer_in_range(n, 2.3, 0.0) == pytest.approx(1.0)
 
     def test_vanishing_denominator_rejected(self):
         with pytest.raises(DomainError, match="Pochhammer"):
-            kummer_1f1_terminating(1, 0.0, 1.0)
+            _kummer_scaled(1, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError, match="Pochhammer"):
-            kummer_1f1_terminating(3, -2.0, 0.5)
+            _kummer_scaled(3, -2.0, 0.5, 0.5)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
-            kummer_1f1_terminating(-1, 1.5, 1.0)
+            _kummer_scaled(-1, 1.5, 1.0, 1.0)
 
     def test_vectorized_matches_scalar(self):
         z = np.array([0.0, 0.7, 2.4, 9.1])
-        vec = kummer_1f1_terminating(3, 1.5, z)
+        vec = kummer_in_range(3, 1.5, z)
         for i, zi in enumerate(z):
-            assert vec[i] == pytest.approx(kummer_1f1_terminating(3, 1.5, float(zi)), rel=1e-13)
+            assert vec[i] == pytest.approx(kummer_in_range(3, 1.5, float(zi)), rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("z", [0.3, 1.7, 4.2])
     def test_against_scipy_hypergeometric(self, n, z):
-        ours = kummer_1f1_terminating(n, 2.5, z)
+        ours = kummer_in_range(n, 2.5, z)
         reference = float(hyp1f1(-n, 2.5, z))
         assert ours == pytest.approx(reference, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("z", [1500.0, np.array([1.0, 1500.0, 3000.0])], ids=["float", "array"])
+    def test_past_the_float_range_is_scaled_by_a_power_of_two(self, z):
+        # At n = 500 1F1 passes 1e308 far out: f * 2^e is mpmath's value,
+        # with e > 0 only there, and f within the recurrence's bound.
+        f, e = _kummer_scaled(500, 1.5, z, float(np.max(z)))
+        with mpmath.workdps(40):
+            for fi, ei, zi in zip(np.atleast_1d(f), np.atleast_1d(e), np.atleast_1d(z)):
+                reference = mpmath.hyp1f1(-500, 1.5, float(zi))
+                assert (ei > 0) == (abs(reference) > 2.0 ** 1023)
+                assert abs(fi) < 2.0 ** 1023
+                got = mpmath.ldexp(mpmath.mpf(float(fi)), int(ei))
+                assert abs(got / reference - 1) <= 1e-11
 
 
 class TestEffectiveScale:
@@ -272,14 +300,14 @@ class TestEffectiveScale:
 class TestRadialWavefunction:
     def test_peak_at_turning_balance(self):
         # ground state with L = 1, delta_eff = 1: log-derivative zero at r = sqrt(2)
-        grid = default_r_grid(0, 1.0, 1.0, points=8000)
+        grid = r_grid(0, 1.0, 1.0, points=8000)
         wf = radial_wavefunction(0, 1.0, 2.0, grid, Convention.TABLE_CONSISTENT)
         r_peak = wf.r[np.argmax(wf.values)]
         assert r_peak == pytest.approx(math.sqrt(2.0), abs=2.0 * (grid[1] - grid[0]))
 
     def test_first_excited_node_location(self):
         # 1F1(-1, L+3/2, x) vanishes at x = L + 3/2, i.e. r = sqrt(2.5)
-        grid = default_r_grid(1, 1.0, 1.0, points=8000)
+        grid = r_grid(1, 1.0, 1.0, points=8000)
         wf = radial_wavefunction(1, 1.0, 2.0, grid, Convention.TABLE_CONSISTENT)
         sign_flip = np.nonzero(np.diff(np.sign(wf.values)))[0]
         assert len(sign_flip) == 1
@@ -287,20 +315,20 @@ class TestRadialWavefunction:
         assert r_node == pytest.approx(math.sqrt(2.5), abs=2.0 * (grid[1] - grid[0]))
 
     def test_unit_quadrature(self):
-        grid = default_r_grid(2, 2.0, 1.0, points=4000)
+        grid = r_grid(2, 2.0, 1.0, points=4000)
         wf = radial_wavefunction(2, 2.0, 1.0, grid, Convention.EQUATION_CONSISTENT)
         assert simpson(wf.values**2, x=wf.r) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_r", [0, 1, 2, 3])
     def test_node_counts(self, n_r):
         L = -0.5 + math.sqrt(0.25 + 2.0)
-        grid = default_r_grid(n_r, L, 1.0, points=4000)
+        grid = r_grid(n_r, L, 1.0, points=4000)
         wf = radial_wavefunction(n_r, L, 1.0, grid, Convention.EQUATION_CONSISTENT)
         listed = radial_wavefunction(n_r, L, 1.0, grid.tolist(), Convention.EQUATION_CONSISTENT)
         assert wf.node_count() == listed.node_count() == n_r
 
     def test_eta_scale_follows_convention(self):
-        grid = default_r_grid(0, 1.0, 1.0, points=100)
+        grid = r_grid(0, 1.0, 1.0, points=100)
         wf_table = radial_wavefunction(0, 1.0, 2.0, grid, Convention.TABLE_CONSISTENT)
         wf_equation = radial_wavefunction(0, 1.0, 2.0, grid, Convention.EQUATION_CONSISTENT)
         assert wf_table.eta_scale == pytest.approx(1.0)
@@ -309,11 +337,11 @@ class TestRadialWavefunction:
     def test_norm_is_the_laguerre_closed_form(self):
         # N^-2 = (1/2) a^-(alpha+1) n! Gamma(alpha+1)^2 / Gamma(n+alpha+1),
         # a = delta_eff = 2, alpha = L + 1/2 = 2, n = 2: N^2 = 2 * 8 * 24 / (2 * 4) = 48.
-        grid = default_r_grid(2, 1.5, 2.0, points=4001)
+        grid = r_grid(2, 1.5, 2.0, points=4001)
         wf = radial_wavefunction(2, 1.5, 4.0, grid)
         assert wf.norm_constant == pytest.approx(math.sqrt(48.0), rel=1e-14)
         eta2 = 2.0 * grid**2
-        bare = np.exp(-0.5 * eta2) * grid**2.5 * kummer_1f1_terminating(2, 3.0, eta2)
+        bare = np.exp(-0.5 * eta2) * grid**2.5 * kummer_in_range(2, 3.0, eta2)
         assert np.max(np.abs(wf.values - wf.norm_constant * bare)) <= 1e-14 * np.max(bare)
 
     @pytest.mark.parametrize("r_max", [1e10, 1e120, 1e200, 1e300])
@@ -323,7 +351,7 @@ class TestRadialWavefunction:
         # rescales a polynomial past the float range; from 1e200 on r^2
         # overflows.  Either way one DomainError naming the cause, and no
         # numpy warning, on an array grid and on a list.
-        grid = default_r_grid(2, 1.5, 2.0, points=4000, r_max=r_max)
+        grid = r_grid(2, 1.5, 2.0, points=4000, r_max=r_max)
         cause = ("^wavefunction is zero at every grid point" if r_max < 1e200 else
                  "^wavefunction overflows on the grid: a sample is not finite")
         with warnings.catch_warnings():
@@ -333,7 +361,7 @@ class TestRadialWavefunction:
                     radial_wavefunction(2, 1.5, 4.0, r)
 
     def test_list_grid_gives_the_array_values_as_floats(self):
-        grid = default_r_grid(3, 2.0, 1.0, points=500)
+        grid = r_grid(3, 2.0, 1.0, points=500)
         array = radial_wavefunction(3, 2.0, 2.0, grid)
         floats = radial_wavefunction(3, 2.0, 2.0, grid.tolist())
         assert type(floats.r) is list and type(floats.values[0]) is float
@@ -368,7 +396,7 @@ def test_high_levels_match_mpmath(n_r):
     """Within 1e-10 of the peak at L = 15, big_delta = 2 (delta_eff = 1),
     on every tenth point of the default grid, where the forward power
     series for 1F1 errs by more than the peak from n_r = 30."""
-    grid = default_r_grid(n_r, 15.0, 1.0)
+    grid = r_grid(n_r, 15.0, 1.0)
     wf = radial_wavefunction(n_r, 15.0, 2.0, grid)
     with mpmath.workdps(30):
         reference = np.array([float(mp_radial(n_r, 15.0, 1.0, r)) for r in grid[::10]])
@@ -382,7 +410,7 @@ def test_level_where_1f1_passes_the_float_range():
     recurrence rescales it by powers of two: the list and array grids give
     the same samples, 500 nodes and a unit sum of R^2 h, and a few points
     match mpmath within 1e-10 of the peak."""
-    grid = default_r_grid(500, 0.5, 1.0)
+    grid = r_grid(500, 0.5, 1.0)
     wf = radial_wavefunction(500, 0.5, 2.0, grid)
     listed = radial_wavefunction(500, 0.5, 2.0, grid.tolist())
     peak = np.max(np.abs(wf.values))
@@ -407,7 +435,7 @@ def test_norm_is_unit_by_mpmath_quadrature(n_r, L, a):
     (h(t) - 1), which vanishes at 0 like t^(alpha+1), and adds the exact
     integral of t^alpha, 1/(alpha + 1): t^alpha alone is nearly 1/t as L
     approaches -3/2, where quadrature loses digits."""
-    grid = default_r_grid(n_r, L, a, points=50)
+    grid = r_grid(n_r, L, a, points=50)
     wf = radial_wavefunction(n_r, L, a, grid, Convention.EQUATION_CONSISTENT)
     with mpmath.workdps(20):
         alpha = mpmath.mpf(L) + 0.5
@@ -462,19 +490,22 @@ class TestWavefunctionScales:
 
 
 class TestDefaultRGrid:
+    """The default grid of the wavefunction command, h*i with h from
+    r_grid_step (r_grid above)."""
+
     def test_structure(self):
-        grid = default_r_grid(0, 1.0, 1.0, points=4000)
+        grid = r_grid(0, 1.0, 1.0, points=4000)
         assert len(grid) == 4000
         assert grid[0] > 0.0
         assert np.all(np.diff(grid) > 0.0)
 
     def test_override_r_max(self):
-        grid = default_r_grid(0, 1.0, 1.0, points=10, r_max=5.0)
+        grid = r_grid(0, 1.0, 1.0, points=10, r_max=5.0)
         assert grid[-1] == pytest.approx(5.0)
 
     def test_reaches_past_turning_point(self):
         # highest level turning radius sqrt(Et)/delta_eff must sit inside the grid
         n_r, L, deff = 3, 2.0, 4.0
-        grid = default_r_grid(n_r, L, deff)
+        grid = r_grid(n_r, L, deff)
         et = 2.0 * deff * (2.0 * n_r + 1.0 + math.sqrt(0.25 + L * (L + 1.0)))
         assert grid[-1] > math.sqrt(et) / deff

@@ -14,8 +14,7 @@ import rspho.thermo as thermo
 from rspho.angular import angular_level, q_of_vtilde
 from rspho.errors import ConvergenceError, DomainError
 from rspho.model import BranchSign, Convention, PotentialParams, QuantumNumbers
-from rspho.thermo import (nonrelativistic_energy, nonrelativistic_levels,
-                          partition_function, thermo_point)
+from rspho.thermo import nonrelativistic_energy, nonrelativistic_levels, thermo_point
 
 REFERENCE_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
 REFERENCE_MU = 5.0
@@ -26,50 +25,54 @@ def reference_levels():
 
 
 class TestPartitionFunction:
+    """Z and the level count of thermo_point, the truncated sum at T = 1/beta
+    (k_B = 1), and the guards of the moment sums under it."""
+
     def test_two_level_value(self):
-        z, used = partition_function([0.0, 1.0], beta=1.0)
-        assert z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-15)
-        assert used == 2
+        point = thermo_point([0.0, 1.0], T=1.0)
+        assert point.Z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-15)
+        assert point.levels_used == 2
 
     def test_truncation_matches_direct_sum(self):
         levels = [0.3 * n**1.5 for n in range(10_000)]
         direct = sum(math.exp(-level) for level in levels)
-        z, used = partition_function(levels, beta=1.0)
-        assert z == pytest.approx(direct, rel=1e-13)
-        assert used < 100
+        point = thermo_point(levels, T=1.0)
+        assert point.Z == pytest.approx(direct, rel=1e-13)
+        assert point.levels_used < 100
 
     def test_generator_input_truncates_early(self):
-        z, used = partition_function(reference_levels(), beta=1.0)
-        assert z > 0.0
-        assert used < 100
+        point = thermo_point(reference_levels(), T=1.0)
+        assert point.Z > 0.0
+        assert point.levels_used < 100
 
     def test_decreasing_in_beta(self):
-        z_hot, _ = partition_function(reference_levels(), beta=0.5)
-        z_mid, _ = partition_function(reference_levels(), beta=1.0)
-        z_cold, _ = partition_function(reference_levels(), beta=2.0)
+        z_hot = thermo_point(reference_levels(), T=2.0).Z
+        z_mid = thermo_point(reference_levels(), T=1.0).Z
+        z_cold = thermo_point(reference_levels(), T=0.5).Z
         assert z_hot > z_mid > z_cold
 
     def test_rejects_nonpositive_beta(self):
         # At beta = inf every term is exp(-inf*0) = NaN, which never passes
-        # the tail test.
+        # the tail test.  thermo_point reaches this guard only at a
+        # subnormal k_B*T (test_overflowing_temperature_rejected_before_any_level).
         for beta in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="beta must be positive"):
-                partition_function(untouchable_levels(), beta=beta)
+                thermo._moments(untouchable_levels(), beta, 1e-14)
 
     def test_rejects_unsorted_levels(self):
         with pytest.raises(DomainError, match=re.escape(
                 "levels must be strictly ascending (got 1.0 after 2.0)")):
-            partition_function([0.0, 2.0, 1.0], beta=1.0)
+            thermo_point([0.0, 2.0, 1.0], T=1.0)
 
     def test_rejects_equal_neighbouring_levels(self):
         with pytest.raises(DomainError, match=re.escape(
                 "levels 1 and 2 are both 1.0: a degenerate spectrum, or a level "
                 "spacing lost to rounding")):
-            partition_function([0.0, 1.0, 1.0], beta=1.0)
+            thermo_point([0.0, 1.0, 1.0], T=1.0)
 
     def test_rejects_empty_levels(self):
         with pytest.raises(DomainError, match="empty"):
-            partition_function([], beta=1.0)
+            thermo_point([], T=1.0)
 
     def test_slowly_growing_spectrum_fails_tail_test(self, monkeypatch):
         monkeypatch.setattr(thermo, "_MAX_LEVELS", 2000)
@@ -86,8 +89,6 @@ def untouchable_levels():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_nonpositive_tail_tolerance_rejected_before_any_level(tol):
-    with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
-        partition_function(untouchable_levels(), beta=1.0, rel_tail_tol=tol)
     with pytest.raises(DomainError, match="rel_tail_tol must be positive"):
         thermo_point(untouchable_levels(), T=1.0, rel_tail_tol=tol)
 
@@ -139,8 +140,8 @@ class TestThermoPoint:
             point = thermo_point(reference_levels(), T=T)
             beta = point.beta
             h = 1e-4 * beta
-            z_plus, _ = partition_function(reference_levels(), beta + h)
-            z_minus, _ = partition_function(reference_levels(), beta - h)
+            z_plus = thermo_point(reference_levels(), T=1.0 / (beta + h)).Z
+            z_minus = thermo_point(reference_levels(), T=1.0 / (beta - h)).Z
             u_fd = -(math.log(z_plus) - math.log(z_minus)) / (2.0 * h)
             assert abs(point.U - u_fd) <= 1e-6 * max(1.0, abs(point.U))
 
@@ -454,7 +455,7 @@ class TestLadderGenerator:
             ladder = (yielded.append(e) or e
                       for e in nonrelativistic_levels(params, mu, 0, branch))
             with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:
-                partition_function(ladder, beta=1.0)
+                thermo_point(ladder, T=1.0)
             assert [e.hex() for e in yielded] == [
                 nonrelativistic_energy(params, mu, QuantumNumbers(n_r=n), branch).hex()
                 for n in range(failing)]
