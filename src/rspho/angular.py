@@ -20,11 +20,10 @@ take or make them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import BranchSign
+from .model import BranchSign, _Record
 from .numerics import nonnegative, require_finite, sqrt
 
 if TYPE_CHECKING:
@@ -41,12 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShapeInvarianceChain:
+class ShapeInvarianceChain(_Record):
     """Parameter ladder a_k = q + k and remainders R(a_k) = a_k^2 - a_{k-1}^2."""
 
     a: list[float]
     remainders: list[float]
+
+    def __init__(self, a, remainders):
+        self.__dict__.update(a=a, remainders=remainders)
 
 
 def q_of_vtilde(vt, branch):

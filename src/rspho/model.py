@@ -15,7 +15,6 @@ type or a pure function, safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 
@@ -79,8 +78,35 @@ class Convention(Enum):
         return 1.0 if self is Convention.TABLE_CONSISTENT else 2.0
 
 
-@dataclass(frozen=True)
-class PotentialParams:
+class _Record:
+    """Base of the frozen records: PotentialParams, SolveResult and the rest.
+
+    A subclass's __init__ stores its fields, in order, in the instance
+    __dict__.  Equality, hash and repr (Name(field=value, ...)) are over
+    those fields; a record equals only a record of its own class, never a
+    tuple, and assigning or deleting an attribute raises AttributeError.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PotentialParams(_Record):
     """The four potential coefficients.
 
     K: harmonic coefficient (energy * length^-2)
@@ -94,9 +120,11 @@ class PotentialParams:
     B: float
     C: float
 
+    def __init__(self, K, A, B, C):
+        self.__dict__.update(K=K, A=A, B=B, C=C)
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+
+class QuantumNumbers(_Record):
     """Radial, angular, and azimuthal quantum numbers.
 
     ``n_theta`` defaults to ``n_r`` when left unset, which is the pairing
@@ -104,32 +132,37 @@ class QuantumNumbers:
     """
 
     n_r: int
-    n_theta: int | None = None
-    m: int = 0
+    n_theta: int
+    m: int
 
-    def __post_init__(self) -> None:
-        if self.n_theta is None:
-            object.__setattr__(self, "n_theta", self.n_r)
+    def __init__(self, n_r, n_theta=None, m=0):
+        self.__dict__.update(n_r=n_r, n_theta=n_r if n_theta is None else n_theta, m=m)
 
 
-@dataclass(frozen=True)
-class SolveRequest:
+class SolveRequest(_Record):
     """A complete bound-state problem instance."""
 
     params: PotentialParams
     M: float
     qn: QuantumNumbers
     symmetry: Symmetry
-    branch: BranchSign = BranchSign.PLUS
-    convention: Convention = Convention.TABLE_CONSISTENT
+    branch: BranchSign
+    convention: Convention
+
+    def __init__(self, params, M, qn, symmetry, branch=BranchSign.PLUS,
+                 convention=Convention.TABLE_CONSISTENT):
+        self.__dict__.update(params=params, M=M, qn=qn, symmetry=symmetry, branch=branch,
+                             convention=convention)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A single validation failure, with a machine-readable code."""
 
     code: str
     message: str
+
+    def __init__(self, code, message):
+        self.__dict__.update(code=code, message=message)
 
 
 _R_DOMAIN = "r must be positive; the potential has a 1/r^2 singularity at r = 0"

@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .angular import angular_spectrum, q_of_vtilde
 from .errors import DomainError
-from .model import BranchSign
+from .model import BranchSign, _Record
 from .numerics import numpy_loaded, require_finite, tan
 from .radial import radial_spectrum
 
@@ -64,8 +63,7 @@ __all__ = [
 _REL_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Uniform interior grid on (lower, upper) with Dirichlet endpoints.
 
     ``points`` interior nodes at x_i = lower + i*h, h = (upper - lower)/(points + 1);
@@ -76,13 +74,14 @@ class GridSpec:
     upper: float
     points: int
 
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper (got {self.lower}, {self.upper})")
-        if not isinstance(self.points, Integral):
-            raise ValueError(f"points must be an integer (got {self.points!r})")
-        if self.points < 16:
-            raise ValueError(f"points must be >= 16 (got {self.points})")
+    def __init__(self, lower, upper, points):
+        if not lower < upper:
+            raise ValueError(f"need lower < upper (got {lower}, {upper})")
+        if not isinstance(points, Integral):
+            raise ValueError(f"points must be an integer (got {points!r})")
+        if points < 16:
+            raise ValueError(f"points must be >= 16 (got {points})")
+        self.__dict__.update(lower=lower, upper=upper, points=points)
 
     @property
     def h(self) -> float:
@@ -93,8 +92,7 @@ class GridSpec:
         return self.lower + self.h * np.arange(1, self.points + 1)
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Record):
     """Outcome of one closed-form-versus-finite-difference comparison.
 
     ``predicted_printed`` carries the rival perfect-square angular form
@@ -106,7 +104,12 @@ class OracleReport:
     max_rel_error: float
     grid: GridSpec
     converged: bool
-    predicted_printed: list[float] | None = None
+    predicted_printed: list[float] | None
+
+    def __init__(self, computed, predicted, max_rel_error, grid, converged,
+                 predicted_printed=None):
+        self.__dict__.update(computed=computed, predicted=predicted, max_rel_error=max_rel_error,
+                             grid=grid, converged=converged, predicted_printed=predicted_printed)
 
 
 _EPS = 2.0**-52

@@ -20,11 +20,10 @@ of floats (the CLI's grid), so the wavefunction command runs without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .model import Convention, SolveRequest
+from .model import Convention, SolveRequest, _Record
 from .numerics import exp, is_array, log, nonnegative, positive, require_finite, sqrt
 
 if TYPE_CHECKING:
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WavefunctionSamples:
+class WavefunctionSamples(_Record):
     """A normalized radial eigenfunction sampled on a grid.
 
     ``eta_scale`` is sqrt(delta_eff), the factor mapping r to the
@@ -62,6 +60,10 @@ class WavefunctionSamples:
     L: float
     eta_scale: float
     norm_constant: float
+
+    def __init__(self, r, values, L, eta_scale, norm_constant):
+        self.__dict__.update(r=r, values=values, L=L, eta_scale=eta_scale,
+                             norm_constant=norm_constant)
 
     def node_count(self) -> int:
         """Count interior sign changes, ignoring samples at or below 1e-9

@@ -62,13 +62,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .angular import angular_level, q_of_vtilde
 from .errors import ConvergenceError, DomainError, NoRootError
 from .model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
-                    SolveRequest, Symmetry, numeric_checks, validate)
+                    SolveRequest, Symmetry, _Record, numeric_checks, validate)
 from .numerics import is_array, numpy_loaded, positive, sqrt
 from .radial import radial_terms_from_terms
 
@@ -96,8 +95,7 @@ _SCAN_CEILING = 100.0
 _SCAN_CHUNK = 8192
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """A converged bound-state energy with its diagnostics.
 
     ``lam``, ``delta`` and ``big_delta`` are lambda, delta and big_delta
@@ -116,6 +114,10 @@ class SolveResult:
     residual: float
     iterations: int
     bracket: tuple[float, float]
+
+    def __init__(self, E, lam, delta, big_delta, residual, iterations, bracket):
+        self.__dict__.update(E=E, lam=lam, delta=delta, big_delta=big_delta, residual=residual,
+                             iterations=iterations, bracket=bracket)
 
 
 def _terms(K, A, B, C, M, n_r, n_theta, m, s, sign, c) -> tuple:

@@ -29,12 +29,11 @@ level, and the sum raises DomainError naming the two equal levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count as _count
 
 from .angular import angular_level, q_of_vtilde
 from .errors import ConvergenceError, DomainError
-from .model import BranchSign, Convention, PotentialParams, QuantumNumbers
+from .model import BranchSign, Convention, PotentialParams, QuantumNumbers, _Record
 from .numerics import require_finite
 
 __all__ = [
@@ -48,8 +47,7 @@ _MAX_LEVELS = 10**6
 _DEFAULT_TAIL_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(_Record):
     """Thermodynamic state at one temperature (k_B folded into beta)."""
 
     T: float
@@ -60,6 +58,9 @@ class ThermoPoint:
     S: float
     C: float
     levels_used: int
+
+    def __init__(self, T, beta, Z, F, U, S, C, levels_used):
+        self.__dict__.update(T=T, beta=beta, Z=Z, F=F, U=U, S=S, C=C, levels_used=levels_used)
 
 
 def _moments(levels, beta: float, rel_tail_tol: float):

@@ -770,7 +770,7 @@ print(json.dumps([codes, loaded]))
                     for line in done.stderr.splitlines() if line.startswith("import time:")}
         assert (done.returncode, done.stdout) == (0, run_cli(argv)[1])
         assert "rspho" in imported
-        assert not imported & {"numpy", "scipy"}
+        assert not imported & {"numpy", "scipy", "dataclasses"}
 
     @pytest.mark.parametrize("argv", [
         ["solve"] + SPIN_ARGS,

@@ -1,6 +1,8 @@
 """Tests for the problem-definition layer: potential, validation, enums."""
 
+import copy
 import math
+import pickle
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -8,9 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rspho.angular import ShapeInvarianceChain
 from rspho.errors import DomainError
 from rspho.model import (BranchSign, Convention, PotentialParams, QuantumNumbers,
-                         SolveRequest, Symmetry, evaluate_potential, validate)
+                         SolveRequest, Symmetry, Violation, evaluate_potential, validate)
+from rspho.oracle import GridSpec, OracleReport
+from rspho.radial import WavefunctionSamples
+from rspho.spectrum import SolveResult
+from rspho.thermo import ThermoPoint
 
 
 def _params(K=0.001, A=0.01, B=0.01, C=0.01):
@@ -170,3 +177,120 @@ class TestValidate:
                            symmetry=Symmetry.SPIN)
         codes = {v.code for v in validate(bad)}
         assert {"k-sign-spin", "mass-positive", "n-r-range"} <= codes
+
+
+_PARAMS = PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)
+_PARAMS_REPR = "PotentialParams(K=5.0, A=6.0, B=-0.05, C=0.005)"
+_GRID = GridSpec(lower=0.0, upper=1.0, points=16)
+_GRID_REPR = "GridSpec(lower=0.0, upper=1.0, points=16)"
+
+# Each record class, the keyword arguments of one instance in field order,
+# and that instance's repr.
+RECORDS = [
+    (PotentialParams, dict(K=5.0, A=6.0, B=-0.05, C=0.005), _PARAMS_REPR),
+    (QuantumNumbers, dict(n_r=2, n_theta=0, m=-1), "QuantumNumbers(n_r=2, n_theta=0, m=-1)"),
+    (SolveRequest, dict(params=_PARAMS, M=5.0, qn=QuantumNumbers(1), symmetry=Symmetry.SPIN,
+                        branch=BranchSign.MINUS, convention=Convention.EQUATION_CONSISTENT),
+     f"SolveRequest(params={_PARAMS_REPR}, M=5.0, qn=QuantumNumbers(n_r=1, n_theta=1, m=0), "
+     "symmetry=<Symmetry.SPIN: 'spin'>, branch=<BranchSign.MINUS: 'minus'>, "
+     "convention=<Convention.EQUATION_CONSISTENT: 'equation'>)"),
+    (Violation, dict(code="mass-positive", message="M must be positive (got -1.0)"),
+     "Violation(code='mass-positive', message='M must be positive (got -1.0)')"),
+    (GridSpec, dict(lower=0.0, upper=1.0, points=16), _GRID_REPR),
+    (OracleReport, dict(computed=[1.5], predicted=[1.25], max_rel_error=0.2, grid=_GRID,
+                        converged=False, predicted_printed=[2.0]),
+     f"OracleReport(computed=[1.5], predicted=[1.25], max_rel_error=0.2, grid={_GRID_REPR}, "
+     "converged=False, predicted_printed=[2.0])"),
+    (WavefunctionSamples, dict(r=[0.5, 1.0], values=[0.25, -0.5], L=1.5, eta_scale=2.0,
+                               norm_constant=3.0),
+     "WavefunctionSamples(r=[0.5, 1.0], values=[0.25, -0.5], L=1.5, eta_scale=2.0, "
+     "norm_constant=3.0)"),
+    (SolveResult, dict(E=7.5, lam=2.25, delta=0.5, big_delta=-1.0, residual=0.0, iterations=3,
+                       bracket=(7.0, 8.0)),
+     "SolveResult(E=7.5, lam=2.25, delta=0.5, big_delta=-1.0, residual=0.0, iterations=3, "
+     "bracket=(7.0, 8.0))"),
+    (ThermoPoint, dict(T=1.0, beta=1.0, Z=2.0, F=-0.5, U=0.25, S=0.75, C=0.125, levels_used=9),
+     "ThermoPoint(T=1.0, beta=1.0, Z=2.0, F=-0.5, U=0.25, S=0.75, C=0.125, levels_used=9)"),
+    (ShapeInvarianceChain, dict(a=[0.5, 1.5], remainders=[2.0]),
+     "ShapeInvarianceChain(a=[0.5, 1.5], remainders=[2.0])"),
+]
+RECORD_IDS = [cls.__name__ for cls, _, _ in RECORDS]
+# Records with a list among their fields cannot be hashed.
+UNHASHABLE = {OracleReport, WavefunctionSamples, ShapeInvarianceChain}
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=RECORD_IDS)
+class TestRecords:
+    """The value semantics of the frozen records: construction by position
+    or keyword, repr, equality and hash by fields, immutability, copy and
+    pickle."""
+
+    def test_repr(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
+
+    def test_positional_and_keyword_construction_agree(self, cls, fields, text):
+        record = cls(*fields.values())
+        assert record == cls(**fields)
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+
+    def test_equal_and_hash_by_fields(self, cls, fields, text):
+        a, b = cls(**fields), cls(**copy.deepcopy(fields))
+        assert a == b and not a != b
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError, match="unhashable type: 'list'"):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(tuple(fields.values()))
+        first = next(iter(fields))
+        changed = dict(fields, **{first: [9.0] if cls in UNHASHABLE else -3})
+        assert a != cls(**changed)
+
+    def test_not_equal_to_a_tuple_or_another_record(self, cls, fields, text):
+        record = cls(**fields)
+        assert record != tuple(fields.values())
+        assert record != list(fields.values())
+        for other, other_fields, _ in RECORDS:
+            if other is not cls:
+                assert record != other(**other_fields)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields, text):
+        record = cls(**fields)
+        first = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(record, first, fields[first])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+        assert record == cls(**fields)
+
+    def test_copy_and_pickle_give_an_equal_record(self, cls, fields, text):
+        record = cls(**fields)
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and repr(twin) == text
+
+
+def test_same_values_in_another_record_class_are_not_equal():
+    assert Violation("a", "b") != ShapeInvarianceChain("a", "b")
+    assert ShapeInvarianceChain("a", "b") != Violation("a", "b")
+
+
+def test_record_defaults():
+    assert QuantumNumbers(n_r=2) == QuantumNumbers(2, 2, 0)
+    assert QuantumNumbers(3, None, 1).n_theta == 3
+    request = SolveRequest(_PARAMS, 5.0, QuantumNumbers(1), Symmetry.PSEUDOSPIN)
+    assert (request.branch, request.convention) == (BranchSign.PLUS, Convention.TABLE_CONSISTENT)
+    assert OracleReport([1.0], [1.0], 0.0, _GRID, True).predicted_printed is None
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1.0, 100), "need lower < upper (got 1.0, 1.0)"),
+    ((math.nan, 1.0, 100), "need lower < upper (got nan, 1.0)"),
+    ((0.0, 1.0, "16"), "points must be an integer (got '16')"),
+    ((0.0, 1.0, 15), "points must be >= 16 (got 15)"),
+], ids=["empty", "nan", "string", "small"])
+def test_grid_spec_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        GridSpec(*args)
+    assert str(info.value) == message

@@ -1,7 +1,6 @@
 """Tests for the energy solver."""
 
 import contextlib
-import dataclasses
 import math
 import warnings
 
@@ -89,26 +88,23 @@ def mixed_requests(draw):
     req = draw(valid_requests())
     kind = draw(st.sampled_from(["valid", "valid", "valid", "rejected", "outside",
                                  "high_nr"]))
+    p, rest = req.params, (req.symmetry, req.branch, req.convention)
     if kind == "rejected":
         flaw = draw(st.sampled_from(["K", "M", "n_r", "A"]))
         if flaw == "K":
-            return dataclasses.replace(
-                req, params=dataclasses.replace(req.params, K=-req.params.K))
+            return SolveRequest(PotentialParams(-p.K, p.A, p.B, p.C), req.M, req.qn, *rest)
         if flaw == "M":
-            return dataclasses.replace(req, M=draw(st.sampled_from([0.0, -1.0, math.inf])))
+            return SolveRequest(p, draw(st.sampled_from([0.0, -1.0, math.inf])), req.qn, *rest)
         if flaw == "n_r":
-            return dataclasses.replace(req, qn=QuantumNumbers(n_r=-1, m=req.qn.m))
-        return dataclasses.replace(
-            req, params=dataclasses.replace(req.params, A=math.nan))
+            return SolveRequest(p, req.M, QuantumNumbers(n_r=-1, m=req.qn.m), *rest)
+        return SolveRequest(PotentialParams(p.K, math.nan, p.B, p.C), req.M, req.qn, *rest)
     if kind == "outside":
         # B + C = 0 leaves 1/2 - m^2 as the separation radicand for every E
-        params = dataclasses.replace(req.params, B=-req.params.C)
-        return dataclasses.replace(req, params=params,
-                                   qn=QuantumNumbers(n_r=req.qn.n_r,
-                                                     m=draw(st.integers(1, 3))))
+        return SolveRequest(PotentialParams(p.K, p.A, -p.C, p.C), req.M,
+                            QuantumNumbers(n_r=req.qn.n_r, m=draw(st.integers(1, 3))), *rest)
     if kind == "high_nr":
-        return dataclasses.replace(req, qn=QuantumNumbers(
-            n_r=draw(st.integers(1000, 2500)), m=req.qn.m))
+        return SolveRequest(p, req.M, QuantumNumbers(
+            n_r=draw(st.integers(1000, 2500)), m=req.qn.m), *rest)
     return req
 
 
@@ -120,37 +116,38 @@ def edge_requests(draw):
     B + C = 0 with |m| >= 1 (no slope, no separation constant at any
     energy), |m| large enough to empty the interval, or none of these."""
     req = draw(valid_requests())
-    p, qn = req.params, req.qn
+    p, qn, rest = req.params, req.qn, (req.symmetry, req.branch, req.convention)
     flaw = draw(st.sampled_from(["none", "coefficient", "K sign", "M", "n_r",
                                  "n_theta", "fraction", "zero slope", "large m"]))
     if flaw == "coefficient":
         value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        return dataclasses.replace(req, params=dataclasses.replace(
-            p, **{draw(st.sampled_from("KABC")): value}))
+        return SolveRequest(PotentialParams(**{"K": p.K, "A": p.A, "B": p.B, "C": p.C,
+                                               draw(st.sampled_from("KABC")): value}),
+                            req.M, qn, *rest)
     if flaw == "K sign":
-        return dataclasses.replace(req, params=dataclasses.replace(p, K=-p.K))
+        return SolveRequest(PotentialParams(-p.K, p.A, p.B, p.C), req.M, qn, *rest)
     if flaw == "M":
-        return dataclasses.replace(req, M=draw(st.sampled_from(
-            [0.0, -0.0, -1.0, math.inf, math.nan])))
+        return SolveRequest(p, draw(st.sampled_from([0.0, -0.0, -1.0, math.inf, math.nan])),
+                            qn, *rest)
     if flaw == "n_r":
-        return dataclasses.replace(req, qn=QuantumNumbers(
-            n_r=draw(st.integers(-3, -1)), n_theta=qn.n_theta, m=qn.m))
+        return SolveRequest(p, req.M, QuantumNumbers(
+            n_r=draw(st.integers(-3, -1)), n_theta=qn.n_theta, m=qn.m), *rest)
     if flaw == "n_theta":
-        return dataclasses.replace(req, qn=QuantumNumbers(
-            n_r=qn.n_r, n_theta=draw(st.integers(-3, -1)), m=qn.m))
+        return SolveRequest(p, req.M, QuantumNumbers(
+            n_r=qn.n_r, n_theta=draw(st.integers(-3, -1)), m=qn.m), *rest)
     if flaw == "fraction":
         numbers = {"n_r": qn.n_r, "n_theta": qn.n_theta, "m": qn.m}
         numbers[draw(st.sampled_from(sorted(numbers)))] += draw(
             st.sampled_from([0.5, 0.25, -0.5]))
-        return dataclasses.replace(req, qn=QuantumNumbers(**numbers))
+        return SolveRequest(p, req.M, QuantumNumbers(**numbers), *rest)
     if flaw == "zero slope":
         m = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
-        return dataclasses.replace(req, params=dataclasses.replace(p, B=-p.C),
-                                   qn=QuantumNumbers(n_r=qn.n_r, n_theta=qn.n_theta, m=m))
+        return SolveRequest(PotentialParams(p.K, p.A, -p.C, p.C), req.M,
+                            QuantumNumbers(n_r=qn.n_r, n_theta=qn.n_theta, m=m), *rest)
     if flaw == "large m":
         m = draw(st.integers(3, 12)) * draw(st.sampled_from([1, -1]))
-        return dataclasses.replace(req, qn=QuantumNumbers(
-            n_r=qn.n_r, n_theta=qn.n_theta, m=m))
+        return SolveRequest(p, req.M, QuantumNumbers(n_r=qn.n_r, n_theta=qn.n_theta, m=m),
+                            *rest)
     return req
 
 
@@ -169,8 +166,10 @@ def grouped_requests(draw):
         qn = QuantumNumbers(n_r=draw(st.integers(0, 6)),
                             n_theta=draw(st.integers(0, 6)),
                             m=base.qn.m if kind == "same" else draw(st.integers(-2, 2)))
-        params = dataclasses.replace(base.params, A=base.params.A + draw(st.floats(-1.0, 1.0)))
-        rows.append(dataclasses.replace(base, params=params, qn=qn))
+        p = base.params
+        params = PotentialParams(p.K, p.A + draw(st.floats(-1.0, 1.0)), p.B, p.C)
+        rows.append(SolveRequest(params, base.M, qn, base.symmetry, base.branch,
+                                 base.convention))
     return rows
 
 
@@ -180,19 +179,19 @@ def scan_edge_requests(draw):
     B + C that is 0 or tiny (a separation edge far away, or none), or an
     n_r whose root lies above the scan ceiling."""
     req = draw(valid_requests())
-    p = req.params
+    p, rest = req.params, (req.symmetry, req.branch, req.convention)
     edge = draw(st.sampled_from(["K", "M", "B + C", "n_r"]))
     tiny = draw(st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6]))
     if edge == "K":
-        return dataclasses.replace(req, params=dataclasses.replace(
-            p, K=math.copysign(tiny, p.K)))
+        return SolveRequest(PotentialParams(math.copysign(tiny, p.K), p.A, p.B, p.C), req.M,
+                            req.qn, *rest)
     if edge == "M":
-        return dataclasses.replace(req, M=tiny)
+        return SolveRequest(p, tiny, req.qn, *rest)
     if edge == "B + C":
-        return dataclasses.replace(req, params=dataclasses.replace(
-            p, B=-p.C + draw(st.sampled_from([0.0, tiny, -tiny]))))
-    return dataclasses.replace(req, qn=QuantumNumbers(
-        n_r=draw(st.integers(1000, 2500)), n_theta=req.qn.n_theta, m=req.qn.m))
+        return SolveRequest(PotentialParams(p.K, p.A, -p.C + draw(st.sampled_from(
+            [0.0, tiny, -tiny])), p.C), req.M, req.qn, *rest)
+    return SolveRequest(p, req.M, QuantumNumbers(
+        n_r=draw(st.integers(1000, 2500)), n_theta=req.qn.n_theta, m=req.qn.m), *rest)
 
 
 # A spin request whose scan grid holds no sign change: four of its points
@@ -639,7 +638,7 @@ class TestPolish:
         # lambda, delta and big_delta, taken from the solver's terms, have
         # the bits of the angular and radial closed forms composed at the
         # same E from the request's own numbers.
-        req = dataclasses.replace(req, branch=branch, convention=convention)
+        req = SolveRequest(req.params, req.M, req.qn, req.symmetry, branch, convention)
         try:
             res = solve_energy(req)
         except NoRootError:
@@ -719,7 +718,8 @@ class TestSolveColumns:
 
     def test_one_residual_call_scans_the_batch(self, residual_shapes):
         requests = [spin_request(n=n, A=a) for n in (1, 2, 3) for a in (6.0, 7.0, 8.0)]
-        invalid = dataclasses.replace(pseudospin_request(), M=-1.0)
+        valid = pseudospin_request()
+        invalid = SolveRequest(valid.params, -1.0, valid.qn, valid.symmetry)
         E = solve_columns(*columns(requests + [invalid]))
         shapes = list(residual_shapes)
         points = rspho.spectrum._SCAN_POINTS
@@ -877,8 +877,10 @@ class TestSolveColumns:
         assert np.broadcast_to(one_row, every_row.shape).tobytes() == every_row.tobytes()
         # A higher rest mass moves both scan ends; far above the scan ceiling,
         # n_r = 10**6 leaves the residual negative on the whole grid.
-        extra = dataclasses.replace(rows[0][0], M=rows[0][0].M + 1.0,
-                                    qn=dataclasses.replace(rows[0][0].qn, n_r=10**6))
+        row = rows[0][0]
+        extra = SolveRequest(row.params, row.M + 1.0,
+                             QuantumNumbers(10**6, row.qn.n_theta, row.qn.m),
+                             row.symmetry, row.branch, row.convention)
         ends = np.array([(first, last)] * n + [spectrum._scan_ends(extra)]).T
         one_grid = spectrum._scan(shared, *ends[:, :n])
         grid_rows = spectrum._scan(prepared(columns([req for req, _ in rows] + [extra])),
@@ -1073,7 +1075,8 @@ class TestColumnForms:
         assert energies(E) == [repr(expected)]
         assert round(expected, 8) == 14.38516214
         with pytest.raises(DomainError, match="n_r must be an integer"):
-            solve_energy(dataclasses.replace(req, qn=QuantumNumbers(n_r=1.0)))
+            solve_energy(SolveRequest(req.params, req.M, QuantumNumbers(n_r=1.0), req.symmetry,
+                                      req.branch, req.convention))
 
     @settings(PROPERTY, max_examples=50)
     @given(requests=st.lists(st.one_of(mixed_requests(), edge_requests()),
@@ -1086,8 +1089,8 @@ class TestColumnForms:
         # Where numpy is not loaded, solve_cells solves each cell with
         # solve_energy, which scans on floats; it returns solve_columns'
         # energies bit for bit, NaN where they are NaN.
-        requests = [dataclasses.replace(r, symmetry=symmetry, branch=branch,
-                                        convention=convention) for r in requests]
+        requests = [SolveRequest(r.params, r.M, r.qn, symmetry, branch, convention)
+                    for r in requests]
         numbers = {name: [getattr(r.params, name) for r in requests] for name in "KABC"}
         numbers.update(M=[r.M for r in requests],
                        **{name: [getattr(r.qn, name) for r in requests]

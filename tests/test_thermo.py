@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from itertools import islice
 
@@ -246,7 +245,7 @@ class TestNonrelativisticLevels:
         # A NaN or infinite level would make the sum run to its level cap.
         mu = value if name == "mu" else REFERENCE_MU
         params = (REFERENCE_PARAMS if name == "mu"
-                  else replace(REFERENCE_PARAMS, **{name: value}))
+                  else PotentialParams(**{"K": 5.0, "A": 6.0, "B": -0.05, "C": 0.005, name: value}))
         message = f"{name} must be finite (got {value})"
         with pytest.raises(DomainError, match=re.escape(message)):
             nonrelativistic_energy(params, mu, QuantumNumbers(n_r=0))
@@ -288,7 +287,7 @@ class TestNonrelativisticLevels:
 
     @pytest.mark.parametrize("b_plus_c", [1e308, -1e308])
     def test_overflowing_ring_coupling_is_named(self, b_plus_c):
-        params = replace(REFERENCE_PARAMS, B=b_plus_c, C=b_plus_c)
+        params = PotentialParams(K=5.0, A=6.0, B=b_plus_c, C=b_plus_c)
         w = math.copysign(math.inf, b_plus_c)
         message = f"ring coupling overflows: w = 4*mu*(B+C) = {w}"
         with pytest.raises(DomainError, match=re.escape(message)):
@@ -311,7 +310,7 @@ class TestNonrelativisticLevels:
     def test_separation_root_above_2_to_the_26_keeps_its_precision(self):
         # With mu = 1 and C = 0, w = 4B: 1/2 - w = 2^52 + 2^30 gives a root
         # just above 2^26, where the sum form of lambda keeps its bits.
-        params = replace(REFERENCE_PARAMS, B=(0.5 - 2.0**52 - 2.0**30) / 4.0, C=0.0)
+        params = PotentialParams(K=5.0, A=6.0, B=(0.5 - 2.0**52 - 2.0**30) / 4.0, C=0.0)
         assert math.sqrt(0.5 - 4.0 * params.B) > 2.0**26
         levels = list(islice(nonrelativistic_levels(params, 1.0), 40))
         assert all(a < b for a, b in zip(levels, levels[1:]))
@@ -326,7 +325,7 @@ class TestNonrelativisticLevels:
 
     def test_energy_overflows_at_the_level_that_overflows(self):
         # (c/2)*sqrt(2K/mu) = 1e150: finite up to n_r near 1e158.
-        params = replace(REFERENCE_PARAMS, K=2e300)
+        params = PotentialParams(K=2e300, A=6.0, B=-0.05, C=0.005)
         assert math.isfinite(nonrelativistic_energy(params, 1.0,
                                                     QuantumNumbers(n_r=10**157, n_theta=0)))
         with pytest.raises(DomainError, match=re.escape(
@@ -424,7 +423,8 @@ class TestLadderGenerator:
     def test_no_work_before_the_first_next(self, monkeypatch):
         for name in ("_ladder_terms", "_level"):
             monkeypatch.setattr(thermo, name, lambda *args: pytest.fail("work was done"))
-        invalid = nonrelativistic_levels(replace(REFERENCE_PARAMS, K=math.nan), REFERENCE_MU)
+        invalid = nonrelativistic_levels(PotentialParams(K=math.nan, A=6.0, B=-0.05, C=0.005),
+                                         REFERENCE_MU)
         ladder = nonrelativistic_levels(REFERENCE_PARAMS, REFERENCE_MU, 1, BranchSign.MINUS,
                                         Convention.EQUATION_CONSISTENT)
         monkeypatch.undo()
@@ -436,7 +436,7 @@ class TestLadderGenerator:
                 BranchSign.MINUS, Convention.EQUATION_CONSISTENT).hex()
 
     @pytest.mark.parametrize("params, mu, branch, failing, message", [
-        (replace(REFERENCE_PARAMS, K=math.nan), REFERENCE_MU, BranchSign.PLUS, 0,
+        (PotentialParams(K=math.nan, A=6.0, B=-0.05, C=0.005), REFERENCE_MU, BranchSign.PLUS, 0,
          "K must be finite (got nan)"),
         (PotentialParams(K=1e308, A=1e308, B=-0.05, C=0.005), 5.0, BranchSign.PLUS, 0,
          "oscillator-limit energy overflows at n_r = 0, n_theta = 0: "),
