@@ -19,16 +19,16 @@ This module imports numpy nowhere, and in a fresh process no command
 loads it or scipy: verify's oracle builds and solves its matrix on floats
 where numpy is not loaded.
 
-Each check that concerns one flag (a count's lower bound, a grid bound's
-finiteness, a positive tolerance, the integers of --series-values) is that
-flag's argparse type, so argparse reports it ("argument --X: must be ...")
-and checks a config value as it checks the flag.  The commands check only
-what spans several flags: a grid whose span overflows, a sweep from a
-value to itself, and the coefficients and --n that a sweep needs.  The
-parsers read a token that starts with a minus sign and a digit, or with
--inf, -infinity or -nan in any case, as a value (``--series-values
--3,0,5``, ``--r-min -inf``), where argparse reads only a plain negative
-number so.
+Each check that concerns one flag (a count's lower bound, an integer that
+fits a float, a grid bound's finiteness, a positive tolerance, the integers
+of --series-values) is that flag's argparse type, so argparse reports it
+("argument --X: must be ...") and checks a config value as it checks the
+flag.  The commands check only what spans several flags: a grid whose
+span overflows, a sweep from a value to itself, and the coefficients and
+--n that a sweep needs.  The parsers read a token that starts with a
+minus sign and a digit, or with -inf, -infinity or -nan in any case, as a
+value (``--series-values -3,0,5``, ``--r-min -inf``), where argparse reads
+only a plain negative number so.
 
 This module imports only errors and model from the package.  Each command
 imports the modules it runs when it runs: potential imports no other,
@@ -113,8 +113,12 @@ def _checked(convert, ok, what: str):
     return check
 
 
+# An integer that converts to a float, as the model's checks and sums do.
+_int = _checked(int, lambda n: abs(n) <= sys.float_info.max, "within the float range")
+
+
 def _int_at_least(k: int):
-    return _checked(int, lambda n: n >= k, f">= {k}")
+    return _checked(_int, lambda n: n >= k, f">= {k}")
 
 
 _finite = _checked(float, math.isfinite, "finite")
@@ -123,7 +127,7 @@ _positive_finite = _checked(float, lambda x: 0.0 < x < math.inf, "positive and f
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers (got {text!r})") from None
@@ -381,11 +385,11 @@ def _add_request_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     unless_swept = " (unless swept)" if sweep else ""
     p.add_argument("--symmetry", required=True, choices=("spin", "pseudospin"),
                    help="relativistic symmetry regime")
-    p.add_argument("--n", type=int, required=not sweep,
+    p.add_argument("--n", type=_int, required=not sweep,
                    help="radial quantum number n_r >= 0"
                         + (" (needed when the series runs over m)" if sweep else ""))
-    p.add_argument("--ntheta", type=int, help="angular quantum number (default: same as --n)")
-    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
+    p.add_argument("--ntheta", type=_int, help="angular quantum number (default: same as --n)")
+    p.add_argument("--m", type=_int, default=0, help="azimuthal quantum number (default 0)")
     p.add_argument("--A", type=float, required=not sweep,
                    help="inverse-square coefficient" + unless_swept)
     p.add_argument("--B", type=float, required=not sweep, help="ring coefficient" + unless_swept)
@@ -478,7 +482,7 @@ def _build_parser() -> _Parser:
     _add_coefficient_flags(p)
     p.add_argument("--mu", type=float, required=True,
                    help="reduced mass of the oscillator ladder")
-    p.add_argument("--m", type=int, default=0, help="azimuthal quantum number (default 0)")
+    p.add_argument("--m", type=_int, default=0, help="azimuthal quantum number (default 0)")
     p.add_argument("--branch", default="plus", choices=("plus", "minus"))
     p.add_argument("--convention", default="table", choices=("table", "equation"))
     p.add_argument("--T-min", type=_finite, default=0.1,

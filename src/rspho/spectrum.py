@@ -90,8 +90,8 @@ _MAX_POLISH_STEPS = 200
 _SCAN_POINTS = 512
 _SCAN_CEILING = 100.0
 # Grid points per residual call of a batch scan: the scan's windows are at
-# most this large, so the kernel's temporaries stay in cache and the memory
-# of a batch does not grow with its length.
+# most this large, or one point per row where a batch has more rows, so the
+# kernel's temporaries stay in cache.
 _SCAN_CHUNK = 8192
 
 
@@ -527,13 +527,13 @@ def solve_columns(K, A, B, C, M, n_r, n_theta, m, s, sign, c,
     properties) is a float shared by every request or a 1-D array of one
     value per request.  The requests that pass validation (_scan_ends) are
     scanned in ascending windows that they leave once they hold their
-    first bracket (see _scan), at most _SCAN_CHUNK requests at a time,
-    then polished all at once, one residual call per Illinois step.
-    Returns the R energies: NaN exactly where solve_energy raises for the
-    request, solve_energy's bits elsewhere.  A quantum number is checked
-    by value: n_r = 1.0 solves here as n_r = 1 does in solve_energy,
-    which raises "n_r must be an integer" for QuantumNumbers(n_r=1.0); a
-    fraction such as 1.5 fails in both.  ``abs_tol_E`` is solve_energy's.
+    first bracket (see _scan), then polished all at once, one residual
+    call per Illinois step.  Returns the R energies: NaN exactly where
+    solve_energy raises for the request, solve_energy's bits elsewhere.
+    A quantum number is checked by value: n_r = 1.0 solves here as n_r =
+    1 does in solve_energy, which raises "n_r must be an integer" for
+    QuantumNumbers(n_r=1.0); a fraction such as 1.5 fails in both.
+    ``abs_tol_E`` is solve_energy's.
     """
     import numpy as np
     _check_tolerance(abs_tol_E)
@@ -544,11 +544,7 @@ def solve_columns(K, A, B, C, M, n_r, n_theta, m, s, sign, c,
     if rows.size:
         first, last = first[rows], last[rows]
         terms = _terms(*(x[rows, None] if is_array(x) else x for x in numbers))
-        # Blocks of at most _SCAN_CHUNK rows, so that a window of one point
-        # per row stays within _SCAN_CHUNK points.
-        parts = [slice(i, i + _SCAN_CHUNK) for i in range(0, rows.size, _SCAN_CHUNK)]
-        a, b, fa, fb = np.concatenate(
-            [_scan(_take(terms, p), first[p], last[p]) for p in parts], axis=1)
+        a, b, fa, fb = _scan(terms, first, last)
         point, residual, capped = _polish_rows(terms, a, b, fa, fb, abs_tol_E)
         # A NaN residual: no bracket, or the polish stepped outside the domain.
         E[rows] = np.where(capped | np.isnan(residual), np.nan, point)

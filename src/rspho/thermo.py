@@ -122,7 +122,8 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     including an unbounded generator such as nonrelativistic_levels.
     T and k_B must be positive and finite, and so must their product and
     beta = 1/(k_B*T) (see _moments), which they can miss by overflow or
-    underflow.
+    underflow.  Where beta**2 overflows (k_B*T below about 7.5e-155), C
+    is k_B*beta*(beta*variance) instead of k_B*beta**2*variance.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"T must be positive and finite (got {T})")
@@ -137,7 +138,11 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     e0, s0, s1, s2, used = _moments(levels, beta, rel_tail_tol)
     mean_shift = s1 / s0
     u = e0 + mean_shift
-    c = k_B * beta**2 * (s2 / s0 - mean_shift**2)
+    variance = s2 / s0 - mean_shift**2
+    try:
+        c = k_B * beta**2 * variance
+    except OverflowError:       # beta**2 overflows; beta*variance < 746**2/beta
+        c = k_B * beta * (beta * variance)
     log_z = -beta * e0 + math.log(s0)
     f = -N * log_z / beta
     s = N * k_B * (math.log(s0) + beta * mean_shift)

@@ -696,6 +696,22 @@ class TestThermo:
         assert err == ("error: levels 0 and 1 are both 7.745966692414835: a degenerate "
                        "spectrum, or a level spacing lost to rounding\n")
 
+    def test_ring_too_weak_for_m_names_the_radicand(self):
+        code, out, err = run_cli(THERMO_ARGS + ["--m", "3"])
+        assert (code, out) == (2, "")
+        assert err == ("error: separation-constant radicand negative: "
+                       "1/4 + v_tilde = 1/2 - w - m^2 = -7.6\n")
+
+    @pytest.mark.parametrize("flags", [["--T-min", "1e-160"], ["--kB", "1e-300"]],
+                             ids=["T-min", "kB"])
+    def test_temperature_where_beta_squared_overflows(self, flags):
+        # Below k_B*T of about 7.5e-155 the row is the ground level's, as
+        # the row at T = 1e-3 is.
+        code, out, err = run_cli(THERMO_ARGS + flags + ["--T-max", "1e-3", "--steps", "2"])
+        assert (code, err) == (0, "")
+        assert [row.split(",", 1)[1] for row in lines_of(out)[1:]] == [
+            "0,8.5072099,8.5072099,0,0"] * 2
+
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
             "thermo", "--A", "6", "--B", "-0.05", "--C", "0.005", "--K", "5"])
@@ -726,9 +742,10 @@ class TestVerify:
         assert err == f"error: argument --points: must be >= 16 (got {points})\n"
 
     def test_coarse_grid_fails_verification(self):
-        code, out, _ = run_cli(["verify", "--suite", "radial", "--points", "16"])
-        assert code == 3
-        assert any(row.endswith(",false") for row in lines_of(out)[1:])
+        for suite in ("radial", "all"):
+            code, out, err = run_cli(["verify", "--suite", suite, "--points", "16"])
+            assert (code, err) == (3, "")
+            assert any(row.endswith(",false") for row in lines_of(out)[1:])
 
 
 class TestImports:
@@ -772,35 +789,51 @@ print(json.dumps([codes, loaded]))
         assert "rspho" in imported
         assert not imported & {"numpy", "scipy", "dataclasses"}
 
-    @pytest.mark.parametrize("argv", [
-        ["solve"] + SPIN_ARGS,
-        ["table", "--which", "spin1"],
-        ["table", "--which", "pseudospin2"],
+    @pytest.mark.parametrize("argv, code", [
+        (["solve"] + SPIN_ARGS, 0),
+        (["table", "--which", "spin1"], 0),
+        (["table", "--which", "pseudospin2"], 0),
         # B crosses into the region with no bound state: empty cells.
-        ["sweep", "--steps", "24", "--precision", "12", "--vary", "B", "--from", "-0.15",
-         "--to", "0.25", "--series", "m", "--series-values", "0,1,2", "--n", "0",
-         "--symmetry", "spin", "--C", "0.005", "--M", "5", "--A", "6", "--K", "5"],
-        ["sweep", "--vary", "A", "--from", "-6", "--to", "-2", "--steps", "3", "--series", "m",
-         "--n", "1", "--series-values", "-1,0,2", "--symmetry", "pseudospin", "--B", "0.5",
-         "--C", "0.005", "--K", "-5", "--M", "3"],
+        (["sweep", "--steps", "24", "--precision", "12", "--vary", "B", "--from", "-0.15",
+          "--to", "0.25", "--series", "m", "--series-values", "0,1,2", "--n", "0",
+          "--symmetry", "spin", "--C", "0.005", "--M", "5", "--A", "6", "--K", "5"], 0),
+        (["sweep", "--vary", "A", "--from", "-6", "--to", "-2", "--steps", "3", "--series", "m",
+          "--n", "1", "--series-values", "-1,0,2", "--symmetry", "pseudospin", "--B", "0.5",
+          "--C", "0.005", "--K", "-5", "--M", "3"], 0),
         # The scan ceiling empties the scan interval.
-        ["solve", "--symmetry", "spin", "--n", "1", "--m", "5", "--A", "6", "--B", "-0.05",
-         "--C", "0.005", "--K", "5", "--M", "5"],
+        (["solve", "--symmetry", "spin", "--n", "1", "--m", "5", "--A", "6", "--B", "-0.05",
+          "--C", "0.005", "--K", "5", "--M", "5"], 2),
         # Four grid points inside the domain, no sign change.
-        ["solve", "--symmetry", "spin", "--n", "0", "--ntheta", "3", "--m", "1", "--K", "16.97",
-         "--A", "-2.887", "--B", "-0.3846", "--C", "0.0781", "--M", "0.3585"],
+        (["solve", "--symmetry", "spin", "--n", "0", "--ntheta", "3", "--m", "1", "--K", "16.97",
+          "--A", "-2.887", "--B", "-0.3846", "--C", "0.0781", "--M", "0.3585"], 2),
+        (["solve"] + PSEUDOSPIN_ARGS, 0),
+        (SWEEP_ARGS, 0),
+        (WAVEFUNCTION_ARGS, 0),
+        # 1F1 passes the float range on the grid: the Kummer recurrence rescales.
+        (WAVEFUNCTION_ARGS + ["--n", "500", "--ntheta", "0"], 0),
+        (POTENTIAL_ARGS, 0),
+        (THERMO_ARGS, 0),
+        # The ring is too weak for m = 3: the separation-constant radicand.
+        (THERMO_ARGS + ["--m", "3"], 2),
+        # Sturm counts and Lanczos both miss the 1e-3 gate on 16-point grids.
+        (["verify", "--suite", "all", "--points", "16"], 3),
     ], ids=["solve", "table-spin1", "table-pseudospin2", "sweep-no-bound-state",
-            "sweep-negative-series", "solve-ceiling", "solve-no-sign-change"])
-    def test_fresh_process_prints_what_main_prints_with_numpy_loaded(self, argv):
-        # A fresh process has not loaded numpy, so it scans on floats and
-        # solves a table's or a sweep's cells one by one; main in this
-        # process, which has, scans and solves them with arrays.  Both give
-        # the same bytes and exit code.
+            "sweep-negative-series", "solve-ceiling", "solve-no-sign-change", "solve-pseudospin",
+            "sweep", "wavefunction", "wavefunction-n500", "potential", "thermo", "thermo-m3",
+            "verify-16-points"])
+    def test_fresh_process_prints_what_main_prints_with_numpy_loaded(self, argv, code):
+        # A fresh process has not loaded numpy, so it scans on floats,
+        # solves a table's or a sweep's cells one by one and finds verify's
+        # levels with Sturm counts; main in this process, which has, scans
+        # and solves them with arrays and finds the levels with Lanczos.
+        # Both give the same bytes and exit code, and the fresh process
+        # raises no RuntimeWarning.  Only a domain failure writes to stderr.
         assert "numpy" in sys.modules
-        done = subprocess.run([sys.executable, "-m", "rspho"] + argv, env=src_env(),
-                              capture_output=True)
-        code, out, err = run_cli(argv)
-        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rspho"]
+                              + argv, env=src_env(), capture_output=True)
+        got, out, err = run_cli(argv)
+        assert (done.returncode, done.stdout, done.stderr) == (got, out.encode(), err.encode())
+        assert got == code and (err != "") == (code == 2)
 
     def test_fresh_verify_matches_main_with_numpy_loaded(self):
         # A fresh process finds the levels with Sturm counts on floats, main
@@ -933,6 +966,8 @@ def test_negative_precision_is_usage_error(argv):
 
 
 SMALL_WAVEFUNCTION_ARGS = ["wavefunction"] + SPIN_ARGS + ["--points", "50"]
+# The least power of two beyond the float range.
+HUGE = str(2**1024)
 
 
 RANGE_CHECKED = [
@@ -958,11 +993,20 @@ RANGE_CHECKED = [
     (THERMO_ARGS, "kB", "-1", "must be positive and finite (got -1.0)"),
     (THERMO_ARGS, "tail-tol", "nan", "must be positive and finite (got nan)"),
     (["verify", "--suite", "angular"], "points", "15", "must be >= 16 (got 15)"),
+    # Integers that convert to no float.
+    (["solve"] + SPIN_ARGS, "n", HUGE, f"must be within the float range (got {HUGE})"),
+    (["solve"] + SPIN_ARGS, "ntheta", HUGE, f"must be within the float range (got {HUGE})"),
+    (["solve"] + SPIN_ARGS, "m", "-" + HUGE, f"must be within the float range (got -{HUGE})"),
+    (SWEEP_ARGS, "series-values", "1," + HUGE, f"must be within the float range (got {HUGE})"),
+    (THERMO_ARGS, "m", HUGE, f"must be within the float range (got {HUGE})"),
+    (SMALL_WAVEFUNCTION_ARGS, "points", HUGE, f"must be within the float range (got {HUGE})"),
+    (POTENTIAL_ARGS, "r-steps", HUGE, f"must be within the float range (got {HUGE})"),
 ]
 
 
 @pytest.mark.parametrize("argv, key, value, message", RANGE_CHECKED,
-                         ids=[f"{argv[0]}-{key}={value}" for argv, key, value, _ in RANGE_CHECKED])
+                         ids=[f"{argv[0]}-{key}={value}".replace(HUGE, "2**1024")
+                              for argv, key, value, _ in RANGE_CHECKED])
 def test_range_checked_flag_is_usage_error_as_flag_and_as_config(tmp_path, argv, key, value,
                                                                  message):
     """Each flag whose argparse type checks a range rejects a value outside
@@ -1070,6 +1114,10 @@ M = 5.0
         as_config = run_cli(["sweep", "--config", str(path), "--to", "7.5"])
         assert as_config == run_cli(flags)
         assert as_config[0] == 0
+        # The README sweep, every flag from the file.
+        path.write_text("".join(f"{flag[2:]} = {value}\n"
+                                for flag, value in zip(SWEEP_ARGS[1::2], SWEEP_ARGS[2::2])))
+        assert run_cli(["sweep", "--config", str(path)]) == run_cli(SWEEP_ARGS)
 
     def test_values_are_checked_like_flags(self, tmp_path):
         path = tmp_path / "case.conf"

@@ -673,8 +673,8 @@ class TestSolveColumns:
     @given(requests=grouped_requests(), chunk=st.sampled_from([1, 5, 64]),
            points=st.sampled_from([16, 64]))
     def test_small_scan_chunks(self, requests, chunk, points):
-        # A _SCAN_CHUNK below the batch's rows splits the batch into blocks
-        # and makes windows one point wide; no scan call exceeds it.
+        # A _SCAN_CHUNK below the batch's rows makes windows one point wide;
+        # no scan call exceeds the chunk or one point per row.
         spectrum = rspho.spectrum
         sizes, polish = [], spectrum._polish_rows
 
@@ -695,7 +695,7 @@ class TestSolveColumns:
             mp.setattr(spectrum, "_polish_rows", polishing)
             E = solve_columns(*columns(requests))
         assert energies(E) == expected
-        assert all(size <= chunk for size in sizes if size is not None)
+        assert all(size <= max(chunk, len(requests)) for size in sizes if size is not None)
 
     def test_identical_requests(self):
         requests = [spin_request(n=2)] * 5
@@ -980,17 +980,17 @@ class TestScanWindows:
         assert ((grid[i - 1] <= E[:224]) & (E[:224] <= grid[i])).all()
         assert not np.isnan(E).any()
 
-    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-block", "four-blocks"])
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["32-point-windows", "one-point-windows"])
     def test_batch_is_prepared_once(self, batch, chunk):
-        # The scan walks several windows, and at a _SCAN_CHUNK of 64 four
-        # blocks of rows, but solve_columns prepares its batch once.
+        # The scan walks several windows, one point wide at a _SCAN_CHUNK of
+        # 64, but solve_columns prepares its batch once.
         requests, _, _ = batch
         spectrum = rspho.spectrum
-        built, scans, terms = [], [], spectrum._terms
+        built, scans, terms, polish = [], [], spectrum._terms, spectrum._polish_rows
 
         def counting(E, request):
             values = energy_residual(E, request)
-            if E.shape[-1] > 1:
+            if None not in scans:               # a scan call
                 scans.append(values.shape)
             return values
 
@@ -998,12 +998,12 @@ class TestScanWindows:
             mp.setattr(spectrum, "_terms",
                        lambda *numbers: built.append(numbers[0].shape) or terms(*numbers))
             mp.setattr(spectrum, "energy_residual", counting)
+            mp.setattr(spectrum, "_polish_rows", lambda *args: scans.append(None) or polish(*args))
             if chunk is not None:
                 mp.setattr(spectrum, "_SCAN_CHUNK", chunk)
             E = solve_columns(*columns(requests))
         assert built == [(len(requests), 1)]
-        blocks = -(-len(requests) // spectrum._SCAN_CHUNK) if chunk is None else 4
-        assert len(scans) > blocks
+        assert scans.index(None) > 1
         assert energies(E) == one_by_one(requests)
 
     def test_row_without_a_bracket_sees_every_grid_point_once(self, batch, monkeypatch):

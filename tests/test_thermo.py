@@ -114,6 +114,22 @@ def test_overflowing_temperature_rejected_before_any_level(T, k_B, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("T, k_B", [(1e-160, 1.0), (1.0, 1e-300)])
+def test_point_where_beta_squared_overflows_is_the_ground_level(T, k_B):
+    # beta**2 overflows below k_B*T of about 7.5e-155, and every excited
+    # Boltzmann term underflows, as it already does at T = 1e-3.
+    e0 = next(reference_levels())
+    point = thermo_point(reference_levels(), T=T, k_B=k_B)
+    assert (point.Z, point.F, point.U, point.S, point.C) == (0.0, e0, e0, 0.0, 0.0)
+
+
+def test_capacity_where_beta_squared_overflows():
+    # Two levels 1e-160 apart at beta*eps = 1: C = e/(1 + e)^2.  The moment
+    # sums are subnormal there and keep about 11 bits.
+    point = thermo_point([0.0, 1e-160], T=1e-160)
+    assert point.C == pytest.approx(math.e / (1.0 + math.e) ** 2, rel=1e-2)
+
+
 class TestThermoPoint:
     def test_two_level_closed_form(self):
         # beta*eps = ln 3 puts 1/4 of the population in the upper level
