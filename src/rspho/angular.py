@@ -83,7 +83,7 @@ def angular_spectrum(q: float, n_theta: int) -> tuple[float, float]:
     They agree only for q in {0, 1}; the sum form is the one the operator
     actually has.
     """
-    return (angular_level(q, n_theta), (n_theta + q) ** 2)
+    return (angular_level(q, n_theta), (n_theta + q) * (n_theta + q))
 
 
 def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
@@ -94,11 +94,10 @@ def shape_invariance_chain(q: float, n: int) -> ShapeInvarianceChain:
     if n < 0:
         raise DomainError(f"chain length must be >= 0 (got {n})")
     a = [q + k for k in range(n + 1)]
-    try:
-        remainders = [a[k] ** 2 - a[k - 1] ** 2 for k in range(1, n + 1)]
-    except OverflowError:
+    remainders = [a[k] * a[k] - a[k - 1] * a[k - 1] for k in range(1, n + 1)]
+    if not all(map(math.isfinite, remainders)):
         raise DomainError(f"shape-invariance chain overflows: a_k^2 is not finite "
-                          f"for q = {q}, n = {n}") from None
+                          f"for q = {q}, n = {n}")
     return ShapeInvarianceChain(a=a, remainders=remainders)
 
 
@@ -115,10 +114,8 @@ def partner_potentials_angular(q: float, theta: float) -> tuple[float, float]:
     require_finite(q=q)
     if not 0.0 < theta < math.pi:
         raise DomainError(f"theta must lie in (0, pi) (got {theta})")
-    try:
-        cot2 = (math.cos(theta) / math.sin(theta)) ** 2
-    except OverflowError:
-        cot2 = math.inf
+    cot = math.cos(theta) / math.sin(theta)
+    cot2 = cot * cot
     v_plus = (q * q + q) * cot2 + q
     v_minus = (q * q - q) * cot2 - q
     if not (math.isfinite(v_plus) and math.isfinite(v_minus)):

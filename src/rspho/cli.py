@@ -121,6 +121,8 @@ def _int_at_least(k: int):
     return _checked(_int, lambda n: n >= k, f">= {k}")
 
 
+# 1074 decimals print 5e-324 = 2^-1074, the float with the most, exactly.
+_precision = _checked(_int_at_least(0), lambda n: n <= 1074, "<= 1074")
 _finite = _checked(float, math.isfinite, "finite")
 _positive_finite = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 
@@ -411,8 +413,8 @@ def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=_int_at_least(0), default=8,
-                   help="decimals in CSV output (default 8)")
+    p.add_argument("--precision", type=_precision, default=8,
+                   help="decimals in CSV output, 0 to 1074 (default 8)")
     p.add_argument("--output", help="write CSV here instead of standard output")
     p.add_argument("--config",
                    help="read options from a 'key = value' file; flags take precedence")

@@ -506,10 +506,7 @@ def _fd_floats(potential, grid: GridSpec, count: int) -> list[float]:
 def _step_squared(grid: GridSpec) -> float:
     """h^2 of ``grid``; DomainError where h^2 or 2/h^2 overflows."""
     h = grid.h
-    try:
-        h2 = h**2
-    except OverflowError:
-        h2 = math.inf
+    h2 = h * h
     if not 0.0 < h2 < math.inf or 2.0 / h2 == math.inf:
         raise DomainError(f"grid step h = {h} makes h^2 or 2/h^2 overflow")
     return h2
@@ -565,10 +562,9 @@ def verify_radial(delta_prime: float, big_delta: float, count: int = 3,
                           f"(got {delta_prime})")
     if big_delta <= 0.0:
         raise DomainError(f"big_delta must be positive (got {big_delta})")
-    try:
-        stiffness = big_delta**2
-    except OverflowError:
-        raise DomainError(f"big_delta^2 overflows (big_delta = {big_delta})") from None
+    stiffness = big_delta * big_delta
+    if stiffness == math.inf:
+        raise DomainError(f"big_delta^2 overflows (big_delta = {big_delta})")
     grid = default_radial_grid(delta_prime, big_delta, count, points)
     delta = -0.5 - math.sqrt(0.25 + delta_prime)
     predicted = [radial_spectrum(big_delta, delta, n) for n in range(count)]

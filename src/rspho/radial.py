@@ -121,11 +121,12 @@ def partner_potentials_radial(delta: float, big_delta: float,
     require_finite(delta=delta, big_delta=big_delta)
     if not r > 0.0:
         raise DomainError(f"r must be positive (got {r})")
+    r2 = r * r
+    common = big_delta * big_delta * r2 + 2.0 * delta * big_delta
     try:
-        common = big_delta**2 * r**2 + 2.0 * delta * big_delta
-        v_plus = delta * (delta - 1.0) / r**2 + common + big_delta
-        v_minus = delta * (delta + 1.0) / r**2 + common - big_delta
-    except (OverflowError, ZeroDivisionError):      # a square overflows, or r^2 is 0
+        v_plus = delta * (delta - 1.0) / r2 + common + big_delta
+        v_minus = delta * (delta + 1.0) / r2 + common - big_delta
+    except ZeroDivisionError:       # r^2 underflows to 0
         v_plus = v_minus = math.inf
     if not (math.isfinite(v_plus) and math.isfinite(v_minus)):
         raise DomainError(f"partner potentials overflow at delta = {delta}, "

@@ -5,12 +5,15 @@ number m (no degeneracy weighting).  All derived quantities come from
 term-wise moment sums of the same truncated series, never from numeric
 differentiation (that is kept as a test oracle only):
 
-    U = <E>,   C = k_B beta^2 (<E^2> - <E>^2),
-    F = -N ln(Z)/beta,   S = N k_B (ln Z + beta U).
+    U = <E>,   C = k_B (<y^2> - <y>^2),
+    F = N (E0 - k_B T ln s0),   S = N k_B (ln s0 + <y>),
 
-Energies are shifted by the ground level before exponentiation so large
-beta cannot underflow the sums; the shift cancels identically in U, S, C
-and is restored in F and Z.
+with y = beta (E - E0), the excitation energy in units of k_B T, and s0 =
+Z exp(beta E0), the sum of the weights exp(-y).  The shift by the ground
+level E0 keeps a large beta from underflowing the sums, cancels in U, S
+and C, and is restored in F and Z.  No square of beta or of an energy is
+taken: y^2 < 746^2 wherever a weight is not 0.  Z is 0 or inf only where
+its value is out of the float range, and so is F where k_B T ln s0 is not.
 
 The ladder (nonrelativistic_levels) is a generator over the explicit
 oscillator-limit closed form of nonrelativistic_energy, with the terms
@@ -34,7 +37,7 @@ from itertools import count as _count
 from .angular import angular_level, q_of_vtilde
 from .errors import ConvergenceError, DomainError
 from .model import BranchSign, Convention, PotentialParams, QuantumNumbers, _Record
-from .numerics import require_finite
+from .numerics import exp, require_finite
 
 __all__ = [
     "ThermoPoint",
@@ -66,8 +69,10 @@ class ThermoPoint(_Record):
 def _moments(levels, beta: float, rel_tail_tol: float):
     """Shifted Boltzmann moment sums over a strictly ascending level sequence.
 
-    Returns (E0, s0, s1, s2, used) with s_k = sum (E - E0)^k exp(-beta (E - E0)),
-    truncated once a term drops below rel_tail_tol times the running s0.
+    Returns (E0, s0, s1, s2, used) with s0 = sum t, s1 = sum (E - E0) t and
+    s2 = sum y^2 t, t = exp(-y), y = beta (E - E0), truncated once a term
+    drops below rel_tail_tol times the running s0.  A term with t = 0 adds
+    exactly 0 and is skipped, so an infinite E - E0 makes no NaN.
     Raises ConvergenceError if _MAX_LEVELS levels never satisfy the tail
     test, and DomainError, before taking a level, if beta or rel_tail_tol
     is not positive and finite: at beta = 0 no truncation passes the tail
@@ -98,10 +103,12 @@ def _moments(levels, beta: float, rel_tail_tol: float):
         if e0 is None:
             e0 = energy
         x = energy - e0
-        t = math.exp(-beta * x)
-        s0 += t
-        s1 += x * t
-        s2 += x * x * t
+        y = beta * x
+        t = math.exp(-y)
+        if t > 0.0:
+            s0 += t
+            s1 += x * t
+            s2 += y * y * t
         used += 1
         if t < rel_tail_tol * s0:
             break
@@ -122,8 +129,8 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     including an unbounded generator such as nonrelativistic_levels.
     T and k_B must be positive and finite, and so must their product and
     beta = 1/(k_B*T) (see _moments), which they can miss by overflow or
-    underflow.  Where beta**2 overflows (k_B*T below about 7.5e-155), C
-    is k_B*beta*(beta*variance) instead of k_B*beta**2*variance.
+    underflow.  C keeps its precision at any finite beta, and Z and F are
+    0 or +/-inf only out of the float range (see the module docstring).
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"T must be positive and finite (got {T})")
@@ -137,16 +144,11 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     beta = 1.0 / kT
     e0, s0, s1, s2, used = _moments(levels, beta, rel_tail_tol)
     mean_shift = s1 / s0
-    u = e0 + mean_shift
-    variance = s2 / s0 - mean_shift**2
-    try:
-        c = k_B * beta**2 * variance
-    except OverflowError:       # beta**2 overflows; beta*variance < 746**2/beta
-        c = k_B * beta * (beta * variance)
-    log_z = -beta * e0 + math.log(s0)
-    f = -N * log_z / beta
-    s = N * k_B * (math.log(s0) + beta * mean_shift)
-    return ThermoPoint(T=T, beta=beta, Z=math.exp(log_z), F=f, U=u, S=s,
+    mean_y = beta * mean_shift
+    log_s0 = math.log(s0)
+    c = k_B * (s2 / s0 - mean_y * mean_y)
+    return ThermoPoint(T=T, beta=beta, Z=exp(log_s0 - beta * e0), F=N * (e0 - kT * log_s0),
+                       U=e0 + mean_shift, S=N * k_B * (log_s0 + mean_y),
                        C=max(c, 0.0), levels_used=used)
 
 

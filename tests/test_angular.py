@@ -104,6 +104,7 @@ class TestAngularSpectrum:
         (2.0, 0, (2.0, 4.0)),
         (2.0, 1, (7.0, 9.0)),
         (1.0, 3, (16.0, 16.0)),
+        (1e200, 0, (1e200, math.inf)),      # the squared form is past the float range
     ])
     def test_both_forms(self, q, n, expected):
         e_sum, e_printed = angular_spectrum(q, n)

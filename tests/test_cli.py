@@ -702,15 +702,45 @@ class TestThermo:
         assert err == ("error: separation-constant radicand negative: "
                        "1/4 + v_tilde = 1/2 - w - m^2 = -7.6\n")
 
-    @pytest.mark.parametrize("flags", [["--T-min", "1e-160"], ["--kB", "1e-300"]],
-                             ids=["T-min", "kB"])
+    @pytest.mark.parametrize("flags", [["--T-min", "1e-160"], ["--kB", "1e-300"],
+                                       ["--T-min", "1e-308"]],
+                             ids=["T-min", "kB", "T-min-where-beta-times-E0-overflows"])
     def test_temperature_where_beta_squared_overflows(self, flags):
         # Below k_B*T of about 7.5e-155 the row is the ground level's, as
-        # the row at T = 1e-3 is.
+        # the row at T = 1e-3 is.  At T = 1e-308, beta*E0 = 8.5e308 is inf
+        # and Z is 0, but F = E0 - k_B*T*ln(s0) is still the ground level.
         code, out, err = run_cli(THERMO_ARGS + flags + ["--T-max", "1e-3", "--steps", "2"])
         assert (code, err) == (0, "")
         assert [row.split(",", 1)[1] for row in lines_of(out)[1:]] == [
             "0,8.5072099,8.5072099,0,0"] * 2
+
+    # K = 5e307 spaces the levels about 2e154 apart.
+    STIFF_ARGS = ["thermo", "--A", "0", "--B", "-0.05", "--C", "0.005", "--K", "5e307",
+                  "--mu", "1", "--steps", "2"]
+
+    def test_capacity_is_zero_where_every_excited_weight_is(self):
+        # At T = 1 and 2 each excited weight is exp(-inf) = 0, and C is 0,
+        # not the NaN of an infinite excitation energy squared times 0.
+        code, out, err = run_cli(self.STIFF_ARGS + ["--T-min", "1", "--T-max", "2"])
+        assert (code, err) == (0, "")
+        assert [row.split(",", 1)[1] for row in lines_of(out)[1:]] == [
+            "0,1.0754609e+154,1.0754609e+154,0,0"] * 2
+
+    def test_temperature_whose_excitation_energies_square_past_the_float_range(self):
+        # At T near the spacing, (E - E0)^2 overflows but (beta*(E - E0))^2
+        # does not: every field is finite.  Z, S and C depend on the levels
+        # only through beta*E, so they are those of the ladder 1e150 times
+        # smaller (K 1e300 times smaller) at a T 1e150 times lower.
+        def z_s_c(flags):
+            code, out, err = run_cli(self.STIFF_ARGS + flags)
+            assert (code, err) == (0, "")
+            rows = [row.split(",") for row in lines_of(out)[1:]]
+            assert len(rows) == 2
+            assert all(math.isfinite(float(value)) for row in rows for value in row)
+            return [(row[1], row[4], row[5]) for row in rows]
+
+        assert z_s_c(["--T-min", "1e155", "--T-max", "2e155"]) == z_s_c(
+            ["--K", "5e7", "--T-min", "1e5", "--T-max", "2e5"])
 
     def test_missing_reduced_mass(self):
         code, _, err = run_cli([
@@ -965,6 +995,16 @@ def test_negative_precision_is_usage_error(argv):
     assert code == 0
 
 
+def test_largest_precision_prints_every_digit_of_the_smallest_float():
+    # 1074 decimals, the bound of --precision, print 5e-324 = 2^-1074 exactly.
+    assert f"{5e-324:.1074f}".endswith("5")
+    code, out, err = run_cli(["solve"] + SPIN_ARGS + ["--precision", "1074"])
+    assert (code, err) == (0, "")
+    energy = lines_of(out)[1].split(",")[11]
+    assert energy.startswith("14.38516214")
+    assert len(energy.split(".")[1]) == 1074
+
+
 SMALL_WAVEFUNCTION_ARGS = ["wavefunction"] + SPIN_ARGS + ["--points", "50"]
 # The least power of two beyond the float range.
 HUGE = str(2**1024)
@@ -974,6 +1014,8 @@ RANGE_CHECKED = [
     (["solve"] + SPIN_ARGS, "tol", "0", "must be positive and finite (got 0.0)"),
     (["solve"] + SPIN_ARGS, "tol", "inf", "must be positive and finite (got inf)"),
     (["solve"] + SPIN_ARGS, "precision", "-1", "must be >= 0 (got -1)"),
+    (["solve"] + SPIN_ARGS, "precision", "1075", "must be <= 1074 (got 1075)"),
+    (["solve"] + SPIN_ARGS, "precision", "2147483648", "must be <= 1074 (got 2147483648)"),
     (SWEEP_ARGS, "steps", "1", "must be >= 2 (got 1)"),
     (SWEEP_ARGS, "from", "nan", "must be finite (got nan)"),
     (SWEEP_ARGS, "to", "-inf", "must be finite (got -inf)"),

@@ -1,11 +1,14 @@
 """Tests for the shared numerical building blocks."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rspho
 from rspho.errors import DomainError
 from rspho.numerics import exp, is_array, log, nonnegative, positive, sqrt, tan
 
@@ -48,3 +51,39 @@ class TestExpAndLog:
     def test_exp_overflows_to_inf_as_numpy_does(self):
         with np.errstate(over="ignore"):
             assert exp(1e3) == exp(np.array([1e3]))[0] == math.inf
+
+
+# The functions that catch OverflowError, each around a call that raises it
+# by contract: math.exp in numerics.exp, math.ldexp in radial._unscale, and
+# a caller's potential in oracle._fd_floats.  Elsewhere a value past the
+# float range is inf (x*x where x**2 would raise), and the function's own
+# finiteness check meets it.
+OVERFLOW_CATCHERS = {("numerics", "exp"), ("radial", "_unscale"), ("oracle", "_fd_floats")}
+
+
+def overflow_handlers(source: str) -> list[str]:
+    """The innermost function ("<module>" outside any) of each except
+    clause in ``source`` that names OverflowError."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                    isinstance(name, ast.Name) and name.id == "OverflowError"
+                    for name in ast.walk(child.type)):
+                found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_overflow_error_is_caught_only_around_calls_that_raise_it():
+    sites = [(path.stem, function)
+             for path in sorted(Path(rspho.__file__).parent.glob("*.py"))
+             for function in overflow_handlers(path.read_text(encoding="utf-8"))]
+    assert [site for site in sites if site not in OVERFLOW_CATCHERS] == []
+    assert sorted(sites) == sorted(OVERFLOW_CATCHERS)

@@ -2,9 +2,11 @@
 
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 from itertools import islice
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -124,10 +126,17 @@ def test_point_where_beta_squared_overflows_is_the_ground_level(T, k_B):
 
 
 def test_capacity_where_beta_squared_overflows():
-    # Two levels 1e-160 apart at beta*eps = 1: C = e/(1 + e)^2.  The moment
-    # sums are subnormal there and keep about 11 bits.
+    # Two levels 1e-160 apart at beta*eps = 1: C = e/(1 + e)^2.  beta^2
+    # overflows and eps^2 is subnormal, but (beta*eps)^2 = 1 is neither.
     point = thermo_point([0.0, 1e-160], T=1e-160)
-    assert point.C == pytest.approx(math.e / (1.0 + math.e) ** 2, rel=1e-2)
+    assert point.C == pytest.approx(math.e / (1.0 + math.e) ** 2, rel=1e-12)
+
+
+def test_partition_function_beyond_the_float_range():
+    # beta*E0 = -1000: Z = exp(1000) is inf, and every other field is the
+    # ground level's, the excited weight exp(-1000) being 0.
+    point = thermo_point([-1.0, 0.0], T=1e-3)
+    assert (point.Z, point.F, point.U, point.S, point.C) == (math.inf, -1.0, -1.0, 0.0, 0.0)
 
 
 class TestThermoPoint:
@@ -477,3 +486,50 @@ class TestLadderGenerator:
                 for n in range(failing)]
             errors.add(str(info.value))
         assert len(errors) == 1
+
+
+def two_level_reference(e0: float, e1: float, T: float) -> dict:
+    """Z, F, U, S and C of the levels e0 < e1 at temperature T (k_B = N = 1),
+    from the two-level closed forms in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        e0, e1, T = mpmath.mpf(e0), mpmath.mpf(e1), mpmath.mpf(T)
+        y = (e1 - e0) / T
+        w = mpmath.exp(-y)
+        s0 = 1 + w
+        return {"Z": mpmath.exp(-e0 / T) * s0, "F": e0 - T * mpmath.log(s0),
+                "U": e0 + (e1 - e0) * w / s0, "S": mpmath.log(s0) + y * w / s0,
+                "C": y * y * w / (s0 * s0)}
+
+
+log_magnitudes = st.floats(math.log(1e-300), math.log(1e300))
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(sign=st.sampled_from([-1.0, 0.0, 1.0]), log_e0=log_magnitudes, log_d=log_magnitudes,
+       log_T=log_magnitudes)
+@example(sign=0.0, log_e0=0.0, log_d=math.log(1e-160), log_T=math.log(1e-160))
+@example(sign=-1.0, log_e0=0.0, log_d=0.0, log_T=math.log(1e-3))
+def test_two_level_system_matches_its_closed_form(sign, log_e0, log_d, log_T):
+    """Levels [E0, E0 + d] at T, with |E0|, d and T log-uniform over
+    1e-300..1e300: thermo_point fails only with DomainError (E0 + d rounds
+    to E0) or ConvergenceError, gives no NaN, and each field is within
+    1e-12 relative (plus 1e-300) of the closed form, or is +/-inf exactly
+    where the closed form is out of the float range.  F may also be
+    k_B*T*eps off and S k_B*eps, where ln(1 + w) rounds away a weight w
+    below eps."""
+    e0 = sign * math.exp(log_e0)
+    e1 = e0 + math.exp(log_d)
+    T = math.exp(log_T)
+    try:
+        point = thermo_point([e0, e1], T)
+    except (DomainError, ConvergenceError):
+        return
+    eps = sys.float_info.epsilon
+    slack = {"Z": 0.0, "F": T * eps, "U": 0.0, "S": eps, "C": 0.0}
+    for name, ref in two_level_reference(e0, e1, T).items():
+        got = getattr(point, name)
+        assert not math.isnan(got), name
+        if abs(ref) > sys.float_info.max:
+            assert got == math.copysign(math.inf, ref), name
+        else:
+            assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-300 + slack[name], (name, got, ref)
