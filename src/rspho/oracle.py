@@ -18,11 +18,14 @@ work and the Gram-Schmidt products.
 In a process that has not, as in a fresh ``rspho verify``, the grid, the
 potential and the matrix are lists of Python floats and sturm_eigenvalues
 finds the levels with nothing to import: Sturm counts bracket each level,
-and steps on the characteristic polynomial p, from p'/p that each count's
+and steps on the characteristic polynomial p, from p'/p that a count's
 recurrence also gives (Newton's, or the pole of a fit to two counts where
 that goes further), shrink the bracket to eps*|T|, as LAPACK's bisection
-(dstebz) certifies its levels.  Importing numpy and scipy would cost a
-cold process several times the twenty-odd counts of a verify case.
+(dstebz) certifies its levels.  Each level starts from the same oracle on
+a grid 8 times coarser, and the counts that close a bracket skip p'/p, so
+a verify case takes 11-12 counts on its grid and about two grids' worth
+on the coarse ones.  Importing numpy and scipy would cost a cold process
+several times that.
 
 Either way the eigenvalues share no algebra with the closed forms they
 verify, the library's own radial_spectrum, q_of_vtilde and
@@ -308,22 +311,24 @@ def _certified(diag, off, count, sigma, xi, values, radius):
 # LAPACK's pivmin, safemin*max(1, max e^2), for T scaled below 1.
 _SAFEMIN = sys.float_info.min
 
-# Steps per level before its bracket is only bisected, which then takes
+# Counts per level before its bracket is only bisected, which then takes
 # at most 53 counts to shrink it from the Gershgorin interval to eps*|T|.
-# The default grids certify a level in 6-8 counts.
+# From a coarser grid's levels the default grids certify a level in 3-4
+# counts (two with p'/p and two without), and from the Gershgorin low end
+# in 7-9.
 _NEWTON_COUNTS = 64
 
 
-def sturm_eigenvalues(diag, off, count):
+def sturm_eigenvalues(diag, off, count, starts=()):
     """The ``count`` lowest eigenvalues, ascending, of the symmetric
-    tridiagonal matrix T with diagonal ``diag`` and off-diagonal ``off``,
-    lists of floats, in pure Python.
+    tridiagonal matrix T with diagonal ``diag``, a list of at least two
+    floats, and every off-diagonal entry ``off``, a float, in pure Python.
 
     Each eigenvalue is the midpoint of an interval of width at most
     eps*|T| whose ends Sturm counts place on either side of it, as LAPACK's
     bisection (dstebz) certifies its levels.  T is first scaled by a power
     of two to entries below 1 in size, exactly, so that no count overflows.
-    Each count (_sturm_count) also gives p'/p at its point x, p being the
+    A count (_sturm_count) also gives p'/p at its point x, p being the
     characteristic polynomial det(T - x*I), and with it (_rest) the sum
     G(x) of 1/(lambda_j - x) over the eigenvalues from level k up, the k
     levels already found deflated.
@@ -332,71 +337,130 @@ def sturm_eigenvalues(diag, off, count):
     eigenvalues at or below it and the lowest counted with more (the
     Gershgorin bounds before any count).  Below level k, the Newton step
     x + 1/G(x) on p deflated stays below it and rises to it, so level k
-    starts at the highest point such a step reaches from an earlier count.
-    From a count below the level, the step is the larger of Newton's and
-    of the pole of 1/(lambda - x) + c fitted to G at this count and the
-    last one below, or the one it started from (a constant c for the
-    levels above, as in LAPACK's secular-equation solver dlaed4).  The
-    pole also stays below the level, since the part of G that c stands for
-    grows with x, and it takes Newton's slow approach from far below in a
-    step or two.  From a count above,
-    the step is Newton's.  A step that leaves the bracket gives way to
-    bisection, and so does every step after _NEWTON_COUNTS counts; a step
-    shorter than half the tolerance goes half the tolerance further, so
-    that the next count closes the bracket.  No closed form enters, not
-    even as a starting point.
+    starts at the highest point such a step reaches from an earlier count,
+    or at ``starts[k]`` (a guess, such as the level of a coarser grid) where
+    that lies higher inside the bracket.  From a count below the level the
+    step is _step_up's: Newton's times the multiplicity that the counts or
+    the last two counts show, or the pole of a fit to those two where that
+    goes further.  From a count above, with the level the only one of the
+    deflated levels below it, the step is Newton's; above more of them,
+    Newton would go to the nearest, and the step is bisection.  A step that
+    leaves the bracket gives way to bisection, and so does every step after
+    _NEWTON_COUNTS counts.  No closed form enters.
+
+    A step shorter than the tolerance goes halfway from there to the
+    tolerance, so that the next count closes the bracket if it crosses the
+    level.  Where Newton's error, which squares with each step, puts the
+    landing of a longer step from below within tol/8 of the level, two
+    counts tol/2 apart around it close the bracket.  Such a count
+    (_sturm_below) skips the p'/p recurrence, whose slope would never be
+    used; where one leaves the bracket open, the next count, half the
+    tolerance on, is made in full.
     """
-    _, exponent = math.frexp(max(max(diag), -min(diag),
-                                 max(off, default=0.0), -min(off, default=0.0)))
-    diag = [math.ldexp(d, -exponent) for d in diag]
-    off = [math.ldexp(e, -exponent) for e in off]
-    squares = [0.0] + [e * e for e in off]
-    radius = [abs(a) + abs(b) for a, b in zip([0.0] + off, off + [0.0])]
-    low = min(d - r for d, r in zip(diag, radius))
-    high = max(d + r for d, r in zip(diag, radius))
+    _, exponent = math.frexp(max(max(diag), -min(diag), abs(off)))
+    # The scale is a float up to 2**1022, and scaling up is exact: entries
+    # all below 2**-1023 in size are scaled to entries below 1/2.
+    exponent = max(exponent, -1022)
+    scale = math.ldexp(1.0, -exponent)
+    diag = [d * scale for d in diag]
+    off *= scale
+    square = off * off
+    edge = abs(off)
+    inner = diag[1:-1]
+    low = min(diag[0] - edge, diag[-1] - edge, min(inner, default=math.inf) - 2.0 * edge)
+    high = max(diag[0] + edge, diag[-1] + edge, max(inner, default=-math.inf) + 2.0 * edge)
     tol = _EPS * max(abs(low), abs(high))
-    counted = []        # (x, eigenvalues at or below x, p'/p at x)
+    starts = [start * scale for start in starts]
+    counted = []        # (x, eigenvalues at or below x, p'/p at x or None)
     levels = []
     for k in range(count):
         lo = max([low] + [point for point, below, _ in counted if below <= k])
-        hi = min([high] + [point for point, below, _ in counted if below > k])
-        starts = []
+        # inside: the eigenvalues from level k up that the counts place at
+        # or below hi; 0 while hi is the Gershgorin bound.
+        hi, inside = min([(high, 0)] + [(point, below - k)
+                                        for point, below, _ in counted if below > k])
+        candidates = []
         for point, below, slope in counted:
-            rest = _rest(point, slope, levels)
-            if below <= k and rest > 0.0 and point + 1.0 / rest < hi:
-                starts.append((point + 1.0 / rest, (point, rest)))
+            if slope is not None and below <= k:
+                rest = _rest(point, slope, levels)
+                if rest > 0.0 and point + 1.0 / rest < hi:
+                    candidates.append((point + 1.0 / rest, (point, rest)))
+        if k < len(starts) and lo < starts[k] < hi:
+            candidates.append((starts[k], None))
         # The count that a start steps from is the first point of the fit.
         # Level 0 starts at the Gershgorin low end, where nothing is counted.
-        x, previous = max(starts, default=(0.5 * (lo + hi) if counted else low, None))
+        x, previous = max(candidates, default=(0.5 * (lo + hi) if counted else low, None),
+                          key=lambda candidate: candidate[0])
+        free, top = False, None
         steps = 0
         while hi - lo > tol:
-            below, slope = _sturm_count(diag, squares, x)
+            if free:
+                below, slope = _sturm_below(diag, square, x), None
+            else:
+                below, slope = _sturm_count(diag, square, x)
             counted.append((x, below, slope))
-            rest = _rest(x, slope, levels)
-            step = 1.0 / rest if rest else math.nan
-            if below <= k:             # step up to the level
-                sign = 1.0
-                lo = max(lo, x)
-                if previous is not None and x > previous[0] and rest > previous[1]:
-                    width = x - previous[0]
-                    a = (rest - previous[1]) * width
-                    pole = 2.0 * width / (a + math.sqrt(a * (a + 4.0)))
-                    if pole > step or math.isnan(step):
-                        step = pole
-                previous = (x, rest)
-            else:                       # step down to it
-                sign = -1.0
-                hi = min(hi, x)
-            if not sign * step > 0.0:
-                step = sign * tol
-            elif sign * step < 0.5 * tol:
-                step += sign * 0.5 * tol
-            x += step
-            if steps >= _NEWTON_COUNTS or not (x < hi if sign > 0.0 else x > lo):
-                x = 0.5 * (lo + hi)
             steps += 1
+            if below <= k:
+                lo, sign = x, 1.0
+            else:
+                hi, inside, sign = x, below - k, -1.0
+            if top is not None and sign > 0.0:
+                x, top = top, None      # the bottom of a pair: its top closes
+                continue
+            top = None
+            if slope is None:          # a count without p'/p left it open
+                step = sign * 0.5 * tol
+            elif sign > 0.0:           # step up to the level
+                rest = _rest(x, slope, levels)
+                step = _step_up(x, rest, previous, inside)
+                # Newton's error squares with each step, so this step's
+                # landing lies about step^3/(the last one + step)^2 below
+                # the level; within tol/8, a pair of counts tol/2 apart
+                # around it closes the bracket.
+                if previous is not None and 1.25 * tol <= step and (
+                        step**3 <= 0.125 * tol * (x - previous[0] + step) ** 2):
+                    step -= 0.25 * tol
+                    top = x + step + 0.5 * tol
+                previous = (x, rest)
+            elif inside == 1:          # step down to it
+                rest = _rest(x, slope, levels)
+                step = 1.0 / rest if rest else math.nan
+            else:                      # Newton would go to the nearest level
+                step = math.nan
+            if slope is not None and 0.0 < sign * step < tol:
+                step = 0.5 * (step + sign * tol)
+            x += step
+            if steps >= _NEWTON_COUNTS or not (lo < x < hi and sign * step > 0.0):
+                x, top = 0.5 * (lo + hi), None
+            free = top is not None or (slope is not None and (x - lo <= tol or hi - x <= tol))
         levels.append(0.5 * (lo + hi))
     return [math.ldexp(v, exponent) for v in levels]
+
+
+def _step_up(x, rest, previous, inside):
+    """sturm_eigenvalues' step from x below the level, G(x) = ``rest``:
+    Newton's times a multiplicity m, or the fitted pole where that goes
+    further.  ``previous`` is the last count below, (x, G), or None.
+
+    m is ``inside``, the eigenvalues that the counts place in the bracket,
+    once a count above it exists: each adds at least 1/(hi - x) to G, so
+    the step stays inside.  Before that, m is 2 where the last two counts
+    fit G to a double pole better than to a simple one, as for the
+    near-degenerate pairs of a double well, on which Newton's steps only
+    halve the distance."""
+    step = 1.0 / rest if rest else math.nan
+    multiplicity = inside or 1
+    pole = math.nan
+    if previous is not None and x > previous[0] and rest > previous[1]:
+        width = x - previous[0]
+        a = (rest - previous[1]) * width
+        # width/(1/G before - 1/G now) fits m/(lambda - x) to G at the two
+        # counts: 1 for a simple pole, 2 for a double one.
+        if not inside and width * width * rest * previous[1] >= 1.5 * a:
+            multiplicity = 2
+        pole = 2.0 * width / (a + math.sqrt(a * (a + 4.0)))
+    step *= multiplicity
+    return pole if pole > step or math.isnan(step) else step
 
 
 def _rest(x, slope, levels):
@@ -409,22 +473,21 @@ def _rest(x, slope, levels):
         return math.nan
 
 
-def _sturm_count(diag, squares, x):
+def _sturm_count(diag, square, x):
     """(eigenvalues of T at or below x, p'(x)/p(x)) from one pass over T.
 
-    The pivots of T - x*I = L D L^T, q_i = d_i - x - e_{i-1}^2/q_{i-1}, are
-    negative for as many eigenvalues (``squares`` holds 0 and then each
-    e_i^2); a pivot smaller than _SAFEMIN in size counts as negative and
-    becomes -_SAFEMIN, as in LAPACK.  p'/p = sum q_i'/q_i, and the ratio
-    r_i = q_i'/q_i = (e_{i-1}^2/q_{i-1} * r_{i-1} - 1)/q_i follows the
-    pivots.
+    The pivots of T - x*I = L D L^T, q_i = d_i - x - e^2/q_{i-1} (q_0 =
+    d_0 - x), are negative for as many eigenvalues (``square`` is e^2); a
+    pivot smaller than _SAFEMIN in size counts as negative and becomes
+    -_SAFEMIN, as in LAPACK.  p'/p = sum q_i'/q_i, and the ratio r_i =
+    q_i'/q_i = (e^2/q_{i-1} * r_{i-1} - 1)/q_i follows the pivots.
     """
     pivmin = _SAFEMIN
     below = 0
-    q = 1.0
+    q = math.inf
     r = slope = 0.0
-    for d, b in zip(diag, squares):
-        f = b / q
+    for d in diag:
+        f = square / q
         q = d - f - x
         if q < pivmin:
             below += 1
@@ -433,6 +496,21 @@ def _sturm_count(diag, squares, x):
         r = (f * r - 1.0) / q
         slope += r
     return below, slope
+
+
+def _sturm_below(diag, square, x):
+    """_sturm_count's eigenvalues of T at or below x, from the same pivots,
+    without p'/p."""
+    pivmin = _SAFEMIN
+    below = 0
+    q = math.inf
+    for d in diag:
+        q = d - square / q - x
+        if q < pivmin:
+            below += 1
+            if q > -pivmin:
+                q = -pivmin
+    return below
 
 
 def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
@@ -444,7 +522,8 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
     ValueError), and the eigenvalues come from eigh_tridiagonal.  In one
     that has not, ``potential`` is called on each grid point as a float
     (a ZeroDivisionError or OverflowError it raises counts as a value that
-    is not finite), and the eigenvalues come from sturm_eigenvalues.  The
+    is not finite), and on those of the coarser grids whose levels start
+    sturm_eigenvalues (_fd_floats), which gives the eigenvalues.  The
     grid points, h^2 and the diagonal have the same bits either way, given
     the same potential values, and the eigenvalues lie within a few eps*|T|
     of LAPACK's bisection.
@@ -482,25 +561,45 @@ def fd_eigenvalues(potential, grid: GridSpec, count: int) -> list[float]:
 
 
 def _fd_floats(potential, grid: GridSpec, count: int) -> list[float]:
-    """fd_eigenvalues on Python floats, for a process without numpy."""
-    h = grid.h
-    x = [grid.lower + h * i for i in range(1, grid.points + 1)]
+    """fd_eigenvalues on Python floats, for a process without numpy.
+
+    The levels start from the same oracle on a grid 8 times coarser with
+    the same ends, while that grid keeps at least 16 points and 4 a level.
+    A second-order grid that resolves the potential has its levels below a
+    finer grid's, so Newton's steps start under them; a start above its
+    level, or outside the bracket, costs counts, not accuracy.  A coarse
+    grid on which the potential or the diagonal is not finite gives no
+    starts.
+    """
+    lower, h = grid.lower, grid.h
     v = []
-    for point in x:
+    for i in range(1, grid.points + 1):
         try:
-            value = potential(point)
+            v.append(potential(lower + h * i))
         except (ZeroDivisionError, OverflowError):
-            value = math.nan
-        if not math.isfinite(value):
-            raise DomainError(f"potential evaluates non-finite at x = {point}")
-        v.append(value)
+            v.append(math.nan)
+    _require_finite_at(grid, v, "potential evaluates non-finite")
     h2 = _step_squared(grid)
     kinetic = 2.0 / h2
     diag = [kinetic + value for value in v]
-    for d, point in zip(diag, x):
-        if not math.isfinite(d):
-            raise DomainError(f"diagonal 2/h^2 + V overflows at x = {point}")
-    return sturm_eigenvalues(diag, [-1.0 / h2] * (grid.points - 1), count)
+    _require_finite_at(grid, diag, "diagonal 2/h^2 + V overflows")
+    starts = ()
+    coarse = grid.points // 8
+    if coarse >= max(16, 4 * count):
+        try:
+            starts = _fd_floats(potential, GridSpec(lower, grid.upper, coarse), count)
+        except DomainError:
+            pass
+    return sturm_eigenvalues(diag, -1.0 / h2, count, starts)
+
+
+def _require_finite_at(grid: GridSpec, values, message: str) -> None:
+    """DomainError naming the first point of ``grid`` whose value is not
+    finite.  A sum of finite values that overflows raises nothing."""
+    if not math.isfinite(sum(values)):
+        for i, value in enumerate(values, 1):
+            if not math.isfinite(value):
+                raise DomainError(f"{message} at x = {grid.lower + grid.h * i}")
 
 
 def _step_squared(grid: GridSpec) -> float:

@@ -12,8 +12,9 @@ with y = beta (E - E0), the excitation energy in units of k_B T, and s0 =
 Z exp(beta E0), the sum of the weights exp(-y).  The shift by the ground
 level E0 keeps a large beta from underflowing the sums, cancels in U, S
 and C, and is restored in F and Z.  No square of beta or of an energy is
-taken: y^2 < 746^2 wherever a weight is not 0.  Z is 0 or inf only where
-its value is out of the float range, and so is F where k_B T ln s0 is not.
+taken: y^2 < 746^2 wherever a weight is not 0.  Z is 0 or inf, and F
++/-inf, only where its value is out of the float range: where k_B T ln s0
+is out of it and F is not, F is N k_B T (E0/(k_B T) - ln s0).
 
 The ladder (nonrelativistic_levels) is a generator over the explicit
 oscillator-limit closed form of nonrelativistic_energy, with the terms
@@ -147,7 +148,10 @@ def thermo_point(levels, T: float, N: int = 1, k_B: float = 1.0,
     mean_y = beta * mean_shift
     log_s0 = math.log(s0)
     c = k_B * (s2 / s0 - mean_y * mean_y)
-    return ThermoPoint(T=T, beta=beta, Z=exp(log_s0 - beta * e0), F=N * (e0 - kT * log_s0),
+    thermal = kT * log_s0
+    # k_B*T*ln s0 can pass the float range where F does not.
+    f = e0 - thermal if math.isfinite(thermal) else kT * (e0 / kT - log_s0)
+    return ThermoPoint(T=T, beta=beta, Z=exp(log_s0 - beta * e0), F=N * f,
                        U=e0 + mean_shift, S=N * k_B * (log_s0 + mean_y),
                        C=max(c, 0.0), levels_used=used)
 

@@ -312,7 +312,8 @@ def floats(monkeypatch):
 def test_sturm_eigenvalues_agree_with_bisection(points, lower, width, symmetric,
                                                 coefficients, count):
     """The matrices of test_fd_eigenvalues_agree_with_bisection, given to
-    sturm_eigenvalues as lists."""
+    sturm_eigenvalues as a list and a float, with no starts and, through
+    the float path of fd_eigenvalues, from a coarser grid's levels."""
     grid = GridSpec(lower=lower, upper=lower + width, points=points)
     middle = lower + 0.5 * width
 
@@ -322,10 +323,28 @@ def test_sturm_eigenvalues_agree_with_bisection(points, lower, width, symmetric,
                    for j, c in enumerate(coefficients))
 
     diag, off = tridiagonal(potential, grid)
-    computed = oracle.sturm_eigenvalues(diag.tolist(), off.tolist(), count)
-    assert [type(value) for value in computed] == [float] * count
+    expected = bisection(diag, off, count)
     tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
-    assert np.all(np.abs(np.array(computed) - bisection(diag, off, count)) <= tolerance)
+    for computed in (oracle.sturm_eigenvalues(diag.tolist(), float(off[0]), count),
+                     oracle._fd_floats(potential, grid, count)):
+        assert [type(value) for value in computed] == [float] * count
+        assert np.all(np.abs(np.array(computed) - expected) <= tolerance)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(diag=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40),
+       off=st.floats(-1.0, 1.0), shift=st.floats(-3.0, 3.0), nudge=st.integers(-3, 3))
+# A zero off-diagonal and a shift on the diagonal: zero pivots.
+@example(diag=[0.5, 0.0, 0.5], off=0.0, shift=0.0, nudge=0)
+def test_count_without_slope_is_the_full_count(diag, off, shift, nudge):
+    """_sturm_below gives _sturm_count's eigenvalues at or below x, at a
+    random shift, at every diagonal entry and at every eigenvalue moved by
+    ``nudge`` ulps, where the brackets of sturm_eigenvalues close."""
+    values = scipy.linalg.eigh_tridiagonal(np.array(diag), np.full(len(diag) - 1, off),
+                                           eigvals_only=True)
+    shifts = [shift] + diag + [value + nudge * math.ulp(value) for value in values.tolist()]
+    for x in shifts:
+        assert oracle._sturm_below(diag, off * off, x) == oracle._sturm_count(diag, off * off, x)[0]
 
 
 README_VERIFY_CASES = ([(verify_radial, case) for case in _VERIFY_RADIAL_CASES]
@@ -337,24 +356,26 @@ class TestFloatPath:
                              ids=[f"{verify.__name__[7:]}{list(args)}"
                                   for verify, args in README_VERIFY_CASES])
     def test_readme_verify_cases_take_few_counts(self, verify, args, floats, monkeypatch):
-        """Each case of ``rspho verify`` converges in at most 24 Sturm counts
-        for its three levels (18-21 on the default grids), within 4 eps*|T|
-        of LAPACK's bisection of the same matrix."""
-        counts, seen = [], []
-        count_once = oracle._sturm_count
-        monkeypatch.setattr(oracle, "_sturm_count",
-                            lambda *a: counts.append(a[2]) or count_once(*a))
+        """Each case of ``rspho verify`` converges in at most 12 Sturm counts
+        of either kind on its grid for its three levels (11-12 on the
+        default grids), and counts at most 15 such grids' worth of rows in
+        all, those of the coarse grids that give its starts included,
+        within 4 eps*|T| of LAPACK's bisection of the same matrix."""
+        rows, seen = [], []
+        for name in ("_sturm_count", "_sturm_below"):
+            monkeypatch.setattr(oracle, name, lambda diag, square, x, count=getattr(oracle, name):
+                                rows.append(len(diag)) or count(diag, square, x))
         solve = oracle.sturm_eigenvalues
-        monkeypatch.setattr(oracle, "sturm_eigenvalues",
-                            lambda diag, off, count: seen.append((diag, off))
-                            or solve(diag, off, count))
+        monkeypatch.setattr(oracle, "sturm_eigenvalues", lambda diag, off, count, starts:
+                            seen.append((diag, off)) or solve(diag, off, count, starts))
         report = verify(*args)
-        [(diag, off)] = seen
-        diag, off = np.array(diag), np.array(off)
+        diag, off = seen[-1]
+        diag, off = np.array(diag), np.full(len(diag) - 1, off)
         tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
         assert report.converged
         assert np.all(np.abs(np.array(report.computed) - bisection(diag, off, 3)) <= tolerance)
-        assert len(counts) <= 24
+        assert rows.count(diag.size) <= 12
+        assert sum(rows) <= 15 * diag.size
 
     @pytest.mark.parametrize("args", [(0.0, 1.0), (239.3666, 9.84509), (2.0, 1e8)])
     def test_radial_matrix_has_the_bits_of_the_array_path(self, args, monkeypatch):
@@ -363,12 +384,13 @@ class TestFloatPath:
         seen = []
         monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda diag, off, count:
                             seen.append((diag.tolist(), off.tolist())) or np.zeros(count))
-        monkeypatch.setattr(oracle, "sturm_eigenvalues", lambda diag, off, count:
-                            seen.append((diag, off)) or [0.0] * count)
+        monkeypatch.setattr(oracle, "sturm_eigenvalues", lambda diag, off, count, starts:
+                            seen.append((diag, [off] * (len(diag) - 1))) or [0.0] * count)
         for loaded in (True, False):
             monkeypatch.setattr(oracle, "numpy_loaded", lambda: loaded)
             verify_radial(*args)
-        assert seen[0] == seen[1]
+        # The float path solves the coarse grids of its starts first.
+        assert seen[0] == seen[-1]
 
     @pytest.mark.parametrize("potential, grid", [
         (lambda x: 1.0 / ((x - 1.0) * 1e-300 * 1e-300), GridSpec(0.5, 2.0, 64)),
@@ -403,13 +425,40 @@ class TestFloatPath:
         computed = fd_eigenvalues(double_well, GridSpec(lower=-6.0, upper=6.0, points=4000), 3)
         assert computed[0] == computed[1] == pytest.approx(9.91844473, abs=1e-8)
 
+    def test_near_degenerate_pairs_take_few_counts(self, monkeypatch):
+        """The double well, whose lowest levels come in pairs closer than
+        eps*|T|, from the Gershgorin low end: at most 30 counts of either
+        kind for three levels, where Newton's steps, which only halve the
+        distance to a pair, took 63."""
+        diag, off = tridiagonal(double_well, GridSpec(lower=-6.0, upper=6.0, points=4000))
+        shifts = []
+        for name in ("_sturm_count", "_sturm_below"):
+            monkeypatch.setattr(oracle, name, lambda diag, square, x, count=getattr(oracle, name):
+                                shifts.append(x) or count(diag, square, x))
+        computed = oracle.sturm_eigenvalues(diag.tolist(), float(off[0]), 3)
+        tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+        assert np.all(np.abs(np.array(computed) - bisection(diag, off, 3)) <= tolerance)
+        assert len(shifts) <= 30
+
+    def test_coarse_grid_that_is_not_finite_gives_no_starts(self, floats):
+        """A potential that is finite on the grid but not on the coarser one
+        of the starts: the levels are found from the Gershgorin low end."""
+        grid = GridSpec(lower=0.0, upper=math.pi, points=4000)
+        coarse = GridSpec(lower=0.0, upper=math.pi, points=500)
+        poles = {coarse.lower + coarse.h * i for i in range(1, coarse.points + 1)}
+        assert not poles & {grid.lower + grid.h * i for i in range(1, grid.points + 1)}
+        computed = fd_eigenvalues(lambda x: math.inf if x in poles else 0.0, grid, 3)
+        diag, off = tridiagonal(lambda x: 0.0 * x, grid)
+        tolerance = 4.0 * 2.0**-52 * gershgorin_norm(diag, off)
+        assert np.all(np.abs(np.array(computed) - bisection(diag, off, 3)) <= tolerance)
+
     @pytest.mark.parametrize("exponent", [-1000, -60, 60, 1000])
     def test_scaling_by_a_power_of_two_scales_the_values_exactly(self, exponent):
         diag, off = tridiagonal(lambda r: 2.0 / r**2 + 9.0 * r**2,
                                 default_radial_grid(2.0, 3.0, 3))
-        base = oracle.sturm_eigenvalues(diag.tolist(), off.tolist(), 3)
+        base = oracle.sturm_eigenvalues(diag.tolist(), float(off[0]), 3)
         scaled = oracle.sturm_eigenvalues(np.ldexp(diag, exponent).tolist(),
-                                          np.ldexp(off, exponent).tolist(), 3)
+                                          math.ldexp(off[0], exponent), 3)
         assert scaled == [math.ldexp(value, exponent) for value in base]
 
 

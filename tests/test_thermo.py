@@ -488,6 +488,18 @@ class TestLadderGenerator:
         assert len(errors) == 1
 
 
+def test_free_energy_where_kT_ln_s0_overflows():
+    """k_B*T*ln s0 passes the float range here and F does not: F is
+    60-digit mpmath's -1.3755e308, not -inf."""
+    levels, T = [1e308, 1.2e308, 1.4e308, 1.6e308, 1.7e308], 1.7e308
+    with mpmath.workdps(60):
+        energies, kT = [mpmath.mpf(e) for e in levels], mpmath.mpf(T)
+        s0 = sum(mpmath.exp(-(e - energies[0]) / kT) for e in energies)
+        expected = float(energies[0] - kT * mpmath.log(s0))
+    assert expected == pytest.approx(-1.3755e308, rel=1e-4)
+    assert thermo_point(levels, T).F == pytest.approx(expected, rel=1e-14)
+
+
 def two_level_reference(e0: float, e1: float, T: float) -> dict:
     """Z, F, U, S and C of the levels e0 < e1 at temperature T (k_B = N = 1),
     from the two-level closed forms in 60-digit mpmath."""
